@@ -14,10 +14,7 @@ corrupt (the failing rows are dumped to stderr as JSON); 3 the construction
 search proved infeasible at some level.
 
 All artifacts are deterministic functions of the flags and the seed; the only
-field that varies between identical runs is report.json's "timestamp".  The
-environment variable JAMISON_THREADS is validated (positive integer) as a cap
-on worker parallelism; every pipeline here is single-process, so it never
-changes any output.
+field that varies between identical runs is report.json's "timestamp".
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -71,20 +67,6 @@ class InvariantFailure(JamisonError):
     def __init__(self, message: str, dump):
         super().__init__(message)
         self.dump = dump
-
-
-def thread_cap() -> int:
-    """Validated JAMISON_THREADS value (default 1); results never depend on it."""
-    raw = os.environ.get("JAMISON_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ConfigInvalid(f"JAMISON_THREADS={raw!r} is not an integer") from exc
-    if val < 1:
-        raise ConfigInvalid(f"JAMISON_THREADS={val} must be >= 1")
-    return val
 
 
 def _timestamp() -> str:
@@ -448,7 +430,6 @@ _DISPATCH = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        thread_cap()
         return _DISPATCH[args.command](args)
     except BudgetInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     BudgetInfeasible,
@@ -208,55 +207,34 @@ class LevelBudget:
 
 # --- symmetric sums and coefficient rows -----------------------------------------
 
-_DP_CUTOFF = 512  # above this degree the linear-filter evaluation is much faster
+
+def _bidiagonal_power(lams, n: int) -> np.ndarray:
+    """J^n for the bidiagonal J = diag(lams) + unit superdiagonal.
+
+    Entry (k, l) of J^n is the complete homogeneous sum
+    h_{n-(l-k)}(lams[k..l]) (Opitz's divided-difference matrix), and it is an
+    exact zero below the diagonal and beyond band offset n.  J is upper
+    triangular, so every principal block of J^n is the n-th power of the same
+    block of J: one power serves every level and every coefficient row.
+    """
+    J = np.diag(np.asarray(lams, dtype=complex)) + np.eye(len(lams), k=1)
+    return matrix_power(J, n)
 
 
 def symmetric_sum(lambdas, m: int) -> complex:
     """Complete homogeneous symmetric sum h_m over the given variables.
 
-    Implements h_m(x_1..x_r) = h_m(x_1..x_{r-1}) + x_r h_{m-1}(x_1..x_r) by
-    in-place dynamic programming; for large m each added variable is a single
-    IIR filter pass, which keeps the factorial-scale degrees cheap.
+    h_m(x_1..x_r) is the corner entry (1, r) of J^(m+r-1), with J the
+    bidiagonal matrix carrying the variables on its diagonal; binary
+    exponentiation keeps factorial-scale degrees at O(r^3 log m).
     """
     if m < 0:
         raise NegativeDegree(f"degree {m} must be >= 0")
     xs = [complex(x) for x in lambdas]
     if not xs:
         raise PreconditionViolated("symmetric_sum needs at least one variable")
-    if m == 0:
-        return 1 + 0j
-    if m <= _DP_CUTOFF:
-        h = [1 + 0j] + [0j] * m
-        for x in xs:
-            for t in range(1, m + 1):
-                h[t] += x * h[t - 1]
-        return h[m]
-    h = np.zeros(m + 1, dtype=complex)
-    h[0] = 1.0
-    for x in xs:
-        h = lfilter([1.0 + 0j], [1.0 + 0j, -x], h)
-    return complex(h[m])
-
-
-def _abs_coefficient_row(lams: list, level: int, n: int) -> dict:
-    """|h_{n-(level-k)}(lambda_k..lambda_level)| for k = max(1, level-n)..level-1.
-
-    Shares one filter cascade across all k: starting from the single variable
-    lambda_level, each step prepends one more variable, and the needed degree
-    for that k is read off before the next extension.
-    """
-    kmin = max(1, level - n)
-    maxdeg = n - 1
-    base = np.empty(maxdeg + 1, dtype=complex)
-    base[0] = 1.0
-    if maxdeg >= 1:
-        base[1:] = np.cumprod(np.full(maxdeg, lams[level - 1], dtype=complex))
-    out = {}
-    h = base
-    for k in range(level - 1, kmin - 1, -1):
-        h = lfilter([1.0 + 0j], [1.0 + 0j, -lams[k - 1]], h)
-        out[k] = float(abs(h[n - (level - k)]))
-    return out
+    r = len(xs)
+    return complex(_bidiagonal_power(xs, m + r - 1)[0, r - 1])
 
 
 def _suffix_weight_products(schedule: WeightSchedule, level: int) -> dict:
@@ -269,16 +247,20 @@ def _suffix_weight_products(schedule: WeightSchedule, level: int) -> dict:
     return out
 
 
-def _tail_sum(thetas, schedule: WeightSchedule, gaps: dict, level: int, n: int) -> float:
-    """Weighted coefficient tail for one power n at one level, fiber-summed bound."""
-    lams = [p.complex_value() for p in thetas[:level]]
-    row = _abs_coefficient_row(lams, level, n)
+def _tail_sum(Jn: np.ndarray, schedule: WeightSchedule, gaps: dict, level: int) -> float:
+    """Weighted coefficient tail for one power n at one level, fiber-summed bound.
+
+    Jn is J^n over at least the first ``level`` eigenvalues.  Its column
+    ``level`` holds the coefficient row |h_{n-(level-k)}(lambda_k..lambda_level)|
+    for k = 1..level-1, with exact zeros where level - k > n.
+    """
+    row = np.abs(Jn[: level - 1, level - 1]).tolist()
     wprod = _suffix_weight_products(schedule, level)
     g_level = gaps[level]
     total = 0.0
-    for k, s_abs in row.items():
+    for k in range(level - 1, 0, -1):
         gk = 1.0 if k == 1 else gaps[k]
-        total += wprod[k] * (g_level / gk) * s_abs
+        total += wprod[k] * (g_level / gk) * row[k - 1]
     return total
 
 
@@ -333,6 +315,20 @@ def _chain_coeffs(thetas, alphas1, n: int) -> list:
     return coeffs
 
 
+def _chain_difference(thetas, alphas1, n: int) -> tuple:
+    """(head, tail) 2-norm parts of the fiber-1 chain difference u^(n) - u^(j(n))."""
+    j = fiber_map(n)
+    lam_n, lam_j = thetas[n - 1], thetas[j - 1]
+    a_sq = 0.0
+    for m in range(2, j + 1):
+        denom = math.prod(alphas1[: m - 1], start=1 + 0j)
+        diff = product_difference(lam_n, lam_j, thetas[: m - 1]) / denom
+        a_sq += abs(diff) ** 2
+    chain = _chain_coeffs(thetas, alphas1, n)
+    b_sq = sum(abs(c) ** 2 for c in chain[j:])
+    return math.sqrt(a_sq), math.sqrt(b_sq)
+
+
 # --- per-level budget evaluation ----------------------------------------------------
 
 
@@ -359,16 +355,7 @@ def _evaluate_level_budget(
         gap_bound = gaps[level - 1] / (2 ** level * schedule.level_weight(level - 1))
         gap_ok = gaps[level] <= gap_bound
         alphas1 = _alphas_fiber1(gaps, schedule, level - 1)
-        j = fiber_map(level)
-        lam_l, lam_j = thetas[level - 1], thetas[j - 1]
-        a_sq = 0.0
-        for m in range(2, j + 1):
-            denom_m = math.prod(alphas1[: m - 1], start=1 + 0j)
-            diff = product_difference(lam_l, lam_j, thetas[: m - 1]) / denom_m
-            a_sq += abs(diff) ** 2
-        chain_l = _chain_coeffs(thetas, alphas1, level)
-        b_sq = sum(abs(c) ** 2 for c in chain_l[j:])
-        eig_a, eig_b = math.sqrt(a_sq), math.sqrt(b_sq)
+        eig_a, eig_b = _chain_difference(thetas, alphas1, level)
         eig_budget = 2.0 ** -(level + 1)
         eig_ok = eig_a <= eig_budget and eig_b <= eig_budget
     else:
@@ -378,7 +365,8 @@ def _evaluate_level_budget(
         eig_budget = math.inf
         eig_ok = True
     tail_budget = 2.0 ** (1 - level)
-    tail_max = max(_tail_sum(thetas, schedule, gaps, level, n) for n in terms)
+    lams = [p.complex_value() for p in thetas[:level]]
+    tail_max = max(_tail_sum(_bidiagonal_power(lams, n), schedule, gaps, level) for n in terms)
     tail_ok = tail_max <= tail_budget
     return LevelBudget(
         level=level,
@@ -763,8 +751,8 @@ def power_coefficient(cons: ShiftConstruction, k: int, l: int, i: int, n: int) -
     alpha_prod = 1.0
     for q in range(k, l):
         alpha_prod *= cons.alpha(i, q)
-    lams = [cons.lambdas[q - 1].complex_value() for q in range(k, l + 1)]
-    return alpha_prod * symmetric_sum(lams, n - (l - k))
+    lams = [p.complex_value() for p in cons.lambdas[:l]]
+    return alpha_prod * complex(_bidiagonal_power(lams, n)[k - 1, l - 1])
 
 
 # --- eigenvector chains ------------------------------------------------------------
@@ -806,16 +794,7 @@ def chain_difference_norms(cons: ShiftConstruction, n: int) -> tuple:
     """
     if n < 2 or n > cons.levels:
         raise IndexOutOfRange(f"difference needs 2 <= n <= {cons.levels}")
-    j = fiber_map(n)
-    lam_n, lam_j = cons.lambdas[n - 1], cons.lambdas[j - 1]
-    a_sq = 0.0
-    for m in range(2, j + 1):
-        denom = math.prod(cons.alphas1[: m - 1], start=1 + 0j)
-        diff = product_difference(lam_n, lam_j, cons.lambdas[: m - 1]) / denom
-        a_sq += abs(diff) ** 2
-    chain = _chain_coeffs(cons.lambdas, cons.alphas1, n)
-    b_sq = sum(abs(c) ** 2 for c in chain[j:])
-    return math.sqrt(a_sq), math.sqrt(b_sq)
+    return _chain_difference(cons.lambdas, cons.alphas1, n)
 
 
 # --- norms and verification -----------------------------------------------------------
@@ -930,9 +909,10 @@ def analytic_power_bound(cons: ShiftConstruction, L: int, n: int) -> float:
     max column sum, the max row sum, and hence also the spectral norm.
     """
     gaps = {l: cons.gap(l) for l in range(2, L + 1)}
+    Jn = _bidiagonal_power([p.complex_value() for p in cons.lambdas[:L]], n)
     total = 0.0
     for level in range(2, L + 1):
-        total += _tail_sum(cons.lambdas, cons.schedule, gaps, level, n)
+        total += _tail_sum(Jn, cons.schedule, gaps, level)
     return total
 
 

@@ -59,10 +59,12 @@ def torus_norm(theta: Angle):
 
 
 def turns_to_radians(theta: Angle) -> float:
+    """Angle in turns (torus convention) to radians (frequency convention)."""
     return TWO_PI * float(theta)
 
 
 def radians_to_turns(angle: float) -> float:
+    """Angle in radians (frequency convention) to turns (torus convention)."""
     return float(angle) / TWO_PI
 
 
@@ -144,6 +146,8 @@ class IndexSequence:
         terms = tuple(self.terms)
         if not terms:
             raise ConfigInvalid("sequence needs at least one term")
+        if any(not isinstance(t, int) and not math.isfinite(t) for t in terms):
+            raise ConfigInvalid("sequence terms must be finite")
         if self.kind == "integer":
             for t in terms:
                 if float(t) != int(t):

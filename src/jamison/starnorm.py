@@ -8,8 +8,8 @@ sequence.  Shifts act diagonally on exponentials, so every product reduces
 to scalar factors and all searches run over multisets of sequence indices.
 
 Frequencies are radians per unit time throughout this module; torus points
-from the sequences module live in turns.  turns_to_radians / radians_to_turns
-are the single conversion boundary.
+from the sequences module live in turns.  sequences.turns_to_radians /
+radians_to_turns are the single conversion boundary.
 """
 
 import cmath
@@ -25,19 +25,9 @@ from .errors import ConfigInvalid, HorizonExceedsSequence
 from .sequences import IndexSequence
 
 ROOT_HALF_PI = math.sqrt(math.pi / 2.0)
-TWO_PI = 2.0 * math.pi
 EXHAUSTIVE_LIMIT = 20000
 DEFAULT_BEAM_WIDTH = 32
 SINE_QUAD_TOL = 1e-11
-
-
-def turns_to_radians(theta: float) -> float:
-    """Angle in turns (torus convention) to radians (frequency convention)."""
-    return TWO_PI * float(theta)
-
-
-def radians_to_turns(eta: float) -> float:
-    return float(eta) / TWO_PI
 
 
 @lru_cache(maxsize=None)

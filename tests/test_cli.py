@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from jamison import IndexSequence, build_construction
-from jamison.cli import main, thread_cap
+from jamison.cli import main
 from jamison.errors import ArtifactCorrupt, ConfigInvalid
 from jamison.serialize import (
     decimal_string,
@@ -394,36 +394,23 @@ def test_missing_input_file_exits_one(tmp_path):
     assert main(["analyze", "--sequence", str(tmp_path / "none.json")]) == 1
 
 
-def test_thread_cap_validation(monkeypatch):
-    monkeypatch.delenv("JAMISON_THREADS", raising=False)
-    assert thread_cap() == 1
-    monkeypatch.setenv("JAMISON_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("JAMISON_THREADS", "zero")
-    with pytest.raises(ConfigInvalid):
-        thread_cap()
-    monkeypatch.setenv("JAMISON_THREADS", "0")
-    with pytest.raises(ConfigInvalid):
-        thread_cap()
-
-
-def test_bad_thread_env_fails_any_command(workdir, tmp_path, monkeypatch):
-    monkeypatch.setenv("JAMISON_THREADS", "many")
-    rc = main([
-        "analyze", "--sequence", str(workdir / "fact6.json"),
-        "--horizons", "4,5,6", "--out-dir", str(tmp_path),
-    ])
+@pytest.mark.parametrize("kind", ["integer", "real"])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_terms_exit_one(tmp_path, capsys, kind, bad):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"kind": kind, "terms": [1.0, 2.5 if kind == "real" else 2, bad]}))
+    rc = main(["analyze", "--sequence", str(path), "--horizons", "2,3", "--out-dir", str(tmp_path)])
     assert rc == 1
+    assert "must be finite" in capsys.readouterr().err
 
 
-def test_reports_deterministic_modulo_timestamp(workdir, tmp_path, monkeypatch):
+def test_reports_deterministic_modulo_timestamp(workdir, tmp_path):
     args = [
         "starnorm", "--sequence", str(workdir / "fact6.json"),
         "--mode", "pairs", "--J", "1", "--K", "5", "--seed", "7", "--count", "2",
     ]
     assert main(args + ["--out-dir", str(tmp_path / "a")]) == 0
     assert main(args + ["--out-dir", str(tmp_path / "b")]) == 0
-    monkeypatch.setenv("JAMISON_THREADS", "3")
     assert main(args + ["--out-dir", str(tmp_path / "c")]) == 0
     a = strip_timestamp(read_report(tmp_path / "a"))
     b = strip_timestamp(read_report(tmp_path / "b"))

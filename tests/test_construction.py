@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import product as iter_product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,6 +181,23 @@ def test_symmetric_sum_large_degree_closed_form():
     x, y, m = 0.9, 0.5, 2000
     expected = (x ** (m + 1) - y ** (m + 1)) / (x - y)
     assert symmetric_sum([x, y], m) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [math.factorial(8) - 1, math.factorial(10) - 1])
+@pytest.mark.parametrize("offsets", [(0.0, 1.0e-4), (0.0, 1.0e-4, 2.3e-4)])
+def test_symmetric_sum_factorial_degree_mpmath_oracle(offsets, m):
+    # clustered unimodular variables against sum_i x_i^(m+r-1) / prod_{j != i} (x_i - x_j),
+    # evaluated at 80 digits from the very same double inputs
+    xs = [complex(math.cos(2 * math.pi * (0.1 + d)), math.sin(2 * math.pi * (0.1 + d))) for d in offsets]
+    r = len(xs)
+    with mpmath.workdps(80):
+        zs = [mpmath.mpc(x.real, x.imag) for x in xs]
+        want = complex(mpmath.fsum(
+            zs[i] ** (m + r - 1) / mpmath.fprod(zs[i] - zs[j] for j in range(r) if j != i)
+            for i in range(r)
+        ))
+    got = symmetric_sum(xs, m)
+    assert abs(got - want) <= 1e-8 * abs(want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import exp1, expi
 
 from jamison.errors import ConfigInvalid, HorizonExceedsSequence
-from jamison.sequences import IndexSequence
+from jamison.sequences import IndexSequence, radians_to_turns, turns_to_radians
 from jamison.starnorm import (
     ROOT_HALF_PI,
     ExponentialVector,
@@ -16,10 +16,8 @@ from jamison.starnorm import (
     base_norm,
     dj_bound_check,
     eigenfield_modulus,
-    radians_to_turns,
     star_norm,
     translate,
-    turns_to_radians,
     verify_translation_bound,
     _sine_integral,
 )
