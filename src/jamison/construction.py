@@ -499,15 +499,7 @@ class ShiftConstruction:
 # --- adaptive build ---------------------------------------------------------------------
 
 
-def _eta_override(eta_schedule, level: int):
-    if eta_schedule is None:
-        return None
-    if isinstance(eta_schedule, dict):
-        return eta_schedule.get(level)
-    idx = level - 2
-    if 0 <= idx < len(eta_schedule):
-        return eta_schedule[idx]
-    return None
+SEARCH_ROUNDS = 6  # near-return searches per level; the target shrinks sixteen-fold after each
 
 
 def _chord_to_eta(chord_bound: float) -> float:
@@ -587,14 +579,7 @@ def _level_search_target(seq, thetas, schedule, K, level) -> float:
     return _chord_to_eta(min(g_a, g_b, g_c))
 
 
-def build_construction(
-    seq: IndexSequence,
-    L: int,
-    K: int,
-    w,
-    eta_schedule=None,
-    search_budget: int = 6,
-) -> ShiftConstruction:
+def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstruction:
     """Adaptively place L eigenvalue angles for the given sequence horizon.
 
     The first angle is fixed with chord distance exactly 1/3 from the point 1
@@ -603,8 +588,8 @@ def build_construction(
     searches for a near-return offset delta of the power sequence, places its
     angle at parent minus delta, and accepts the first candidate that passes
     all three budget predicates re-checked exactly.  Failing levels shrink the
-    search target sixteen-fold up to search_budget rounds before giving up
-    with the level and predicate that blocked.
+    search target sixteen-fold per round, up to six rounds (SEARCH_ROUNDS),
+    before giving up with the level and predicate that blocked.
     """
     if L < 2:
         raise ConfigInvalid(f"need at least 2 levels, got {L}")
@@ -612,8 +597,6 @@ def build_construction(
         raise PreconditionViolated("construction requires an integer sequence; reduce real input first")
     if K < 1 or K > len(seq):
         raise HorizonExceedsSequence(f"horizon {K} outside 1..{len(seq)}")
-    if search_budget < 1:
-        raise ConfigInvalid("search_budget must be >= 1")
     schedule = w if isinstance(w, WeightSchedule) else WeightSchedule(tuple(w))
     if len(schedule.w) < L:
         raise WeightListTooShort(f"{len(schedule.w)} weights supplied for {L} levels")
@@ -624,12 +607,10 @@ def build_construction(
     for level in range(2, L + 1):
         j = fiber_map(level)
         parent = thetas[j - 1]
-        eta = _eta_override(eta_schedule, level)
-        if eta is None:
-            eta = _level_search_target(seq, thetas, schedule, K, level)
+        eta = _level_search_target(seq, thetas, schedule, K, level)
         accepted = None
         last_failure = None
-        for _ in range(search_budget):
+        for _ in range(SEARCH_ROUNDS):
             candidates = near_return_search(
                 seq, K, eta, max_candidates=4, arc=(Fraction(0), parent.theta)
             )
@@ -654,7 +635,7 @@ def build_construction(
                 raise BudgetInfeasible(
                     level,
                     last_failure.failing_predicate() or "tail_sum",
-                    f"no candidate passed within {search_budget} search rounds",
+                    f"no candidate passed within {SEARCH_ROUNDS} search rounds",
                 )
             raise BudgetInfeasible(
                 level, "eta_search", "near-return search found no usable candidates"
@@ -679,52 +660,53 @@ def build_construction(
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense matrix of one finite section, with its level/fiber layout.
+    """One finite section, held as its fiber blocks.
 
-    Basis slots are ordered level-major: slot(i, l) = (l-1)*fibers + (i-1).
-    The matrix is upper triangular: unimodular diagonal plus one super-band
-    linking (i, l) to (i, l-1).
+    The operator is the direct sum of its fibers, so it is stored as one
+    (fibers, levels, levels) stack: blocks[i-1] is the upper-bidiagonal block
+    of fiber i, the unimodular diagonal plus the band alpha_{i,l} linking
+    level l+1 to level l.  A stack cannot couple distinct fibers.
     """
 
-    levels: int
-    fibers: int
-    matrix: np.ndarray
+    blocks: np.ndarray
 
-    def slot(self, i: int, level: int) -> int:
-        if not (1 <= i <= self.fibers and 1 <= level <= self.levels):
-            raise IndexOutOfRange(f"slot ({i}, {level}) outside {self.fibers} fibers x {self.levels} levels")
-        return (level - 1) * self.fibers + (i - 1)
+    @property
+    def fibers(self) -> int:
+        return self.blocks.shape[0]
+
+    @property
+    def levels(self) -> int:
+        return self.blocks.shape[1]
 
     def diagonal_part(self) -> np.ndarray:
-        return np.diag(np.diag(self.matrix))
+        out = np.zeros_like(self.blocks)
+        idx = np.arange(self.levels)
+        out[:, idx, idx] = self.blocks[:, idx, idx]
+        return out
 
     def shift_part(self) -> np.ndarray:
-        return self.matrix - self.diagonal_part()
+        return self.blocks - self.diagonal_part()
 
 
 def assemble_operator(cons: ShiftConstruction, L: int, I: int) -> TruncatedOperator:
-    """Materialize the L-level, I-fiber section as a dense complex matrix."""
+    """The L-level, I-fiber section as its stack of I fiber blocks."""
     if L < 1 or L > cons.levels:
         raise SizeMismatch(f"requested {L} levels, construction has {cons.levels}")
     if I < 1:
         raise SizeMismatch(f"fiber count {I} must be >= 1")
-    size = L * I
-    M = np.zeros((size, size), dtype=complex)
-    for l in range(1, L + 1):
-        lam = cons.lambdas[l - 1].complex_value()
-        if abs(abs(lam) - 1.0) > 1e-14:
-            raise PreconditionViolated("diagonal entry drifted off the unit circle")
-        for i in range(1, I + 1):
-            M[(l - 1) * I + (i - 1), (l - 1) * I + (i - 1)] = lam
-    for l in range(2, L + 1):
-        for i in range(1, I + 1):
-            M[(l - 2) * I + (i - 1), (l - 1) * I + (i - 1)] = cons.alpha(i, l - 1)
-    M.flags.writeable = False
-    return TruncatedOperator(levels=L, fibers=I, matrix=M)
+    lams = np.array([p.complex_value() for p in cons.lambdas[:L]])
+    if np.any(np.abs(np.abs(lams) - 1.0) > 1e-14):
+        raise PreconditionViolated("diagonal entry drifted off the unit circle")
+    blocks = np.array([
+        np.diag(lams) + np.diag([cons.alpha(i, l) for l in range(1, L)], k=1)
+        for i in range(1, I + 1)
+    ])
+    blocks.flags.writeable = False
+    return TruncatedOperator(blocks)
 
 
 def matrix_power(M: np.ndarray, n: int) -> np.ndarray:
-    """Integer matrix power by binary exponentiation (n >= 0)."""
+    """Integer matrix power by binary exponentiation (n >= 0), blockwise on stacks."""
     if n < 0:
         raise ConfigInvalid("matrix powers here are for n >= 0")
     return np.linalg.matrix_power(np.asarray(M, dtype=complex), n)
@@ -770,12 +752,6 @@ class EigenvectorChain:
         out[: self.n] = self.coeffs
         return out
 
-    def embed(self, op: TruncatedOperator) -> np.ndarray:
-        vec = np.zeros(op.levels * op.fibers, dtype=complex)
-        for m in range(1, self.n + 1):
-            vec[op.slot(1, m)] = self.coeffs[m - 1]
-        return vec
-
 
 def eigenvector_chain(cons: ShiftConstruction, n: int) -> EigenvectorChain:
     """Closed-form chain c_{m+1} = c_m (lambda_n - lambda_m) / alpha_{1,m}, c_1 = 1."""
@@ -800,55 +776,26 @@ def chain_difference_norms(cons: ShiftConstruction, n: int) -> tuple:
 # --- norms and verification -----------------------------------------------------------
 
 
-def _two_norm_power_iteration(M: np.ndarray):
-    """Largest singular value by power iteration on the Gram matrix.
-
-    Returns None when the two-sided certificate (Rayleigh value below, value
-    plus residual above, assuming the iterate overlaps the top eigenspace)
-    fails to reach relative width 1e-10; callers then fall back to a dense
-    decomposition, which at these matrix sizes is equally trustworthy.
-    """
-    A = M.conj().T @ M
-    size = A.shape[0]
-    v = np.ones(size, dtype=complex) + np.arange(size) / (10.0 * size)
-    v /= np.linalg.norm(v)
-    rho_prev = -1.0
-    stable = 0
-    for _ in range(2000):
-        Av = A @ v
-        norm_Av = np.linalg.norm(Av)
-        if norm_Av == 0.0:
-            return 0.0
-        rho = float(np.real(np.vdot(v, Av)))
-        resid = float(np.linalg.norm(Av - rho * v))
-        scale = max(rho, 1e-300)
-        if resid <= 1e-10 * scale and abs(rho - rho_prev) <= 1e-12 * scale:
-            stable += 1
-            if stable >= 3:
-                return math.sqrt(max(rho, 0.0))
-        else:
-            stable = 0
-        rho_prev = rho
-        v = Av / norm_Av
-    return None
-
-
 def operator_norm(M, p) -> float:
-    """Induced p-norm for p in {1, 2, inf}; 1 and inf are exact absolute sums."""
+    """Induced p-norm for p in {1, 2, inf}; on a stack (..., n, n), the largest.
+
+    A stack of fiber blocks is their direct sum, whose norm is the largest
+    block norm.  p = 1 and inf are exact absolute sums; p = 2 comes from the
+    singular values.
+    """
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise NonSquare(f"matrix of shape {M.shape} is not square")
     key = str(p).lower()
+    if key not in ("1", "2", "inf"):
+        raise ConfigInvalid(f"unsupported norm order {p!r}; use 1, 2, or inf")
+    if M.size == 0:
+        return 0.0
     if key == "1":
-        return float(np.max(np.sum(np.abs(M), axis=0))) if M.size else 0.0
+        return float(np.abs(M).sum(axis=-2).max())
     if key == "inf":
-        return float(np.max(np.sum(np.abs(M), axis=1))) if M.size else 0.0
-    if key == "2":
-        result = _two_norm_power_iteration(M)
-        if result is None:
-            result = float(np.linalg.norm(M, 2))
-        return result
-    raise ConfigInvalid(f"unsupported norm order {p!r}; use 1, 2, or inf")
+        return float(np.abs(M).sum(axis=-1).max())
+    return float(np.linalg.norm(M, 2, axis=(-2, -1)).max())
 
 
 @dataclass(frozen=True)
@@ -934,7 +881,7 @@ def verify_partial_power_bound(cons: ShiftConstruction, L: int, I: int, P: int, 
     rows = []
     for k in range(1, P + 1):
         n = cons.seq.terms[k - 1]
-        Tn = matrix_power(op.matrix, n)
+        Tn = matrix_power(op.blocks, n)
         Dn = matrix_power(D, n)
         norm_diff = operator_norm(Tn - Dn, p)
         norm_T = operator_norm(Tn, p)

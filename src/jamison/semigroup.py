@@ -29,23 +29,6 @@ EIG_COND_LIMIT = 1e8
 UNIT_GRID_POINTS = 64
 
 
-def _fiber_slots(op: TruncatedOperator, i: int) -> list:
-    return [op.slot(i, level) for level in range(1, op.levels + 1)]
-
-
-def _check_fiber_diagonal_structure(op: TruncatedOperator) -> None:
-    """The band only couples coordinates within one fiber; verify that."""
-    M = op.matrix
-    n = M.shape[0]
-    fiber_of = np.empty(n, dtype=int)
-    for i in range(1, op.fibers + 1):
-        for s in _fiber_slots(op, i):
-            fiber_of[s] = i
-    rows, cols = np.nonzero(M)
-    if np.any(fiber_of[rows] != fiber_of[cols]):
-        raise PreconditionViolated("operator couples distinct fibers")
-
-
 class _NoFloatEigenbasis(Exception):
     """Internal: repeated coupled diagonal entries leave no eigenbasis."""
 
@@ -83,7 +66,7 @@ def _fiber_log(sub: np.ndarray, allow_fallback: bool):
     """
     L = sub.shape[0]
     diag = np.diag(sub).copy()
-    band = np.array([sub[q, q + 1] for q in range(L - 1)])
+    band = np.diag(sub, k=1)
     try:
         V = np.column_stack([_bidiagonal_chain(diag, band, t) for t in range(L)])
         if np.all(np.isfinite(V)):
@@ -115,14 +98,14 @@ class MatrixSemigroup:
     """One-parameter matrix family exp(tG) with G the principal log of T."""
 
     base: TruncatedOperator
-    generator: np.ndarray
+    generator: np.ndarray  # (fibers, levels, levels) stack, one log per fiber block
     eig_cond: float
     method: str
     roundtrip_error: float = field(default=math.nan)
 
     @property
     def dim(self) -> int:
-        return self.generator.shape[0]
+        return self.base.levels * self.base.fibers
 
     def to_json_dict(self) -> dict:
         # non-finite condition numbers become null: strict JSON has no Infinity
@@ -136,12 +119,16 @@ class MatrixSemigroup:
         }
 
     def generator_csv_rows(self) -> list:
-        rows = []
-        for r in range(self.dim):
-            for c in range(self.dim):
-                z = self.generator[r, c]
-                rows.append((r, c, z.real, z.imag))
-        return rows
+        """(row, col, re, im) of the dense generator in the level-major layout.
+
+        Slot (i, l) is row (l-1)*I + (i-1), so fiber block i fills every I-th
+        row and column starting at i-1; entries between fibers are zero.
+        """
+        I = self.base.fibers
+        dense = np.zeros((self.dim, self.dim), dtype=complex)
+        for i, block in enumerate(self.generator):
+            dense[i::I, i::I] = block
+        return [(r, c, z.real, z.imag) for (r, c), z in np.ndenumerate(dense)]
 
 
 def principal_log(op: TruncatedOperator, force_eigen: bool = False) -> MatrixSemigroup:
@@ -155,29 +142,19 @@ def principal_log(op: TruncatedOperator, force_eigen: bool = False) -> MatrixSem
     force_eigen=True the fallback is disabled and ill-conditioned or
     defective blocks raise DegenerateSpectrum instead.
     """
-    _check_fiber_diagonal_structure(op)
-    diag = np.diag(op.matrix)
+    diag = np.diagonal(op.blocks, axis1=1, axis2=2).ravel()
     if np.any(diag.real <= 0.5):
         worst = diag[np.argmin(diag.real)]
         raise SpectrumOutsideDomain(
             f"diagonal entry {worst} has real part <= 1/2; principal branch unsafe"
         )
-    G = np.zeros_like(op.matrix)
-    worst_cond = 1.0
-    methods = set()
-    for i in range(1, op.fibers + 1):
-        slots = _fiber_slots(op, i)
-        ix = np.ix_(slots, slots)
-        sub_G, cond, method = _fiber_log(op.matrix[ix], allow_fallback=not force_eigen)
-        G[ix] = sub_G
-        worst_cond = max(worst_cond, cond)
-        methods.add(method)
+    logs = [_fiber_log(block, allow_fallback=not force_eigen) for block in op.blocks]
+    G = np.array([g for g, _, _ in logs])
     G.flags.writeable = False
+    worst_cond = max([1.0] + [cond for _, cond, _ in logs])
+    methods = {method for _, _, method in logs}
     label = methods.pop() if len(methods) == 1 else "mixed"
-    roundtrip = float(
-        np.linalg.norm(expm(np.array(G)) - op.matrix, 2)
-        / max(np.linalg.norm(op.matrix, 2), 1.0)
-    )
+    roundtrip = operator_norm(expm(G) - op.blocks, 2) / max(operator_norm(op.blocks, 2), 1.0)
     return MatrixSemigroup(
         base=op, generator=G, eig_cond=worst_cond, method=label, roundtrip_error=roundtrip
     )
@@ -188,7 +165,7 @@ def evolve(sg: MatrixSemigroup, t: float) -> np.ndarray:
     t = float(t)
     if not math.isfinite(t) or t < 0:
         raise OutOfDomain(f"time parameter must be finite and >= 0, got {t}")
-    out = expm(t * np.array(sg.generator))
+    out = expm(t * sg.generator)
     if not np.all(np.isfinite(out)):
         raise OutOfDomain(f"matrix exponential overflowed at t={t}")
     return out
@@ -231,9 +208,9 @@ def check_lattice(sg: MatrixSemigroup, seq: IndexSequence, P: int, tol: float = 
     rows = []
     for k in range(1, P + 1):
         n_k = seq.terms[k - 1]
-        Tn = matrix_power(sg.base.matrix, n_k)
-        scale = float(np.linalg.norm(Tn, 2))
-        err = float(np.linalg.norm(evolve(sg, n_k) - Tn, 2)) / max(scale, 1e-300)
+        Tn = matrix_power(sg.base.blocks, n_k)
+        scale = operator_norm(Tn, 2)
+        err = operator_norm(evolve(sg, n_k) - Tn, 2) / max(scale, 1e-300)
         rows.append(LatticeRow(k, n_k, err, err <= tol))
     return LatticeReport(tol, tuple(rows))
 
@@ -244,9 +221,9 @@ def unit_interval_sup(sg: MatrixSemigroup, points: int = UNIT_GRID_POINTS):
     The derivative bound ||G|| e^{||G||} turns the grid max into a bound on
     the true supremum within half a grid step times that constant.
     """
-    norm_G = float(np.linalg.norm(np.array(sg.generator), 2))
+    norm_G = operator_norm(sg.generator, 2)
     grid = np.linspace(0.0, 1.0, points)
-    vals = [float(np.linalg.norm(evolve(sg, s), 2)) for s in grid]
+    vals = [operator_norm(evolve(sg, s), 2) for s in grid]
     grid_max = max(vals)
     half_step = 0.5 * (grid[1] - grid[0])
     slack = norm_G * math.exp(norm_G) * half_step
@@ -311,8 +288,8 @@ def bounded_along(sg: MatrixSemigroup, realseq: IndexSequence, P: int, tol: floa
     for k in range(1, P + 1):
         t_k = float(realseq.terms[k - 1])
         n_k = int(math.floor(t_k))
-        norm_t = float(np.linalg.norm(evolve(sg, t_k), 2))
-        norm_floor = float(np.linalg.norm(evolve(sg, n_k), 2))
+        norm_t = operator_norm(evolve(sg, t_k), 2)
+        norm_floor = operator_norm(evolve(sg, n_k), 2)
         bound = grid_sup * norm_floor * (1.0 + tol)
         sup_along = max(sup_along, norm_t)
         rows.append(BoundedRow(k, t_k, n_k, norm_t, norm_floor, bound, norm_t <= bound))
@@ -363,10 +340,8 @@ def generator_spectrum_check(sg: MatrixSemigroup, tol: float = 1e-9) -> Spectrum
     fiber; the generator spectrum must match that multiset and carry no real
     part beyond roundoff.
     """
-    expected = sorted(
-        cmath.phase(z) for z in np.diag(sg.base.matrix)
-    )
-    eigs = sorted(np.linalg.eigvals(np.array(sg.generator)), key=lambda z: z.imag)
+    expected = sorted(cmath.phase(z) for z in np.diagonal(sg.base.blocks, axis1=1, axis2=2).ravel())
+    eigs = sorted(np.linalg.eigvals(sg.generator).ravel(), key=lambda z: z.imag)
     rows = []
     max_real = 0.0
     max_dev = 0.0

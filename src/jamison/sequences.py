@@ -744,29 +744,26 @@ def separated_family(seq: IndexSequence, K: int, eps: float, budget: int) -> lis
 
     Iterates a uniform grid of ``budget`` candidate angles over the full
     circle and keeps every point at distance >= eps from all kept points.
-    d_metric depends only on the angle difference, which keeps the rejection
-    test a one-dimensional scan.  The comparison carries 1e-12 slack so exact
-    boundary packings (chord exactly eps apart) are not lost to rounding.
+    d_metric depends only on the angle difference, so it is tabulated once
+    over the grid differences k/budget and the greedy test reads the table.
+    The comparison carries 1e-12 slack so exact boundary packings (chord
+    exactly eps apart) are not lost to rounding.
     """
     if eps <= 0.0:
         raise OutOfDomain(f"eps {eps!r} must be positive")
     if budget < 1:
         raise ConfigInvalid("budget must be >= 1")
     terms = np.asarray(seq.prefix(K), dtype=float)
-
-    def d_of_delta(delta: float) -> float:
-        p = (terms * delta) % 1.0
-        np.minimum(p, 1.0 - p, out=p)
-        return float((2.0 * np.sin(math.pi * p)).max())
+    # every difference of grid angles is k / budget for some 0 <= k < budget
+    p = np.multiply.outer(np.arange(budget) / budget, terms) % 1.0
+    np.minimum(p, 1.0 - p, out=p)
+    far = (2.0 * np.sin(math.pi * p)).max(axis=1) >= eps - 1e-12
 
     kept: list = []
-    kept_angles: list = []
     for i in range(budget):
-        theta = i / budget
-        if all(d_of_delta(theta - a) >= eps - 1e-12 for a in kept_angles):
-            kept_angles.append(theta)
-            kept.append(TorusPoint(Fraction(i, budget)))
-    return kept
+        if all(far[i - j] for j in kept):
+            kept.append(i)
+    return [TorusPoint(Fraction(i, budget)) for i in kept]
 
 
 def box_dimension_estimate(points: Sequence[TorusPoint], scales: Sequence[float]) -> float:

@@ -153,9 +153,11 @@ def construction_from_json_dict(obj: dict) -> tuple:
         stored_floats = [float(x) for x in obj["thetas_float"]]
         stored_certified = bool(obj["certified"])
         stored_nuclear = float(obj["nuclear_partial_sum"])
-        fibers = int(obj.get("fibers", 2))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad construction payload: {exc!r}") from exc
+    fibers = obj.get("fibers", 2)
+    if isinstance(fibers, bool) or not isinstance(fibers, int) or fibers < 1:
+        raise ConfigInvalid(f"bad construction payload: fibers must be a positive integer, got {fibers!r}")
 
     L = cons.levels
     gaps = _gaps_table(thetas, L)

@@ -157,10 +157,10 @@ def test_criterion_05_symmetric_sum_oracles(certified):
     op = assemble_operator(certified, 8, 2)
     worst_coeff = 0.0
     for n in (1, 2, 3, 5, 8, 12):
-        Tn = matrix_power(op.matrix, n)
+        Tn = matrix_power(op.blocks, n)
         for k, l, i in itertools.product(range(1, 9), range(1, 9), range(1, 3)):
             entry = power_coefficient(certified, k, l, i, n)
-            worst_coeff = max(worst_coeff, abs(entry - Tn[op.slot(i, k), op.slot(i, l)]))
+            worst_coeff = max(worst_coeff, abs(entry - Tn[i - 1, k - 1, l - 1]))
     ok = worst_sum <= 1e-10 and worst_coeff <= 1e-10
     announce(5, ok, f"symmetric-sum err {worst_sum:.2e}, coefficient err {worst_coeff:.2e}")
     assert worst_coeff <= 1e-10
@@ -198,8 +198,8 @@ def test_criterion_07_half_step_boundedness(certified, lifted):
     _, certified_sup = unit_interval_sup(sg)
     worst_ratio = 0.0
     for n in certified.seq.terms:
-        at_half = float(np.linalg.norm(evolve(sg, n + 0.5), 2))
-        at_node = float(np.linalg.norm(evolve(sg, float(n)), 2))
+        at_half = operator_norm(evolve(sg, n + 0.5), 2)
+        at_node = operator_norm(evolve(sg, float(n)), 2)
         bound = certified_sup * at_node * (1.0 + 1e-6)
         worst_ratio = max(worst_ratio, at_half / bound)
         assert at_half <= bound

@@ -248,6 +248,21 @@ def test_verify_tampered_artifact_exits_two(workdir, tmp_path, capsys):
     assert "integrity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "semigroup"])
+@pytest.mark.parametrize("bad", [2.5, "2", 0, -3, True])
+def test_bad_stored_fibers_exit_one(workdir, tmp_path, capsys, command, bad):
+    obj = json.loads((workdir / "C.json").read_text())
+    obj["fibers"] = bad
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    rc = main([
+        command, "--construction", str(tmp_path / "bad.json"),
+        "--powers", "3", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert "fibers must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_uncertified_construction_is_config_error(workdir, tmp_path):
     from jamison.construction import ShiftConstruction
 

@@ -234,10 +234,10 @@ def test_power_coefficient_matches_dense_powers(synthetic_cons):
     for I in (1, 2, 3):
         op = assemble_operator(synthetic_cons, 5, I)
         for n in (0, 1, 2, 3, 5, 8, 12):
-            Tn = matrix_power(op.matrix, n)
+            Tn = matrix_power(op.blocks, n)
             for k, l, i in iter_product(range(1, 6), range(1, 6), range(1, I + 1)):
                 t = power_coefficient(synthetic_cons, k, l, i, n)
-                worst = max(worst, abs(t - Tn[op.slot(i, k), op.slot(i, l)]))
+                worst = max(worst, abs(t - Tn[i - 1, k - 1, l - 1]))
     assert worst <= 1e-10
 
 
@@ -249,28 +249,26 @@ def test_assemble_two_level_golden(synthetic_cons):
     lam1 = synthetic_cons.lambdas[0].complex_value()
     lam2 = synthetic_cons.lambdas[1].complex_value()
     expected = np.array([[lam1, synthetic_cons.alpha(1, 1)], [0.0, lam2]])
-    assert np.allclose(op.matrix, expected, atol=1e-15)
+    assert op.blocks.shape == (1, 2, 2)
+    assert np.allclose(op.blocks[0], expected, atol=1e-15)
 
 
 def test_assemble_band_pattern(synthetic_cons):
     op = assemble_operator(synthetic_cons, 5, 2)
-    M = op.matrix
-    for l in range(1, 6):
-        for i in (1, 2):
-            col = op.slot(i, l)
-            off = [r for r in range(M.shape[0]) if r != col and M[r, col] != 0]
-            if l == 1:
-                assert off == []
-            else:
-                assert off == [op.slot(i, l - 1)]
-    diag = np.diag(M)
+    assert op.blocks.shape == (2, 5, 5)
+    for i in (1, 2):
+        B = op.blocks[i - 1]
+        rows, cols = np.nonzero(B - np.diag(np.diag(B)))
+        assert list(zip(rows, cols)) == [(l - 2, l - 1) for l in range(2, 6)]
+        assert np.diag(B, k=1).tolist() == [synthetic_cons.alpha(i, l) for l in range(1, 5)]
+    diag = np.diagonal(op.blocks, axis1=1, axis2=2)
     assert np.max(np.abs(np.abs(diag) - 1.0)) <= 1e-14
 
 
 def test_assemble_shift_norm_vs_svd(synthetic_cons):
     op = assemble_operator(synthetic_cons, 5, 1)
     B = op.shift_part()
-    top = float(np.linalg.norm(B, 2))
+    top = float(np.linalg.norm(B[0], 2))
     assert operator_norm(B, 2) == pytest.approx(top, rel=1e-9)
     assert top <= max(synthetic_cons.alphas1) + 1e-12
 
@@ -285,12 +283,12 @@ def test_assemble_size_mismatch(synthetic_cons):
 def test_power_band_closure(synthetic_cons):
     op = assemble_operator(synthetic_cons, 5, 2)
     for n in range(0, 7):
-        Tn = matrix_power(op.matrix, n)
+        Tn = matrix_power(op.blocks, n)
         width = min(n, 4)
         for k, l in iter_product(range(1, 6), range(1, 6)):
             if l - k > width or l < k:
                 for i in (1, 2):
-                    assert Tn[op.slot(i, k), op.slot(i, l)] == 0
+                    assert Tn[i - 1, k - 1, l - 1] == 0
 
 
 def test_diagonal_power_is_isometry(synthetic_cons):
@@ -305,10 +303,12 @@ def test_diagonal_power_is_isometry(synthetic_cons):
     # repeated squaring agrees at small exponents before rounding accumulates
     op = assemble_operator(synthetic_cons, 5, 2)
     D = op.diagonal_part()
+    fibers_x = x.reshape(2, 5, 1)  # x split into its two fiber coordinates
     for n in (1, 7, 31):
         Dn = matrix_power(D, n)
         for p in (1, 2):
-            assert np.linalg.norm(Dn @ x, p) == pytest.approx(np.linalg.norm(x, p), rel=1e-14)
+            y = (Dn @ fibers_x).ravel()
+            assert np.linalg.norm(y, p) == pytest.approx(np.linalg.norm(x, p), rel=1e-14)
 
 
 # --- eigenvector chains ---------------------------------------------------------------
@@ -327,9 +327,9 @@ def test_chain_residuals(factorial_cons):
     op = assemble_operator(factorial_cons, 8, 1)
     for n in range(1, 9):
         ch = eigenvector_chain(factorial_cons, n)
-        v = ch.embed(op)
+        v = ch.padded(8)
         lam = factorial_cons.lambdas[n - 1].complex_value()
-        resid = np.linalg.norm(op.matrix @ v - lam * v)
+        resid = np.linalg.norm(op.blocks[0] @ v - lam * v)
         assert resid <= 1e-10 * np.linalg.norm(v)
 
 
@@ -418,9 +418,20 @@ def test_operator_norm_matches_svd():
         assert operator_norm(A, 2) == pytest.approx(float(np.linalg.norm(A, 2)), rel=1e-9)
 
 
+def test_operator_norm_of_stack_is_largest_block():
+    rng = np.random.default_rng(8)
+    stack = rng.normal(size=(4, 5, 5)) + 1j * rng.normal(size=(4, 5, 5))
+    for p in (1, 2, "inf"):
+        assert operator_norm(stack, p) == max(operator_norm(block, p) for block in stack)
+
+
 def test_operator_norm_errors():
     with pytest.raises(NonSquare):
         operator_norm(np.ones((2, 3)), 1)
+    with pytest.raises(NonSquare):
+        operator_norm(np.ones((3, 2, 3)), 2)
+    with pytest.raises(NonSquare):
+        operator_norm(np.ones(3), "inf")
     with pytest.raises(ConfigInvalid):
         operator_norm(np.eye(2), 3)
 
@@ -468,8 +479,8 @@ def test_verify_single_level_is_diagonal(small_cons):
 
 def test_zeroed_band_power_difference_vanishes(small_cons):
     op = assemble_operator(small_cons, 5, 2)
-    T_no_band = np.array(op.matrix)
-    T_no_band[~np.eye(T_no_band.shape[0], dtype=bool)] = 0.0
+    T_no_band = np.array(op.blocks)
+    T_no_band[:, ~np.eye(5, dtype=bool)] = 0.0
     D = op.diagonal_part()
     for n in (1, 6, 720):
         diff = matrix_power(T_no_band, n) - matrix_power(D, n)
