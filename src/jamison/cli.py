@@ -44,7 +44,7 @@ from .errors import (
 )
 from .semigroup import bounded_along, lift_report, principal_log
 from .sequences import classify_jamison
-from .serialize import load_construction, load_sequence, read_json, save_construction, write_json
+from .serialize import MAX_FIBERS, load_construction, load_sequence, read_json, save_construction, write_json
 from .starnorm import ExpSpan, dj_bound_check, eigenfield_modulus, verify_translation_bound
 
 # errors that mean the user asked for something invalid, not that math failed
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="adaptive eigenvalue placement with certificates")
     p.add_argument("--sequence", required=True, help="sequence JSON file")
     p.add_argument("--levels", type=int, required=True, help="number of eigenvalue levels L")
-    p.add_argument("--fibers", type=int, default=2, help="fiber truncation I stored for assembly")
+    p.add_argument("--fibers", type=int, default=2, help=f"fiber truncation I stored for assembly (at most {MAX_FIBERS})")
     p.add_argument("--weights", default="linear", help="'linear' (w_l = l) or a JSON file with a list")
     p.add_argument("--horizon", type=int, default=None, help="sequence horizon K (default: full length)")
     p.add_argument("--out", required=True, help="construction JSON output path")

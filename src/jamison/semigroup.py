@@ -6,6 +6,8 @@ well clear of the branch cut of the principal logarithm.  This module computes
 G = Log T, exposes the one-parameter family t -> exp(tG), and provides checks
 that the family agrees with integer powers of T on the index sequence, stays
 bounded along real sequences, and has purely imaginary generator spectrum.
+scipy.linalg is imported by the functions that call it, so importing this
+module (and the CLI) loads no scipy.
 """
 
 import cmath
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from .construction import TruncatedOperator, matrix_power, operator_norm
 from .errors import (
@@ -89,6 +90,8 @@ def _fiber_log(sub: np.ndarray, allow_fallback: bool):
         raise DegenerateSpectrum(
             f"eigenvector matrix condition {cond:.3e} exceeds {EIG_COND_LIMIT:.0e}"
         )
+    from scipy.linalg import logm
+
     G = logm(sub)
     return np.asarray(G, dtype=complex), cond, "inverse-scaling-squaring"
 
@@ -142,6 +145,8 @@ def principal_log(op: TruncatedOperator, force_eigen: bool = False) -> MatrixSem
     force_eigen=True the fallback is disabled and ill-conditioned or
     defective blocks raise DegenerateSpectrum instead.
     """
+    from scipy.linalg import expm
+
     diag = np.diagonal(op.blocks, axis1=1, axis2=2).ravel()
     if np.any(diag.real <= 0.5):
         worst = diag[np.argmin(diag.real)]
@@ -162,6 +167,8 @@ def principal_log(op: TruncatedOperator, force_eigen: bool = False) -> MatrixSem
 
 def evolve(sg: MatrixSemigroup, t: float) -> np.ndarray:
     """exp(tG) by scaling and squaring."""
+    from scipy.linalg import expm
+
     t = float(t)
     if not math.isfinite(t) or t < 0:
         raise OutOfDomain(f"time parameter must be finite and >= 0, got {t}")

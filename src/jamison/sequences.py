@@ -224,34 +224,66 @@ def d_metric(a: TorusPoint, b: TorusPoint, seq: IndexSequence, K: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+_TILE = 1 << 13
+_CHUNK = 64
+_PRUNED_HEAD = (0, 4, 12, 28, 60)  # chunks of 4, 8, 16 and 32 terms, then 64
+
+
+def _chunk_edges(n_terms: int, pruned: bool) -> list:
+    """Term indices at which the scan's chunks start, with n_terms last."""
+    head = list(_PRUNED_HEAD) if pruned else [0]
+    edges = head + list(range(head[-1] + _CHUNK, n_terms, _CHUNK))
+    return [e for e in edges if e < n_terms] + [n_terms]
+
+
 def _f_grid(terms: np.ndarray, thetas: np.ndarray, prune_above: Optional[float] = None) -> np.ndarray:
     """f_K(theta) = max_k torus_norm(t_k * theta), vectorized over thetas.
 
-    With prune_above set, a theta whose running maximum has already crossed
-    the threshold stops accumulating; its final entry is then only a lower
-    bound, which is sound for callers hunting minima below the threshold.
+    Thetas are scanned in tiles of 2^13 points through one pair of
+    64 x tile scratch buffers, so scan memory is bounded by the tile, not by
+    the grid resolution or K.  Each entry is t*theta, minus its floor, then
+    min(p, 1 - p), then an exact max: the same float operations in every
+    schedule.  Unpruned, terms go 64 at a time.
+
+    With prune_above set, terms go 4, 8, 16, 32, then 64 at a time; after
+    each chunk a theta whose running maximum has crossed the threshold is
+    dropped from its tile.  Its entry is then only a lower bound above the
+    threshold, which is sound for callers hunting minima below it; every
+    entry at or below the threshold is exact.
     """
     best = np.zeros(thetas.shape, dtype=float)
-    if prune_above is None:
-        for lo in range(0, terms.size, 64):
-            chunk = terms[lo:lo + 64]
-            p = np.multiply.outer(chunk, thetas)
-            p -= np.floor(p)
-            np.minimum(p, 1.0 - p, out=p)
-            np.maximum(best, p.max(axis=0), out=best)
-        return best
-    alive = np.ones(thetas.shape, dtype=bool)
-    for lo in range(0, terms.size, 64):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        chunk = terms[lo:lo + 64]
-        p = np.multiply.outer(chunk, thetas[idx])
-        p -= np.floor(p)
-        np.minimum(p, 1.0 - p, out=p)
-        cand = np.maximum(best[idx], p.max(axis=0))
-        best[idx] = cand
-        alive[idx] = cand <= prune_above
+    pruned = prune_above is not None
+    edges = _chunk_edges(terms.size, pruned)
+    chunks = list(zip(edges, edges[1:]))
+    size = min(_CHUNK, terms.size) * min(_TILE, thetas.size)
+    scratch_p, scratch_q = np.empty(size), np.empty(size)
+    for start in range(0, thetas.size, _TILE):
+        sub = thetas[start:start + _TILE]
+        out = best[start:start + _TILE]
+        idx = np.arange(sub.size)  # positions of the live thetas within the tile
+        run = np.zeros(sub.size)
+        for lo, hi in chunks:
+            rows, cols = hi - lo, sub.size
+            p = scratch_p[:rows * cols].reshape(rows, cols)
+            q = scratch_q[:rows * cols].reshape(rows, cols)
+            np.multiply(terms[lo:hi, None], sub, out=p)
+            np.floor(p, out=q)
+            np.subtract(p, q, out=p)
+            np.subtract(1.0, p, out=q)
+            np.minimum(p, q, out=p)
+            np.max(p, axis=0, out=q[0])
+            np.maximum(run, q[0], out=run)
+            if not pruned:
+                continue
+            live = run <= prune_above
+            if live.all():
+                continue
+            dead = ~live
+            out[idx[dead]] = run[dead]
+            idx, sub, run = idx[live], sub[live], run[live]
+            if idx.size == 0:
+                break
+        out[idx] = run
     return best
 
 

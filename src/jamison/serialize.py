@@ -29,6 +29,10 @@ from .errors import ArtifactCorrupt, ConfigInvalid
 from .sequences import IndexSequence, TorusPoint
 
 DECIMAL_DIGITS = 30
+# Largest fiber truncation I a construction file may carry.  The operator
+# holds I L x L blocks, so the bound keeps a hand-edited count from heading
+# for gigabytes before any check runs.
+MAX_FIBERS = 4096
 
 _BUDGET_KEYS = (
     "level",
@@ -105,8 +109,8 @@ def load_sequence(path) -> IndexSequence:
 
 def construction_to_json_dict(cons: ShiftConstruction, fibers: int = 2) -> dict:
     """Serializable payload: the construction's own dict plus exact-angle extras."""
-    if fibers < 1:
-        raise ConfigInvalid(f"fiber count {fibers} must be >= 1")
+    if not 1 <= fibers <= MAX_FIBERS:
+        raise ConfigInvalid(f"fiber count {fibers} must be between 1 and {MAX_FIBERS}")
     obj = cons.to_json_dict()
     obj["thetas_decimal"] = [decimal_string(p.theta) for p in cons.lambdas]
     obj["fibers"] = int(fibers)
@@ -156,8 +160,10 @@ def construction_from_json_dict(obj: dict) -> tuple:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad construction payload: {exc!r}") from exc
     fibers = obj.get("fibers", 2)
-    if isinstance(fibers, bool) or not isinstance(fibers, int) or fibers < 1:
-        raise ConfigInvalid(f"bad construction payload: fibers must be a positive integer, got {fibers!r}")
+    if isinstance(fibers, bool) or not isinstance(fibers, int) or not 1 <= fibers <= MAX_FIBERS:
+        raise ConfigInvalid(
+            f"bad construction payload: fibers must be a positive integer at most {MAX_FIBERS}, got {fibers!r}"
+        )
 
     L = cons.levels
     gaps = _gaps_table(thetas, L)

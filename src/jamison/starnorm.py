@@ -9,7 +9,8 @@ to scalar factors and all searches run over multisets of sequence indices.
 
 Frequencies are radians per unit time throughout this module; torus points
 from the sequences module live in turns.  sequences.turns_to_radians /
-radians_to_turns are the single conversion boundary.
+radians_to_turns are the single conversion boundary.  scipy.integrate is
+imported only by the sine integral, so importing this module loads no scipy.
 """
 
 import cmath
@@ -19,7 +20,6 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigInvalid, HorizonExceedsSequence
 from .sequences import IndexSequence
@@ -39,6 +39,8 @@ def _sine_integral(a: float) -> float:
     """
     if a == 0.0:
         return 0.0
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda t: 1.0 / (1.0 + t * t), 0.0, np.inf,
         weight="sin", wvar=abs(a), epsabs=SINE_QUAD_TOL, epsrel=0.0,

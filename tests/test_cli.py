@@ -6,15 +6,20 @@ certified construction through construct -> verify -> semigroup.
 """
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import jamison
 from jamison import IndexSequence, build_construction
 from jamison.cli import main
 from jamison.errors import ArtifactCorrupt, ConfigInvalid
 from jamison.serialize import (
+    MAX_FIBERS,
+    construction_from_json_dict,
     decimal_string,
     fraction_from_string,
     load_construction,
@@ -249,7 +254,7 @@ def test_verify_tampered_artifact_exits_two(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "semigroup"])
-@pytest.mark.parametrize("bad", [2.5, "2", 0, -3, True])
+@pytest.mark.parametrize("bad", [2.5, "2", 0, -3, True, 10**7])
 def test_bad_stored_fibers_exit_one(workdir, tmp_path, capsys, command, bad):
     obj = json.loads((workdir / "C.json").read_text())
     obj["fibers"] = bad
@@ -261,6 +266,26 @@ def test_bad_stored_fibers_exit_one(workdir, tmp_path, capsys, command, bad):
     assert rc == 1
     assert "fibers must be a positive integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_stored_fibers_bound_is_inclusive(workdir):
+    obj = json.loads((workdir / "C.json").read_text())
+    obj["fibers"] = MAX_FIBERS
+    assert construction_from_json_dict(obj)[1] == MAX_FIBERS
+    obj["fibers"] = MAX_FIBERS + 1
+    with pytest.raises(ConfigInvalid):
+        construction_from_json_dict(obj)
+
+
+def test_construct_too_many_fibers_exit_one(workdir, tmp_path, capsys):
+    rc = main([
+        "construct", "--sequence", str(workdir / "fact6.json"),
+        "--levels", "5", "--fibers", str(MAX_FIBERS + 1), "--horizon", "6",
+        "--out", str(tmp_path / "C.json"), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert f"must be between 1 and {MAX_FIBERS}" in capsys.readouterr().err
+    assert not (tmp_path / "C.json").exists()
 
 
 def test_verify_uncertified_construction_is_config_error(workdir, tmp_path):
@@ -447,3 +472,13 @@ def test_different_seed_changes_samples(workdir, tmp_path):
     a = read_report(tmp_path / "a")["result"]["pairs"]
     b = read_report(tmp_path / "b")["result"]["pairs"]
     assert [p["eta"] for p in a] != [p["eta"] for p in b]
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, jamison.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = str(Path(jamison.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

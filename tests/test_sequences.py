@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,7 @@ from jamison.errors import (
     OutOfDomain,
     PreconditionViolated,
 )
-from jamison.sequences import _f_exact
+from jamison.sequences import _TILE, _f_exact, _f_grid
 
 FACTORIALS = IndexSequence.factorials(8)
 
@@ -194,6 +195,48 @@ def test_separation_constant_validation():
         separation_constant(FACTORIALS, 9)
     with pytest.raises(OutOfDomain):
         separation_constant(FACTORIALS, 4, theta_min=0.7)
+
+
+# --- grid kernel ------------------------------------------------------------
+
+
+def _f_grid_reference(terms: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """One-shot f_K over the whole grid: the full outer product, no tiles, no pruning."""
+    p = np.multiply.outer(terms, thetas)
+    p = p - np.floor(p)
+    return np.minimum(p, 1.0 - p).max(axis=0)
+
+
+@pytest.mark.parametrize("n_thetas", [0, 1, _TILE - 1, _TILE, _TILE + 1])
+@pytest.mark.parametrize("n_terms", [1, 3, 64, 65, 1000])
+@settings(max_examples=4, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([10.0, 1e6, 1e18]),
+    threshold=st.floats(0.0, 0.5),
+)
+def test_f_grid_matches_one_shot_reference(n_terms, n_thetas, seed, scale, threshold):
+    rng = np.random.default_rng(seed)
+    terms = np.sort(np.floor(rng.uniform(1.0, scale, n_terms)))
+    thetas = rng.uniform(0.0, 0.5, n_thetas)
+    want = _f_grid_reference(terms, thetas)
+    assert np.array_equal(_f_grid(terms, thetas), want)
+    got = _f_grid(terms, thetas, prune_above=threshold)
+    exact = want <= threshold
+    assert np.array_equal(got[exact], want[exact])
+    assert np.all(got[~exact] > threshold)
+    assert np.all(got[~exact] <= want[~exact])
+
+
+def test_separation_scan_memory_bounded_by_tile():
+    seq = IndexSequence.integers_up_to(1000)
+    tracemalloc.start()
+    try:
+        separation_constant(seq, 1000, resolution=1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # --- classification -------------------------------------------------------
