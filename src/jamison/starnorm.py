@@ -6,6 +6,8 @@ truncated renormed value that takes the max of the base norm against scaled
 suprema of products of (shift-minus-identity) factors along an index
 sequence.  Shifts act diagonally on exponentials, so every product reduces
 to scalar factors and all searches run over multisets of sequence indices.
+One kernel, _multiset_maxima, walks those multisets for both the star norm
+and the product-difference table d_j, exhaustively or as a beam.
 
 Frequencies are radians per unit time throughout this module; torus points
 from the sequences module live in turns.  sequences.turns_to_radians /
@@ -15,9 +17,9 @@ imported only by the sine integral, so importing this module loads no scipy.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .sequences import IndexSequence
 
 ROOT_HALF_PI = math.sqrt(math.pi / 2.0)
 EXHAUSTIVE_LIMIT = 20000
-DEFAULT_BEAM_WIDTH = 32
+BEAM_WIDTH = 32
 SINE_QUAD_TOL = 1e-11
 
 
@@ -53,14 +55,9 @@ def _pair_inner(delta: float) -> complex:
     return complex(0.5 * math.pi * math.exp(-abs(delta)), _sine_integral(delta))
 
 
-_GRAM_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _gram(freqs: tuple) -> np.ndarray:
     """Hermitian Gram matrix of the exponentials at the given frequencies."""
-    G = _GRAM_CACHE.get(freqs)
-    if G is not None:
-        return G
     M = len(freqs)
     G = np.empty((M, M), dtype=complex)
     for m in range(M):
@@ -70,14 +67,20 @@ def _gram(freqs: tuple) -> np.ndarray:
             z = _pair_inner(freqs[n] - freqs[m])
             G[m, n] = z
             G[n, m] = z.conjugate()
+    # the cache hands this one array to every caller
     G.flags.writeable = False
-    _GRAM_CACHE[freqs] = G
     return G
 
 
-def _quadratic_norm(coeffs: np.ndarray, G: np.ndarray) -> float:
-    val = float(np.real(np.conj(coeffs) @ G @ coeffs))
-    return math.sqrt(max(val, 0.0))
+def _quadratic_norm(rows: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """sqrt(conj(c) @ G @ c) for every coefficient row c on the last axis.
+
+    einsum rounds each row alike wherever it sits in the batch (a BLAS
+    matmul does not), so equal rows get equal scores and beam ties stay ties.
+    """
+    w = np.einsum("...m,mn->...n", np.conj(rows), G)
+    val = np.einsum("...n,...n->...", w, rows).real
+    return np.sqrt(np.maximum(val, 0.0))
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ def base_norm(v: ExpSpan) -> float:
                 abs(coeffs[0]) ** 2 + abs(coeffs[1]) ** 2
             ) + 2.0 * cross.real * 0.5 * math.pi * math.exp(-abs(delta))
             return math.sqrt(max(sq, 0.0))
-    return _quadratic_norm(coeffs, _gram(v.frequencies))
+    return float(_quadratic_norm(coeffs, _gram(v.frequencies)))
 
 
 @dataclass(frozen=True)
@@ -188,52 +191,37 @@ def _tuple_count(J: int, K: int) -> int:
     return sum(math.comb(K + j, j + 1) for j in range(J + 1))
 
 
-def _search_exhaustive(coeffs, factors, G, J: int, K: int) -> float:
-    best = 0.0
-    for j in range(J + 1):
-        scale = 4.0 ** -(j + 1)
-        for combo in combinations_with_replacement(range(K), j + 1):
-            mod = coeffs.copy()
-            for k in combo:
-                mod *= factors[:, k]
-            best = max(best, scale * _quadratic_norm(mod, G))
-    return best
+def _multiset_maxima(start, factors, score, orders: int, width: int | None) -> np.ndarray:
+    """Per-order maxima of score(start * prod_k factors[:, k]) over index multisets.
 
-
-def _search_beam(coeffs, factors, G, J: int, K: int, width: int) -> float:
-    best = 0.0
-    # state: (last index, modified coefficient vector); extensions keep the
-    # index multiset non-decreasing so each multiset is visited once
-    frontier = []
-    for k in range(K):
-        mod = coeffs * factors[:, k]
-        frontier.append((k, mod))
-    for j in range(J + 1):
-        scale = 4.0 ** -(j + 1)
-        scored = sorted(
-            ((scale * _quadratic_norm(mod, G), k, mod) for k, mod in frontier),
-            key=lambda item: (-item[0], item[1]),
-        )
-        best = max(best, scored[0][0] if scored else 0.0)
-        kept = scored[:width]
-        if j == J:
+    Order j runs over the non-decreasing index tuples of length j + 1; score
+    maps (N, M) rows to N non-negative floats.  Each tuple is extended by
+    every index from its last one on, so each multiset is reached once.
+    width=None keeps the whole frontier (exhaustive); otherwise only the
+    width best rows by (-score, last index), stably sorted, are extended.
+    """
+    K = factors.shape[1]
+    cols = factors.T
+    last = np.arange(K)
+    rows = start * cols
+    maxima = np.zeros(orders)
+    for j in range(orders):
+        scores = score(rows)
+        maxima[j] = scores.max(initial=0.0)
+        if j + 1 == orders:
             break
-        frontier = [
-            (k2, mod * factors[:, k2])
-            for _, k, mod in kept
-            for k2 in range(k, K)
-        ]
-    return best
+        if width is not None:
+            keep = np.lexsort((last, -scores))[:width]
+            rows, last = rows[keep], last[keep]
+        counts = K - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        last = last[parent] + np.arange(len(parent)) - first
+        rows = rows[parent] * cols[last]
+    return maxima
 
 
-def star_norm(
-    v: ExpSpan,
-    seq: IndexSequence,
-    J: int,
-    K: int,
-    beam_width: int = DEFAULT_BEAM_WIDTH,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-) -> StarNormValue:
+def star_norm(v: ExpSpan, seq: IndexSequence, J: int, K: int) -> StarNormValue:
     """Truncated renormed value max(base, scaled product suprema).
 
     Single exponentials factorize exactly: every product is the coefficient
@@ -257,12 +245,13 @@ def star_norm(
     coeffs = v.coefficients
     factors = _factor_table(v.frequencies, seq, K)
     G = _gram(v.frequencies)
-    if _tuple_count(J, K) <= exhaustive_limit:
-        searched = _search_exhaustive(coeffs, factors, G, J, K)
-        search = "exhaustive"
-    else:
-        searched = _search_beam(coeffs, factors, G, J, K, beam_width)
-        search = "beam"
+    exhaustive = _tuple_count(J, K) <= EXHAUSTIVE_LIMIT
+    maxima = _multiset_maxima(
+        coeffs, factors, lambda rows: _quadratic_norm(rows, G), J + 1,
+        None if exhaustive else BEAM_WIDTH,
+    )
+    searched = float(max(4.0 ** -(j + 1) * m for j, m in enumerate(maxima)))
+    search = "exhaustive" if exhaustive else "beam"
     s_max = np.abs(factors).max(axis=1)
     bound0 = ROOT_HALF_PI * float(np.sum(np.abs(coeffs) * s_max)) / 4.0
     return StarNormValue(
@@ -385,58 +374,43 @@ class DjBoundReport:
         }
 
 
-def _dj_beam(fa, fb, J_target: int, K: int, width: int) -> float:
-    frontier = [(k, fa[k], fb[k]) for k in range(K)]
-    for _ in range(J_target):
-        scored = sorted(
-            frontier, key=lambda item: (-abs(item[1] - item[2]), item[0])
-        )[:width]
-        frontier = [
-            (k2, pa * fa[k2], pb * fb[k2])
-            for k, pa, pb in scored
-            for k2 in range(k, K)
-        ]
-    return max((abs(pa - pb) for _, pa, pb in frontier), default=0.0)
+def _abs_difference(rows: np.ndarray) -> np.ndarray:
+    return np.abs(rows[:, 0] - rows[:, 1])
 
 
 def dj_bound_check(
-    eta: float, xi: float, seq: IndexSequence, J: int, K: int,
-    beam_width: int = DEFAULT_BEAM_WIDTH,
+    eta: float, xi: float, seq: IndexSequence, J: int, K: int
 ) -> DjBoundReport:
     """Product-difference suprema against the (j+1) 2^j scaling of the base gap.
 
     d_j is the supremum over index tuples of |prod(a) - prod(b)| with factors
     a = e^{i eta n_k} - 1 and b likewise for xi.  Each factor has modulus at
-    most 2 and per-factor difference at most d_0, so d_j <= (j+1) 2^j d_0;
-    j = 0 is d_0 itself.  Exhaustive for j <= 3 within the tuple budget,
-    deterministic beam beyond.
+    most 2 and per-factor difference at most d_0, so d_j <= (j+1) 2^j d_0.
+    The multiset search gives every order at once: orders j <= 3 within the
+    tuple budget exhaustively, the rest from one deterministic beam.  d_0 is
+    the order-0 maximum, so the base case holds with equality.  J is capped
+    where (J+1) 2^J would overflow a double.
     """
     if J < 0 or K < 0:
         raise ConfigInvalid(f"truncation orders must be >= 0, got J={J} K={K}")
+    if J + (J + 1).bit_length() > sys.float_info.max_exp:
+        raise ConfigInvalid(f"J={J}: the bound (J+1) 2^J overflows a double")
     if K > len(seq):
         raise HorizonExceedsSequence(f"K={K} outside 0..{len(seq)}")
     eta, xi = float(eta), float(xi)
-    fa = np.array([cmath.exp(1j * eta * n) - 1.0 for n in seq.terms[:K]])
-    fb = np.array([cmath.exp(1j * xi * n) - 1.0 for n in seq.terms[:K]])
-    # scalar loop keeps the arithmetic identical to the j = 0 enumeration,
-    # so the base-case equality holds bitwise
-    d_zero = max((abs(fa[k] - fb[k]) for k in range(K)), default=0.0)
+    factors = _factor_table((eta, xi), seq, K)
+    start = np.ones(2, dtype=complex)
+    # exhaustive orders form a prefix: the tuple count grows with j
+    budget = sum(math.comb(K + j, j + 1) <= EXHAUSTIVE_LIMIT for j in range(4))
+    n_exact = J + 1 if K == 0 else min(J + 1, budget)
+    values = _multiset_maxima(start, factors, _abs_difference, n_exact, None)
+    if n_exact <= J:
+        beam = _multiset_maxima(start, factors, _abs_difference, J + 1, BEAM_WIDTH)
+        values = np.concatenate([values, beam[n_exact:]])
+    d_zero = float(values[0])
     rows = []
-    for j in range(J + 1):
-        if K == 0:
-            value, method = 0.0, "exhaustive"
-        elif j <= 3 and math.comb(K + j, j + 1) <= EXHAUSTIVE_LIMIT:
-            value = 0.0
-            for combo in combinations_with_replacement(range(K), j + 1):
-                pa = pb = 1.0 + 0.0j
-                for k in combo:
-                    pa *= fa[k]
-                    pb *= fb[k]
-                value = max(value, abs(pa - pb))
-            method = "exhaustive"
-        else:
-            value = _dj_beam(fa, fb, j, K, beam_width)
-            method = "beam"
+    for j, value in enumerate(values.tolist()):
+        method = "exhaustive" if j < n_exact else "beam"
         bound = (j + 1) * (2.0 ** j) * d_zero
         rows.append(DjBoundRow(j, value, bound, method, value <= bound * (1.0 + 1e-12)))
     return DjBoundReport(eta, xi, d_zero, tuple(rows))

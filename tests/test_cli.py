@@ -385,6 +385,16 @@ def test_starnorm_field_mode(workdir, tmp_path):
     assert len(lines) == 1 + 6  # 4 choose 2 pairs
 
 
+def test_starnorm_pairs_rejects_overflowing_order(workdir, tmp_path, capsys):
+    rc = main([
+        "starnorm", "--sequence", str(workdir / "fact6.json"),
+        "--mode", "pairs", "--J", "1030", "--K", "1", "--count", "1",
+        "--out-dir", str(tmp_path),
+    ])
+    assert rc == 1
+    assert "overflows a double" in capsys.readouterr().err
+
+
 def test_starnorm_rejects_bad_count(workdir, tmp_path):
     rc = main([
         "starnorm", "--sequence", str(workdir / "fact6.json"),

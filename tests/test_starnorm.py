@@ -1,12 +1,16 @@
 import cmath
 import math
+from itertools import combinations_with_replacement
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import exp1, expi
 
+from jamison import starnorm
 from jamison.errors import ConfigInvalid, HorizonExceedsSequence
 from jamison.sequences import IndexSequence, radians_to_turns, turns_to_radians
 from jamison.starnorm import (
@@ -19,6 +23,10 @@ from jamison.starnorm import (
     star_norm,
     translate,
     verify_translation_bound,
+    _abs_difference,
+    _gram,
+    _multiset_maxima,
+    _quadratic_norm,
     _sine_integral,
 )
 
@@ -163,11 +171,12 @@ def test_star_norm_brackets_base_and_upper(factorial_seq):
     assert s.base <= s.value <= s.upper + 1e-15
 
 
-def test_star_norm_beam_is_deterministic_lower_estimate(factorial_seq):
+def test_star_norm_beam_is_deterministic_lower_estimate(factorial_seq, monkeypatch):
     d = ExpSpan(((1.0, 0.31), (-1.0, 0.37)))
-    beam1 = star_norm(d, factorial_seq, 3, 6, exhaustive_limit=10)
-    beam2 = star_norm(d, factorial_seq, 3, 6, exhaustive_limit=10)
     full = star_norm(d, factorial_seq, 3, 6)
+    monkeypatch.setattr(starnorm, "EXHAUSTIVE_LIMIT", 10)
+    beam1 = star_norm(d, factorial_seq, 3, 6)
+    beam2 = star_norm(d, factorial_seq, 3, 6)
     assert beam1.search == "beam" and full.search == "exhaustive"
     assert beam1.value == beam2.value
     assert beam1.value <= full.value + 1e-15
@@ -179,6 +188,101 @@ def test_star_norm_validation(factorial_seq):
         star_norm(v, factorial_seq, 2, 9)
     with pytest.raises(ConfigInvalid):
         star_norm(v, factorial_seq, -1, 3)
+
+
+# --- multiset search kernel ------------------------------------------------------------
+
+
+def _score_one(score, row):
+    return float(score(row[None])[0])
+
+
+def _enumerated_maxima(start, factors, score, orders):
+    """Brute force: every index multiset of each order, one row at a time."""
+    K = factors.shape[1]
+    maxima = []
+    for j in range(orders):
+        best = 0.0
+        for combo in combinations_with_replacement(range(K), j + 1):
+            row = start
+            for k in combo:
+                row = row * factors[:, k]
+            best = max(best, _score_one(score, row))
+        maxima.append(best)
+    return maxima
+
+
+def _restart_beam_maxima(start, factors, score, orders, width):
+    """Beam that restarts from the singletons for every order, sorted by (-score, last index)."""
+    K = factors.shape[1]
+    maxima = []
+    for j in range(orders):
+        frontier = [(k, start * factors[:, k]) for k in range(K)]
+        for _ in range(j):
+            kept = sorted(frontier, key=lambda item: (-_score_one(score, item[1]), item[0]))[:width]
+            frontier = [(k2, row * factors[:, k2]) for k, row in kept for k2 in range(k, K)]
+        maxima.append(max((_score_one(score, row) for _, row in frontier), default=0.0))
+    return maxima
+
+
+# Gaussian half-integers give exactly tied scores besides generic ones
+_HALVES = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+_COMPLEX = st.one_of(
+    st.builds(complex, _HALVES, _HALVES),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    M=st.sampled_from([2, 3]),
+    K=st.integers(0, 6),
+    orders=st.integers(1, 4),
+    width=st.integers(1, 8),
+    gram=st.booleans(),
+    data=st.data(),
+)
+def test_multiset_maxima_match_references(M, K, orders, width, gram, data):
+    start = np.array(data.draw(st.lists(_COMPLEX, min_size=M, max_size=M)), dtype=complex)
+    flat = data.draw(st.lists(_COMPLEX, min_size=M * K, max_size=M * K))
+    factors = np.array(flat, dtype=complex).reshape(M, K)
+    if gram:
+        freqs = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=M, max_size=M, unique=True))
+        G = _gram(tuple(freqs))
+
+        def score(rows):
+            return _quadratic_norm(rows, G)
+    else:
+        score = _abs_difference
+    exhaustive = _multiset_maxima(start, factors, score, orders, None)
+    assert exhaustive.tolist() == _enumerated_maxima(start, factors, score, orders)
+    beam = _multiset_maxima(start, factors, score, orders, width)
+    assert beam.tolist() == _restart_beam_maxima(start, factors, score, orders, width)
+    assert beam[0] == exhaustive[0]
+    assert np.all(beam <= exhaustive)
+
+
+def test_beam_breaks_score_ties_by_last_index():
+    # equal scores at the width cut: keeping the lower last index extends
+    # further, and ordering ties by frontier position instead reads 5.0
+    factors = np.array([
+        [-0.5 - 0.5j, -0.5 + 0.5j, 1.0, -1j, -0.5 + 0.5j, 1j],
+        [1.0 + 0.5j, 0.5 - 1j, -1.0 - 1j, -1.0 + 1j, 0.5 - 1j, 1.0 - 1j],
+    ])
+    start = np.ones(2, dtype=complex)
+    beam = _multiset_maxima(start, factors, _abs_difference, 4, 3)
+    assert beam.tolist() == _restart_beam_maxima(start, factors, _abs_difference, 4, 3)
+    assert beam[3] == pytest.approx(math.sqrt(12.5))
+
+
+def test_quadratic_norm_rows_match_single_vectors():
+    rng = np.random.default_rng(11)
+    G = _gram((0.3, -1.1, 2.4))
+    rows = rng.normal(size=(257, 3)) + 1j * rng.normal(size=(257, 3))
+    batch = _quadratic_norm(rows, G)
+    assert batch.tolist() == [float(_quadratic_norm(row, G)) for row in rows]
+    for row, got in zip(rows, batch):
+        assert got == pytest.approx(math.sqrt((np.conj(row) @ G @ row).real), rel=1e-14)
 
 
 # --- translation bound ---------------------------------------------------------------
@@ -254,6 +358,10 @@ def test_dj_validation(factorial_seq):
         dj_bound_check(0.1, 0.2, factorial_seq, J=2, K=9)
     with pytest.raises(ConfigInvalid):
         dj_bound_check(0.1, 0.2, factorial_seq, J=-1, K=3)
+    # (J+1) 2^J stays finite up to J = 1014 and overflows a double from 1015 on
+    assert dj_bound_check(0.1, 0.2, factorial_seq, J=1014, K=1).all_ok
+    with pytest.raises(ConfigInvalid):
+        dj_bound_check(0.1, 0.2, factorial_seq, J=1015, K=1)
 
 
 # --- eigenvector field continuity table --------------------------------------------------
