@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -148,10 +149,22 @@ class IndexSequence:
             raise ConfigInvalid("sequence needs at least one term")
         if any(not isinstance(t, int) and not math.isfinite(t) for t in terms):
             raise ConfigInvalid("sequence terms must be finite")
+        if any(isinstance(t, int) and abs(t) > sys.float_info.max for t in terms):
+            raise ConfigInvalid("sequence terms must lie within the double range")
         if self.kind == "integer":
+            # ints stay exact; a float counts only where it is integral and
+            # at most 2^53, since above that one double stands for many
+            # integers (1e30 reads as 10^30 + 19884624838656)
             for t in terms:
+                if isinstance(t, (int, np.integer)):
+                    continue
                 if float(t) != int(t):
                     raise PreconditionViolated(f"non-integer term {t!r} in integer sequence")
+                if abs(t) > 2 ** 53:
+                    raise ConfigInvalid(
+                        f"float term {t!r} exceeds 2^53 and names no single integer; "
+                        "write it as an integer literal"
+                    )
             terms = tuple(int(t) for t in terms)
         else:
             terms = tuple(float(t) for t in terms)

@@ -11,8 +11,9 @@ and the product-difference table d_j, exhaustively or as a beam.
 
 Frequencies are radians per unit time throughout this module; torus points
 from the sequences module live in turns.  sequences.turns_to_radians /
-radians_to_turns are the single conversion boundary.  scipy.integrate is
-imported only by the sine integral, so importing this module loads no scipy.
+radians_to_turns are the single conversion boundary.  The Gram's sine parts
+come from a closed form in the exponential integrals, so this module needs
+numpy only and never loads scipy.
 """
 
 import cmath
@@ -29,29 +30,83 @@ from .sequences import IndexSequence
 ROOT_HALF_PI = math.sqrt(math.pi / 2.0)
 EXHAUSTIVE_LIMIT = 20000
 BEAM_WIDTH = 32
-SINE_QUAD_TOL = 1e-11
+EI_ASYMPTOTIC_FROM = 40.0
+_EPS = sys.float_info.epsilon
+# For finite x every series and continued fraction below converges within
+# about 100 steps; the cap only ends the loop for a NaN or infinite x.
+_MAX_TERMS = 200
+
+
+def _exp_series(x: float) -> tuple:
+    """Odd-k and even-k parts of sum_{k>=1} x^k / (k k!), for 0 < x <= 40."""
+    sums = [0.0, 0.0]
+    term = 1.0
+    for k in range(1, _MAX_TERMS):
+        term *= x / k
+        part = term / k
+        sums[k & 1] += part
+        if part <= _EPS * sums[1]:
+            break
+    return sums[1], sums[0]
+
+
+def _scaled_e1(x: float) -> float:
+    """e^x E1(x) for x > 1: modified Lentz on the continued fraction (A&S 5.1.22)."""
+    b = x + 1.0
+    c = 1.0 / sys.float_info.min  # stands in for 1/0: the fraction has no leading term
+    d = 1.0 / b
+    h = d
+    for i in range(1, _MAX_TERMS):
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            break
+    return h
+
+
+def _scaled_ei(x: float) -> float:
+    """e^-x Ei(x) for x > 1: power series (A&S 5.1.10) up to 40, asymptotic above."""
+    if x <= EI_ASYMPTOTIC_FROM:
+        odd, even = _exp_series(x)
+        return math.exp(-x) * (np.euler_gamma + math.log(x) + odd + even)
+    # sum_k k!/x^k, stopped at convergence or at its smallest term
+    total = term = 1.0
+    for k in range(1, _MAX_TERMS):
+        prev = term
+        term *= k / x
+        if term < _EPS * total or term >= prev:
+            break
+        total += term
+    return total / x
 
 
 @lru_cache(maxsize=None)
 def _sine_integral(a: float) -> float:
     """integral_0^inf sin(a t) / (1+t^2) dt, odd in a.
 
-    No elementary closed form exists; the semi-infinite Fourier rule handles
-    the oscillatory tail by cycle extrapolation and lands well inside 1e-10.
+    For x = |a| > 0 the integral is (e^-x Ei(x) + e^x E1(x)) / 2.  Up to
+    x = 1 both exponential integrals come from their power series (A&S
+    5.1.10, 5.1.11), whose +-(gamma + ln x) parts combine into one sinh
+    term, so tiny x loses nothing to cancellation; above 1 the two scaled
+    integrals are summed directly.
     """
     if a == 0.0:
         return 0.0
-    from scipy.integrate import quad
-
-    val, _ = quad(
-        lambda t: 1.0 / (1.0 + t * t), 0.0, np.inf,
-        weight="sin", wvar=abs(a), epsabs=SINE_QUAD_TOL, epsrel=0.0,
-    )
+    x = abs(a)
+    if x <= 1.0:
+        odd, even = _exp_series(x)
+        val = math.cosh(x) * odd - math.sinh(x) * (np.euler_gamma + math.log(x) + even)
+    else:
+        val = 0.5 * (_scaled_ei(x) + _scaled_e1(x))
     return math.copysign(val, a)
 
 
 def _pair_inner(delta: float) -> complex:
-    """<e_a, e_b> for delta = a - b: cosine part closed form, sine by quadrature."""
+    """<e_a, e_b> for delta = a - b: both parts in closed form."""
     return complex(0.5 * math.pi * math.exp(-abs(delta)), _sine_integral(delta))
 
 
@@ -135,8 +190,8 @@ def base_norm(v: ExpSpan) -> float:
     """Weighted half-line L2 norm of a finite exponential span.
 
     Single exponentials and spans whose pairwise coefficient products are
-    real use cosine-only closed forms; anything else brings in the
-    quadrature-backed sine parts through the Gram matrix.
+    real use cosine-only closed forms; anything else brings in the sine
+    parts through the Gram matrix.
     """
     if v.is_zero():
         return 0.0
@@ -188,7 +243,8 @@ def _factor_table(freqs: tuple, seq: IndexSequence, K: int) -> np.ndarray:
 
 
 def _tuple_count(J: int, K: int) -> int:
-    return sum(math.comb(K + j, j + 1) for j in range(J + 1))
+    """Index multisets of orders 0..J: sum_j C(K+j, j+1), by the hockey-stick identity."""
+    return math.comb(K + J + 1, K) - 1
 
 
 def _multiset_maxima(start, factors, score, orders: int, width: int | None) -> np.ndarray:
@@ -199,6 +255,8 @@ def _multiset_maxima(start, factors, score, orders: int, width: int | None) -> n
     every index from its last one on, so each multiset is reached once.
     width=None keeps the whole frontier (exhaustive); otherwise only the
     width best rows by (-score, last index), stably sorted, are extended.
+    The walk stops early once every frontier row is exactly zero, since all
+    later products are zero too; the remaining maxima stay 0.
     """
     K = factors.shape[1]
     cols = factors.T
@@ -206,6 +264,8 @@ def _multiset_maxima(start, factors, score, orders: int, width: int | None) -> n
     rows = start * cols
     maxima = np.zeros(orders)
     for j in range(orders):
+        if not rows.any():
+            break
         scores = score(rows)
         maxima[j] = scores.max(initial=0.0)
         if j + 1 == orders:
@@ -229,7 +289,10 @@ def star_norm(v: ExpSpan, seq: IndexSequence, J: int, K: int) -> StarNormValue:
     by the base norm at every order and the result is exact for all (J, K).
     General spans get a deterministic searched lower bound (exhaustive when
     the multiset count is small, beam otherwise) plus a triangle-inequality
-    upper bound on the untruncated supremum.
+    upper bound on the untruncated supremum.  The search multiplies factors
+    scaled by 1/4, which is exact, so order-j products carry their 4^-(j+1)
+    weight from the start: they shrink instead of overflowing at large J,
+    and the walk ends once they all underflow to zero.
     """
     if J < 0 or K < 0:
         raise ConfigInvalid(f"truncation orders must be >= 0, got J={J} K={K}")
@@ -247,10 +310,10 @@ def star_norm(v: ExpSpan, seq: IndexSequence, J: int, K: int) -> StarNormValue:
     G = _gram(v.frequencies)
     exhaustive = _tuple_count(J, K) <= EXHAUSTIVE_LIMIT
     maxima = _multiset_maxima(
-        coeffs, factors, lambda rows: _quadratic_norm(rows, G), J + 1,
+        coeffs, factors / 4.0, lambda rows: _quadratic_norm(rows, G), J + 1,
         None if exhaustive else BEAM_WIDTH,
     )
-    searched = float(max(4.0 ** -(j + 1) * m for j, m in enumerate(maxima)))
+    searched = float(maxima.max())
     search = "exhaustive" if exhaustive else "beam"
     s_max = np.abs(factors).max(axis=1)
     bound0 = ROOT_HALF_PI * float(np.sum(np.abs(coeffs) * s_max)) / 4.0

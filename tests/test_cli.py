@@ -6,6 +6,7 @@ certified construction through construct -> verify -> semigroup.
 """
 
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -395,6 +396,18 @@ def test_starnorm_pairs_rejects_overflowing_order(workdir, tmp_path, capsys):
     assert "overflows a double" in capsys.readouterr().err
 
 
+def test_starnorm_field_finite_at_large_order(workdir, tmp_path):
+    rc = main([
+        "starnorm", "--sequence", str(workdir / "fact6.json"),
+        "--mode", "field", "--J", "600", "--K", "2", "--count", "3", "--seed", "1",
+        "--out-dir", str(tmp_path),
+    ])
+    assert rc == 0
+    for row in read_report(tmp_path)["result"]["rows"]:
+        star_searched, star_upper = row[4], row[5]
+        assert math.isfinite(star_searched) and star_searched <= star_upper
+
+
 def test_starnorm_rejects_bad_count(workdir, tmp_path):
     rc = main([
         "starnorm", "--sequence", str(workdir / "fact6.json"),
@@ -454,6 +467,19 @@ def test_non_finite_terms_exit_one(tmp_path, capsys, kind, bad):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, bad, message", [
+    pytest.param("integer", 1e30, "exceeds 2^53", id="integer-float-1e30"),
+    pytest.param("integer", 10 ** 400, "double range", id="integer-int-10^400"),
+    pytest.param("real", 10 ** 400, "double range", id="real-int-10^400"),
+])
+def test_out_of_range_terms_exit_one(tmp_path, capsys, kind, bad, message):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"kind": kind, "terms": [1, 2, bad]}))
+    rc = main(["analyze", "--sequence", str(path), "--horizons", "2,3", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
 def test_reports_deterministic_modulo_timestamp(workdir, tmp_path):
     args = [
         "starnorm", "--sequence", str(workdir / "fact6.json"),
@@ -484,11 +510,26 @@ def test_different_seed_changes_samples(workdir, tmp_path):
     assert [p["eta"] for p in a] != [p["eta"] for p in b]
 
 
-def test_cli_import_loads_no_scipy():
-    code = "import sys, jamison.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules a fresh interpreter holds after running `code`."""
     src = str(Path(jamison.__file__).resolve().parent.parent)
+    probe = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}; {probe}"],
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_after("import jamison.cli") == "[]"
+
+
+@pytest.mark.parametrize("mode", ["bound", "field"])
+def test_starnorm_loads_no_scipy(workdir, tmp_path, mode):
+    argv = [
+        "starnorm", "--sequence", str(workdir / "fact6.json"), "--mode", mode,
+        "--J", "1", "--K", "4", "--count", "3", "--out-dir", str(tmp_path),
+    ]
+    code = f"from jamison.cli import main; assert main({argv!r}) == 0"
+    assert _scipy_modules_after(code) == "[]"

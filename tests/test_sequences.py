@@ -465,3 +465,18 @@ def test_index_sequence_validation():
         IndexSequence((1, 2), "weird")
     real = IndexSequence((1, 2.5, 7.9), "real")
     assert real.integer_parts == (1, 2, 7)
+
+
+def test_index_sequence_keeps_integers_past_2_53_exact():
+    for terms in ((1, 3, 3 ** 40), IndexSequence.factorials(25).terms):
+        seq = IndexSequence(terms, "integer")
+        assert seq.terms == tuple(terms)
+        assert all(type(t) is int for t in seq.terms)
+    assert IndexSequence.factorials(25).terms[-1] == math.factorial(25)
+    # integral floats up to 2^53 still read as the integer they name
+    assert IndexSequence((1.0, 2.0, float(2 ** 53)), "integer").terms == (1, 2, 2 ** 53)
+    # 1e30 is the double 10^30 + 19884624838656: no single integer, so refused
+    with pytest.raises(ConfigInvalid):
+        IndexSequence((1, 2, 1e30), "integer")
+    with pytest.raises(ConfigInvalid):
+        IndexSequence((1, 2, 10 ** 400), "integer")

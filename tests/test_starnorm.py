@@ -14,6 +14,8 @@ from jamison import starnorm
 from jamison.errors import ConfigInvalid, HorizonExceedsSequence
 from jamison.sequences import IndexSequence, radians_to_turns, turns_to_radians
 from jamison.starnorm import (
+    BEAM_WIDTH,
+    EI_ASYMPTOTIC_FROM,
     ROOT_HALF_PI,
     ExponentialVector,
     ExpSpan,
@@ -28,6 +30,7 @@ from jamison.starnorm import (
     _multiset_maxima,
     _quadratic_norm,
     _sine_integral,
+    _tuple_count,
 )
 
 
@@ -101,6 +104,44 @@ def test_sine_integral_oracles():
         assert _sine_integral(a) == pytest.approx(osc, abs=1e-12)
     assert _sine_integral(-1.0) == -_sine_integral(1.0)
     assert _sine_integral(0.0) == 0.0
+
+
+def _sine_integral_mp(a, digits=30):
+    """(e^-a Ei(a) + e^a E1(a)) / 2 with `digits` digits left after its cancellation at small a."""
+    with mpmath.workdps(digits + max(0, -math.floor(math.log10(a)))):
+        x = mpmath.mpf(a)
+        return float((mpmath.exp(-x) * mpmath.ei(x) + mpmath.exp(x) * mpmath.e1(x)) / 2)
+
+
+def test_sine_integral_matches_scipy_exponential_integrals():
+    grid = np.logspace(-6, 3, 241)
+    # e^a overflows a double from a ~ 709.8 on, so the scipy form stops below it
+    scipy_grid = grid[grid <= 700.0]
+    assert len(scipy_grid) >= 200
+    for a in scipy_grid:
+        closed = 0.5 * (math.exp(-a) * expi(a) + math.exp(a) * exp1(a))
+        assert abs(_sine_integral(a) - closed) <= 1e-13
+    for a in grid[grid > 700.0]:
+        assert abs(_sine_integral(a) - _sine_integral_mp(a)) <= 1e-13
+
+
+@pytest.mark.parametrize("switch", [1.0, EI_ASYMPTOTIC_FROM])
+def test_sine_integral_across_branch_switches(switch):
+    below, above = math.nextafter(switch, 0.0), math.nextafter(switch, math.inf)
+    for a in (0.5 * switch, switch - 1e-6, below, switch, above, switch + 1e-6, 2.0 * switch):
+        assert _sine_integral(a) == pytest.approx(_sine_integral_mp(a), rel=1e-14, abs=0.0)
+
+
+def test_sine_integral_odd_and_finite_at_the_extremes():
+    assert _sine_integral(0.0) == 0.0
+    for a in (5e-324, 1e-300, 1e-6, 0.3, 1.0, 7.0, EI_ASYMPTOTIC_FROM, 1e3, 1e300):
+        s = _sine_integral(a)
+        assert math.isfinite(s) and s > 0.0
+        assert _sine_integral(-a) == -s
+    # S(a) ~ a (1 - gamma - ln a) at 0 and ~ 1/a at infinity
+    tiny = 5e-324
+    assert _sine_integral(tiny) == pytest.approx(tiny * (1.0 - np.euler_gamma - math.log(tiny)), rel=1e-2)
+    assert _sine_integral(1e300) == pytest.approx(1e-300, rel=1e-15)
 
 
 def test_span_canonicalization():
@@ -180,6 +221,12 @@ def test_star_norm_beam_is_deterministic_lower_estimate(factorial_seq, monkeypat
     assert beam1.search == "beam" and full.search == "exhaustive"
     assert beam1.value == beam2.value
     assert beam1.value <= full.value + 1e-15
+
+
+def test_tuple_count_matches_the_sum_over_orders():
+    for J in range(8):
+        for K in range(8):
+            assert _tuple_count(J, K) == sum(math.comb(K + j, j + 1) for j in range(J + 1))
 
 
 def test_star_norm_validation(factorial_seq):
@@ -283,6 +330,61 @@ def test_quadratic_norm_rows_match_single_vectors():
     assert batch.tolist() == [float(_quadratic_norm(row, G)) for row in rows]
     for row, got in zip(rows, batch):
         assert got == pytest.approx(math.sqrt((np.conj(row) @ G @ row).real), rel=1e-14)
+
+
+_ANGLES = st.floats(0.01, 2.0 * math.pi - 0.01)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    M=st.sampled_from([2, 3]),
+    K=st.integers(1, 6),
+    J=st.integers(0, 30),
+    width=st.integers(1, 8),
+    data=st.data(),
+)
+def test_scaled_factors_give_the_weighted_maxima(M, K, J, width, data):
+    # star_norm searches factors / 4: a power-of-two scaling, so wherever
+    # nothing under- or overflows it equals max_j 4^-(j+1) m_j bit for bit
+    starts = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    start = np.array(data.draw(st.lists(starts, min_size=M, max_size=M)), dtype=complex)
+    angles = data.draw(st.lists(_ANGLES, min_size=M * K, max_size=M * K))
+    factors = np.exp(1j * np.array(angles)).reshape(M, K) - 1.0
+    freqs = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=M, max_size=M, unique=True))
+    G = _gram(tuple(freqs))
+
+    def score(rows):
+        return _quadratic_norm(rows, G)
+
+    beam = None if J <= 3 else width
+    plain = _multiset_maxima(start, factors, score, J + 1, beam)
+    scaled = _multiset_maxima(start, factors / 4.0, score, J + 1, beam)
+    assert scaled.max() == max(4.0 ** -(j + 1) * m for j, m in enumerate(plain))
+
+
+def test_multiset_walk_stops_at_an_all_zero_frontier():
+    # |factor / 4| = 1/2, so every product underflows to zero by order 1076
+    calls = []
+
+    def score(rows):
+        calls.append(len(rows))
+        return np.abs(rows[:, 0])
+
+    factors = np.full((1, 2), -2.0 + 0.0j) / 4.0
+    maxima = _multiset_maxima(np.ones(1, dtype=complex), factors, score, 5000, BEAM_WIDTH)
+    assert 1070 <= len(calls) <= 1080
+    assert maxima[0] == 0.5 and maxima[50] == 2.0 ** -51
+    assert not maxima[len(calls):].any()
+
+
+def test_star_norm_stays_finite_at_large_orders(factorial_seq):
+    # unscaled, the squared norms of products of modulus up to 2^(j+1)
+    # overflow a double from J ~ 512 on
+    d = ExpSpan(((1.0, 3.0), (-1.0, 0.2)))
+    for J in (511, 600, 5000):
+        s = star_norm(d, factorial_seq, J, 2)
+        assert math.isfinite(s.value) and s.base <= s.value <= s.upper
+    assert star_norm(d, factorial_seq, 600, 2).value == star_norm(d, factorial_seq, 20, 2).value
 
 
 # --- translation bound ---------------------------------------------------------------
