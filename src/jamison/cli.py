@@ -34,7 +34,6 @@ from .errors import (
     BudgetInfeasible,
     BudgetsNotCertified,
     ConfigInvalid,
-    DegenerateSpectrum,
     DepthExceedsSequence,
     HorizonExceedsSequence,
     IndexOutOfRange,
@@ -56,7 +55,6 @@ _CONFIG_ERRORS = (
     DepthExceedsSequence,
     BudgetsNotCertified,
     SpectrumOutsideDomain,
-    DegenerateSpectrum,
     IndexOutOfRange,
 )
 

@@ -665,10 +665,13 @@ class TruncatedOperator:
     The operator is the direct sum of its fibers, so it is stored as one
     (fibers, levels, levels) stack: blocks[i-1] is the upper-bidiagonal block
     of fiber i, the unimodular diagonal plus the band alpha_{i,l} linking
-    level l+1 to level l.  A stack cannot couple distinct fibers.
+    level l+1 to level l.  A stack cannot couple distinct fibers.  thetas
+    holds the exact level angles (turns) that every block's diagonal rounds;
+    an operator built from bare floats leaves it None.
     """
 
     blocks: np.ndarray
+    thetas: tuple | None = None
 
     @property
     def fibers(self) -> int:
@@ -687,6 +690,19 @@ class TruncatedOperator:
     def shift_part(self) -> np.ndarray:
         return self.blocks - self.diagonal_part()
 
+    def exact_angles(self) -> tuple:
+        """Exact angle (turns) of every diagonal entry, one tuple per fiber block.
+
+        Without stored thetas each angle is the exact Fraction of the double
+        phase of its diagonal entry.
+        """
+        if self.thetas is not None:
+            return (tuple(self.thetas),) * self.fibers
+        return tuple(
+            tuple(TorusPoint.from_radians(float(np.angle(z))).theta for z in np.diagonal(block))
+            for block in self.blocks
+        )
+
 
 def assemble_operator(cons: ShiftConstruction, L: int, I: int) -> TruncatedOperator:
     """The L-level, I-fiber section as its stack of I fiber blocks."""
@@ -702,7 +718,7 @@ def assemble_operator(cons: ShiftConstruction, L: int, I: int) -> TruncatedOpera
         for i in range(1, I + 1)
     ])
     blocks.flags.writeable = False
-    return TruncatedOperator(blocks)
+    return TruncatedOperator(blocks, tuple(p.theta for p in cons.lambdas[:L]))
 
 
 def matrix_power(M: np.ndarray, n: int) -> np.ndarray:

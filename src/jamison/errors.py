@@ -107,7 +107,3 @@ class NonSquare(JamisonError):
 
 class SpectrumOutsideDomain(JamisonError):
     """An eigenvalue falls outside the right half-plane cut needed for the log."""
-
-
-class DegenerateSpectrum(JamisonError):
-    """Repeated or near-collapsed eigenvalues block the requested decomposition."""

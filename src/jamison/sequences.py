@@ -249,44 +249,44 @@ def _chunk_edges(n_terms: int, pruned: bool) -> list:
     return [e for e in edges if e < n_terms] + [n_terms]
 
 
-def _f_grid(terms: np.ndarray, thetas: np.ndarray, prune_above: Optional[float] = None) -> np.ndarray:
-    """f_K(theta) = max_k torus_norm(t_k * theta), vectorized over thetas.
+class _TileScan:
+    """f_K(theta) = max_k torus_norm(t_k * theta) on one tile of thetas at a time.
 
-    Thetas are scanned in tiles of 2^13 points through one pair of
-    64 x tile scratch buffers, so scan memory is bounded by the tile, not by
-    the grid resolution or K.  Each entry is t*theta, minus its floor, then
-    min(p, 1 - p), then an exact max: the same float operations in every
-    schedule.  Unpruned, terms go 64 at a time.
+    Every tile goes through one pair of 64 x tile scratch buffers, so scan
+    memory is bounded by the tile, not by the grid resolution or K.  Each
+    entry is t*theta, minus its floor, then min(p, 1 - p), then an exact max:
+    the same float operations in every schedule.  Unpruned, terms go 64 at a
+    time.
 
-    With prune_above set, terms go 4, 8, 16, 32, then 64 at a time; after
-    each chunk a theta whose running maximum has crossed the threshold is
-    dropped from its tile.  Its entry is then only a lower bound above the
-    threshold, which is sound for callers hunting minima below it; every
-    entry at or below the threshold is exact.
+    Pruned, terms go 4, 8, 16, 32, then 64 at a time; after each chunk a
+    theta whose running maximum has crossed the threshold is dropped from
+    its tile.  Its entry is then only a lower bound above the threshold,
+    which is sound for callers hunting minima below it; every entry at or
+    below the threshold is exact.
     """
-    best = np.zeros(thetas.shape, dtype=float)
-    pruned = prune_above is not None
-    edges = _chunk_edges(terms.size, pruned)
-    chunks = list(zip(edges, edges[1:]))
-    size = min(_CHUNK, terms.size) * min(_TILE, thetas.size)
-    scratch_p, scratch_q = np.empty(size), np.empty(size)
-    for start in range(0, thetas.size, _TILE):
-        sub = thetas[start:start + _TILE]
-        out = best[start:start + _TILE]
+
+    def __init__(self, terms: np.ndarray, tile: int):
+        self.terms = terms
+        size = min(_CHUNK, terms.size) * tile
+        self.scratch_p, self.scratch_q = np.empty(size), np.empty(size)
+
+    def __call__(self, sub: np.ndarray, prune_above: Optional[float] = None) -> np.ndarray:
+        edges = _chunk_edges(self.terms.size, prune_above is not None)
+        out = np.empty(sub.shape)
         idx = np.arange(sub.size)  # positions of the live thetas within the tile
         run = np.zeros(sub.size)
-        for lo, hi in chunks:
+        for lo, hi in zip(edges, edges[1:]):
             rows, cols = hi - lo, sub.size
-            p = scratch_p[:rows * cols].reshape(rows, cols)
-            q = scratch_q[:rows * cols].reshape(rows, cols)
-            np.multiply(terms[lo:hi, None], sub, out=p)
+            p = self.scratch_p[:rows * cols].reshape(rows, cols)
+            q = self.scratch_q[:rows * cols].reshape(rows, cols)
+            np.multiply(self.terms[lo:hi, None], sub, out=p)
             np.floor(p, out=q)
             np.subtract(p, q, out=p)
             np.subtract(1.0, p, out=q)
             np.minimum(p, q, out=p)
             np.max(p, axis=0, out=q[0])
             np.maximum(run, q[0], out=run)
-            if not pruned:
+            if prune_above is None:
                 continue
             live = run <= prune_above
             if live.all():
@@ -297,6 +297,15 @@ def _f_grid(terms: np.ndarray, thetas: np.ndarray, prune_above: Optional[float] 
             if idx.size == 0:
                 break
         out[idx] = run
+        return out
+
+
+def _f_grid(terms: np.ndarray, thetas: np.ndarray, prune_above: Optional[float] = None) -> np.ndarray:
+    """f_K over an array of thetas, scanned in tiles of 2^13 points (see _TileScan)."""
+    best = np.zeros(thetas.shape, dtype=float)
+    scan = _TileScan(terms, min(_TILE, thetas.size))
+    for start in range(0, thetas.size, _TILE):
+        best[start:start + _TILE] = scan(thetas[start:start + _TILE], prune_above)
     return best
 
 
@@ -382,9 +391,6 @@ class SeparationReport:
         }
 
 
-_GRID_BLOCK = 1 << 20
-
-
 def separation_constant(
     seq: IndexSequence,
     K: int,
@@ -435,14 +441,17 @@ def separation_constant(
     best_val = float(f_pilot[i])
     best_theta = float(pilot[i])
 
+    # Each tile's thetas are generated where they are scanned, so the scan
+    # holds no grid-sized array; the threshold follows the running minimum.
     n_points = int(math.floor((0.5 - theta_min) / resolution)) + 1
-    for start in range(0, n_points, _GRID_BLOCK):
-        stop = min(start + _GRID_BLOCK, n_points)
+    scan = _TileScan(terms, min(_TILE, n_points))
+    for start in range(0, n_points, _TILE):
+        stop = min(start + _TILE, n_points)
         thetas = theta_min + resolution * np.arange(start, stop, dtype=float)
         thetas = thetas[thetas <= 0.5]
         if thetas.size == 0:
             continue
-        f = _f_grid(terms, thetas, prune_above=best_val)
+        f = scan(thetas, best_val)
         j = int(np.argmin(f))
         if f[j] < best_val:
             best_val = float(f[j])

@@ -13,7 +13,7 @@ Frequencies are radians per unit time throughout this module; torus points
 from the sequences module live in turns.  sequences.turns_to_radians /
 radians_to_turns are the single conversion boundary.  The Gram's sine parts
 come from a closed form in the exponential integrals, so this module needs
-numpy only and never loads scipy.
+numpy alone.
 """
 
 import cmath

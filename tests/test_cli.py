@@ -533,3 +533,17 @@ def test_starnorm_loads_no_scipy(workdir, tmp_path, mode):
     ]
     code = f"from jamison.cli import main; assert main({argv!r}) == 0"
     assert _scipy_modules_after(code) == "[]"
+
+
+def test_semigroup_loads_no_scipy(workdir, tmp_path):
+    argv = [
+        "semigroup", "--construction", str(workdir / "C.json"),
+        "--real-sequence", str(workdir / "half.json"), "--powers", "6", "--out-dir", str(tmp_path),
+    ]
+    code = f"from jamison.cli import main; assert main({argv!r}) == 0"
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_package_source_never_names_scipy():
+    package = Path(jamison.__file__).resolve().parent
+    assert [p.name for p in sorted(package.glob("*.py")) if "scipy" in p.read_text()] == []

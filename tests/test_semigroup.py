@@ -15,13 +15,13 @@ from jamison import (
 )
 from jamison.construction import TruncatedOperator
 from jamison.errors import (
-    DegenerateSpectrum,
     HorizonExceedsSequence,
     OutOfDomain,
     PreconditionViolated,
     SpectrumOutsideDomain,
 )
 from jamison.semigroup import (
+    LOG_METHOD,
     bounded_along,
     check_lattice,
     evolve,
@@ -58,8 +58,8 @@ def separated_setup():
 def test_log_of_identity_is_zero():
     sg = principal_log(TruncatedOperator(np.eye(3, dtype=complex)[None]))
     assert np.max(np.abs(sg.generator)) == 0.0
-    assert sg.method == "eigendecomposition"
-    assert sg.eig_cond == pytest.approx(1.0)
+    assert sg.method == LOG_METHOD
+    assert sg.log_clusters == 1
 
 
 def test_log_of_diagonal_phases():
@@ -77,36 +77,30 @@ def test_log_rejects_left_halfplane_spectrum():
         principal_log(TruncatedOperator(np.diag(angles)[None]))
 
 
-def test_defective_block_takes_dense_log():
+def test_defective_block_is_one_cluster():
+    # Log(lam (I + N/lam)) = Log(lam) I + N/lam exactly, since N^2 = 0
     lam = np.exp(0.2j)
     op = TruncatedOperator(np.array([[lam, 0.1], [0.0, lam]])[None])
-    with pytest.raises(DegenerateSpectrum):
-        principal_log(op, force_eigen=True)
     sg = principal_log(op)
-    assert sg.method == "inverse-scaling-squaring"
-    assert math.isinf(sg.eig_cond)
-    assert sg.roundtrip_error <= 1e-12
+    assert sg.method == LOG_METHOD and sg.log_clusters == 1
+    want = np.array([[0.2j, 0.1 / lam], [0.0, 0.2j]])
+    assert np.max(np.abs(sg.generator[0] - want)) <= 1e-16
+    assert sg.roundtrip_error <= 1e-15
 
 
-def test_eigendecomposition_path_on_separated_spectrum(separated_setup):
+def test_separated_spectrum_takes_the_parlett_step(separated_setup):
     op, sg = separated_setup
-    assert sg.method == "eigendecomposition"
-    assert sg.eig_cond < 1e8
-    assert sg.roundtrip_error <= 1e-10
+    # 2/23 sits 0.27 rad above the other four, which chain within 0.1 rad
+    assert sg.method == LOG_METHOD
+    assert sg.log_clusters == 2
+    assert sg.roundtrip_error <= 1e-14
 
 
-def test_fallback_path_on_clustered_spectrum(factorial_setup):
+def test_clustered_spectrum_is_one_taylor_cluster(factorial_setup):
     _, op, sg = factorial_setup
-    # level gaps collapse below float resolution, so no float eigenbasis exists
-    assert sg.method == "inverse-scaling-squaring"
-    assert math.isinf(sg.eig_cond)
-    assert sg.roundtrip_error <= 1e-10
-
-
-def test_force_eigen_raises_on_clustered_spectrum(factorial_setup):
-    _, op, _ = factorial_setup
-    with pytest.raises(DegenerateSpectrum):
-        principal_log(op, force_eigen=True)
+    # level gaps collapse far below float resolution; one exact-phase cluster
+    assert sg.log_clusters == 1
+    assert sg.roundtrip_error <= 1e-15
 
 
 # --- evolution ---------------------------------------------------------------
@@ -172,9 +166,19 @@ def test_lattice_detects_perturbed_generator(factorial_setup):
     seq, _, sg = factorial_setup
     rng = np.random.default_rng(7)
     noise = 1e-3 * (rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8)))
-    bad = dataclasses.replace(sg, generator=sg.generator + noise)
+    bad = dataclasses.replace(sg, generator=sg.generator + np.triu(noise, 1))
     rep = check_lattice(bad, seq, 6)
     assert not rep.all_ok
+
+
+@pytest.mark.parametrize("part", ["diagonal", "lower"])
+def test_evolve_refuses_a_generator_off_the_exact_spectrum(factorial_setup, part):
+    _, _, sg = factorial_setup
+    noise = np.zeros((2, 8, 8), dtype=complex)
+    noise[0, 3, 3 if part == "diagonal" else 2] = 1e-12
+    bad = dataclasses.replace(sg, generator=sg.generator + noise)
+    with pytest.raises(PreconditionViolated):
+        evolve(bad, 1.0)
 
 
 def test_lattice_validation(factorial_setup):
@@ -258,5 +262,7 @@ def test_lift_report_bundle(factorial_setup):
     assert rep["lattice"]["all_ok"]
     assert rep["spectrum"]["all_ok"]
     assert rep["shift_norm_below_third"]
-    assert rep["semigroup"]["method"] == "inverse-scaling-squaring"
+    assert rep["semigroup"]["method"] == LOG_METHOD
+    assert rep["semigroup"]["log_clusters"] == 1
+    assert "eig_cond" not in rep["semigroup"]
     assert len(sg.generator_csv_rows()) == 16 * 16

@@ -239,6 +239,20 @@ def test_separation_scan_memory_bounded_by_tile():
     assert peak < 64 * 2**20
 
 
+def test_separation_scan_peak_does_not_grow_with_resolution():
+    # thetas are generated per tile, so a ten times finer grid holds no more
+    seq = IndexSequence.integers_up_to(64)
+    peaks = []
+    for resolution in (1e-5, 1e-6):
+        tracemalloc.start()
+        try:
+            separation_constant(seq, 64, resolution=resolution)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
 # --- classification -------------------------------------------------------
 
 
