@@ -39,6 +39,7 @@ from .errors import (
     SizeMismatch,
     WeightListTooShort,
 )
+from .funm import Power, apply, node_sets, operator_power
 from .sequences import IndexSequence, TorusPoint, chord_distance, near_return_search, unit_diff
 
 __all__ = [
@@ -92,20 +93,14 @@ def fiber_map(n: int) -> int:
 # --- weight bookkeeping ---------------------------------------------------------
 
 
+FIBER_DECAY = 0.5  # weight ratio between consecutive fibers
+
+
 @dataclass(frozen=True)
 class WeightSchedule:
-    """Level weights plus the constants of the canonical coordinate model.
-
-    The effective per-fiber weight is
-        w_{i,l} = w_l * i_decay**i / (model_C * model_M[l+1])
-    with model_C = 1 and all functional norms model_M = 1 in the canonical
-    model, so only the geometric fiber decay is active.
-    """
+    """Level weights; the effective per-fiber weight is w_{i,l} = w_l * FIBER_DECAY**i."""
 
     w: tuple
-    model_C: float = 1.0
-    model_M: tuple | None = None
-    i_decay: float = 0.5
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.w)
@@ -114,16 +109,6 @@ class WeightSchedule:
         if any(not math.isfinite(x) or x <= 0.0 for x in w):
             raise ConfigInvalid("all level weights must be positive and finite")
         object.__setattr__(self, "w", w)
-        mm = self.model_M
-        if mm is None:
-            mm = tuple(1.0 for _ in range(len(w) + 1))
-        else:
-            mm = tuple(float(x) for x in mm)
-        if any(self.model_C * m < 1.0 - 1e-12 for m in mm):
-            raise ConfigInvalid("model requires model_C * model_M >= 1 at every level")
-        object.__setattr__(self, "model_M", mm)
-        if not (0.0 < self.i_decay < 1.0):
-            raise ConfigInvalid("i_decay must lie in (0, 1)")
 
     def level_weight(self, level: int) -> float:
         """Bare weight w_l, 1-based."""
@@ -131,17 +116,11 @@ class WeightSchedule:
             raise IndexOutOfRange(f"weight index {level} outside 1..{len(self.w)}")
         return self.w[level - 1]
 
-    def functional_norm(self, level: int) -> float:
-        if 1 <= level <= len(self.model_M):
-            return self.model_M[level - 1]
-        return 1.0
-
     def fiber_weight(self, i: int, level: int) -> float:
         """Effective weight w_{i,l} for fiber i >= 1."""
         if i < 1:
             raise IndexOutOfRange(f"fiber index {i} must be >= 1")
-        scale = self.model_C * self.functional_norm(level + 1)
-        return self.level_weight(level) * self.i_decay ** i / scale
+        return self.level_weight(level) * FIBER_DECAY ** i
 
 
 # --- budget certificates ---------------------------------------------------------
@@ -208,17 +187,19 @@ class LevelBudget:
 # --- symmetric sums and coefficient rows -----------------------------------------
 
 
-def _bidiagonal_power(lams, n: int) -> np.ndarray:
-    """J^n for the bidiagonal J = diag(lams) + unit superdiagonal.
+def _unit_band_powers(points, exponents) -> list:
+    """J^n for each n, J = diag(e^(2 pi i theta)) + unit superdiagonal on exact angles.
 
     Entry (k, l) of J^n is the complete homogeneous sum
-    h_{n-(l-k)}(lams[k..l]) (Opitz's divided-difference matrix), and it is an
-    exact zero below the diagonal and beyond band offset n.  J is upper
-    triangular, so every principal block of J^n is the n-th power of the same
-    block of J: one power serves every level and every coefficient row.
+    h_{n-(l-k)}(lambda_k..lambda_l) (Opitz's divided-difference matrix).  J
+    is upper triangular, so every principal block of J^n is the n-th power of
+    the same block of J: one power serves every level and every coefficient
+    row.  The powers come from the exact-phase kernel, one node set shared by
+    all exponents.
     """
-    J = np.diag(np.asarray(lams, dtype=complex)) + np.eye(len(lams), k=1)
-    return matrix_power(J, n)
+    J = np.diag([p.complex_value() for p in points]) + np.eye(len(points), k=1)
+    sets = node_sets((tuple(p.theta for p in points),))
+    return [apply(J[None], sets, Power(n))[0] for n in exponents]
 
 
 def symmetric_sum(lambdas, m: int) -> complex:
@@ -234,7 +215,8 @@ def symmetric_sum(lambdas, m: int) -> complex:
     if not xs:
         raise PreconditionViolated("symmetric_sum needs at least one variable")
     r = len(xs)
-    return complex(_bidiagonal_power(xs, m + r - 1)[0, r - 1])
+    J = np.diag(xs) + np.eye(r, k=1)
+    return complex(matrix_power(J, m + r - 1)[0, r - 1])
 
 
 def _suffix_weight_products(schedule: WeightSchedule, level: int) -> dict:
@@ -252,7 +234,7 @@ def _tail_sum(Jn: np.ndarray, schedule: WeightSchedule, gaps: dict, level: int) 
 
     Jn is J^n over at least the first ``level`` eigenvalues.  Its column
     ``level`` holds the coefficient row |h_{n-(level-k)}(lambda_k..lambda_level)|
-    for k = 1..level-1, with exact zeros where level - k > n.
+    for k = 1..level-1, with zeros where level - k > n.
     """
     row = np.abs(Jn[: level - 1, level - 1]).tolist()
     wprod = _suffix_weight_products(schedule, level)
@@ -365,8 +347,7 @@ def _evaluate_level_budget(
         eig_budget = math.inf
         eig_ok = True
     tail_budget = 2.0 ** (1 - level)
-    lams = [p.complex_value() for p in thetas[:level]]
-    tail_max = max(_tail_sum(_bidiagonal_power(lams, n), schedule, gaps, level) for n in terms)
+    tail_max = max(_tail_sum(Jn, schedule, gaps, level) for Jn in _unit_band_powers(thetas[:level], terms))
     tail_ok = tail_max <= tail_budget
     return LevelBudget(
         level=level,
@@ -394,7 +375,7 @@ class ShiftConstruction:
 
     gaps[l-2] is the chord distance from level l to its parent level, for
     l = 2..L; alphas1[l-1] is the fiber-1 shift weight for l = 1..L-1.  The
-    fiber-i weight follows by multiplying with i_decay**(i-1).
+    fiber-i weight follows by multiplying with FIBER_DECAY**(i-1).
     """
 
     seq: IndexSequence
@@ -433,7 +414,7 @@ class ShiftConstruction:
             raise IndexOutOfRange(f"fiber index {i} must be >= 1")
         if level < 1 or level > self.levels - 1:
             raise IndexOutOfRange(f"shift weight index {level} outside 1..{self.levels - 1}")
-        return self.alphas1[level - 1] * self.schedule.i_decay ** (i - 1)
+        return self.alphas1[level - 1] * FIBER_DECAY ** (i - 1)
 
     def nuclear_terms(self) -> list:
         """(level, w_l g_{l+1} / g_l) pairs of the nuclear-series partial sum."""
@@ -485,9 +466,6 @@ class ShiftConstruction:
             "thetas": [f"{p.theta.numerator}/{p.theta.denominator}" for p in self.lambdas],
             "thetas_float": [p.as_float() for p in self.lambdas],
             "weights": list(self.schedule.w),
-            "model_C": self.schedule.model_C,
-            "model_M": list(self.schedule.model_M),
-            "i_decay": self.schedule.i_decay,
             "gaps": list(self.gaps),
             "alphas_fiber1": list(self.alphas1),
             "nuclear_partial_sum": self.nuclear_partial_sum,
@@ -731,9 +709,10 @@ def matrix_power(M: np.ndarray, n: int) -> np.ndarray:
 def power_coefficient(cons: ShiftConstruction, k: int, l: int, i: int, n: int) -> complex:
     """Entry of T^n linking slot (i, k) to slot (i, l), in closed form.
 
-    Zero when k > l or when the band offset l - k exceeds n; the diagonal case
-    is the exact-angle power of the level eigenvalue; otherwise the product of
-    band weights times a complete homogeneous sum of the spanned eigenvalues.
+    Zero when k > l or when the band offset l - k exceeds n; otherwise the
+    product of band weights times a complete homogeneous sum of the spanned
+    eigenvalues, which on the diagonal is the exact-angle power of the level
+    eigenvalue.
     """
     L = cons.levels
     if not (1 <= k <= L and 1 <= l <= L):
@@ -744,13 +723,11 @@ def power_coefficient(cons: ShiftConstruction, k: int, l: int, i: int, n: int) -
         raise IndexOutOfRange(f"power {n} must be >= 0")
     if k > l or l - k > n:
         return 0j
-    if k == l:
-        return cons.lambdas[k - 1].scaled(n).complex_value()
     alpha_prod = 1.0
     for q in range(k, l):
         alpha_prod *= cons.alpha(i, q)
-    lams = [p.complex_value() for p in cons.lambdas[:l]]
-    return alpha_prod * complex(_bidiagonal_power(lams, n)[k - 1, l - 1])
+    (Jn,) = _unit_band_powers(cons.lambdas[:l], [n])
+    return alpha_prod * complex(Jn[k - 1, l - 1])
 
 
 # --- eigenvector chains ------------------------------------------------------------
@@ -872,7 +849,7 @@ def analytic_power_bound(cons: ShiftConstruction, L: int, n: int) -> float:
     max column sum, the max row sum, and hence also the spectral norm.
     """
     gaps = {l: cons.gap(l) for l in range(2, L + 1)}
-    Jn = _bidiagonal_power([p.complex_value() for p in cons.lambdas[:L]], n)
+    (Jn,) = _unit_band_powers(cons.lambdas[:L], [n])
     total = 0.0
     for level in range(2, L + 1):
         total += _tail_sum(Jn, cons.schedule, gaps, level)
@@ -882,9 +859,9 @@ def analytic_power_bound(cons: ShiftConstruction, L: int, n: int) -> float:
 def verify_partial_power_bound(cons: ShiftConstruction, L: int, I: int, P: int, p) -> PowerBoundReport:
     """Measure ||T^{n_k} - D^{n_k}|| and ||T^{n_k}|| for k <= P against the bounds.
 
-    Both powers ride the same binary-exponentiation route, so the diagonal of
-    the difference cancels exactly and only the genuine band contribution is
-    measured.  Each row also carries the analytic tail bound; a certified
+    T^n comes from the exact-phase kernel, whose diagonal is the exact D^n, so
+    the difference is the strictly upper part of T^n: the genuine band
+    contribution.  Each row also carries the analytic tail bound; a certified
     construction must come out with measured <= 1, operator power <= 2, and
     analytic bound at least the measured value.
     """
@@ -893,13 +870,11 @@ def verify_partial_power_bound(cons: ShiftConstruction, L: int, I: int, P: int, 
     if P < 1 or P > cons.horizon:
         raise HorizonExceedsSequence(f"powers horizon {P} outside 1..{cons.horizon}")
     op = assemble_operator(cons, L, I)
-    D = op.diagonal_part()
     rows = []
     for k in range(1, P + 1):
         n = cons.seq.terms[k - 1]
-        Tn = matrix_power(op.blocks, n)
-        Dn = matrix_power(D, n)
-        norm_diff = operator_norm(Tn - Dn, p)
+        Tn = operator_power(op, n)
+        norm_diff = operator_norm(np.triu(Tn, 1), p)
         norm_T = operator_norm(Tn, p)
         bound = analytic_power_bound(cons, L, n)
         rows.append(
@@ -915,7 +890,7 @@ def verify_partial_power_bound(cons: ShiftConstruction, L: int, I: int, P: int, 
             )
         )
     # levels truncated to I fibers: dropped entries shrink geometrically
-    trunc = cons.schedule.i_decay ** I / (1.0 - cons.schedule.i_decay)
+    trunc = FIBER_DECAY ** I / (1.0 - FIBER_DECAY)
     trunc *= sum(cons.alphas1)
     return PowerBoundReport(
         p=str(p).lower(),

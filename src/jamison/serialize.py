@@ -139,12 +139,7 @@ def construction_from_json_dict(obj: dict) -> tuple:
     try:
         seq = IndexSequence.from_json_dict(obj["sequence"])
         thetas = tuple(TorusPoint(fraction_from_string(s)) for s in obj["thetas"])
-        schedule = WeightSchedule(
-            tuple(obj["weights"]),
-            model_C=float(obj["model_C"]),
-            model_M=tuple(obj["model_M"]),
-            i_decay=float(obj["i_decay"]),
-        )
+        schedule = WeightSchedule(tuple(obj["weights"]))
         cons = ShiftConstruction(
             seq=seq,
             lambdas=thetas,

@@ -122,6 +122,20 @@ def test_tampered_gap_table_is_caught(workdir, tmp_path):
         load_construction(tmp_path / "tam.json")
 
 
+def test_retired_schedule_keys_are_ignored(workdir, tmp_path):
+    obj = json.loads((workdir / "C.json").read_text())
+    assert not {"model_C", "model_M", "i_decay"} & obj.keys()
+    obj.update(model_C=1.0, model_M=[1.0] * 6, i_decay=0.5)
+    (tmp_path / "old.json").write_text(json.dumps(obj))
+    cons, _ = load_construction(tmp_path / "old.json")
+    assert list(cons.alphas1) == obj["alphas_fiber1"]
+    # alphas written under another fiber decay no longer match the recomputation
+    obj.update(i_decay=0.25, alphas_fiber1=[a / 2 for a in obj["alphas_fiber1"]])
+    (tmp_path / "old.json").write_text(json.dumps(obj))
+    with pytest.raises(ArtifactCorrupt):
+        load_construction(tmp_path / "old.json")
+
+
 def test_tampered_certified_flag_is_caught(workdir, tmp_path):
     obj = json.loads((workdir / "C.json").read_text())
     obj["certified"] = False

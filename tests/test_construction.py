@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jamison.construction as construction
 from jamison import (
     IndexSequence,
     ShiftConstruction,
     WeightSchedule,
+    analytic_power_bound,
     assemble_operator,
     build_construction,
     chain_difference_norms,
@@ -133,10 +135,6 @@ def test_weight_schedule_validation():
         WeightSchedule(())
     with pytest.raises(ConfigInvalid):
         WeightSchedule((1.0, -2.0))
-    with pytest.raises(ConfigInvalid):
-        WeightSchedule((1.0,), model_C=0.5)
-    with pytest.raises(ConfigInvalid):
-        WeightSchedule((1.0,), i_decay=1.5)
 
 
 # --- symmetric sums -------------------------------------------------------------
@@ -475,6 +473,18 @@ def test_verify_single_level_is_diagonal(small_cons):
     for row in rep.rows:
         assert row.norm_diff == 0.0
         assert row.norm_T == pytest.approx(1.0, abs=1e-12)
+
+
+def test_powers_of_constructions_take_the_exact_phase_kernel(monkeypatch):
+    # float squaring loses about n * eps; it is left to symmetric_sum alone
+    def refuse(M, n):
+        raise AssertionError("matrix_power called")
+
+    monkeypatch.setattr(construction, "matrix_power", refuse)
+    cons = build_construction(IndexSequence.factorials(6), L=5, K=6, w=(1, 2, 3, 4, 5))
+    assert verify_partial_power_bound(cons, 5, 2, 6, 2).all_ok
+    assert power_coefficient(cons, 2, 4, 2, 720) != 0
+    assert analytic_power_bound(cons, 5, 720) > 0
 
 
 def test_zeroed_band_power_difference_vanishes(small_cons):

@@ -1,5 +1,8 @@
 """The exact-phase kernel for T^n, Log T and T^t against a high-precision oracle.
 
+T^n is checked on every route that takes it: the lattice check's single
+fiber, verify's two fibers, and the unit-band J^n behind construct's budgets.
+
 The oracle is Opitz's formula for an upper-bidiagonal block: entry (k, l) of
 f(T) is the band product alpha_k ... alpha_{l-1} times the divided difference
 f[x_k, ..., x_l] over the nodes x = e^(2 pi i theta).  It shares nothing with
@@ -7,6 +10,11 @@ the kernel's Taylor/Parlett route except the exact angles.  Divided
 differences over the construction's nearly coincident nodes (gaps down to
 1e-148 turns at L = 10) cancel about 300 digits, so the oracle runs at
 ORACLE_DPS digits and checks itself against a run 60 digits finer.
+
+On the ladder, errors are measured after the diagonal similarity that
+divides entry (k, l) by |alpha_k ... alpha_{l-1}|, so every entry counts
+against its own size: band products fall below 1e-80 at L = 8, and
+unscaled, an error in those entries would hide under eps * ||f(T)||.
 
 Run with -s to see the error per rung.
 """
@@ -19,8 +27,9 @@ import numpy as np
 import pytest
 
 from jamison import IndexSequence, assemble_operator, build_construction
-from jamison.construction import TruncatedOperator
-from jamison.semigroup import evolve, operator_power, principal_log
+from jamison.construction import TruncatedOperator, _unit_band_powers
+from jamison.funm import operator_power
+from jamison.semigroup import evolve, principal_log
 
 ORACLE_DPS = 500
 TOL = 1e-14
@@ -53,12 +62,13 @@ def _opitz(thetas, band, value, dps):
         return F
 
 
-def _rel(got, want) -> float:
-    """Relative 1-norm distance, evaluated at 100 digits."""
+def _rel(got, want, band=()) -> float:
+    """Relative 1-norm distance, evaluated at 100 digits, after scaling by the products of band."""
     with mp.workdps(100):
         L = len(want)
-        diff = max(sum(abs(mp.mpc(got[k][l]) - want[k][l]) for k in range(L)) for l in range(L))
-        size = max(sum(abs(want[k][l]) for k in range(L)) for l in range(L))
+        scale = [[abs(mp.fprod(band[k:l])) for l in range(L)] for k in range(L)]
+        diff = max(sum(abs(mp.mpc(got[k][l]) - want[k][l]) / scale[k][l] for k in range(L)) for l in range(L))
+        size = max(sum(abs(want[k][l]) / scale[k][l] for k in range(L)) for l in range(L))
         return float(diff / size)
 
 
@@ -67,7 +77,7 @@ def oracle(thetas, band, value):
     band = [mp.mpf(float(a)) for a in band]
     coarse = _opitz(thetas, band, value, ORACLE_DPS)
     fine = _opitz(thetas, band, value, ORACLE_DPS + 60)
-    assert _rel(coarse, fine) <= 1e-60
+    assert _rel(coarse, fine, band) <= 1e-60
     return fine
 
 
@@ -99,33 +109,54 @@ def ladder(request):
     op = assemble_operator(cons, L, 1)
     thetas = [p.theta for p in cons.lambdas]
     band = np.diagonal(op.blocks[0], offset=1).real
-    return L, op, principal_log(op), thetas, band
+    return L, cons, op, principal_log(op), thetas, band
 
 
-def test_integer_powers_match_oracle_at_every_rung(ladder):
-    L, op, _, thetas, band = ladder
+def _power_route(route, cons, op):
+    """(band of every block, n -> stack of T^n) as the named command takes it."""
+    if route == "construct":
+        return [np.ones(cons.levels - 1)], lambda n: _unit_band_powers(cons.lambdas, [n])
+    if route == "verify":
+        op = assemble_operator(cons, cons.levels, 2)
+    return [np.diagonal(block, offset=1).real for block in op.blocks], lambda n: operator_power(op, n)
+
+
+def _check_integer_powers(ladder, route):
+    L, cons, op, _, thetas, _ = ladder
+    bands, power = _power_route(route, cons, op)
     errors = []
     for k in range(1, L + 1):
         n = math.factorial(k)
-        errors.append((n, _rel(operator_power(op, n)[0], oracle(thetas, band, power_value(Fraction(n))))))
-    _report(f"T^n, L = {L}", errors)
+        Tn = power(n)
+        err = max(_rel(Tn[i], oracle(thetas, band, power_value(Fraction(n))), band) for i, band in enumerate(bands))
+        errors.append((n, err))
+    _report(f"T^n ({route}), L = {L}", errors)
     _assert_flat(errors)
 
 
+def test_integer_powers_match_oracle_at_every_rung(ladder):
+    _check_integer_powers(ladder, "semigroup")
+
+
+@pytest.mark.parametrize("route", ["verify", "construct"])
+def test_verify_and_construct_powers_match_oracle_at_every_rung(ladder, route):
+    _check_integer_powers(ladder, route)
+
+
 def test_log_matches_oracle(ladder):
-    L, op, sg, thetas, band = ladder
-    err = _rel(sg.generator[0], oracle(thetas, band, log_value))
+    L, cons, op, sg, thetas, band = ladder
+    err = _rel(sg.generator[0], oracle(thetas, band, log_value), band)
     _report(f"Log T, L = {L}", [("-", err)])
     assert err <= TOL
 
 
 def test_real_times_match_oracle_at_every_rung(ladder):
-    L, op, sg, thetas, band = ladder
+    L, cons, op, sg, thetas, band = ladder
     errors = []
     for k in range(1, L + 1):
         t = math.factorial(k) + 0.5
         want = oracle(thetas, band, power_value(Fraction(t)))
-        errors.append((t, max(_rel(evolve(sg, t)[0], want), _rel(operator_power(op, t)[0], want))))
+        errors.append((t, max(_rel(evolve(sg, t)[0], want, band), _rel(operator_power(op, t)[0], want, band))))
     _report(f"T^t = exp(tG), L = {L}", errors)
     _assert_flat(errors)
 
@@ -175,3 +206,15 @@ def test_defective_block_matches_closed_form():
                 errors.append((float(t), err))
     _report("defective 2 x 2", errors)
     _assert_flat(errors)
+
+
+def test_band_products_below_the_double_range():
+    # 1e-200 * 1e-200 underflows, so the kernel leaves the block unbalanced
+    thetas = [Fraction(1, 20), Fraction(1, 20) + Fraction(1, 10**9), Fraction(1, 10)]
+    band = [1e-200, 1e-200]
+    lams = [complex(mp.expjpi(2 * _mpf(t))) for t in thetas]
+    op = TruncatedOperator((np.diag(lams) + np.diag(band, k=1))[None], tuple(thetas))
+    for n in (1, 10**3, 10**6):
+        got = operator_power(op, n)[0]
+        assert np.isfinite(got).all()
+        assert _rel(got, oracle(thetas, band, power_value(Fraction(n)))) <= TOL

@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import expm, logm
 
 from jamison import IndexSequence, assemble_operator, build_construction, matrix_power, operator_norm
+from jamison.construction import FIBER_DECAY
 from jamison.semigroup import evolve, principal_log
 
 L, I = 8, 3
@@ -78,7 +79,7 @@ def test_stack_log_and_evolution_match_dense(setup):
 def test_fiber_scaling_identity(setup):
     cons, op, _ = setup
     k, l = np.indices((L, L))
-    decay = cons.schedule.i_decay
+    decay = FIBER_DECAY
     for n in (1, 6, 720, 40320):
         Tn = matrix_power(op.blocks, n)
         for i in range(2, I + 1):

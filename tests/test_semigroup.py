@@ -171,6 +171,19 @@ def test_lattice_detects_perturbed_generator(factorial_setup):
     assert not rep.all_ok
 
 
+def test_lattice_sees_errors_deep_in_the_band(factorial_setup):
+    # band entries past level 1 are ~1e-16 and below, so an error there is
+    # invisible next to ||T^n|| ~ 1; the check measures after the band scaling
+    seq, _, sg = factorial_setup
+    doubled = sg.generator + np.triu(sg.generator, 1) * (np.arange(8) >= 1)[:, None]
+    one_percent = np.array(sg.generator)
+    one_percent[:, 5, 6] *= 1.01
+    for generator, least in ((doubled, 0.9), (one_percent, 5e-3)):
+        rep = check_lattice(dataclasses.replace(sg, generator=generator), seq, 8)
+        assert min(r.rel_err for r in rep.rows) >= least
+        assert not any(r.ok for r in rep.rows)
+
+
 @pytest.mark.parametrize("part", ["diagonal", "lower"])
 def test_evolve_refuses_a_generator_off_the_exact_spectrum(factorial_setup, part):
     _, _, sg = factorial_setup
