@@ -14,14 +14,13 @@ An operator is anything with a (fibers, L, L) ``blocks`` stack and an
 ``exact_angles()`` method giving each block's exact diagonal angles (turns).
 """
 
-import math
 import numbers
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import OutOfDomain, PreconditionViolated
-from .sequences import TWO_PI, TorusPoint, unit_diff
+from .sequences import TWO_PI, TorusPoint, unit_diff, unit_step
 
 CLUSTER_GAP = 0.1  # radians times max(|t|, 1): closer nodes share a Taylor cluster
 _MAX_TERMS = 400
@@ -63,12 +62,10 @@ class Power:
     def shifted(self, theta: Fraction, sigma: Fraction) -> complex:
         """Diagonal entry e^(2 pi i (theta - sigma)) - 1, to full relative accuracy.
 
-        unit_diff's half-angle form against the origin; theta and sigma are
-        signed angles of one cluster, so their difference needs no reduction.
+        theta and sigma are signed angles of one cluster, so their difference
+        needs no reduction.
         """
-        d = float(theta - sigma)
-        s = math.sin(math.pi * d)
-        return (2.0 * s) * complex(-s, math.cos(math.pi * d))
+        return unit_step(float(theta - sigma))
 
     def node_gap(self, a: Fraction, b: Fraction) -> complex:
         return unit_diff(TorusPoint(a), TorusPoint(b))
@@ -182,6 +179,13 @@ def band_products(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
+def balancing(blocks: np.ndarray) -> np.ndarray:
+    """The band products the kernel balances a stack by: band_products, or all
+    ones when a product leaves the double range (the stack is then left unbalanced)."""
+    P = band_products(blocks)
+    return P if np.all((P > 0) & np.isfinite(P)) else np.ones_like(P)
+
+
 def _swap(B: np.ndarray, Q: np.ndarray, k: int, gap: complex) -> None:
     """Exchange the nodes at positions k and k+1 by a unitary rotation.
 
@@ -237,9 +241,7 @@ def _schur_parlett(blocks: np.ndarray, nodes: NodeSet, f: Power) -> np.ndarray:
     L = blocks.shape[-1]
     thetas = nodes.thetas
     label = clusters(nodes, f.scale)
-    P = band_products(blocks)
-    if not np.all((P > 0) & np.isfinite(P)):
-        P = np.ones_like(P)
+    P = balancing(blocks)
     B = np.asarray(blocks, dtype=complex) / P
     Q = None
     pos = list(range(L))  # node at each position

@@ -30,7 +30,7 @@ from .errors import (
     PreconditionViolated,
     SpectrumOutsideDomain,
 )
-from .funm import Exp, Log, apply, band_products, clusters, exact_time, node_sets, operator_power
+from .funm import Exp, Log, apply, balancing, clusters, exact_time, node_sets, operator_power
 from .sequences import IndexSequence
 
 LOG_METHOD = "exact-phase-schur-parlett"
@@ -162,21 +162,26 @@ def check_lattice(sg: MatrixSemigroup, seq: IndexSequence, P: int, tol: float = 
 
     Entry (k, l) of f(T) is the band product alpha_k ... alpha_{l-1} times a
     divided difference of f, and the products fall to 1e-16 and below past
-    level 1.  Both sides are therefore compared after the diagonal similarity
-    that divides entry (k, l) by T's band product, so an error deep in the
-    band weighs as much as one in the first row.
+    level 1, so relative to ||T^n|| an error deep in the band is invisible.
+    After the diagonal similarity that divides entry (k, l) by its band
+    product (the kernel's balancing), the deep entries count against their
+    own size, but at large n the corner (1, L), about C(n, L-1), outweighs
+    the entries near the diagonal.  rel_err is therefore the larger of the
+    two relative errors, unscaled and balanced.
     """
     if seq.kind != "integer":
         raise PreconditionViolated("lattice check needs an integer sequence")
     if not 1 <= P <= len(seq):
         raise HorizonExceedsSequence(f"P={P} outside 1..{len(seq)}")
-    products = band_products(sg.base.blocks)
+    products = balancing(sg.base.blocks)
     rows = []
     for k in range(1, P + 1):
         n_k = seq.terms[k - 1]
-        Tn = operator_power(sg.base, n_k) / products
-        scale = operator_norm(Tn, 2)
-        err = operator_norm(evolve(sg, n_k) / products - Tn, 2) / max(scale, 1e-300)
+        Tn, En = operator_power(sg.base, n_k), evolve(sg, n_k)
+        err = max(
+            operator_norm(En / scale - Tn / scale, 2) / max(operator_norm(Tn / scale, 2), 1e-300)
+            for scale in (1.0, products)
+        )
         rows.append(LatticeRow(k, n_k, err, err <= tol))
     return LatticeReport(tol, tuple(rows))
 

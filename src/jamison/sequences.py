@@ -122,11 +122,14 @@ def unit_diff(a: TorusPoint, b: TorusPoint) -> complex:
     exact angle difference, and the bracket expanded in half-angle form, so the
     result keeps full relative accuracy even when d is far below 1e-16 turns.
     """
-    d = float(a.signed_angle_to(b))
+    phi = TWO_PI * float(b.theta)
+    return unit_step(float(a.signed_angle_to(b)), complex(math.cos(phi), math.sin(phi)))
+
+
+def unit_step(d: float, rot: complex = 1.0) -> complex:
+    """rot * (e^{2 pi i d} - 1) in half-angle form, d an exact angle difference (turns) as a float."""
     s = math.sin(math.pi * d)
     c = math.cos(math.pi * d)
-    phi = TWO_PI * float(b.theta)
-    rot = complex(math.cos(phi), math.sin(phi))
     return rot * (2.0 * s) * complex(-s, c)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import jamison.semigroup as semigroup
 from jamison import (
     IndexSequence,
     ShiftConstruction,
@@ -182,6 +183,34 @@ def test_lattice_sees_errors_deep_in_the_band(factorial_setup):
         rep = check_lattice(dataclasses.replace(sg, generator=generator), seq, 8)
         assert min(r.rel_err for r in rep.rows) >= least
         assert not any(r.ok for r in rep.rows)
+
+
+def test_lattice_sees_errors_near_the_diagonal(factorial_setup, monkeypatch):
+    # after the band scaling the corner (1, L), about C(n, L-1), outweighs
+    # the first band row at large n; the plain measure still sees it
+    seq, _, sg = factorial_setup
+    honest = semigroup.evolve
+
+    def shallow_error(sg, t):
+        out = np.array(honest(sg, t))
+        out[:, 0, 1] *= 1.01
+        return out
+
+    monkeypatch.setattr(semigroup, "evolve", shallow_error)
+    rep = check_lattice(sg, seq, 8)
+    assert rep.rows[-1].rel_err >= 1e-5
+    assert not any(r.ok for r in rep.rows)
+
+
+def test_lattice_on_band_products_below_the_double_range():
+    # 1e-200 * 1e-200 underflows: the kernel leaves the block unbalanced,
+    # and the check compares it unbalanced too instead of dividing by zero
+    thetas = (Fraction(1, 20), Fraction(1, 20) + Fraction(1, 10**9), Fraction(1, 10))
+    lams = [np.exp(2j * np.pi * float(t)) for t in thetas]
+    op = TruncatedOperator((np.diag(lams) + np.diag([1e-200, 1e-200], k=1))[None], thetas)
+    rep = check_lattice(principal_log(op), IndexSequence((1, 10**3, 10**6)), 3)
+    assert rep.all_ok
+    assert all(np.isfinite(r.rel_err) for r in rep.rows)
 
 
 @pytest.mark.parametrize("part", ["diagonal", "lower"])
