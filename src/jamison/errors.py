@@ -23,7 +23,7 @@ class HorizonExceedsSequence(JamisonError):
 
 
 class InvalidResolution(ConfigInvalid):
-    """Grid resolution must be positive and below 1/2."""
+    """Grid resolution must lie in (0, 1/2), not below the double spacing at 1/2, with at most 2^31 points."""
 
 
 class InvalidEta(ConfigInvalid):

@@ -243,6 +243,8 @@ def d_metric(a: TorusPoint, b: TorusPoint, seq: IndexSequence, K: int) -> float:
 _TILE = 1 << 13
 _CHUNK = 64
 _PRUNED_HEAD = (0, 4, 12, 28, 60)  # chunks of 4, 8, 16 and 32 terms, then 64
+_BLOCK = 64  # grid points per block of separation_constant's Lipschitz bound
+_MAX_GRID_POINTS = 1 << 31  # largest grid separation_constant scans
 
 
 def _chunk_edges(n_terms: int, pruned: bool) -> list:
@@ -266,6 +268,9 @@ class _TileScan:
     its tile.  Its entry is then only a lower bound above the threshold,
     which is sound for callers hunting minima below it; every entry at or
     below the threshold is exact.
+
+    ``block_bound`` runs the same float operations on block centres instead
+    of points, for the Lipschitz lower bound of ``separation_constant``.
     """
 
     def __init__(self, terms: np.ndarray, tile: int):
@@ -273,20 +278,25 @@ class _TileScan:
         size = min(_CHUNK, terms.size) * tile
         self.scratch_p, self.scratch_q = np.empty(size), np.empty(size)
 
+    def _norms(self, lo: int, hi: int, sub: np.ndarray) -> tuple:
+        """torus_norm(t * theta) for terms[lo:hi] x sub in the first buffer; the second is free."""
+        rows, cols = hi - lo, sub.size
+        p = self.scratch_p[:rows * cols].reshape(rows, cols)
+        q = self.scratch_q[:rows * cols].reshape(rows, cols)
+        np.multiply(self.terms[lo:hi, None], sub, out=p)
+        np.floor(p, out=q)
+        np.subtract(p, q, out=p)
+        np.subtract(1.0, p, out=q)
+        np.minimum(p, q, out=p)
+        return p, q
+
     def __call__(self, sub: np.ndarray, prune_above: Optional[float] = None) -> np.ndarray:
         edges = _chunk_edges(self.terms.size, prune_above is not None)
         out = np.empty(sub.shape)
         idx = np.arange(sub.size)  # positions of the live thetas within the tile
         run = np.zeros(sub.size)
         for lo, hi in zip(edges, edges[1:]):
-            rows, cols = hi - lo, sub.size
-            p = self.scratch_p[:rows * cols].reshape(rows, cols)
-            q = self.scratch_q[:rows * cols].reshape(rows, cols)
-            np.multiply(self.terms[lo:hi, None], sub, out=p)
-            np.floor(p, out=q)
-            np.subtract(p, q, out=p)
-            np.subtract(1.0, p, out=q)
-            np.minimum(p, q, out=p)
+            p, q = self._norms(lo, hi, sub)
             np.max(p, axis=0, out=q[0])
             np.maximum(run, q[0], out=run)
             if prune_above is None:
@@ -301,6 +311,24 @@ class _TileScan:
                 break
         out[idx] = run
         return out
+
+    def block_bound(self, centres: np.ndarray, half_width: float) -> np.ndarray:
+        """Lower bound on f_K over each block of thetas within half_width of a centre c.
+
+        Since torus_norm is 1-Lipschitz, f_K(theta) >= max over the first <= 64
+        terms of (torus_norm(t_k * c) - t_k * half_width).  Less a margin of
+        2^-49 * (1 + max t_k) over those terms, which covers the rounding of
+        t * theta, of c and of the bound itself, this bounds the float f_K of
+        ``__call__`` too.  From 2^48 on the margin exceeds 1/2, so terms past
+        2^53, such as 3^40, make the bound vacuous.  The result is a view
+        into scratch, valid until the next call; at most one tile of centres
+        fits.
+        """
+        m = min(_CHUNK, self.terms.size)
+        p, q = self._norms(0, m, centres)
+        np.subtract(p, (self.terms[:m] * half_width)[:, None], out=p)
+        np.max(p, axis=0, out=q[0])
+        return np.subtract(q[0], 2.0 ** -49 * (1.0 + self.terms[:m].max()), out=q[0])
 
 
 def _f_grid(terms: np.ndarray, thetas: np.ndarray, prune_above: Optional[float] = None) -> np.ndarray:
@@ -413,12 +441,27 @@ def separation_constant(
     grid minimum.  The returned estimate is the exact f value at the witness,
     hence an upper bound on the domain infimum; lower_bound_torus certifies
     grid_min - n_K * resolution / 2 from the Lipschitz constant.
+
+    The grid is cut into blocks of 64 consecutive points, centre c and
+    half-width w.  Every theta in a block has f_K(theta) >= max over the first
+    <= 64 terms of (torus_norm(t_k c) - t_k w), and a block whose bound, less
+    a margin of 2^-49 (1 + max t_k) over those terms, exceeds the running
+    minimum is never scanned point by point (_TileScan.block_bound).  The
+    margin covers rounding; for terms past 2^53 it exceeds 1/2 and nothing is
+    dropped.  The surviving points go through the same float operations, threshold and
+    first-index tie rule as an unblocked scan, so the report is the same to
+    the bit.
+
+    A grid of more than 2^31 points, or a step below the double spacing at
+    1/2 (where thetas would repeat), raises InvalidResolution.
     """
     if not (isinstance(K, int) and K >= 1):
         raise HorizonExceedsSequence(f"horizon must be a positive integer, got {K!r}")
     terms_exact = seq.prefix(K)
     if not (0.0 < resolution < 0.5):
         raise InvalidResolution(f"resolution {resolution!r} outside (0, 1/2)")
+    if resolution < math.ulp(0.5):
+        raise InvalidResolution(f"resolution {resolution!r} is below the double spacing at 1/2")
     if refine_steps < 0:
         raise ConfigInvalid("refine_steps must be >= 0")
 
@@ -437,6 +480,12 @@ def separation_constant(
         if not (0.0 < theta_min < 0.5):
             raise OutOfDomain(f"theta_min {theta_min!r} outside (0, 1/2)")
 
+    n_points = int(math.floor((0.5 - theta_min) / resolution)) + 1
+    if n_points > _MAX_GRID_POINTS:
+        raise InvalidResolution(
+            f"resolution {resolution!r} needs {n_points} grid points, more than {_MAX_GRID_POINTS}"
+        )
+
     # Pilot pass seeds the pruning threshold cheaply.
     pilot = np.linspace(theta_min, 0.5, 4097)
     f_pilot = _f_grid(terms, pilot)
@@ -444,21 +493,29 @@ def separation_constant(
     best_val = float(f_pilot[i])
     best_theta = float(pilot[i])
 
-    # Each tile's thetas are generated where they are scanned, so the scan
-    # holds no grid-sized array; the threshold follows the running minimum.
-    n_points = int(math.floor((0.5 - theta_min) / resolution)) + 1
+    # Blocks of _BLOCK points go _TILE blocks at a time through the tile's
+    # bound; only the points of blocks it cannot rule out are generated and
+    # scanned, _TILE at a time, so the scan holds no grid-sized array.  The
+    # threshold follows the running minimum.
     scan = _TileScan(terms, min(_TILE, n_points))
-    for start in range(0, n_points, _TILE):
-        stop = min(start + _TILE, n_points)
-        thetas = theta_min + resolution * np.arange(start, stop, dtype=float)
-        thetas = thetas[thetas <= 0.5]
-        if thetas.size == 0:
-            continue
-        f = scan(thetas, best_val)
-        j = int(np.argmin(f))
-        if f[j] < best_val:
-            best_val = float(f[j])
-            best_theta = float(thetas[j])
+    half = 0.5 * (_BLOCK - 1)
+    n_blocks = -(-n_points // _BLOCK)
+    offsets = np.arange(_BLOCK)
+    for first in range(0, n_blocks, _TILE):
+        blocks = np.arange(first, min(first + _TILE, n_blocks), dtype=float)
+        bound = scan.block_bound(theta_min + resolution * (blocks * _BLOCK + half), half * resolution)
+        live = first + np.flatnonzero(bound <= best_val)
+        for start in range(0, live.size, _TILE // _BLOCK):
+            idx = (live[start:start + _TILE // _BLOCK, None] * _BLOCK + offsets).ravel()
+            thetas = theta_min + resolution * idx[idx < n_points].astype(float)
+            thetas = thetas[thetas <= 0.5]
+            if thetas.size == 0:
+                continue
+            f = scan(thetas, best_val)
+            j = int(np.argmin(f))
+            if f[j] < best_val:
+                best_val = float(f[j])
+                best_theta = float(thetas[j])
     grid_min = best_val
 
     if refine_steps:

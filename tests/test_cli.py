@@ -176,6 +176,49 @@ def test_analyze_integers_reports_separated(workdir, tmp_path):
     assert all(f >= 0.30 for f in floors)
 
 
+GOLDEN = Path(__file__).resolve().parent / "data" / "analyze"
+GOLDEN_CASES = {
+    "integers": (IndexSequence.integers_up_to(1000), "10,100,1000"),
+    "factorials": (IndexSequence.factorials(12), "6,8,10"),
+    "powers2": (IndexSequence.powers_of_two(12), "4,8,12"),
+}
+
+
+def _without_timestamp(text: str) -> list:
+    return [line for line in text.splitlines() if not line.lstrip().startswith('"timestamp"')]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_analyze_reports_match_golden_bytes(tmp_path, monkeypatch, name):
+    # recorded by the unblocked grid scan; any faster scan must give the same bytes
+    seq, horizons = GOLDEN_CASES[name]
+    monkeypatch.chdir(tmp_path)
+    save_sequence(seq, f"{name}.json")
+    rc = main([
+        "analyze", "--sequence", f"{name}.json", "--horizons", horizons,
+        "--resolution", "1e-6", "--out-dir", name,
+    ])
+    assert rc == 0
+    report = (tmp_path / name / "report.json").read_text()
+    assert _without_timestamp(report) == _without_timestamp((GOLDEN / name / "report.json").read_text())
+    assert (tmp_path / name / "decay.csv").read_bytes() == (GOLDEN / name / "decay.csv").read_bytes()
+
+
+@pytest.mark.parametrize("resolution", ["1e-300", "1e-10"])
+def test_analyze_unscannable_resolution_exits_one_quickly(tmp_path, resolution):
+    # 1e-300 steps below the double spacing at 1/2; 1e-10 needs more than 2^31 points
+    save_sequence(IndexSequence.powers_of_two(12), tmp_path / "powers2.json")
+    src = str(Path(jamison.__file__).resolve().parent.parent)
+    argv = [
+        "analyze", "--sequence", str(tmp_path / "powers2.json"), "--horizons", "4",
+        "--resolution", resolution, "--out-dir", str(tmp_path),
+    ]
+    code = f"import sys; sys.path.insert(0, {src!r}); from jamison.cli import main; sys.exit(main({argv!r}))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert "config error" in out.stderr and "resolution" in out.stderr
+
+
 def test_analyze_bad_horizon_list_is_config_error(workdir, tmp_path, capsys):
     rc = main([
         "analyze", "--sequence", str(workdir / "fact6.json"),

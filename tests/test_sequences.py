@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jamison import (
@@ -39,7 +39,17 @@ from jamison.errors import (
     OutOfDomain,
     PreconditionViolated,
 )
-from jamison.sequences import _TILE, _f_exact, _f_grid
+from jamison.sequences import (
+    _BLOCK,
+    _CHUNK,
+    _MAX_GRID_POINTS,
+    _TILE,
+    SeparationReport,
+    _f_exact,
+    _f_grid,
+    _TileScan,
+    _ternary_refine,
+)
 
 FACTORIALS = IndexSequence.factorials(8)
 
@@ -195,6 +205,15 @@ def test_separation_constant_validation():
         separation_constant(FACTORIALS, 9)
     with pytest.raises(OutOfDomain):
         separation_constant(FACTORIALS, 4, theta_min=0.7)
+    # grids past _MAX_GRID_POINTS, and steps below the double spacing at 1/2
+    with pytest.raises(InvalidResolution, match="grid points"):
+        separation_constant(FACTORIALS, 4, resolution=0.25 / _MAX_GRID_POINTS)
+    with pytest.raises(InvalidResolution, match="double spacing"):
+        separation_constant(FACTORIALS, 4, resolution=1e-300)
+    with pytest.raises(InvalidResolution, match="double spacing"):
+        separation_constant(FACTORIALS, 4, resolution=math.ulp(0.5) / 2, theta_min=0.5 - 1e-14)
+    rep = separation_constant(FACTORIALS, 4, resolution=math.ulp(0.5), theta_min=0.5 - 1e-14, refine_steps=0)
+    assert rep.grid_resolution == math.ulp(0.5)
 
 
 # --- grid kernel ------------------------------------------------------------
@@ -226,6 +245,107 @@ def test_f_grid_matches_one_shot_reference(n_terms, n_thetas, seed, scale, thres
     assert np.array_equal(got[exact], want[exact])
     assert np.all(got[~exact] > threshold)
     assert np.all(got[~exact] <= want[~exact])
+
+
+def _separation_reference(seq, K, resolution, refine_steps, theta_min):
+    """separation_constant without the block bound: every grid point, tile by tile, unpruned."""
+    terms_exact = seq.prefix(K)
+    terms = np.asarray(terms_exact, dtype=float)
+    n_K = float(terms[-1])
+    boundary_limited = theta_min is None and n_K <= 1.0
+    if theta_min is None:
+        theta_min = resolution if boundary_limited else 1.0 / (2.0 * n_K)
+    pilot = np.linspace(theta_min, 0.5, 4097)
+    f_pilot = _f_grid(terms, pilot)
+    i = int(np.argmin(f_pilot))
+    best_val, best_theta = float(f_pilot[i]), float(pilot[i])
+    n_points = int(math.floor((0.5 - theta_min) / resolution)) + 1
+    for start in range(0, n_points, _TILE):
+        thetas = theta_min + resolution * np.arange(start, min(start + _TILE, n_points), dtype=float)
+        thetas = thetas[thetas <= 0.5]
+        if thetas.size == 0:
+            continue
+        f = _f_grid(terms, thetas)
+        j = int(np.argmin(f))
+        if f[j] < best_val:
+            best_val, best_theta = float(f[j]), float(thetas[j])
+    grid_min = best_val
+    if refine_steps:
+        lo = max(theta_min, best_theta - resolution)
+        hi = min(0.5, best_theta + resolution)
+        t_ref, f_ref = _ternary_refine(terms, lo, hi, refine_steps)
+        if f_ref < best_val:
+            best_val, best_theta = f_ref, t_ref
+    witness = TorusPoint(Fraction(best_theta))
+    eps_torus = float(_f_exact(terms_exact, witness.theta))
+    return SeparationReport(
+        horizon=K,
+        epsilon_hat=2.0 * math.sin(math.pi * eps_torus),
+        epsilon_hat_torus=eps_torus,
+        witness=witness,
+        grid_resolution=resolution,
+        theta_min=theta_min,
+        lower_bound_torus=max(0.0, grid_min - n_K * resolution / 2.0),
+        boundary_limited=boundary_limited,
+        refine_steps=refine_steps,
+    )
+
+
+_INTEGER_TERMS = st.lists(st.integers(2, 10**7), max_size=40).map(lambda ts: (1,) + tuple(sorted(set(ts))))
+_REAL_TERMS = st.lists(st.floats(1.0, 1e7, exclude_min=True), max_size=40).map(
+    lambda ts: (1.0,) + tuple(sorted(set(ts)))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    terms=st.one_of(_INTEGER_TERMS, _REAL_TERMS),
+    resolution=st.floats(3.0, 5.7).map(lambda e: 10.0 ** -e),
+    refine_steps=st.sampled_from([0, 24]),
+    theta_min=st.one_of(st.none(), st.floats(1e-4, 0.49)),
+)
+@example(terms=(1, 3, 3**40), resolution=1e-5, refine_steps=24, theta_min=None)
+@example(terms=(1, 3, 3**40), resolution=3e-6, refine_steps=0, theta_min=0.01)
+@example(terms=tuple(range(1, 101)), resolution=1e-5, refine_steps=0, theta_min=0.25)
+# every example above ends its grid on a partial block of 64 points
+def test_block_bound_keeps_separation_report(terms, resolution, refine_steps, theta_min):
+    kind = "integer" if isinstance(terms[0], int) else "real"
+    seq = IndexSequence(terms, kind)
+    got = separation_constant(seq, len(terms), resolution, refine_steps, theta_min)
+    assert got == _separation_reference(seq, len(terms), resolution, refine_steps, theta_min)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=st.one_of(
+        st.lists(st.integers(2, 2**62), max_size=80).map(lambda ts: (1,) + tuple(sorted(set(ts)))),
+        st.lists(st.floats(1.0, 1e12, exclude_min=True), max_size=80).map(lambda ts: (1.0,) + tuple(sorted(set(ts)))),
+    ),
+    centre=st.floats(0.0, 0.5),
+    scale=st.floats(0.0, 0.5),
+)
+@example(terms=(1, 3, 3**40), centre=0.3, scale=0.4)
+def test_block_bound_is_below_every_float_point(terms, centre, scale):
+    # the bound must hold for the float f_K the scan computes, rounding included
+    t = np.asarray(terms, dtype=float)
+    half_width = scale / t[:_CHUNK].max()
+    thetas = centre + half_width * np.linspace(-1.0, 1.0, _BLOCK)
+    bound = _TileScan(t, 1).block_bound(np.array([centre]), half_width)[0]
+    assert _f_grid(t, thetas).min() >= bound
+
+
+def test_block_bound_leaves_few_points_to_scan(monkeypatch):
+    arrived = []
+    scan = _TileScan.__call__
+
+    def counting(self, sub, prune_above=None):
+        arrived.append(sub.size)
+        return scan(self, sub, prune_above)
+
+    monkeypatch.setattr(_TileScan, "__call__", counting)
+    rep = separation_constant(IndexSequence.integers_up_to(1000), 1000, resolution=1e-6)
+    n_points = int(math.floor((0.5 - rep.theta_min) / 1e-6)) + 1
+    assert sum(arrived) < n_points / 10
 
 
 def test_separation_scan_memory_bounded_by_tile():
