@@ -20,7 +20,8 @@ every selection, and builds with identical inputs produce identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,7 +40,7 @@ from .errors import (
     SizeMismatch,
     WeightListTooShort,
 )
-from .funm import Power, apply, band_products, node_sets
+from .funm import NodeSet, Power, apply, band_products
 from .sequences import IndexSequence, TorusPoint, chord_distance, near_return_search, unit_diff
 
 __all__ = [
@@ -167,21 +168,7 @@ class LevelBudget:
         return None
 
     def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "gap_ratio_ok": self.gap_ratio_ok,
-            "eigvec_budget_ok": self.eigvec_budget_ok,
-            "tail_sum_ok": self.tail_sum_ok,
-            "gap_value": self.gap_value,
-            "gap_bound": self.gap_bound,
-            "eigvec_a": self.eigvec_a,
-            "eigvec_b": self.eigvec_b,
-            "eigvec_budget": self.eigvec_budget,
-            "tail_max": self.tail_max,
-            "tail_budget": self.tail_budget,
-            "eta_used": self.eta_used,
-            "delta": None if self.delta is None else f"{self.delta.numerator}/{self.delta.denominator}",
-        }
+        return asdict(self)
 
 
 # --- symmetric sums and coefficient rows -----------------------------------------
@@ -198,8 +185,8 @@ def _unit_band_powers(points, exponents) -> list:
     all exponents.
     """
     J = np.diag([p.complex_value() for p in points]) + np.eye(len(points), k=1)
-    sets = node_sets((tuple(p.theta for p in points),))
-    return [apply(J[None], sets, Power(n))[0] for n in exponents]
+    nodes = NodeSet(tuple(p.theta for p in points))
+    return [apply(J[None], nodes, Power(n))[0] for n in exponents]
 
 
 def symmetric_sum(lambdas, m: int) -> complex:
@@ -405,10 +392,6 @@ class ShiftConstruction:
             raise IndexOutOfRange(f"gap index {level} outside 2..{self.levels}")
         return self.gaps[level - 2]
 
-    def gap_for_tail(self, k: int) -> float:
-        # level 1 has no parent; the tail formula treats its gap as 1
-        return 1.0 if k == 1 else self.gap(k)
-
     def alpha(self, i: int, level: int) -> float:
         if i < 1:
             raise IndexOutOfRange(f"fiber index {i} must be >= 1")
@@ -463,7 +446,7 @@ class ShiftConstruction:
         return {
             "sequence": self.seq.to_json_dict(),
             "horizon": self.horizon,
-            "thetas": [f"{p.theta.numerator}/{p.theta.denominator}" for p in self.lambdas],
+            "thetas": [p.theta for p in self.lambdas],
             "thetas_float": [p.as_float() for p in self.lambdas],
             "weights": list(self.schedule.w),
             "gaps": list(self.gaps),
@@ -567,7 +550,9 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
     angle at parent minus delta, and accepts the first candidate that passes
     all three budget predicates re-checked exactly.  Failing levels shrink the
     search target sixteen-fold per round, up to six rounds (SEARCH_ROUNDS),
-    before giving up with the level and predicate that blocked.
+    before giving up with the level and predicate that blocked.  A target
+    below the normal double range (on factorials it underflows to 0 at
+    level 14) stops the build with predicate float_range.
     """
     if L < 2:
         raise ConfigInvalid(f"need at least 2 levels, got {L}")
@@ -589,6 +574,10 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
         accepted = None
         last_failure = None
         for _ in range(SEARCH_ROUNDS):
+            if not eta >= sys.float_info.min:
+                raise BudgetInfeasible(
+                    level, "float_range", f"search target eta = {eta!r} is below the normal double range"
+                )
             candidates = near_return_search(
                 seq, K, eta, max_candidates=4, arc=(Fraction(0), parent.theta)
             )
@@ -645,7 +634,8 @@ class TruncatedOperator:
     of fiber i, the unimodular diagonal plus the band alpha_{i,l} linking
     level l+1 to level l.  A stack cannot couple distinct fibers.  thetas
     holds the exact level angles (turns) that every block's diagonal rounds;
-    an operator built from bare floats leaves it None.
+    an operator built from bare floats leaves it None, and its blocks must
+    then share one diagonal.
     """
 
     blocks: np.ndarray
@@ -669,17 +659,17 @@ class TruncatedOperator:
         return self.blocks - self.diagonal_part()
 
     def exact_angles(self) -> tuple:
-        """Exact angle (turns) of every diagonal entry, one tuple per fiber block.
+        """Exact angle (turns) of every level, shared by all fiber blocks.
 
         Without stored thetas each angle is the exact Fraction of the double
         phase of its diagonal entry.
         """
         if self.thetas is not None:
-            return (tuple(self.thetas),) * self.fibers
-        return tuple(
-            tuple(TorusPoint.from_radians(float(np.angle(z))).theta for z in np.diagonal(block))
-            for block in self.blocks
-        )
+            return tuple(self.thetas)
+        diag = np.diagonal(self.blocks, axis1=1, axis2=2)
+        if np.any(diag != diag[0]):
+            raise PreconditionViolated("fiber blocks built from floats must share one diagonal")
+        return tuple(TorusPoint.from_radians(float(np.angle(z))).theta for z in diag[0])
 
 
 def assemble_operator(cons: ShiftConstruction, L: int, I: int) -> TruncatedOperator:
@@ -803,16 +793,7 @@ class PowerBoundRow:
     analytic_ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n_k": self.n_k,
-            "norm_diff": self.norm_diff,
-            "norm_T": self.norm_T,
-            "analytic_bound": self.analytic_bound,
-            "diff_ok": self.diff_ok,
-            "t_ok": self.t_ok,
-            "analytic_ok": self.analytic_ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -831,14 +812,7 @@ class PowerBoundReport:
         return [(r.k, r.n_k, r.norm_diff, r.norm_T, r.analytic_bound) for r in self.rows]
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "levels": self.levels,
-            "fibers": self.fibers,
-            "all_ok": self.all_ok,
-            "fiber_truncation_bound": self.fiber_truncation_bound,
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
+        return {**asdict(self), "all_ok": self.all_ok}
 
 
 def analytic_power_bound(cons: ShiftConstruction, L: int, n: int) -> float:

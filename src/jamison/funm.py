@@ -11,7 +11,8 @@ error of order n * eps builds up at factorial powers.  Each block is balanced
 by its band products first, so every entry keeps its own relative accuracy.
 
 An operator is anything with a (fibers, L, L) ``blocks`` stack and an
-``exact_angles()`` method giving each block's exact diagonal angles (turns).
+``exact_angles()`` method giving the exact diagonal angles (turns) that every
+block shares.
 """
 
 import numbers
@@ -130,23 +131,14 @@ class Exp(Power):
 
 
 class NodeSet:
-    """Signed exact angles shared by some fiber blocks, with their sorted gaps."""
+    """Signed exact angles shared by the fiber blocks, with their sorted gaps."""
 
-    def __init__(self, row: tuple, fibers: list):
+    def __init__(self, row: tuple):
         self.thetas = tuple(_signed(theta) for theta in row)
-        self.fibers = fibers  # indices of the blocks that carry these angles
         self.order = sorted(range(len(row)), key=self.thetas.__getitem__)
         # exact gap to the previous node in that order, as a float
         self.gaps = [float(self.thetas[cur] - self.thetas[prev]) for prev, cur in zip(self.order, self.order[1:])]
         self.log_diag = np.array([_imag_turns(theta) for theta in self.thetas])  # the diagonal of Log T
-
-
-def node_sets(angle_rows: tuple) -> list:
-    """Group fiber blocks by their exact angles (one group for a constructed operator)."""
-    groups = {}
-    for i, row in enumerate(angle_rows):
-        groups.setdefault(row, []).append(i)
-    return [NodeSet(row, fibers) for row, fibers in groups.items()]
 
 
 def clusters(nodes: NodeSet, scale) -> list:
@@ -279,14 +271,11 @@ def _schur_parlett(blocks: np.ndarray, nodes: NodeSet, f: Power) -> np.ndarray:
     return F * P
 
 
-def apply(blocks: np.ndarray, sets: list, f: Power) -> np.ndarray:
-    """f of every block of a stack, one kernel call per node set."""
+def apply(blocks: np.ndarray, nodes: NodeSet, f: Power) -> np.ndarray:
+    """f of every block of a stack whose blocks share the node set."""
     if np.any(np.tril(blocks, -1)):
         raise PreconditionViolated("fiber blocks must be upper triangular")
-    out = np.empty(blocks.shape, dtype=complex)
-    for nodes in sets:
-        out[nodes.fibers] = _schur_parlett(blocks[nodes.fibers], nodes, f)
-    return out
+    return _schur_parlett(blocks, nodes, f)
 
 
 def exact_time(t) -> Fraction:
@@ -295,4 +284,4 @@ def exact_time(t) -> Fraction:
 
 def operator_power(op, t) -> np.ndarray:
     """T^t = exp(t Log T) on every fiber block of op, t*theta reduced mod 1 exactly."""
-    return apply(op.blocks, node_sets(op.exact_angles()), Power(exact_time(t)))
+    return apply(op.blocks, NodeSet(op.exact_angles()), Power(exact_time(t)))

@@ -16,7 +16,7 @@ numpy alone.
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +30,7 @@ from .errors import (
     PreconditionViolated,
     SpectrumOutsideDomain,
 )
-from .funm import Exp, Log, apply, balancing, clusters, exact_time, node_sets, operator_power
+from .funm import Exp, Log, NodeSet, apply, balancing, clusters, exact_time, operator_power
 from .sequences import IndexSequence
 
 LOG_METHOD = "exact-phase-schur-parlett"
@@ -44,12 +44,12 @@ class MatrixSemigroup:
     base: TruncatedOperator
     generator: np.ndarray  # (fibers, levels, levels) stack, one log per fiber block
     method: str
-    log_clusters: int  # most Taylor clusters in one block's log; 1 means no Parlett step
+    log_clusters: int  # Taylor clusters in the log; 1 means no Parlett step
     roundtrip_error: float = field(default=math.nan)
 
     @functools.cached_property
-    def node_sets(self) -> list:
-        return node_sets(self.base.exact_angles())
+    def nodes(self) -> NodeSet:
+        return NodeSet(self.base.exact_angles())
 
     @property
     def dim(self) -> int:
@@ -94,11 +94,11 @@ def principal_log(op: TruncatedOperator) -> MatrixSemigroup:
         raise SpectrumOutsideDomain(
             f"diagonal entry {worst} has real part <= 1/2; principal branch unsafe"
         )
-    sets = node_sets(op.exact_angles())
-    G = apply(op.blocks, sets, Log())
+    nodes = NodeSet(op.exact_angles())
+    G = apply(op.blocks, nodes, Log())
     G.flags.writeable = False
-    log_clusters = max(len(set(clusters(nodes, 1))) for nodes in sets)
-    back = apply(G, sets, Exp(Fraction(1)))
+    log_clusters = len(set(clusters(nodes, 1)))
+    back = apply(G, nodes, Exp(Fraction(1)))
     roundtrip = operator_norm(back - op.blocks, 2) / max(operator_norm(op.blocks, 2), 1.0)
     return MatrixSemigroup(
         base=op, generator=G, method=LOG_METHOD, log_clusters=log_clusters, roundtrip_error=roundtrip
@@ -114,9 +114,9 @@ def evolve(sg: MatrixSemigroup, t) -> np.ndarray:
     if not math.isfinite(float(t)) or t < 0:
         raise OutOfDomain(f"time parameter must be finite and >= 0, got {t}")
     diag = np.diagonal(sg.generator, axis1=1, axis2=2)
-    if any((diag[nodes.fibers] != nodes.log_diag).any() for nodes in sg.node_sets):
+    if np.any(diag != sg.nodes.log_diag):
         raise PreconditionViolated("generator diagonal is not the exact log spectrum of its base operator")
-    out = apply(sg.generator, sg.node_sets, Exp(exact_time(t)))
+    out = apply(sg.generator, sg.nodes, Exp(exact_time(t)))
     if not np.all(np.isfinite(out)):
         raise OutOfDomain(f"matrix exponential overflowed at t={t}")
     return out
@@ -140,14 +140,7 @@ class LatticeReport:
         return all(r.ok for r in self.rows)
 
     def to_json_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "all_ok": self.all_ok,
-            "rows": [
-                {"k": r.k, "n_k": r.n_k, "rel_err": r.rel_err, "ok": r.ok}
-                for r in self.rows
-            ],
-        }
+        return {**asdict(self), "all_ok": self.all_ok}
 
 
 def check_lattice(sg: MatrixSemigroup, seq: IndexSequence, P: int, tol: float = 1e-8) -> LatticeReport:
@@ -224,24 +217,7 @@ class BoundedReport:
         return all(r.ok for r in self.rows)
 
     def to_json_dict(self) -> dict:
-        return {
-            "grid_sup": self.grid_sup,
-            "certified_sup": self.certified_sup,
-            "sup_along": self.sup_along,
-            "all_ok": self.all_ok,
-            "rows": [
-                {
-                    "k": r.k,
-                    "t_k": r.t_k,
-                    "floor_n": r.floor_n,
-                    "norm_at_t": r.norm_at_t,
-                    "norm_at_floor": r.norm_at_floor,
-                    "bound": r.bound,
-                    "ok": r.ok,
-                }
-                for r in self.rows
-            ],
-        }
+        return {**asdict(self), "all_ok": self.all_ok}
 
 
 def bounded_along(sg: MatrixSemigroup, realseq: IndexSequence, P: int, tol: float = 1e-6) -> BoundedReport:
@@ -287,21 +263,7 @@ class SpectrumReport:
         return self.max_real_part <= self.tol and self.max_deviation <= self.tol
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_real_part": self.max_real_part,
-            "max_deviation": self.max_deviation,
-            "tol": self.tol,
-            "all_ok": self.all_ok,
-            "rows": [
-                {
-                    "expected_imag": r.expected_imag,
-                    "real_part": r.real_part,
-                    "imag_part": r.imag_part,
-                    "deviation": r.deviation,
-                }
-                for r in self.rows
-            ],
-        }
+        return {**asdict(self), "all_ok": self.all_ok}
 
 
 def generator_spectrum_check(sg: MatrixSemigroup, tol: float = 1e-9) -> SpectrumReport:

@@ -86,10 +86,6 @@ class TorusPoint:
         object.__setattr__(self, "theta", self.theta % 1)
 
     @classmethod
-    def from_turns(cls, theta: Angle) -> "TorusPoint":
-        return cls(Fraction(theta))
-
-    @classmethod
     def from_radians(cls, angle: float) -> "TorusPoint":
         return cls(Fraction(angle / TWO_PI))
 
@@ -245,12 +241,12 @@ _CHUNK = 64
 _PRUNED_HEAD = (0, 4, 12, 28, 60)  # chunks of 4, 8, 16 and 32 terms, then 64
 _BLOCK = 64  # grid points per block of separation_constant's Lipschitz bound
 _MAX_GRID_POINTS = 1 << 31  # largest grid separation_constant scans
+_PROFILE_MAX_TERM = 1 << 30  # largest n_h whose profile step 1/(4 n_h) keeps the grid within 2^31 points
 
 
-def _chunk_edges(n_terms: int, pruned: bool) -> list:
+def _chunk_edges(n_terms: int) -> list:
     """Term indices at which the scan's chunks start, with n_terms last."""
-    head = list(_PRUNED_HEAD) if pruned else [0]
-    edges = head + list(range(head[-1] + _CHUNK, n_terms, _CHUNK))
+    edges = list(_PRUNED_HEAD) + list(range(_PRUNED_HEAD[-1] + _CHUNK, n_terms, _CHUNK))
     return [e for e in edges if e < n_terms] + [n_terms]
 
 
@@ -259,15 +255,14 @@ class _TileScan:
 
     Every tile goes through one pair of 64 x tile scratch buffers, so scan
     memory is bounded by the tile, not by the grid resolution or K.  Each
-    entry is t*theta, minus its floor, then min(p, 1 - p), then an exact max:
-    the same float operations in every schedule.  Unpruned, terms go 64 at a
-    time.
+    entry is t*theta, minus its floor, then min(p, 1 - p), then an exact max,
+    so the chunk schedule cannot change a value.
 
-    Pruned, terms go 4, 8, 16, 32, then 64 at a time; after each chunk a
-    theta whose running maximum has crossed the threshold is dropped from
-    its tile.  Its entry is then only a lower bound above the threshold,
-    which is sound for callers hunting minima below it; every entry at or
-    below the threshold is exact.
+    Terms go 4, 8, 16, 32, then 64 at a time; after each chunk a theta whose
+    running maximum has crossed the threshold is dropped from its tile.  Its
+    entry is then only a lower bound above the threshold, which is sound for
+    callers hunting minima below it; every entry at or below the threshold is
+    exact, and an infinite threshold drops nothing.
 
     ``block_bound`` runs the same float operations on block centres instead
     of points, for the Lipschitz lower bound of ``separation_constant``.
@@ -290,8 +285,8 @@ class _TileScan:
         np.minimum(p, q, out=p)
         return p, q
 
-    def __call__(self, sub: np.ndarray, prune_above: Optional[float] = None) -> np.ndarray:
-        edges = _chunk_edges(self.terms.size, prune_above is not None)
+    def __call__(self, sub: np.ndarray, prune_above: float) -> np.ndarray:
+        edges = _chunk_edges(self.terms.size)
         out = np.empty(sub.shape)
         idx = np.arange(sub.size)  # positions of the live thetas within the tile
         run = np.zeros(sub.size)
@@ -299,8 +294,6 @@ class _TileScan:
             p, q = self._norms(lo, hi, sub)
             np.max(p, axis=0, out=q[0])
             np.maximum(run, q[0], out=run)
-            if prune_above is None:
-                continue
             live = run <= prune_above
             if live.all():
                 continue
@@ -331,7 +324,7 @@ class _TileScan:
         return np.subtract(q[0], 2.0 ** -49 * (1.0 + self.terms[:m].max()), out=q[0])
 
 
-def _f_grid(terms: np.ndarray, thetas: np.ndarray, prune_above: Optional[float] = None) -> np.ndarray:
+def _f_grid(terms: np.ndarray, thetas: np.ndarray, prune_above: float = math.inf) -> np.ndarray:
     """f_K over an array of thetas, scanned in tiles of 2^13 points (see _TileScan)."""
     best = np.zeros(thetas.shape, dtype=float)
     scan = _TileScan(terms, min(_TILE, thetas.size))
@@ -630,14 +623,24 @@ def classify_jamison(
 
 
 @functools.lru_cache(maxsize=128)
-def _separation_profile(terms_exact: tuple, K: int, resolution: float) -> tuple:
-    """Separation estimates at sub-horizons ~K/4, K/2, K (cached)."""
+def _separation_profile(terms_exact: tuple, K: int) -> tuple:
+    """Separation estimates at sub-horizons ~K/4, K/2, K (cached).
+
+    Sub-horizon h is scanned at step min(1e-5, 1/(4 n_h)), fine enough to see
+    the near return at 1/n_h (f_h(1/h!) = 1/h on factorials).  A sub-horizon
+    with n_h > 2^30 is left out: its step would put more than 2^31 points on
+    the grid, or, clamped, leave a grid it cannot resolve (on 2^k every point
+    of a 2^-32 grid past K = 32 is dyadic and reads exactly 1/2).
+    """
     kind = "real" if any(isinstance(t, float) for t in terms_exact) else "integer"
     seq = IndexSequence(terms_exact, kind=kind)
     hs = sorted({max(1, math.ceil(K / 4)), max(1, math.ceil(K / 2)), K})
     ests = []
     for h in hs:
-        rep = separation_constant(seq, h, resolution=resolution, refine_steps=24)
+        n_h = float(terms_exact[h - 1])
+        if n_h > _PROFILE_MAX_TERM:
+            break
+        rep = separation_constant(seq, h, resolution=min(1e-5, 0.25 / n_h), refine_steps=24)
         ests.append(rep.epsilon_hat_torus)
     return tuple(zip(hs, ests))
 
@@ -657,7 +660,6 @@ def near_return_search(
     max_candidates: int = 8,
     exclude: Iterable[TorusPoint] = (),
     arc: Optional[tuple] = None,
-    profile_resolution: float = 1e-5,
 ) -> list:
     """Find angles theta with f_K(theta) <= eta (torus units), up to a budget.
 
@@ -745,7 +747,7 @@ def near_return_search(
 
     # Pass 2: constructed witnesses below the resolved floor, profile-gated.
     if len(found) < max_candidates:
-        profile = _separation_profile(terms_exact, K, profile_resolution)
+        profile = _separation_profile(terms_exact, K)
         if _profile_decays(profile):
             m0 = 2 * math.ceil(1.0 / eta_t)
             base = m0 * int(math.ceil(terms_exact[-1]))

@@ -12,6 +12,7 @@ was edited or truncated and raises :class:`ArtifactCorrupt`.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -34,21 +35,6 @@ DECIMAL_DIGITS = 30
 # for gigabytes before any check runs.
 MAX_FIBERS = 4096
 
-_BUDGET_KEYS = (
-    "level",
-    "gap_ratio_ok",
-    "eigvec_budget_ok",
-    "tail_sum_ok",
-    "gap_value",
-    "gap_bound",
-    "eigvec_a",
-    "eigvec_b",
-    "eigvec_budget",
-    "tail_max",
-    "tail_budget",
-    "eta_used",
-)
-
 
 def decimal_string(frac: Fraction, digits: int = DECIMAL_DIGITS) -> str:
     """Decimal rendering of an exact rational, rounded to `digits` significant digits."""
@@ -66,6 +52,8 @@ def fraction_from_string(text: str) -> Fraction:
 
 
 def _json_default(obj):
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
     # numpy scalars: bools and ints are not subclasses of their Python kin
     if isinstance(obj, np.bool_):
         return bool(obj)
@@ -122,9 +110,9 @@ def save_construction(cons: ShiftConstruction, path, fibers: int = 2) -> None:
 
 
 def _budget_from_dict(obj: dict) -> LevelBudget:
-    kwargs = {key: obj[key] for key in _BUDGET_KEYS}
-    raw_delta = obj["delta"]
-    kwargs["delta"] = None if raw_delta is None else fraction_from_string(raw_delta)
+    kwargs = {f.name: obj[f.name] for f in fields(LevelBudget)}
+    if kwargs["delta"] is not None:
+        kwargs["delta"] = fraction_from_string(kwargs["delta"])
     return LevelBudget(**kwargs)
 
 

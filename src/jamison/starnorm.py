@@ -19,7 +19,7 @@ numpy alone.
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -222,15 +222,7 @@ class StarNormValue:
     search: str = ""  # exhaustive | beam | "" when no tuple search ran
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "J": self.J,
-            "K": self.K,
-            "mode": self.mode,
-            "base": self.base,
-            "upper": self.upper,
-            "search": self.search,
-        }
+        return asdict(self)
 
 
 def _factor_table(freqs: tuple, seq: IndexSequence, K: int) -> np.ndarray:
@@ -351,21 +343,7 @@ class TranslationBoundReport:
         return max((r.ratio for r in self.rows), default=0.0)
 
     def to_json_dict(self) -> dict:
-        return {
-            "J": self.J,
-            "K": self.K,
-            "P": self.P,
-            "all_ok": self.all_ok,
-            "max_ratio": self.max_ratio,
-            "rows": [
-                {
-                    "sample": r.sample, "k": r.k, "n_k": r.n_k,
-                    "left": r.left, "right": r.right, "ratio": r.ratio,
-                    "asserted": r.asserted, "ok": r.ok,
-                }
-                for r in self.rows
-            ],
-        }
+        return {**asdict(self), "all_ok": self.all_ok, "max_ratio": self.max_ratio}
 
 
 def verify_translation_bound(
@@ -422,19 +400,7 @@ class DjBoundReport:
         return all(r.ok for r in self.rows)
 
     def to_json_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "xi": self.xi,
-            "d_zero": self.d_zero,
-            "all_ok": self.all_ok,
-            "rows": [
-                {
-                    "j": r.j, "value": r.value, "bound": r.bound,
-                    "method": r.method, "ok": r.ok,
-                }
-                for r in self.rows
-            ],
-        }
+        return {**asdict(self), "all_ok": self.all_ok}
 
 
 def _abs_difference(rows: np.ndarray) -> np.ndarray:

@@ -176,11 +176,58 @@ def test_analyze_integers_reports_separated(workdir, tmp_path):
     assert all(f >= 0.30 for f in floors)
 
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "analyze"
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+def _analyze_case(name: str, seq: IndexSequence, horizons: str) -> tuple:
+    return {f"{name}.json": seq}, [
+        (0, ["analyze", "--sequence", f"{name}.json", "--horizons", horizons,
+             "--resolution", "1e-6", "--out-dir", f"analyze/{name}"]),
+    ]
+
+
+def _ladder_case(L: int, p: str, lift: bool) -> tuple:
+    case, fact = f"ladder/L{L}", IndexSequence.factorials(12)
+    inputs = {"factorials.json": fact}
+    commands = [
+        (0, ["construct", "--sequence", "factorials.json", "--levels", str(L), "--horizon", str(L),
+             "--fibers", "2", "--out", f"{case}/L{L}.json", "--out-dir", f"{case}/construct"]),
+        (0, ["verify", "--construction", f"{case}/L{L}.json", "--p", p, "--powers", str(L),
+             "--out-dir", f"{case}/verify"]),
+    ]
+    if lift:
+        inputs["real.json"] = IndexSequence((1.0,) + tuple(n + 0.5 for n in fact.terms[1:]), "real")
+        commands.append(
+            (0, ["semigroup", "--construction", f"{case}/L{L}.json", "--powers", str(L),
+                 "--real-sequence", "real.json", "--out-dir", f"{case}/semigroup"])
+        )
+    return inputs, commands
+
+
+def _starnorm_case(mode: str, J: int, count: int) -> tuple:
+    return {"factorials.json": IndexSequence.factorials(12)}, [
+        (0, ["starnorm", "--sequence", "factorials.json", "--mode", mode, "--J", str(J), "--K", "6",
+             "--count", str(count), "--seed", "7", "--out-dir", f"starnorm/{mode}"]),
+    ]
+
+
+# case -> (input sequences, [(exit code, argv)]).  Every command writes below
+# the case directory, and every file there is compared with tests/data/<case>.
+# To record a case, call run_golden_case in an empty directory with the code
+# before a change and copy the case directory into tests/data.
 GOLDEN_CASES = {
-    "integers": (IndexSequence.integers_up_to(1000), "10,100,1000"),
-    "factorials": (IndexSequence.factorials(12), "6,8,10"),
-    "powers2": (IndexSequence.powers_of_two(12), "4,8,12"),
+    "analyze/integers": _analyze_case("integers", IndexSequence.integers_up_to(1000), "10,100,1000"),
+    "analyze/factorials": _analyze_case("factorials", IndexSequence.factorials(12), "6,8,10"),
+    "analyze/powers2": _analyze_case("powers2", IndexSequence.powers_of_two(12), "4,8,12"),
+    "ladder/L8": _ladder_case(8, "inf", lift=True),
+    "ladder/L9": _ladder_case(9, "2", lift=False),
+    "construct/powers2": ({"powers2.json": IndexSequence.powers_of_two(12)}, [
+        (3, ["construct", "--sequence", "powers2.json", "--levels", "8", "--horizon", "12",
+             "--out", "construct/powers2/C.json", "--out-dir", "construct/powers2"]),
+    ]),
+    "starnorm/bound": _starnorm_case("bound", 1, 2),
+    "starnorm/pairs": _starnorm_case("pairs", 2, 5),
+    "starnorm/field": _starnorm_case("field", 1, 3),
 }
 
 
@@ -188,20 +235,36 @@ def _without_timestamp(text: str) -> list:
     return [line for line in text.splitlines() if not line.lstrip().startswith('"timestamp"')]
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_analyze_reports_match_golden_bytes(tmp_path, monkeypatch, name):
-    # recorded by the unblocked grid scan; any faster scan must give the same bytes
-    seq, horizons = GOLDEN_CASES[name]
+def run_golden_case(case: str) -> None:
+    """Write the case's inputs to the working directory and run its commands there."""
+    inputs, commands = GOLDEN_CASES[case]
+    Path(case).mkdir(parents=True)
+    for name, seq in inputs.items():
+        save_sequence(seq, name)
+    for rc, argv in commands:
+        assert main(argv) == rc, argv
+
+
+def _artifacts(root: Path) -> dict:
+    """Every file below root by relative path: JSON as lines without the timestamp, the rest as bytes."""
+    return {
+        path.relative_to(root).as_posix(): (
+            _without_timestamp(path.read_text(encoding="utf-8")) if path.suffix == ".json" else path.read_bytes()
+        )
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES), ids=lambda case: case.replace("/", "-"))
+def test_reports_match_golden_bytes(tmp_path, monkeypatch, case):
+    # recorded before each refactor of the scans and records; reports must keep their bytes
     monkeypatch.chdir(tmp_path)
-    save_sequence(seq, f"{name}.json")
-    rc = main([
-        "analyze", "--sequence", f"{name}.json", "--horizons", horizons,
-        "--resolution", "1e-6", "--out-dir", name,
-    ])
-    assert rc == 0
-    report = (tmp_path / name / "report.json").read_text()
-    assert _without_timestamp(report) == _without_timestamp((GOLDEN / name / "report.json").read_text())
-    assert (tmp_path / name / "decay.csv").read_bytes() == (GOLDEN / name / "decay.csv").read_bytes()
+    run_golden_case(case)
+    got, want = _artifacts(tmp_path / case), _artifacts(GOLDEN / case)
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], name
 
 
 @pytest.mark.parametrize("resolution", ["1e-300", "1e-10"])
@@ -250,6 +313,25 @@ def test_construct_on_integers_exits_infeasible(workdir, tmp_path, capsys):
     assert report["level"] <= 3
     assert "infeasible" in capsys.readouterr().err
     assert not (tmp_path / "X.json").exists()
+
+
+@pytest.mark.parametrize("seq, target", [
+    (IndexSequence.factorials(6), 0.0),
+    (IndexSequence.powers_of_two(6), 1e-306),
+])
+def test_construct_refuses_search_targets_below_the_double_range(tmp_path, monkeypatch, capsys, seq, target):
+    # 0.0 is what factorials reach at level 14; on 2^k, 1e-306 finds nothing and
+    # shrinks sixteen-fold into the subnormals by the third round
+    save_sequence(seq, tmp_path / "seq.json")
+    monkeypatch.setattr(jamison.construction, "_level_search_target", lambda *args: target)
+    rc = main([
+        "construct", "--sequence", str(tmp_path / "seq.json"), "--levels", "3", "--horizon", "6",
+        "--out", str(tmp_path / "X.json"), "--out-dir", str(tmp_path),
+    ])
+    assert rc == 3
+    report = read_report(tmp_path)
+    assert (report["status"], report["level"], report["predicate"]) == ("infeasible", 2, "float_range")
+    assert "float_range" in capsys.readouterr().err
 
 
 def test_construct_weight_file(workdir, tmp_path):

@@ -364,6 +364,12 @@ def test_small_build_golden(small_cons):
     assert got == DELTAS_L5
 
 
+def test_build_reaches_level_eleven():
+    # the profile gate resolves 1/n_h, so the sub-resolution witnesses at 1/11! open up
+    cons = build_construction(IndexSequence.factorials(11), L=11, K=11, w=tuple(range(1, 12)))
+    assert cons.certified and cons.levels == 11
+
+
 def test_build_is_deterministic(small_cons):
     again = build_construction(IndexSequence.factorials(6), L=5, K=6, w=(1, 2, 3, 4, 5))
     assert [p.theta for p in again.lambdas] == [p.theta for p in small_cons.lambdas]

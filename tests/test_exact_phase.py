@@ -197,7 +197,7 @@ def test_defective_block_matches_closed_form():
     # T = lam (I + N / lam) with N^2 = 0: T^t = lam^t (I + t N / lam), Log T = Log(lam) I + N / lam
     lam = np.exp(0.2j)
     op = TruncatedOperator(np.array([[lam, 0.1], [0.0, lam]])[None])
-    theta = op.exact_angles()[0][0]
+    theta = op.exact_angles()[0]
     sg = principal_log(op)
     with mp.workdps(60):
         x = _phase(theta)

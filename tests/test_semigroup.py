@@ -78,6 +78,13 @@ def test_log_rejects_left_halfplane_spectrum():
         principal_log(TruncatedOperator(np.diag(angles)[None]))
 
 
+def test_float_blocks_must_share_one_diagonal():
+    # one node set serves every fiber block, so blocks built from floats may not differ there
+    blocks = np.stack([np.diag(np.exp([0.1j, 0.2j])), np.diag(np.exp([0.1j, 0.3j]))])
+    with pytest.raises(PreconditionViolated):
+        principal_log(TruncatedOperator(blocks))
+
+
 def test_defective_block_is_one_cluster():
     # Log(lam (I + N/lam)) = Log(lam) I + N/lam exactly, since N^2 = 0
     lam = np.exp(0.2j)

@@ -418,6 +418,13 @@ def test_near_return_separated_sequence_comes_up_empty():
     assert near_return_search(seq, 100, eta=0.2) == []
 
 
+@pytest.mark.parametrize("K", [24, 40])
+def test_near_return_powers_of_two_keep_the_gate_shut(K):
+    # a profile fine enough to resolve 1/n_h still reads 1/3 on 2^k; past n_h = 2^30 the
+    # sub-horizon is left out rather than scanned on a dyadic grid that reads 1/2 everywhere
+    assert near_return_search(IndexSequence.powers_of_two(K), K, eta=1e-3) == []
+
+
 def test_near_return_vacuous_eta_fills_budget():
     seq = IndexSequence.integers_up_to(100)
     pts = near_return_search(seq, 100, eta=0.5, max_candidates=5)
