@@ -34,7 +34,6 @@ from .errors import (
     BudgetInfeasible,
     BudgetsNotCertified,
     ConfigInvalid,
-    DepthExceedsSequence,
     HorizonExceedsSequence,
     IndexOutOfRange,
     JamisonError,
@@ -52,7 +51,6 @@ _CONFIG_ERRORS = (
     OSError,
     HorizonExceedsSequence,
     PreconditionViolated,
-    DepthExceedsSequence,
     BudgetsNotCertified,
     SpectrumOutsideDomain,
     IndexOutOfRange,

@@ -43,27 +43,6 @@ from .errors import (
 from .funm import NodeSet, Power, apply, band_products
 from .sequences import IndexSequence, TorusPoint, chord_distance, near_return_search, unit_diff
 
-__all__ = [
-    "fiber_map",
-    "WeightSchedule",
-    "LevelBudget",
-    "ShiftConstruction",
-    "TruncatedOperator",
-    "EigenvectorChain",
-    "build_construction",
-    "symmetric_sum",
-    "power_coefficient",
-    "assemble_operator",
-    "eigenvector_chain",
-    "chain_difference_norms",
-    "product_difference",
-    "operator_norm",
-    "matrix_power",
-    "verify_partial_power_bound",
-    "PowerBoundReport",
-    "PowerBoundRow",
-]
-
 
 # --- fiber (parent) index map -------------------------------------------------
 
@@ -720,28 +699,7 @@ def power_coefficient(cons: ShiftConstruction, k: int, l: int, i: int, n: int) -
     return alpha_prod * complex(Jn[k - 1, l - 1])
 
 
-# --- eigenvector chains ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EigenvectorChain:
-    """Fiber-1 eigenvector coefficients c_1..c_n for the level-n eigenvalue."""
-
-    n: int
-    coeffs: tuple
-
-    def padded(self, levels: int) -> np.ndarray:
-        out = np.zeros(levels, dtype=complex)
-        out[: self.n] = self.coeffs
-        return out
-
-
-def eigenvector_chain(cons: ShiftConstruction, n: int) -> EigenvectorChain:
-    """Closed-form chain c_{m+1} = c_m (lambda_n - lambda_m) / alpha_{1,m}, c_1 = 1."""
-    if n < 1 or n > cons.levels:
-        raise IndexOutOfRange(f"chain level {n} outside 1..{cons.levels}")
-    coeffs = _chain_coeffs(cons.lambdas, cons.alphas1, n)
-    return EigenvectorChain(n=n, coeffs=tuple(coeffs))
+# --- eigenvector-chain differences ----------------------------------------------------
 
 
 def chain_difference_norms(cons: ShiftConstruction, n: int) -> tuple:

@@ -49,10 +49,6 @@ class DegenerateInput(JamisonError):
 # --- construction errors -----------------------------------------------------
 
 
-class DepthExceedsSequence(JamisonError):
-    """Construction depth L needs more distinct fibers than the horizon allows."""
-
-
 class InvalidIndex(JamisonError):
     """Fiber bookkeeping is defined for coordinates n >= 2 only."""
 

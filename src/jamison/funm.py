@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OutOfDomain, PreconditionViolated
-from .sequences import TWO_PI, TorusPoint, unit_diff, unit_step
+from .sequences import TorusPoint, turns_to_radians, unit_diff, unit_step
 
 CLUSTER_GAP = 0.1  # radians times max(|t|, 1): closer nodes share a Taylor cluster
 _MAX_TERMS = 400
@@ -41,7 +41,7 @@ def _phase(theta: Fraction) -> complex:
 
 def _imag_turns(theta: Fraction) -> complex:
     """2 pi i theta."""
-    return complex(0.0, TWO_PI * float(theta))
+    return complex(0.0, turns_to_radians(theta))
 
 
 class Power:
@@ -148,7 +148,7 @@ def clusters(nodes: NodeSet, scale) -> list:
     CLUSTER_GAP / (2 pi scale) turns apart share a cluster, so nodes in
     distinct clusters are never closer than that.
     """
-    reach = CLUSTER_GAP / (TWO_PI * float(scale))
+    reach = CLUSTER_GAP / turns_to_radians(scale)
     raw = [0] * len(nodes.thetas)
     for prev, cur, gap in zip(nodes.order, nodes.order[1:], nodes.gaps):
         raw[cur] = raw[prev] + (gap > reach)

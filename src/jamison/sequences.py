@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     ConfigInvalid,
     DegenerateInput,
-    DepthExceedsSequence,
     EmptyHorizons,
     HorizonExceedsSequence,
     InvalidEta,
@@ -87,13 +86,13 @@ class TorusPoint:
 
     @classmethod
     def from_radians(cls, angle: float) -> "TorusPoint":
-        return cls(Fraction(angle / TWO_PI))
+        return cls(Fraction(radians_to_turns(angle)))
 
     def as_float(self) -> float:
         return float(self.theta)
 
     def complex_value(self) -> complex:
-        phi = TWO_PI * float(self.theta)
+        phi = turns_to_radians(self.theta)
         return complex(math.cos(phi), math.sin(phi))
 
     def scaled(self, n: Angle) -> "TorusPoint":
@@ -118,7 +117,7 @@ def unit_diff(a: TorusPoint, b: TorusPoint) -> complex:
     exact angle difference, and the bracket expanded in half-angle form, so the
     result keeps full relative accuracy even when d is far below 1e-16 turns.
     """
-    phi = TWO_PI * float(b.theta)
+    phi = turns_to_radians(b.theta)
     return unit_step(float(a.signed_angle_to(b)), complex(math.cos(phi), math.sin(phi)))
 
 
@@ -134,7 +133,7 @@ class IndexSequence:
     """Strictly increasing index sequence with first term 1.
 
     kind "integer" keeps the terms as ints; kind "real" allows arbitrary
-    reals >= 1, with floor views available through ``integer_parts``.
+    reals >= 1.
     """
 
     terms: tuple
@@ -184,11 +183,6 @@ class IndexSequence:
         if not 1 <= K <= len(self.terms):
             raise HorizonExceedsSequence(f"horizon {K} outside 1..{len(self.terms)}")
         return self.terms[:K]
-
-    @property
-    def integer_parts(self) -> tuple:
-        """Floors of the terms, possibly with repeats (a view, not a sequence)."""
-        return tuple(int(math.floor(t)) for t in self.terms)
 
     # ---- factories -----------------------------------------------------
 
@@ -675,10 +669,11 @@ def near_return_search(
     heuristic; every returned point satisfies f_K(theta) <= eta exactly.
 
     Returns at most max_candidates TorusPoints, none in ``exclude``, sorted by
-    (exact f value, theta).
+    (exact f value, theta).  An eta that is not finite and positive, or whose
+    reciprocal overflows (a subnormal), raises InvalidEta.
     """
-    if not eta > 0:
-        raise InvalidEta(f"eta must be positive, got {eta!r}")
+    if not (eta > 0 and math.isfinite(eta) and math.isfinite(1.0 / eta)):
+        raise InvalidEta(f"eta must be positive with a finite reciprocal, got {eta!r}")
     terms_exact = seq.prefix(K)
     if max_candidates < 1:
         return []
@@ -764,56 +759,6 @@ def near_return_search(
 
 
 # ---------------------------------------------------------------------------
-# integer-part reduction and the shifted check
-# ---------------------------------------------------------------------------
-
-
-def integer_part_reduce(seq: IndexSequence) -> tuple:
-    """Floors of a real sequence, and the companion shifted sequence.
-
-    Returns ((n_k), (1, n_k + 1 for k >= 1)), both deduplicated, sorted, and
-    valid index sequences starting at 1.
-    """
-    if seq.kind != "real":
-        raise PreconditionViolated("integer_part_reduce expects a real-kind sequence")
-    floors = sorted(set(seq.integer_parts))
-    shifted = sorted({1} | {n + 1 for n in floors[1:]})
-    first = IndexSequence(tuple(floors), "integer")
-    second = IndexSequence(tuple(shifted), "integer")
-    return first, second
-
-
-@dataclass(frozen=True)
-class ShiftedSeparationRecord:
-    passed: bool
-    min_slack: float
-    slacks: tuple
-    eps: float
-
-
-def shifted_separation_check(seq: IndexSequence, lam: TorusPoint, eps: float) -> ShiftedSeparationRecord:
-    """Term-by-term check that |lam^{n+1} - 1| >= |lam^n - 1| - eps/2.
-
-    Requires |lam - 1| <= eps/2; under that hypothesis the inequality is an
-    algebraic identity, so the minimal slack should never dip below -1e-12.
-    """
-    if seq.kind != "integer":
-        raise PreconditionViolated("shifted_separation_check expects an integer sequence")
-    base = TorusPoint(Fraction(0))
-    if chord_distance(lam, base) > eps / 2.0 + 1e-15:
-        raise PreconditionViolated("need |lam - 1| <= eps/2")
-    slacks = []
-    for n in seq.terms:
-        lhs = chord_from_torus(lam.theta * (n + 1))
-        rhs = chord_from_torus(lam.theta * n) - eps / 2.0
-        slacks.append(lhs - rhs)
-    min_slack = min(slacks)
-    return ShiftedSeparationRecord(
-        passed=min_slack >= -1e-12, min_slack=min_slack, slacks=tuple(slacks), eps=eps
-    )
-
-
-# ---------------------------------------------------------------------------
 # chord / torus sandwich
 # ---------------------------------------------------------------------------
 
@@ -851,35 +796,8 @@ def chord_torus_bounds_check(samples: Sequence[float]) -> ChordTorusReport:
 
 
 # ---------------------------------------------------------------------------
-# packing and dimension probes
+# dimension probe
 # ---------------------------------------------------------------------------
-
-
-def separated_family(seq: IndexSequence, K: int, eps: float, budget: int) -> list:
-    """Greedy maximal packing of circle points at pairwise d_metric >= eps.
-
-    Iterates a uniform grid of ``budget`` candidate angles over the full
-    circle and keeps every point at distance >= eps from all kept points.
-    d_metric depends only on the angle difference, so it is tabulated once
-    over the grid differences k/budget and the greedy test reads the table.
-    The comparison carries 1e-12 slack so exact boundary packings (chord
-    exactly eps apart) are not lost to rounding.
-    """
-    if eps <= 0.0:
-        raise OutOfDomain(f"eps {eps!r} must be positive")
-    if budget < 1:
-        raise ConfigInvalid("budget must be >= 1")
-    terms = np.asarray(seq.prefix(K), dtype=float)
-    # every difference of grid angles is k / budget for some 0 <= k < budget
-    p = np.multiply.outer(np.arange(budget) / budget, terms) % 1.0
-    np.minimum(p, 1.0 - p, out=p)
-    far = (2.0 * np.sin(math.pi * p)).max(axis=1) >= eps - 1e-12
-
-    kept: list = []
-    for i in range(budget):
-        if all(far[i - j] for j in kept):
-            kept.append(i)
-    return [TorusPoint(Fraction(i, budget)) for i in kept]
 
 
 def box_dimension_estimate(points: Sequence[TorusPoint], scales: Sequence[float]) -> float:
@@ -900,57 +818,3 @@ def box_dimension_estimate(points: Sequence[TorusPoint], scales: Sequence[float]
         counts.append(len(bins))
     slope = float(np.polyfit(np.log(1.0 / np.asarray(scales)), np.log(np.asarray(counts, dtype=float)), 1)[0])
     return min(1.0, max(0.0, slope))
-
-
-def lacunary_digit_points(seq: IndexSequence, depth: int, count: int, rng_seed: int) -> list:
-    """Binary-digit combinations theta = sum a_k / (n_k 2^k), a_k in {0, 1}.
-
-    A deterministic, seeded generator of families that tend to sit d-close for
-    fast-growing sequences; a probe input, with no dimension claim attached.
-    """
-    if depth > len(seq) - 1:
-        raise DepthExceedsSequence(f"depth {depth} needs {depth + 1} terms, have {len(seq)}")
-    if count < 1:
-        raise ConfigInvalid("count must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    digits = rng.integers(0, 2, size=(count, max(depth, 0)))
-    out = []
-    for row in digits:
-        theta = Fraction(0)
-        for k in range(1, depth + 1):
-            if row[k - 1]:
-                theta += Fraction(1, 2 ** k) / Fraction(seq.terms[k])
-        out.append(TorusPoint(theta))
-    return out
-
-
-@dataclass(frozen=True)
-class TwoPointScanReport:
-    pairs: int
-    max_invariance_gap: float
-    min_pair_distance: float
-
-
-def two_point_separation_scan(seq: IndexSequence, K: int, samples: int, rng_seed: int) -> TwoPointScanReport:
-    """Sample pairs and confirm d(a, b) equals d(a - b, 0) numerically.
-
-    The power-sequence metric depends only on the angle difference, so the
-    one-point separation estimate also governs arbitrary pairs; this scan
-    records the observed identity gap and the smallest sampled separation.
-    """
-    if samples < 1:
-        raise ConfigInvalid("samples must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    zero = TorusPoint(Fraction(0))
-    max_gap = 0.0
-    min_d = math.inf
-    for _ in range(samples):
-        a = TorusPoint(Fraction(float(rng.random())))
-        b = TorusPoint(Fraction(float(rng.random())))
-        if a.theta == b.theta:
-            continue
-        d_ab = d_metric(a, b, seq, K)
-        d_diff = d_metric(TorusPoint(a.theta - b.theta), zero, seq, K)
-        max_gap = max(max_gap, abs(d_ab - d_diff))
-        min_d = min(min_d, d_ab)
-    return TwoPointScanReport(pairs=samples, max_invariance_gap=max_gap, min_pair_distance=min_d)

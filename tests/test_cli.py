@@ -468,6 +468,27 @@ def test_semigroup_lift_and_bounded(workdir, tmp_path):
     assert len(lines) == 1 + dim * dim
 
 
+@pytest.mark.parametrize("L", [12, 13])
+def test_deep_ladder_constructs_verifies_and_lifts(tmp_path, L):
+    save_sequence(IndexSequence.factorials(13), tmp_path / "fact13.json")
+    cons = str(tmp_path / "C.json")
+    assert main([
+        "construct", "--sequence", str(tmp_path / "fact13.json"), "--levels", str(L),
+        "--horizon", str(L), "--out", cons, "--out-dir", str(tmp_path / "construct"),
+    ]) == 0
+    assert main([
+        "verify", "--construction", cons, "--p", "2", "--powers", str(L),
+        "--out-dir", str(tmp_path / "verify"),
+    ]) == 0
+    assert main([
+        "semigroup", "--construction", cons, "--powers", str(L),
+        "--out-dir", str(tmp_path / "semigroup"),
+    ]) == 0
+    rows = read_report(tmp_path / "semigroup")["lift"]["lattice"]["rows"]
+    assert len(rows) == L
+    assert max(row["rel_err"] for row in rows) <= 1e-13
+
+
 def test_semigroup_without_real_sequence(workdir, tmp_path):
     rc = main([
         "semigroup", "--construction", str(workdir / "C.json"),

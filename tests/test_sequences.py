@@ -18,20 +18,14 @@ from jamison import (
     chord_torus_bounds_check,
     classify_jamison,
     d_metric,
-    integer_part_reduce,
-    lacunary_digit_points,
     near_return_search,
-    separated_family,
     separation_constant,
-    shifted_separation_check,
     torus_norm,
-    two_point_separation_scan,
     unit_diff,
 )
 from jamison.errors import (
     ConfigInvalid,
     DegenerateInput,
-    DepthExceedsSequence,
     EmptyHorizons,
     HorizonExceedsSequence,
     InvalidEta,
@@ -455,48 +449,16 @@ def test_near_return_validation():
         near_return_search(FACTORIALS, 8, eta=0.0)
     with pytest.raises(OutOfDomain):
         near_return_search(FACTORIALS, 8, eta=0.1, arc=(0.2, 0.9))
+    # the normal doubles at either end stay usable
+    for eta in (1e-300, 1e300):
+        assert len(near_return_search(FACTORIALS, 8, eta=eta)) == 8
 
 
-# --- integer-part reduction -------------------------------------------------
-
-
-def test_integer_part_reduce_examples():
-    a, b = integer_part_reduce(IndexSequence((1, 2.5, 7.9), "real"))
-    assert a.terms == (1, 2, 7) and b.terms == (1, 3, 8)
-    a, b = integer_part_reduce(IndexSequence((1, 2, 3), "real"))
-    assert a.terms == (1, 2, 3) and b.terms == (1, 3, 4)
-    a, b = integer_part_reduce(IndexSequence((1, math.e, math.pi, 10.01), "real"))
-    assert a.terms == (1, 2, 3, 10) and b.terms == (1, 3, 4, 11)
-
-
-def test_integer_part_reduce_requires_real_kind():
-    with pytest.raises(PreconditionViolated):
-        integer_part_reduce(IndexSequence((1, 2, 3), "integer"))
-
-
-# --- shifted separation check ------------------------------------------------
-
-
-def test_shifted_check_at_unit():
-    rec = shifted_separation_check(IndexSequence((1, 2, 4), "integer"), tp(0), eps=0.3)
-    assert rec.passed
-    assert all(s == pytest.approx(0.15, abs=1e-15) for s in rec.slacks)
-
-
-def test_shifted_check_small_angle():
-    rec = shifted_separation_check(IndexSequence((1, 2, 4), "integer"), tp(Fraction(1, 100)), eps=0.5)
-    assert rec.passed and rec.min_slack >= -1e-12
-
-
-def test_shifted_check_factorials():
-    seq = IndexSequence.factorials(6)
-    rec = shifted_separation_check(seq, tp(Fraction(1, 720)), eps=0.1)
-    assert rec.passed and rec.min_slack >= -1e-12
-
-
-def test_shifted_check_precondition():
-    with pytest.raises(PreconditionViolated):
-        shifted_separation_check(IndexSequence((1, 2), "integer"), tp(Fraction(1, 4)), eps=0.1)
+@pytest.mark.parametrize("eta", [float("inf"), 1e-310, 5e-324])
+def test_near_return_refuses_eta_without_finite_reciprocal(eta):
+    # inf has no Fraction; a subnormal's reciprocal overflows in pass 2's ceil(1 / eta)
+    with pytest.raises(InvalidEta):
+        near_return_search(FACTORIALS, 8, eta=eta)
 
 
 # --- chord / torus sandwich ---------------------------------------------------
@@ -523,29 +485,7 @@ def test_chord_torus_domain():
         chord_torus_bounds_check([])
 
 
-# --- packing / dimension probes ----------------------------------------------
-
-
-def test_separated_family_unit_chord_packing():
-    fam = separated_family(IndexSequence((1,), "integer"), 1, 1.0, 600)
-    assert len(fam) == 6
-
-
-def test_separated_family_impossible_eps():
-    fam = separated_family(IndexSequence((1,), "integer"), 1, 2.5, 100)
-    assert len(fam) == 1
-
-
-def test_separated_family_monotone_in_eps():
-    seq = IndexSequence((1,), "integer")
-    sizes = [len(separated_family(seq, 1, eps, 360)) for eps in (0.3, 0.8, 1.3, 1.9)]
-    assert all(b <= a for a, b in zip(sizes, sizes[1:]))
-
-
-def test_separated_family_dominates_base_sequence():
-    n_fact = len(separated_family(IndexSequence.factorials(6), 6, 0.5, 2000))
-    n_base = len(separated_family(IndexSequence((1,), "integer"), 1, 0.5, 2000))
-    assert n_fact >= n_base
+# --- dimension probe ----------------------------------------------------------
 
 
 def test_box_dimension_uniform():
@@ -575,21 +515,6 @@ def test_box_dimension_validation():
         box_dimension_estimate([tp(0), tp(Fraction(1, 2))], [0.1, 0.2])
 
 
-def test_lacunary_digit_points():
-    pts = lacunary_digit_points(FACTORIALS, 0, 3, rng_seed=7)
-    assert all(p.theta == 0 for p in pts)
-    a = lacunary_digit_points(FACTORIALS, 5, 8, rng_seed=11)
-    b = lacunary_digit_points(FACTORIALS, 5, 8, rng_seed=11)
-    assert [p.theta for p in a] == [p.theta for p in b]
-    with pytest.raises(DepthExceedsSequence):
-        lacunary_digit_points(IndexSequence((1, 2), "integer"), 2, 1, rng_seed=0)
-
-
-def test_two_point_scan_translation_invariance():
-    rep = two_point_separation_scan(FACTORIALS, 6, samples=50, rng_seed=3)
-    assert rep.max_invariance_gap <= 1e-9
-
-
 # --- IndexSequence validation -------------------------------------------------
 
 
@@ -604,8 +529,7 @@ def test_index_sequence_validation():
         IndexSequence((), "integer")
     with pytest.raises(ConfigInvalid):
         IndexSequence((1, 2), "weird")
-    real = IndexSequence((1, 2.5, 7.9), "real")
-    assert real.integer_parts == (1, 2, 7)
+    assert IndexSequence((1, 2.5, 7.9), "real").terms == (1.0, 2.5, 7.9)
 
 
 def test_index_sequence_keeps_integers_past_2_53_exact():
