@@ -1,143 +1,52 @@
 """Separation analysis of power sequences, shift-perturbed diagonal operator
 constructions, their matrix semigroup lifts, and the weighted half-line star
-norm used to bound the translation action along a sequence."""
+norm used to bound the translation action along a sequence.
 
-from .construction import (
-    LevelBudget,
-    PowerBoundReport,
-    PowerBoundRow,
-    ShiftConstruction,
-    TruncatedOperator,
-    WeightSchedule,
-    analytic_power_bound,
-    assemble_operator,
-    build_construction,
-    chain_difference_norms,
-    fiber_map,
-    matrix_power,
-    operator_norm,
-    power_coefficient,
-    product_difference,
-    symmetric_sum,
-    verify_partial_power_bound,
-)
-from .semigroup import (
-    BoundedReport,
-    LatticeReport,
-    MatrixSemigroup,
-    SpectrumReport,
-    bounded_along,
-    check_lattice,
-    evolve,
-    generator_spectrum_check,
-    lift_report,
-    principal_log,
-    unit_interval_sup,
-)
-from .starnorm import (
-    DjBoundReport,
-    EigenfieldTable,
-    ExponentialVector,
-    ExpSpan,
-    StarNormValue,
-    TranslationBoundReport,
-    base_norm,
-    dj_bound_check,
-    eigenfield_modulus,
-    star_norm,
-    translate,
-    verify_translation_bound,
-)
-from .serialize import (
-    load_construction,
-    load_sequence,
-    save_construction,
-    save_sequence,
-)
-from .sequences import (
-    INCONCLUSIVE,
-    SEPARATED,
-    VANISHING,
-    ClassificationResult,
-    IndexSequence,
-    SeparationReport,
-    TorusPoint,
-    box_dimension_estimate,
-    chord_distance,
-    chord_torus_bounds_check,
-    classify_jamison,
-    d_metric,
-    near_return_search,
-    radians_to_turns,
-    separation_constant,
-    torus_norm,
-    turns_to_radians,
-    unit_diff,
-)
+Each public name loads its module on first use (PEP 562), so importing the
+package, or running one command of ``jamison.cli``, costs only the modules
+that it touches.
+"""
 
-__all__ = [
-    "INCONCLUSIVE",
-    "SEPARATED",
-    "VANISHING",
-    "BoundedReport",
-    "ClassificationResult",
-    "DjBoundReport",
-    "EigenfieldTable",
-    "ExpSpan",
-    "ExponentialVector",
-    "IndexSequence",
-    "LatticeReport",
-    "LevelBudget",
-    "MatrixSemigroup",
-    "SpectrumReport",
-    "StarNormValue",
-    "TranslationBoundReport",
-    "PowerBoundReport",
-    "PowerBoundRow",
-    "SeparationReport",
-    "ShiftConstruction",
-    "TorusPoint",
-    "TruncatedOperator",
-    "WeightSchedule",
-    "analytic_power_bound",
-    "assemble_operator",
-    "base_norm",
-    "bounded_along",
-    "build_construction",
-    "chain_difference_norms",
-    "check_lattice",
-    "dj_bound_check",
-    "eigenfield_modulus",
-    "evolve",
-    "fiber_map",
-    "generator_spectrum_check",
-    "lift_report",
-    "matrix_power",
-    "operator_norm",
-    "power_coefficient",
-    "principal_log",
-    "product_difference",
-    "radians_to_turns",
-    "star_norm",
-    "symmetric_sum",
-    "translate",
-    "turns_to_radians",
-    "unit_interval_sup",
-    "verify_partial_power_bound",
-    "verify_translation_bound",
-    "box_dimension_estimate",
-    "chord_distance",
-    "chord_torus_bounds_check",
-    "classify_jamison",
-    "d_metric",
-    "load_construction",
-    "load_sequence",
-    "near_return_search",
-    "save_construction",
-    "save_sequence",
-    "separation_constant",
-    "torus_norm",
-    "unit_diff",
-]
+import importlib
+
+# public name -> defining module; the one list of the package surface
+_MODULE_OF = {
+    **dict.fromkeys((
+        "LevelBudget", "PowerBoundReport", "PowerBoundRow", "ShiftConstruction",
+        "TruncatedOperator", "WeightSchedule", "analytic_power_bound",
+        "assemble_operator", "build_construction", "chain_difference_norms",
+        "fiber_map", "matrix_power", "operator_norm", "power_coefficient",
+        "product_difference", "symmetric_sum", "verify_partial_power_bound",
+    ), "construction"),
+    **dict.fromkeys((
+        "BoundedReport", "LatticeReport", "MatrixSemigroup", "SpectrumReport",
+        "bounded_along", "check_lattice", "evolve", "generator_spectrum_check",
+        "lift_report", "principal_log", "unit_interval_sup",
+    ), "semigroup"),
+    **dict.fromkeys((
+        "DjBoundReport", "EigenfieldTable", "ExponentialVector", "ExpSpan",
+        "StarNormValue", "TranslationBoundReport", "base_norm", "dj_bound_check",
+        "eigenfield_modulus", "star_norm", "translate", "verify_translation_bound",
+    ), "starnorm"),
+    **dict.fromkeys((
+        "load_construction", "load_sequence", "save_construction", "save_sequence",
+    ), "serialize"),
+    **dict.fromkeys((
+        "INCONCLUSIVE", "SEPARATED", "VANISHING", "ClassificationResult",
+        "IndexSequence", "SeparationReport", "TorusPoint", "box_dimension_estimate",
+        "chord_distance", "chord_torus_bounds_check", "classify_jamison", "d_metric",
+        "near_return_search", "radians_to_turns", "separation_constant", "torus_norm",
+        "turns_to_radians", "unit_diff",
+    ), "sequences"),
+}
+
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

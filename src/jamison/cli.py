@@ -15,6 +15,10 @@ search proved infeasible at some level.
 
 All artifacts are deterministic functions of the flags and the seed; the only
 field that varies between identical runs is report.json's "timestamp".
+
+Each handler imports the modules its command needs, so a command loads only
+its own part of the package (analyze and report need no more than the
+sequence and serializer modules that this module imports).
 """
 
 from __future__ import annotations
@@ -26,9 +30,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from .construction import assemble_operator, build_construction, verify_partial_power_bound
 from .errors import (
     ArtifactCorrupt,
     BudgetInfeasible,
@@ -40,10 +41,8 @@ from .errors import (
     PreconditionViolated,
     SpectrumOutsideDomain,
 )
-from .semigroup import bounded_along, lift_report, principal_log
 from .sequences import classify_jamison
 from .serialize import MAX_FIBERS, load_construction, load_sequence, read_json, save_construction, write_json
-from .starnorm import ExpSpan, dj_bound_check, eigenfield_modulus, verify_translation_bound
 
 # errors that mean the user asked for something invalid, not that math failed
 _CONFIG_ERRORS = (
@@ -183,10 +182,14 @@ def _resolve_weights(spec: str, levels: int) -> tuple:
 
 
 def _cmd_construct(args) -> int:
+    from .construction import build_construction
+
     seq = load_sequence(args.sequence)
     horizon = args.horizon if args.horizon is not None else len(seq)
     weights = _resolve_weights(args.weights, args.levels)
     out_dir = Path(args.out_dir)
+    # a missing directory for --out is made before the build, not found after it
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     config = {
         "sequence": str(args.sequence),
         "levels": args.levels,
@@ -226,6 +229,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .construction import verify_partial_power_bound
+
     cons, fibers = load_construction(args.construction)
     report = verify_partial_power_bound(cons, cons.levels, fibers, args.powers, args.p)
     out_dir = Path(args.out_dir)
@@ -253,6 +258,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_semigroup(args) -> int:
+    from .construction import assemble_operator
+    from .semigroup import bounded_along, lift_report, principal_log
+
     cons, fibers = load_construction(args.construction)
     op = assemble_operator(cons, cons.levels, fibers)
     sg = principal_log(op)
@@ -289,11 +297,15 @@ def _cmd_semigroup(args) -> int:
     return 0
 
 
-def _starnorm_bound(seq, args, rng):
+def _starnorm_bound(seq, args):
+    import numpy as np
+
+    from .starnorm import ExpSpan, verify_translation_bound
+
     count = 3 if args.count is None else args.count
     if count < 1:
         raise ConfigInvalid(f"sample count {count} must be >= 1")
-    freqs = rng.uniform(0.1, 4.0, size=2 * count)
+    freqs = np.random.default_rng(args.seed).uniform(0.1, 4.0, size=2 * count)
     samples = []
     for i in range(count):
         samples.append(ExpSpan(((1.0 + 0.0j, float(freqs[2 * i])),)))
@@ -314,16 +326,22 @@ def _starnorm_bound(seq, args, rng):
     )
 
 
-def _starnorm_pairs(seq, args, rng):
+def _starnorm_pairs(seq, args):
+    import numpy as np
+
+    from .starnorm import dj_bound_checks
+
     count = 10 if args.count is None else args.count
     if count < 1:
         raise ConfigInvalid(f"sample count {count} must be >= 1")
-    reports = []
+    rng = np.random.default_rng(args.seed)
+    pairs = []
     for _ in range(count):
         eta, xi = np.sort(rng.uniform(0.0, 3.0, size=2))
         if xi - eta < 1e-6:
             xi = eta + 0.5
-        reports.append(dj_bound_check(float(eta), float(xi), seq, args.J, args.K))
+        pairs.append((eta, xi))
+    reports = dj_bound_checks(pairs, seq, args.J, args.K)
     rows = [
         (rep.eta, rep.xi, row.j, row.value, row.bound, row.method, row.ok)
         for rep in reports
@@ -338,10 +356,15 @@ def _starnorm_pairs(seq, args, rng):
     )
 
 
-def _starnorm_field(seq, args, rng):
+def _starnorm_field(seq, args):
+    import numpy as np
+
+    from .starnorm import eigenfield_modulus
+
     count = 6 if args.count is None else args.count
     if count < 2:
         raise ConfigInvalid(f"field mode needs at least 2 frequencies, got {count}")
+    rng = np.random.default_rng(args.seed)
     freqs = sorted(float(x) for x in rng.uniform(0.05, 3.0, size=count))
     table = eigenfield_modulus(seq, freqs, J=args.J, K=args.K)
     return table.to_json_dict(), table.all_ok, (
@@ -353,9 +376,9 @@ def _starnorm_field(seq, args, rng):
 
 def _cmd_starnorm(args) -> int:
     seq = load_sequence(args.sequence)
-    rng = np.random.default_rng(args.seed)
+    # each mode imports what it uses, then draws its samples from --seed
     handler = {"bound": _starnorm_bound, "pairs": _starnorm_pairs, "field": _starnorm_field}[args.mode]
-    result, ok, (csv_name, header, rows) = handler(seq, args, rng)
+    result, ok, (csv_name, header, rows) = handler(seq, args)
     out_dir = Path(args.out_dir)
     _emit_report(out_dir, {
         "command": "starnorm",

@@ -328,13 +328,22 @@ def _f_grid(terms: np.ndarray, thetas: np.ndarray, prune_above: float = math.inf
 
 
 def _f_exact(terms: Sequence, theta: Fraction) -> Fraction:
-    """Exact f_K at an exact angle. Terms may be ints or floats (both exact)."""
-    best = Fraction(0)
+    """Exact f_K at an exact angle. Terms may be ints or floats (both exact).
+
+    With theta = p/q and a term n/d, ||n p / (d q)|| = min(r, dq - r) / (dq)
+    for r = n p mod dq, so the loop runs on integers alone and compares
+    candidates by cross-multiplying; one Fraction is built at the end.
+    """
+    p, q = theta.as_integer_ratio()
+    best_num, best_den = 0, 1
     for t in terms:
-        val = torus_norm(Fraction(t) * theta)
-        if val > best:
-            best = val
-    return best
+        n, d = t.as_integer_ratio()
+        dq = d * q
+        r = n * p % dq
+        num = min(r, dq - r)
+        if num * best_den > best_num * dq:
+            best_num, best_den = num, dq
+    return Fraction(best_num, best_den)
 
 
 def _f_float(terms: np.ndarray, theta: float) -> float:

@@ -16,18 +16,17 @@ from dataclasses import fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .construction import (
-    LevelBudget,
-    ShiftConstruction,
-    WeightSchedule,
-    _alphas_fiber1,
-    _gaps_table,
-)
 from .errors import ArtifactCorrupt, ConfigInvalid
 from .sequences import IndexSequence, TorusPoint
+
+# The construction module loads only when a construction is read back, so
+# commands that handle sequences alone do not pay for importing it.
+if TYPE_CHECKING:
+    from .construction import LevelBudget, ShiftConstruction
 
 DECIMAL_DIGITS = 30
 # Largest fiber truncation I a construction file may carry.  The operator
@@ -110,6 +109,8 @@ def save_construction(cons: ShiftConstruction, path, fibers: int = 2) -> None:
 
 
 def _budget_from_dict(obj: dict) -> LevelBudget:
+    from .construction import LevelBudget
+
     kwargs = {f.name: obj[f.name] for f in fields(LevelBudget)}
     if kwargs["delta"] is not None:
         kwargs["delta"] = fraction_from_string(kwargs["delta"])
@@ -124,6 +125,8 @@ def construction_from_json_dict(obj: dict) -> tuple:
     (JSON round-trips doubles exactly), so a corrupted or hand-edited artifact
     cannot slip through into verification.
     """
+    from .construction import ShiftConstruction, WeightSchedule, _alphas_fiber1, _gaps_table
+
     try:
         seq = IndexSequence.from_json_dict(obj["sequence"])
         thetas = tuple(TorusPoint(fraction_from_string(s)) for s in obj["thetas"])

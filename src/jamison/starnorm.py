@@ -7,7 +7,10 @@ suprema of products of (shift-minus-identity) factors along an index
 sequence.  Shifts act diagonally on exponentials, so every product reduces
 to scalar factors and all searches run over multisets of sequence indices.
 One kernel, _multiset_maxima, walks those multisets for both the star norm
-and the product-difference table d_j, exhaustively or as a beam.
+and the product-difference table d_j, exhaustively or as a beam.  It carries
+a leading batch axis: the spans or frequency pairs of one call (a
+translation table, a pair table, a field table) walk together, and a single
+span or pair is the batch of one.
 
 Frequencies are radians per unit time throughout this module; torus points
 from the sequences module live in turns.  sequences.turns_to_radians /
@@ -30,6 +33,10 @@ from .sequences import IndexSequence
 ROOT_HALF_PI = math.sqrt(math.pi / 2.0)
 EXHAUSTIVE_LIMIT = 20000
 BEAM_WIDTH = 32
+# Items walked together are chunked so that one frontier holds about this
+# many rows, 0.25 MB per complex array of two columns.  Eight times as many
+# rows ran no faster and raised a starnorm command's peak RSS by 7 MB.
+_FRONTIER_ROWS = 1 << 13
 EI_ASYMPTOTIC_FROM = 40.0
 _EPS = sys.float_info.epsilon
 # For finite x every series and continued fraction below converges within
@@ -240,37 +247,71 @@ def _tuple_count(J: int, K: int) -> int:
 
 
 def _multiset_maxima(start, factors, score, orders: int, width: int | None) -> np.ndarray:
-    """Per-order maxima of score(start * prod_k factors[:, k]) over index multisets.
+    """Per-item, per-order maxima of score(start * prod_k factors[:, :, k]) over index multisets.
 
-    Order j runs over the non-decreasing index tuples of length j + 1; score
-    maps (N, M) rows to N non-negative floats.  Each tuple is extended by
-    every index from its last one on, so each multiset is reached once.
-    width=None keeps the whole frontier (exhaustive); otherwise only the
-    width best rows by (-score, last index), stably sorted, are extended.
-    The walk stops early once every frontier row is exactly zero, since all
-    later products are zero too; the remaining maxima stay 0.
+    Item b multiplies its start row start[b] (M,) by columns of factors[b]
+    (M, K); row b of the (B, orders) result holds its maxima.  Order j runs
+    over the non-decreasing index tuples of length j + 1, and each tuple is
+    extended by every index from its last one on, so each multiset is
+    reached once.  score(rows, items) maps the (b, R, M) frontier of the
+    batch slice ``items`` to (b, R) non-negative floats.
+
+    width=None keeps the whole frontier (exhaustive), and every item shares
+    one (parent, last) index plan.  Otherwise each item keeps its width best
+    rows by (-score, last index), stably sorted, and every kept row gets all
+    K children; those below its last index repeat a multiset, so they are
+    marked invalid, sorted after every valid row and scored 0.  The walk
+    stops early once every frontier row is exactly zero, since all later
+    products are zero too; the remaining maxima stay 0.
+
+    Items go through in chunks whose frontiers hold about _FRONTIER_ROWS
+    rows in all.  Every step acts on each item's rows alone, so an item's
+    maxima are the same bits in any batch as in a batch of one.
     """
-    K = factors.shape[1]
-    cols = factors.T
+    B, _, K = factors.shape
+    maxima = np.zeros((B, orders))
+    # an item's largest frontier: its last order's multisets, or the padded beam
+    per_item = math.comb(K + orders - 1, orders) if width is None else width * K
+    step = max(1, _FRONTIER_ROWS // max(1, per_item))
+    for lo in range(0, B, step):
+        items = slice(lo, lo + step)
+        _walk(start[items], np.swapaxes(factors[items], 1, 2),
+              lambda rows, items=items: score(rows, items), maxima[items], width)
+    return maxima
+
+
+def _walk(start, cols, score, maxima, width) -> None:
+    """One chunk of _multiset_maxima: cols is (b, K, M); fills maxima (b, orders) in place."""
+    b, K, M = cols.shape
+    rows = start[:, None, :] * cols
     last = np.arange(K)
-    rows = start * cols
-    maxima = np.zeros(orders)
-    for j in range(orders):
+    valid = True
+    for j in range(maxima.shape[1]):
         if not rows.any():
             break
-        scores = score(rows)
-        maxima[j] = scores.max(initial=0.0)
-        if j + 1 == orders:
+        scores = np.where(valid, score(rows), 0.0)
+        maxima[:, j] = scores.max(axis=1, initial=0.0)
+        if j + 1 == maxima.shape[1]:
             break
-        if width is not None:
-            keep = np.lexsort((last, -scores))[:width]
-            rows, last = rows[keep], last[keep]
-        counts = K - last
-        parent = np.repeat(np.arange(len(last)), counts)
-        first = np.repeat(np.cumsum(counts) - counts, counts)
-        last = last[parent] + np.arange(len(parent)) - first
-        rows = rows[parent] * cols[last]
-    return maxima
+        if width is None:
+            counts = K - last
+            parent = np.repeat(np.arange(len(last)), counts)
+            first = np.repeat(np.cumsum(counts) - counts, counts)
+            last = last[parent] + np.arange(len(parent)) - first
+            rows = rows[:, parent] * cols[:, last]
+            continue
+        # Children are laid out child-major, so a row's frontier position
+        # orders it by (last index, parent rank), and one stable sort on
+        # -score, invalid rows keyed last, gives the (-score, last index)
+        # order that extending the kept rows one by one would.
+        key = np.where(valid, -scores, np.inf)
+        keep = np.argsort(key, axis=1, kind="stable")[:, :width]
+        rows = np.take_along_axis(rows, keep[:, :, None], axis=1)
+        kept_valid = np.take_along_axis(np.broadcast_to(valid, key.shape), keep, axis=1)
+        children = np.arange(K)[:, None]
+        valid = (kept_valid[:, None, :] & (children >= last[keep][:, None, :])).reshape(b, -1)
+        rows = (rows[:, None, :, :] * cols[:, :, None, :]).reshape(b, -1, M)
+        last = np.repeat(np.arange(K), keep.shape[1])
 
 
 def star_norm(v: ExpSpan, seq: IndexSequence, J: int, K: int) -> StarNormValue:
@@ -286,33 +327,50 @@ def star_norm(v: ExpSpan, seq: IndexSequence, J: int, K: int) -> StarNormValue:
     weight from the start: they shrink instead of overflowing at large J,
     and the walk ends once they all underflow to zero.
     """
+    return _star_norms([v], seq, J, K)[0]
+
+
+def _star_norms(spans, seq: IndexSequence, J: int, K: int) -> list:
+    """star_norm of every span at one truncation; searched spans of one width walk together."""
     if J < 0 or K < 0:
         raise ConfigInvalid(f"truncation orders must be >= 0, got J={J} K={K}")
     if K > len(seq):
         raise HorizonExceedsSequence(f"K={K} outside 0..{len(seq)}")
-    if v.is_zero():
-        return StarNormValue(0.0, J, K, "exact-factorized", 0.0, 0.0)
-    base = base_norm(v)
-    if len(v.terms) == 1 or K == 0:
-        # one frequency: scaled suprema are base * (s/4)^(j+1) <= base / 2;
-        # K == 0 leaves no tuples at all
-        return StarNormValue(base, J, K, "exact-factorized", base, base)
-    coeffs = v.coefficients
-    factors = _factor_table(v.frequencies, seq, K)
-    G = _gram(v.frequencies)
+    values = [None] * len(spans)
+    searched = {}  # span width M -> indices of the spans that need the tuple search
+    for i, v in enumerate(spans):
+        if v.is_zero():
+            values[i] = StarNormValue(0.0, J, K, "exact-factorized", 0.0, 0.0)
+        elif len(v.terms) == 1 or K == 0:
+            # one frequency: scaled suprema are base * (s/4)^(j+1) <= base / 2;
+            # K == 0 leaves no tuples at all
+            base = base_norm(v)
+            values[i] = StarNormValue(base, J, K, "exact-factorized", base, base)
+        else:
+            searched.setdefault(len(v.terms), []).append(i)
     exhaustive = _tuple_count(J, K) <= EXHAUSTIVE_LIMIT
-    maxima = _multiset_maxima(
-        coeffs, factors / 4.0, lambda rows: _quadratic_norm(rows, G), J + 1,
-        None if exhaustive else BEAM_WIDTH,
-    )
-    searched = float(maxima.max())
     search = "exhaustive" if exhaustive else "beam"
-    s_max = np.abs(factors).max(axis=1)
-    bound0 = ROOT_HALF_PI * float(np.sum(np.abs(coeffs) * s_max)) / 4.0
-    return StarNormValue(
-        max(base, searched), J, K, "searched-lower-bound",
-        base, max(base, bound0), search,
-    )
+    for group in searched.values():
+        batch = [spans[i] for i in group]
+        coeffs = np.array([v.coefficients for v in batch])
+        factors = np.array([_factor_table(v.frequencies, seq, K) for v in batch])
+        grams = [_gram(v.frequencies) for v in batch]
+
+        # one einsum per item: over a stack of Grams it gives the same
+        # bits but runs about three times slower
+        def score(rows, items, grams=grams):
+            return np.array([_quadratic_norm(r, G) for r, G in zip(rows, grams[items])])
+
+        maxima = _multiset_maxima(coeffs, factors / 4.0, score, J + 1, None if exhaustive else BEAM_WIDTH)
+        for i, v, c, f, m in zip(group, batch, coeffs, factors, maxima):
+            base = base_norm(v)
+            s_max = np.abs(f).max(axis=1)
+            bound0 = ROOT_HALF_PI * float(np.sum(np.abs(c) * s_max)) / 4.0
+            values[i] = StarNormValue(
+                max(base, float(m.max())), J, K, "searched-lower-bound",
+                base, max(base, bound0), search,
+            )
+    return values
 
 
 @dataclass(frozen=True)
@@ -360,12 +418,14 @@ def verify_translation_bound(
     """
     if not 1 <= P <= len(seq):
         raise HorizonExceedsSequence(f"P={P} outside 1..{len(seq)}")
+    samples = list(samples)
+    rights = _star_norms(samples, seq, J + 1, K)
+    lefts = iter(_star_norms([translate(v, n) for v in samples for n in seq.terms[:P]], seq, J, K))
     rows = []
-    for s_i, v in enumerate(samples):
-        right = star_norm(v, seq, J + 1, K)
+    for s_i, (v, right) in enumerate(zip(samples, rights)):
         for k in range(1, P + 1):
             n_k = seq.terms[k - 1]
-            left = star_norm(translate(v, n_k), seq, J, K)
+            left = next(lefts)
             if right.value == 0.0:
                 ratio = 0.0 if left.value == 0.0 else math.inf
             else:
@@ -403,8 +463,8 @@ class DjBoundReport:
         return {**asdict(self), "all_ok": self.all_ok}
 
 
-def _abs_difference(rows: np.ndarray) -> np.ndarray:
-    return np.abs(rows[:, 0] - rows[:, 1])
+def _abs_difference(rows: np.ndarray, items=None) -> np.ndarray:
+    return np.abs(rows[..., 0] - rows[..., 1])
 
 
 def dj_bound_check(
@@ -420,29 +480,37 @@ def dj_bound_check(
     the order-0 maximum, so the base case holds with equality.  J is capped
     where (J+1) 2^J would overflow a double.
     """
+    return dj_bound_checks([(eta, xi)], seq, J, K)[0]
+
+
+def dj_bound_checks(pairs, seq: IndexSequence, J: int, K: int) -> list:
+    """dj_bound_check for every (eta, xi) pair at one truncation, in one batched walk."""
     if J < 0 or K < 0:
         raise ConfigInvalid(f"truncation orders must be >= 0, got J={J} K={K}")
     if J + (J + 1).bit_length() > sys.float_info.max_exp:
         raise ConfigInvalid(f"J={J}: the bound (J+1) 2^J overflows a double")
     if K > len(seq):
         raise HorizonExceedsSequence(f"K={K} outside 0..{len(seq)}")
-    eta, xi = float(eta), float(xi)
-    factors = _factor_table((eta, xi), seq, K)
-    start = np.ones(2, dtype=complex)
+    pairs = [(float(eta), float(xi)) for eta, xi in pairs]
+    factors = np.array([_factor_table(pair, seq, K) for pair in pairs]).reshape(len(pairs), 2, K)
+    start = np.ones((len(pairs), 2), dtype=complex)
     # exhaustive orders form a prefix: the tuple count grows with j
     budget = sum(math.comb(K + j, j + 1) <= EXHAUSTIVE_LIMIT for j in range(4))
     n_exact = J + 1 if K == 0 else min(J + 1, budget)
     values = _multiset_maxima(start, factors, _abs_difference, n_exact, None)
     if n_exact <= J:
         beam = _multiset_maxima(start, factors, _abs_difference, J + 1, BEAM_WIDTH)
-        values = np.concatenate([values, beam[n_exact:]])
-    d_zero = float(values[0])
-    rows = []
-    for j, value in enumerate(values.tolist()):
-        method = "exhaustive" if j < n_exact else "beam"
-        bound = (j + 1) * (2.0 ** j) * d_zero
-        rows.append(DjBoundRow(j, value, bound, method, value <= bound * (1.0 + 1e-12)))
-    return DjBoundReport(eta, xi, d_zero, tuple(rows))
+        values = np.concatenate([values, beam[:, n_exact:]], axis=1)
+    reports = []
+    for (eta, xi), vals in zip(pairs, values):
+        d_zero = float(vals[0])
+        rows = []
+        for j, value in enumerate(vals.tolist()):
+            method = "exhaustive" if j < n_exact else "beam"
+            bound = (j + 1) * (2.0 ** j) * d_zero
+            rows.append(DjBoundRow(j, value, bound, method, value <= bound * (1.0 + 1e-12)))
+        reports.append(DjBoundReport(eta, xi, d_zero, tuple(rows)))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -499,20 +567,19 @@ def eigenfield_modulus(
     if len(freqs) < 2:
         raise ConfigInvalid("need at least two frequencies to tabulate pairs")
     ceiling = ROOT_HALF_PI + 1.0
+    pairs = [(freqs[m], freqs[n]) for m in range(len(freqs)) for n in range(m + 1, len(freqs))]
+    d_zeros = [report.d_zero for report in dj_bound_checks(pairs, seq, 0, K)]
+    diffs = [ExpSpan(((1.0, eta), (-1.0, xi))) for eta, xi in pairs]
+    stars = _star_norms(diffs, seq, J, K)
     rows = []
-    for m in range(len(freqs)):
-        for n in range(m + 1, len(freqs)):
-            eta, xi = freqs[m], freqs[n]
-            diff = ExpSpan(((1.0, eta), (-1.0, xi)))
-            b = base_norm(diff)
-            d0 = dj_bound_check(eta, xi, seq, 0, K).d_zero
-            star = star_norm(diff, seq, J, K)
-            denom = b + d0
-            ratio = star.value / denom if denom > 0 else 0.0
-            rows.append(
-                EigenfieldRow(
-                    eta, xi, b, d0, star.value, star.upper, ratio,
-                    ratio <= ceiling + 1e-9,
-                )
+    for (eta, xi), diff, d0, star in zip(pairs, diffs, d_zeros, stars):
+        b = base_norm(diff)
+        denom = b + d0
+        ratio = star.value / denom if denom > 0 else 0.0
+        rows.append(
+            EigenfieldRow(
+                eta, xi, b, d0, star.value, star.upper, ratio,
+                ratio <= ceiling + 1e-9,
             )
+        )
     return EigenfieldTable(ceiling, tuple(rows))

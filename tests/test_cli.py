@@ -5,6 +5,7 @@ asserted without subprocess overhead.  A shared session directory carries one
 certified construction through construct -> verify -> semigroup.
 """
 
+import importlib
 import json
 import math
 import subprocess
@@ -299,6 +300,17 @@ def test_construct_writes_certified_artifact(workdir):
     assert report["status"] == "certified"
     assert report["construction"]["certified"] is True
     assert (workdir / "C.json").exists()
+
+
+def test_construct_makes_missing_out_directory(workdir, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main([
+        "construct", "--sequence", str(workdir / "fact6.json"), "--levels", "5",
+        "--horizon", "6", "--out", "missing/C.json", "--out-dir", "od",
+    ])
+    assert rc == 0
+    assert (tmp_path / "missing" / "C.json").read_bytes() == (workdir / "C.json").read_bytes()
+    assert read_report(tmp_path / "od")["status"] == "certified"
 
 
 def test_construct_on_integers_exits_infeasible(workdir, tmp_path, capsys):
@@ -670,19 +682,23 @@ def test_different_seed_changes_samples(workdir, tmp_path):
     assert [p["eta"] for p in a] != [p["eta"] for p in b]
 
 
-def _scipy_modules_after(code: str) -> str:
-    """The scipy modules a fresh interpreter holds after running `code`."""
+def _modules_after(code: str, prefix: str) -> list:
+    """The modules of package `prefix` that a fresh interpreter holds after running `code`."""
     src = str(Path(jamison.__file__).resolve().parent.parent)
-    probe = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    probe = f"import json; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {prefix!r})))"
     out = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}; {probe}"],
         capture_output=True, text=True, check=True,
     )
-    return out.stdout.strip().splitlines()[-1]
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _main_code(argv) -> str:
+    return f"from jamison.cli import main; assert main({argv!r}) == 0"
 
 
 def test_cli_import_loads_no_scipy():
-    assert _scipy_modules_after("import jamison.cli") == "[]"
+    assert _modules_after("import jamison.cli", "scipy") == []
 
 
 @pytest.mark.parametrize("mode", ["bound", "field"])
@@ -691,8 +707,7 @@ def test_starnorm_loads_no_scipy(workdir, tmp_path, mode):
         "starnorm", "--sequence", str(workdir / "fact6.json"), "--mode", mode,
         "--J", "1", "--K", "4", "--count", "3", "--out-dir", str(tmp_path),
     ]
-    code = f"from jamison.cli import main; assert main({argv!r}) == 0"
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(_main_code(argv), "scipy") == []
 
 
 def test_semigroup_loads_no_scipy(workdir, tmp_path):
@@ -700,8 +715,48 @@ def test_semigroup_loads_no_scipy(workdir, tmp_path):
         "semigroup", "--construction", str(workdir / "C.json"),
         "--real-sequence", str(workdir / "half.json"), "--powers", "6", "--out-dir", str(tmp_path),
     ]
-    code = f"from jamison.cli import main; assert main({argv!r}) == 0"
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(_main_code(argv), "scipy") == []
+
+
+# what `import jamison.cli` loads; every command adds only its own modules
+_CLI_MODULES = ["jamison", "jamison.cli", "jamison.errors", "jamison.sequences", "jamison.serialize"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    (None, []),
+    ("analyze", []),
+    ("construct", ["construction", "funm"]),
+    ("verify", ["construction", "funm"]),
+    ("semigroup", ["construction", "funm", "semigroup"]),
+    ("starnorm", ["starnorm"]),
+])
+def test_each_command_loads_only_its_modules(workdir, tmp_path, command, extra):
+    fact6, out_dir = str(workdir / "fact6.json"), str(tmp_path)
+    argv = {
+        "analyze": ["analyze", "--sequence", fact6, "--horizons", "4,6", "--resolution", "1e-3"],
+        "construct": ["construct", "--sequence", fact6, "--levels", "5", "--horizon", "6",
+                      "--out", str(tmp_path / "C.json")],
+        "verify": ["verify", "--construction", str(workdir / "C.json"), "--powers", "4"],
+        "semigroup": ["semigroup", "--construction", str(workdir / "C.json"), "--powers", "4"],
+        "starnorm": ["starnorm", "--sequence", fact6, "--mode", "pairs", "--J", "1", "--K", "4", "--count", "2"],
+    }.get(command)
+    code = "import jamison.cli" if argv is None else _main_code(argv + ["--out-dir", out_dir])
+    assert _modules_after(code, "jamison") == sorted(_CLI_MODULES + [f"jamison.{m}" for m in extra])
+
+
+def test_package_import_loads_no_module():
+    assert _modules_after("import jamison", "jamison") == ["jamison"]
+
+
+def test_package_names_resolve_to_their_modules():
+    assert len(set(jamison.__all__)) == len(jamison.__all__)
+    for name in jamison.__all__:
+        module = importlib.import_module(f"jamison.{jamison._MODULE_OF[name]}")
+        value = getattr(jamison, name)
+        assert value is getattr(module, name)
+        assert getattr(value, "__module__", module.__name__) == module.__name__
+    with pytest.raises(AttributeError):
+        jamison.no_such_name
 
 
 def test_package_source_never_names_scipy():

@@ -309,6 +309,31 @@ def test_block_bound_keeps_separation_report(terms, resolution, refine_steps, th
     assert got == _separation_reference(seq, len(terms), resolution, refine_steps, theta_min)
 
 
+def _f_exact_fractions(terms, theta):
+    """The Fraction loop the integer witness recheck replaced."""
+    return max(torus_norm(Fraction(t) * theta) for t in terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=st.one_of(
+        st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=30),
+        st.lists(st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False), min_size=1, max_size=30),
+    ),
+    theta=st.one_of(
+        st.fractions(min_value=-2, max_value=2, max_denominator=10**30),
+        st.floats(-2.0, 2.0).map(Fraction),
+    ),
+)
+@example(terms=[1, 2, 4, 8], theta=Fraction(1, 3))
+@example(terms=[1, 3, 3**40], theta=Fraction(0))
+@example(terms=[1.0, 2.5, 1e-300], theta=Fraction(1, 2))
+def test_f_exact_matches_the_fraction_loop(terms, theta):
+    got = _f_exact(terms, theta)
+    assert isinstance(got, Fraction)
+    assert got == _f_exact_fractions(terms, theta)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     terms=st.one_of(

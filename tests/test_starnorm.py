@@ -21,6 +21,7 @@ from jamison.starnorm import (
     ExpSpan,
     base_norm,
     dj_bound_check,
+    dj_bound_checks,
     eigenfield_modulus,
     star_norm,
     translate,
@@ -244,6 +245,13 @@ def _score_one(score, row):
     return float(score(row[None])[0])
 
 
+def _batched(scores):
+    """Kernel score from one (N, M) -> N score per item."""
+    def score(rows, items):
+        return np.array([f(r) for f, r in zip(scores[items], rows)])
+    return score
+
+
 def _enumerated_maxima(start, factors, score, orders):
     """Brute force: every index multiset of each order, one row at a time."""
     K = factors.shape[1]
@@ -284,28 +292,31 @@ _COMPLEX = st.one_of(
 @given(
     M=st.sampled_from([2, 3]),
     K=st.integers(0, 6),
+    B=st.integers(1, 3),
     orders=st.integers(1, 4),
     width=st.integers(1, 8),
     gram=st.booleans(),
     data=st.data(),
 )
-def test_multiset_maxima_match_references(M, K, orders, width, gram, data):
-    start = np.array(data.draw(st.lists(_COMPLEX, min_size=M, max_size=M)), dtype=complex)
-    flat = data.draw(st.lists(_COMPLEX, min_size=M * K, max_size=M * K))
-    factors = np.array(flat, dtype=complex).reshape(M, K)
-    if gram:
-        freqs = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=M, max_size=M, unique=True))
-        G = _gram(tuple(freqs))
-
-        def score(rows):
-            return _quadratic_norm(rows, G)
-    else:
-        score = _abs_difference
-    exhaustive = _multiset_maxima(start, factors, score, orders, None)
-    assert exhaustive.tolist() == _enumerated_maxima(start, factors, score, orders)
-    beam = _multiset_maxima(start, factors, score, orders, width)
-    assert beam.tolist() == _restart_beam_maxima(start, factors, score, orders, width)
-    assert beam[0] == exhaustive[0]
+def test_multiset_maxima_match_references(M, K, B, orders, width, gram, data):
+    # B items walked together, each with its own start, factors and score
+    starts, factor_sets, scores = [], [], []
+    for _ in range(B):
+        starts.append(np.array(data.draw(st.lists(_COMPLEX, min_size=M, max_size=M)), dtype=complex))
+        flat = data.draw(st.lists(_COMPLEX, min_size=M * K, max_size=M * K))
+        factor_sets.append(np.array(flat, dtype=complex).reshape(M, K))
+        if gram:
+            freqs = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=M, max_size=M, unique=True))
+            scores.append(lambda rows, G=_gram(tuple(freqs)): _quadratic_norm(rows, G))
+        else:
+            scores.append(_abs_difference)
+    start, factors = np.array(starts), np.array(factor_sets)
+    exhaustive = _multiset_maxima(start, factors, _batched(scores), orders, None)
+    beam = _multiset_maxima(start, factors, _batched(scores), orders, width)
+    for b in range(B):
+        assert exhaustive[b].tolist() == _enumerated_maxima(starts[b], factor_sets[b], scores[b], orders)
+        assert beam[b].tolist() == _restart_beam_maxima(starts[b], factor_sets[b], scores[b], orders, width)
+    assert np.all(beam[:, 0] == exhaustive[:, 0])
     assert np.all(beam <= exhaustive)
 
 
@@ -317,9 +328,21 @@ def test_beam_breaks_score_ties_by_last_index():
         [1.0 + 0.5j, 0.5 - 1j, -1.0 - 1j, -1.0 + 1j, 0.5 - 1j, 1.0 - 1j],
     ])
     start = np.ones(2, dtype=complex)
-    beam = _multiset_maxima(start, factors, _abs_difference, 4, 3)
+    beam = _multiset_maxima(start[None], factors[None], _abs_difference, 4, 3)[0]
     assert beam.tolist() == _restart_beam_maxima(start, factors, _abs_difference, 4, 3)
     assert beam[3] == pytest.approx(math.sqrt(12.5))
+
+
+def test_beam_keeps_zero_score_rows_ahead_of_repeated_multisets():
+    # {1, 1} scores |1 - (-1)^2| = 0 yet {1, 1, 1} scores 2; with room for
+    # every valid row, the padded child (1, 0) that repeats {0, 1} must not
+    # take the place of {1, 1}
+    factors = np.array([[[1.0, 1.0], [0.5, -1.0]]], dtype=complex)
+    start = np.ones((1, 2), dtype=complex)
+    beam = _multiset_maxima(start, factors, _abs_difference, 3, 3)[0]
+    assert beam.tolist() == _restart_beam_maxima(start[0], factors[0], _abs_difference, 3, 3)
+    assert beam.tolist() == _enumerated_maxima(start[0], factors[0], _abs_difference, 3)
+    assert beam[2] == 2.0
 
 
 def test_quadratic_norm_rows_match_single_vectors():
@@ -352,13 +375,11 @@ def test_scaled_factors_give_the_weighted_maxima(M, K, J, width, data):
     factors = np.exp(1j * np.array(angles)).reshape(M, K) - 1.0
     freqs = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=M, max_size=M, unique=True))
     G = _gram(tuple(freqs))
-
-    def score(rows):
-        return _quadratic_norm(rows, G)
+    score = _batched([lambda rows: _quadratic_norm(rows, G)])
 
     beam = None if J <= 3 else width
-    plain = _multiset_maxima(start, factors, score, J + 1, beam)
-    scaled = _multiset_maxima(start, factors / 4.0, score, J + 1, beam)
+    plain = _multiset_maxima(start[None], factors[None], score, J + 1, beam)[0]
+    scaled = _multiset_maxima(start[None], factors[None] / 4.0, score, J + 1, beam)[0]
     assert scaled.max() == max(4.0 ** -(j + 1) * m for j, m in enumerate(plain))
 
 
@@ -366,12 +387,12 @@ def test_multiset_walk_stops_at_an_all_zero_frontier():
     # |factor / 4| = 1/2, so every product underflows to zero by order 1076
     calls = []
 
-    def score(rows):
-        calls.append(len(rows))
-        return np.abs(rows[:, 0])
+    def score(rows, items):
+        calls.append(rows.shape[1])
+        return np.abs(rows[..., 0])
 
-    factors = np.full((1, 2), -2.0 + 0.0j) / 4.0
-    maxima = _multiset_maxima(np.ones(1, dtype=complex), factors, score, 5000, BEAM_WIDTH)
+    factors = np.full((1, 1, 2), -2.0 + 0.0j) / 4.0
+    maxima = _multiset_maxima(np.ones((1, 1), dtype=complex), factors, score, 5000, BEAM_WIDTH)[0]
     assert 1070 <= len(calls) <= 1080
     assert maxima[0] == 0.5 and maxima[50] == 2.0 ** -51
     assert not maxima[len(calls):].any()
@@ -482,6 +503,57 @@ def test_eigenfield_identical_frequencies_row(factorial_seq):
     row = tab.rows[0]
     assert row.base == 0.0 and row.d_zero == 0.0 and row.star_searched == 0.0
     assert row.ratio == 0.0 and row.ok
+
+
+# --- batched walks ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("frontier_rows", [None, 500])
+def test_pair_batch_matches_batch_of_one_at_workload_size(monkeypatch, frontier_rows):
+    # J = 6, K = 12 reaches the beam at orders 4..6; 500 rows per chunk splits
+    # the batch into several chunks
+    if frontier_rows is not None:
+        monkeypatch.setattr(starnorm, "_FRONTIER_ROWS", frontier_rows)
+    seq = IndexSequence.factorials(12)
+    rng = np.random.default_rng(3)
+    pairs = [tuple(np.sort(rng.uniform(0.0, 3.0, size=2))) for _ in range(24)]
+    pairs.append((1.25, 1.25))
+    batch = dj_bound_checks(pairs, seq, 6, 12)
+    assert [r.method for r in batch[0].rows] == ["exhaustive"] * 4 + ["beam"] * 3
+    for (eta, xi), report in zip(pairs, batch):
+        assert report == dj_bound_check(eta, xi, seq, 6, 12)
+
+
+@pytest.mark.parametrize("frontier_rows", [None, 500])
+def test_field_batch_matches_batch_of_one_at_workload_size(monkeypatch, frontier_rows):
+    if frontier_rows is not None:
+        monkeypatch.setattr(starnorm, "_FRONTIER_ROWS", frontier_rows)
+    seq = IndexSequence.factorials(12)
+    freqs = sorted(np.random.default_rng(4).uniform(0.05, 3.0, size=8).tolist()) + [3.0, 3.0]
+    table = eigenfield_modulus(seq, freqs, J=3, K=12)
+    pairs = [(a, b) for m, a in enumerate(freqs) for b in freqs[m + 1:]]
+    assert len(table.rows) == len(pairs)
+    for (eta, xi), row in zip(pairs, table.rows):
+        diff = ExpSpan(((1.0, eta), (-1.0, xi)))
+        star = star_norm(diff, seq, 3, 12)
+        assert (row.eta, row.xi, row.base) == (eta, xi, base_norm(diff))
+        assert row.d_zero == dj_bound_check(eta, xi, seq, 0, 12).d_zero
+        assert (row.star_searched, row.star_upper) == (star.value, star.upper)
+
+
+def test_translation_batch_matches_batch_of_one(factorial_seq):
+    samples = [
+        ExpSpan(((1.0, 0.7),)),
+        ExpSpan(((1.0, 0.7), (-1.0, 2.9))),
+        ExpSpan(((1.0, 0.3), (0.5j, 1.1), (-1.0, 2.0))),
+    ]
+    report = verify_translation_bound(factorial_seq, samples, J=1, K=6, P=8)
+    rows = iter(report.rows)
+    for v in samples:
+        right = star_norm(v, factorial_seq, 2, 6)
+        for n_k in factorial_seq.terms:
+            row = next(rows)
+            assert (row.left, row.right) == (star_norm(translate(v, n_k), factorial_seq, 1, 6).value, right.value)
 
 
 def test_eigenfield_needs_two_frequencies(factorial_seq):
