@@ -42,7 +42,7 @@ from .errors import (
     SpectrumOutsideDomain,
 )
 from .sequences import classify_jamison
-from .serialize import MAX_FIBERS, load_construction, load_sequence, read_json, save_construction, write_json
+from .serialize import MAX_FIBERS, check_fibers, load_construction, load_sequence, read_json, save_construction, write_json
 
 # errors that mean the user asked for something invalid, not that math failed
 _CONFIG_ERRORS = (
@@ -188,7 +188,8 @@ def _cmd_construct(args) -> int:
     horizon = args.horizon if args.horizon is not None else len(seq)
     weights = _resolve_weights(args.weights, args.levels)
     out_dir = Path(args.out_dir)
-    # a missing directory for --out is made before the build, not found after it
+    # a bad --fibers or a missing directory for --out is met before the build, not after it
+    check_fibers(args.fibers)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     config = {
         "sequence": str(args.sequence),

@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -76,31 +76,19 @@ def fiber_map(n: int) -> int:
 FIBER_DECAY = 0.5  # weight ratio between consecutive fibers
 
 
-@dataclass(frozen=True)
-class WeightSchedule:
-    """Level weights; the effective per-fiber weight is w_{i,l} = w_l * FIBER_DECAY**i."""
+def level_weights(w, levels: int) -> tuple:
+    """Level weights w_1, w_2, ... as floats: positive, finite, at least `levels` of them.
 
-    w: tuple
-
-    def __post_init__(self):
-        w = tuple(float(x) for x in self.w)
-        if not w:
-            raise ConfigInvalid("weight list is empty")
-        if any(not math.isfinite(x) or x <= 0.0 for x in w):
-            raise ConfigInvalid("all level weights must be positive and finite")
-        object.__setattr__(self, "w", w)
-
-    def level_weight(self, level: int) -> float:
-        """Bare weight w_l, 1-based."""
-        if level < 1 or level > len(self.w):
-            raise IndexOutOfRange(f"weight index {level} outside 1..{len(self.w)}")
-        return self.w[level - 1]
-
-    def fiber_weight(self, i: int, level: int) -> float:
-        """Effective weight w_{i,l} for fiber i >= 1."""
-        if i < 1:
-            raise IndexOutOfRange(f"fiber index {i} must be >= 1")
-        return self.level_weight(level) * FIBER_DECAY ** i
+    The weight of fiber i at level l is w_l * FIBER_DECAY**i.
+    """
+    w = tuple(float(x) for x in w)
+    if not w:
+        raise ConfigInvalid("weight list is empty")
+    if any(not math.isfinite(x) or x <= 0.0 for x in w):
+        raise ConfigInvalid("all level weights must be positive and finite")
+    if len(w) < levels:
+        raise WeightListTooShort(f"{len(w)} weights for {levels} levels")
+    return w
 
 
 # --- budget certificates ---------------------------------------------------------
@@ -185,17 +173,17 @@ def symmetric_sum(lambdas, m: int) -> complex:
     return complex(matrix_power(J, m + r - 1)[0, r - 1])
 
 
-def _suffix_weight_products(schedule: WeightSchedule, level: int) -> dict:
+def _suffix_weight_products(w: tuple, level: int) -> dict:
     """W(k) = w_k * w_{k+1} * ... * w_{level-1} for k = 1..level-1."""
     out = {}
     acc = 1.0
     for k in range(level - 1, 0, -1):
-        acc *= schedule.level_weight(k)
+        acc *= w[k - 1]
         out[k] = acc
     return out
 
 
-def _tail_sum(Jn: np.ndarray, schedule: WeightSchedule, gaps: dict, level: int) -> float:
+def _tail_sum(Jn: np.ndarray, w: tuple, gaps: dict, level: int) -> float:
     """Weighted coefficient tail for one power n at one level, fiber-summed bound.
 
     Jn is J^n over at least the first ``level`` eigenvalues.  Its column
@@ -203,7 +191,7 @@ def _tail_sum(Jn: np.ndarray, schedule: WeightSchedule, gaps: dict, level: int) 
     for k = 1..level-1, with zeros where level - k > n.
     """
     row = np.abs(Jn[: level - 1, level - 1]).tolist()
-    wprod = _suffix_weight_products(schedule, level)
+    wprod = _suffix_weight_products(w, level)
     g_level = gaps[level]
     total = 0.0
     for k in range(level - 1, 0, -1):
@@ -242,11 +230,11 @@ def product_difference(x: TorusPoint, y: TorusPoint, nodes) -> complex:
     return unit_diff(x, y) * total
 
 
-def _alphas_fiber1(gaps: dict, schedule: WeightSchedule, upto: int) -> list:
+def _alphas_fiber1(gaps: dict, w: tuple, upto: int) -> list:
     """Fiber-1 shift weights alpha_{1,l} for l = 1..upto."""
     out = []
     for l in range(1, upto + 1):
-        fw = schedule.fiber_weight(1, l)
+        fw = w[l - 1] * FIBER_DECAY
         if l == 1:
             out.append(fw * gaps[2])
         else:
@@ -290,7 +278,7 @@ def _gaps_table(thetas, upto: int) -> dict:
 def _evaluate_level_budget(
     seq: IndexSequence,
     thetas,
-    schedule: WeightSchedule,
+    w: tuple,
     K: int,
     level: int,
     eta_used: float = float("nan"),
@@ -300,9 +288,9 @@ def _evaluate_level_budget(
     terms = seq.prefix(K)
     gaps = _gaps_table(thetas, level)
     if level >= 3:
-        gap_bound = gaps[level - 1] / (2 ** level * schedule.level_weight(level - 1))
+        gap_bound = gaps[level - 1] / (2 ** level * w[level - 2])
         gap_ok = gaps[level] <= gap_bound
-        alphas1 = _alphas_fiber1(gaps, schedule, level - 1)
+        alphas1 = _alphas_fiber1(gaps, w, level - 1)
         eig_a, eig_b = _chain_difference(thetas, alphas1, level)
         eig_budget = 2.0 ** -(level + 1)
         eig_ok = eig_a <= eig_budget and eig_b <= eig_budget
@@ -313,7 +301,7 @@ def _evaluate_level_budget(
         eig_budget = math.inf
         eig_ok = True
     tail_budget = 2.0 ** (1 - level)
-    tail_max = max(_tail_sum(Jn, schedule, gaps, level) for Jn in _unit_band_powers(thetas[:level], terms))
+    tail_max = max(_tail_sum(Jn, w, gaps, level) for Jn in _unit_band_powers(thetas[:level], terms))
     tail_ok = tail_max <= tail_budget
     return LevelBudget(
         level=level,
@@ -337,22 +325,24 @@ def _evaluate_level_budget(
 
 @dataclass(frozen=True)
 class ShiftConstruction:
-    """All parameters of one truncated operator, with budget certificates.
+    """One truncated operator as chosen: exact level angles, level weights, budget certificates.
 
-    gaps[l-2] is the chord distance from level l to its parent level, for
-    l = 2..L; alphas1[l-1] is the fiber-1 shift weight for l = 1..L-1.  The
-    fiber-i weight follows by multiplying with FIBER_DECAY**(i-1).
+    Every other table is derived from the angles and weights once, on first
+    use: gaps[l-2] is the chord distance from level l to its parent level,
+    for l = 2..L; alphas1[l-1] is the fiber-1 shift weight for l = 1..L-1.
+    The fiber-i weight follows by multiplying with FIBER_DECAY**(i-1).
     """
 
     seq: IndexSequence
     lambdas: tuple
-    schedule: WeightSchedule
+    weights: tuple
     horizon: int
-    gaps: tuple
-    alphas1: tuple
     budgets: tuple
 
     def __post_init__(self):
+        if self.levels < 2:
+            raise ConfigInvalid(f"a construction needs at least two levels, got {self.levels}")
+        object.__setattr__(self, "weights", level_weights(self.weights, self.levels))
         if len(set(p.theta for p in self.lambdas)) != len(self.lambdas):
             raise PreconditionViolated("eigenvalue angles must be pairwise distinct")
         if any(g <= 0.0 for g in self.gaps):
@@ -366,10 +356,17 @@ class ShiftConstruction:
     def certified(self) -> bool:
         return len(self.budgets) == self.levels - 1 and all(b.all_ok for b in self.budgets)
 
-    def gap(self, level: int) -> float:
-        if level < 2 or level > self.levels:
-            raise IndexOutOfRange(f"gap index {level} outside 2..{self.levels}")
-        return self.gaps[level - 2]
+    @cached_property
+    def _gap_of(self) -> dict:
+        return _gaps_table(self.lambdas, self.levels)
+
+    @cached_property
+    def gaps(self) -> tuple:
+        return tuple(self._gap_of.values())
+
+    @cached_property
+    def alphas1(self) -> tuple:
+        return tuple(_alphas_fiber1(self._gap_of, self.weights, self.levels - 1))
 
     def alpha(self, i: int, level: int) -> float:
         if i < 1:
@@ -379,11 +376,8 @@ class ShiftConstruction:
         return self.alphas1[level - 1] * FIBER_DECAY ** (i - 1)
 
     def nuclear_terms(self) -> list:
-        """(level, w_l g_{l+1} / g_l) pairs of the nuclear-series partial sum."""
-        out = [(1, self.schedule.level_weight(1) * self.gap(2))]
-        for l in range(2, self.levels):
-            out.append((l, self.schedule.level_weight(l) * self.gap(l + 1) / self.gap(l)))
-        return out
+        """(level, w_l g_{l+1} / g_l) pairs of the nuclear-series partial sum, with g_1 = 1."""
+        return [(l, a / FIBER_DECAY) for l, a in enumerate(self.alphas1, start=1)]
 
     @property
     def nuclear_partial_sum(self) -> float:
@@ -397,29 +391,15 @@ class ShiftConstruction:
         spectrum satisfies each predicate.  Synthetic well-separated spectra
         will come out uncertified, which is exactly what downstream gates need.
         """
-        schedule = w if isinstance(w, WeightSchedule) else WeightSchedule(tuple(w))
         points = tuple(p if isinstance(p, TorusPoint) else TorusPoint(Fraction(p)) for p in thetas)
-        L = len(points)
-        if L < 2:
-            raise ConfigInvalid("a construction needs at least two levels")
-        if len(schedule.w) < L:
-            raise WeightListTooShort(f"{len(schedule.w)} weights for {L} levels")
+        w = level_weights(w, len(points))
         if horizon < 1 or horizon > len(seq):
             raise HorizonExceedsSequence(f"horizon {horizon} outside 1..{len(seq)}")
-        gaps = _gaps_table(points, L)
         budgets = tuple(
-            _evaluate_level_budget(seq, points, schedule, horizon, level)
-            for level in range(2, L + 1)
+            _evaluate_level_budget(seq, points, w, horizon, level)
+            for level in range(2, len(points) + 1)
         )
-        return cls(
-            seq=seq,
-            lambdas=points,
-            schedule=schedule,
-            horizon=horizon,
-            gaps=tuple(gaps[l] for l in range(2, L + 1)),
-            alphas1=tuple(_alphas_fiber1(gaps, schedule, L - 1)),
-            budgets=budgets,
-        )
+        return cls(seq=seq, lambdas=points, weights=w, horizon=horizon, budgets=budgets)
 
     def to_json_dict(self) -> dict:
         return {
@@ -427,7 +407,7 @@ class ShiftConstruction:
             "horizon": self.horizon,
             "thetas": [p.theta for p in self.lambdas],
             "thetas_float": [p.as_float() for p in self.lambdas],
-            "weights": list(self.schedule.w),
+            "weights": list(self.weights),
             "gaps": list(self.gaps),
             "alphas_fiber1": list(self.alphas1),
             "nuclear_partial_sum": self.nuclear_partial_sum,
@@ -454,19 +434,18 @@ def _chord_to_eta(chord_bound: float) -> float:
     return math.asin(x) / math.pi / 4.0
 
 
-def _level_search_target(seq, thetas, schedule, K, level) -> float:
+def _level_search_target(seq, thetas, w, K, level) -> float:
     """Back-solved eta target making all level predicates attainable."""
     terms = seq.prefix(K)
     if level == 2:
-        w1 = schedule.level_weight(1)
-        return _chord_to_eta(min(2.0, 1.0 / (2.0 * w1)))
+        return _chord_to_eta(min(2.0, 1.0 / (2.0 * w[0])))
     gaps = _gaps_table(thetas, level - 1)
     j = fiber_map(level)
     lam_j = thetas[j - 1]
     # (a) gap recursion
-    g_a = gaps[level - 1] / (2 ** level * schedule.level_weight(level - 1))
+    g_a = gaps[level - 1] / (2 ** level * w[level - 2])
     # (b) eigenvector budgets, linearized in the new gap with a 2x safety factor
-    alphas1 = _alphas_fiber1(gaps, schedule, level - 2)
+    alphas1 = _alphas_fiber1(gaps, w, level - 2)
     budget = 2.0 ** -(level + 1)
     a_slope_sq = 0.0
     for m in range(2, j + 1):
@@ -484,7 +463,7 @@ def _level_search_target(seq, thetas, schedule, K, level) -> float:
         if q != j - 1:
             b_limit *= abs(unit_diff(lam_j, thetas[q]))
     for q in range(1, level):
-        b_limit /= schedule.fiber_weight(1, q)
+        b_limit /= w[q - 1] * FIBER_DECAY
     if b_limit > budget:
         raise BudgetInfeasible(
             level,
@@ -506,7 +485,7 @@ def _level_search_target(seq, thetas, schedule, K, level) -> float:
     if b_slope_sq > 0.0:
         g_b = min(g_b, math.sqrt(max(headroom, 0.0)) / (2.0 * math.sqrt(b_slope_sq)))
     # (c) weighted tail with the binomial estimate for the coefficient sums
-    wprod = _suffix_weight_products(schedule, level)
+    wprod = _suffix_weight_products(w, level)
     worst = 0.0
     for n in terms:
         kmin = max(1, level - n)
@@ -533,15 +512,11 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
     below the normal double range (on factorials it underflows to 0 at
     level 14) stops the build with predicate float_range.
     """
-    if L < 2:
-        raise ConfigInvalid(f"need at least 2 levels, got {L}")
     if seq.kind != "integer":
         raise PreconditionViolated("construction requires an integer sequence; reduce real input first")
     if K < 1 or K > len(seq):
         raise HorizonExceedsSequence(f"horizon {K} outside 1..{len(seq)}")
-    schedule = w if isinstance(w, WeightSchedule) else WeightSchedule(tuple(w))
-    if len(schedule.w) < L:
-        raise WeightListTooShort(f"{len(schedule.w)} weights supplied for {L} levels")
+    w = level_weights(w, L)
 
     theta1 = TorusPoint(Fraction(math.asin(1.0 / 6.0) / math.pi))
     thetas = [theta1]
@@ -549,7 +524,7 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
     for level in range(2, L + 1):
         j = fiber_map(level)
         parent = thetas[j - 1]
-        eta = _level_search_target(seq, thetas, schedule, K, level)
+        eta = _level_search_target(seq, thetas, w, K, level)
         accepted = None
         last_failure = None
         for _ in range(SEARCH_ROUNDS):
@@ -568,7 +543,7 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
                 if any(new_theta == p.theta for p in thetas):
                     continue
                 trial = thetas + [TorusPoint(new_theta)]
-                record = _evaluate_level_budget(seq, trial, schedule, K, level, eta, delta)
+                record = _evaluate_level_budget(seq, trial, w, K, level, eta, delta)
                 if record.all_ok:
                     accepted = (TorusPoint(new_theta), record)
                     break
@@ -589,16 +564,7 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
         thetas.append(accepted[0])
         budgets.append(accepted[1])
 
-    gaps = _gaps_table(thetas, L)
-    return ShiftConstruction(
-        seq=seq,
-        lambdas=tuple(thetas),
-        schedule=schedule,
-        horizon=K,
-        gaps=tuple(gaps[l] for l in range(2, L + 1)),
-        alphas1=tuple(_alphas_fiber1(gaps, schedule, L - 1)),
-        budgets=tuple(budgets),
-    )
+    return ShiftConstruction(seq=seq, lambdas=tuple(thetas), weights=w, horizon=K, budgets=tuple(budgets))
 
 
 # --- matrix assembly and powers ------------------------------------------------------
@@ -786,8 +752,7 @@ def analytic_power_bound(cons: ShiftConstruction, L: int, n: int) -> float:
 
 def _power_tail_bound(cons: ShiftConstruction, L: int, Jn: np.ndarray) -> float:
     """analytic_power_bound from J^n over the first L eigenvalues."""
-    gaps = {l: cons.gap(l) for l in range(2, L + 1)}
-    return sum(_tail_sum(Jn, cons.schedule, gaps, level) for level in range(2, L + 1))
+    return sum(_tail_sum(Jn, cons.weights, cons._gap_of, level) for level in range(2, L + 1))
 
 
 def verify_partial_power_bound(cons: ShiftConstruction, L: int, I: int, P: int, p) -> PowerBoundReport:

@@ -27,11 +27,11 @@ class InvalidResolution(ConfigInvalid):
 
 
 class InvalidEta(ConfigInvalid):
-    """Near-return threshold must be positive."""
+    """Near-return threshold must be positive and finite, with a finite reciprocal."""
 
 
 class EmptyHorizons(ConfigInvalid):
-    """Classification needs at least three horizons."""
+    """Classification was given an empty list of horizons."""
 
 
 class OutOfDomain(JamisonError):

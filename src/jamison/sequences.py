@@ -171,8 +171,6 @@ class IndexSequence:
         for prev, cur in zip(terms, terms[1:]):
             if not cur > prev:
                 raise PreconditionViolated("terms must be strictly increasing")
-        if terms[0] < 1:
-            raise PreconditionViolated("terms must be >= 1")
         object.__setattr__(self, "terms", terms)
 
     def __len__(self) -> int:

@@ -64,9 +64,13 @@ def _json_default(obj):
 
 
 def write_json(path, payload: dict) -> None:
-    """Write a payload with sorted keys so identical runs give identical bytes."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    """Write a payload with sorted keys so identical runs give identical bytes.
+
+    The text streams into the file rather than being built whole in memory.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
 
 
 def read_json(path) -> dict:
@@ -94,10 +98,15 @@ def load_sequence(path) -> IndexSequence:
 # --- constructions -----------------------------------------------------------
 
 
-def construction_to_json_dict(cons: ShiftConstruction, fibers: int = 2) -> dict:
-    """Serializable payload: the construction's own dict plus exact-angle extras."""
+def check_fibers(fibers: int) -> None:
+    """Refuse a fiber truncation I outside 1..MAX_FIBERS."""
     if not 1 <= fibers <= MAX_FIBERS:
         raise ConfigInvalid(f"fiber count {fibers} must be between 1 and {MAX_FIBERS}")
+
+
+def construction_to_json_dict(cons: ShiftConstruction, fibers: int = 2) -> dict:
+    """Serializable payload: the construction's own dict plus exact-angle extras."""
+    check_fibers(fibers)
     obj = cons.to_json_dict()
     obj["thetas_decimal"] = [decimal_string(p.theta) for p in cons.lambdas]
     obj["fibers"] = int(fibers)
@@ -120,26 +129,24 @@ def _budget_from_dict(obj: dict) -> LevelBudget:
 def construction_from_json_dict(obj: dict) -> tuple:
     """Rebuild (construction, fibers) from a stored payload and check integrity.
 
-    The exact angles are the source of truth.  Gap and shift-weight tables are
-    recomputed from them and compared bit-for-bit against the stored floats
-    (JSON round-trips doubles exactly), so a corrupted or hand-edited artifact
-    cannot slip through into verification.
+    The exact angles and the weights are the source of truth.  The gap,
+    shift-weight and nuclear tables the construction derives from them are
+    compared bit-for-bit against the stored floats (JSON round-trips doubles
+    exactly), so a corrupted or hand-edited artifact cannot slip through into
+    verification.
     """
-    from .construction import ShiftConstruction, WeightSchedule, _alphas_fiber1, _gaps_table
+    from .construction import ShiftConstruction
 
     try:
-        seq = IndexSequence.from_json_dict(obj["sequence"])
-        thetas = tuple(TorusPoint(fraction_from_string(s)) for s in obj["thetas"])
-        schedule = WeightSchedule(tuple(obj["weights"]))
         cons = ShiftConstruction(
-            seq=seq,
-            lambdas=thetas,
-            schedule=schedule,
+            seq=IndexSequence.from_json_dict(obj["sequence"]),
+            lambdas=tuple(TorusPoint(fraction_from_string(s)) for s in obj["thetas"]),
+            weights=tuple(obj["weights"]),
             horizon=int(obj["horizon"]),
-            gaps=tuple(float(g) for g in obj["gaps"]),
-            alphas1=tuple(float(a) for a in obj["alphas_fiber1"]),
             budgets=tuple(_budget_from_dict(b) for b in obj["budgets"]),
         )
+        stored_gaps = tuple(float(g) for g in obj["gaps"])
+        stored_alphas = tuple(float(a) for a in obj["alphas_fiber1"])
         stored_floats = [float(x) for x in obj["thetas_float"]]
         stored_certified = bool(obj["certified"])
         stored_nuclear = float(obj["nuclear_partial_sum"])
@@ -151,15 +158,11 @@ def construction_from_json_dict(obj: dict) -> tuple:
             f"bad construction payload: fibers must be a positive integer at most {MAX_FIBERS}, got {fibers!r}"
         )
 
-    L = cons.levels
-    gaps = _gaps_table(thetas, L)
-    expected_gaps = tuple(gaps[l] for l in range(2, L + 1))
-    expected_alphas = tuple(_alphas_fiber1(gaps, schedule, L - 1))
-    if cons.gaps != expected_gaps:
+    if stored_gaps != cons.gaps:
         raise ArtifactCorrupt("stored gap table differs from recomputation over exact angles")
-    if cons.alphas1 != expected_alphas:
+    if stored_alphas != cons.alphas1:
         raise ArtifactCorrupt("stored shift-weight table differs from recomputation")
-    if stored_floats != [p.as_float() for p in thetas]:
+    if stored_floats != [p.as_float() for p in cons.lambdas]:
         raise ArtifactCorrupt("stored float angles differ from the exact angles")
     if stored_certified != cons.certified:
         raise ArtifactCorrupt("stored certification flag contradicts the budget records")

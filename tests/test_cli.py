@@ -133,8 +133,23 @@ def test_retired_schedule_keys_are_ignored(workdir, tmp_path):
     # alphas written under another fiber decay no longer match the recomputation
     obj.update(i_decay=0.25, alphas_fiber1=[a / 2 for a in obj["alphas_fiber1"]])
     (tmp_path / "old.json").write_text(json.dumps(obj))
-    with pytest.raises(ArtifactCorrupt):
+    with pytest.raises(ArtifactCorrupt, match="shift-weight table"):
         load_construction(tmp_path / "old.json")
+
+
+@pytest.mark.parametrize("kept", [0, 3, 4])
+def test_stored_weights_fewer_than_levels_exit_one(workdir, tmp_path, capsys, kept):
+    obj = json.loads((workdir / "C.json").read_text())
+    assert len(obj["thetas"]) == 5
+    obj["weights"] = obj["weights"][:kept]
+    (tmp_path / "short.json").write_text(json.dumps(obj))
+    rc = main([
+        "verify", "--construction", str(tmp_path / "short.json"),
+        "--powers", "3", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_tampered_certified_flag_is_caught(workdir, tmp_path):
@@ -438,6 +453,20 @@ def test_construct_too_many_fibers_exit_one(workdir, tmp_path, capsys):
     assert rc == 1
     assert f"must be between 1 and {MAX_FIBERS}" in capsys.readouterr().err
     assert not (tmp_path / "C.json").exists()
+
+
+def test_construct_checks_fibers_before_the_build(workdir, tmp_path, capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the build ran before --fibers was checked")
+
+    monkeypatch.setattr(jamison.construction, "build_construction", no_build)
+    rc = main([
+        "construct", "--sequence", str(workdir / "fact6.json"), "--levels", "12", "--horizon", "6",
+        "--fibers", "0", "--out", str(tmp_path / "C.json"), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert f"fiber count 0 must be between 1 and {MAX_FIBERS}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_uncertified_construction_is_config_error(workdir, tmp_path):

@@ -12,7 +12,6 @@ import jamison.construction as construction
 from jamison import (
     IndexSequence,
     ShiftConstruction,
-    WeightSchedule,
     analytic_power_bound,
     assemble_operator,
     build_construction,
@@ -119,21 +118,25 @@ def test_fiber_map_invalid():
         fiber_map(2.0)
 
 
-# --- weight schedule ----------------------------------------------------------
+# --- weights ------------------------------------------------------------------
 
 
-def test_weight_schedule_fiber_decay():
-    s = WeightSchedule((1.0, 2.0, 3.0))
-    assert s.fiber_weight(1, 2) == pytest.approx(1.0)
-    assert s.fiber_weight(2, 2) == pytest.approx(0.5)
-    assert s.fiber_weight(3, 1) == pytest.approx(1.0 / 8.0)
-
-
-def test_weight_schedule_validation():
+def test_level_weights_validation():
     with pytest.raises(ConfigInvalid):
-        WeightSchedule(())
+        construction.level_weights((), 0)
     with pytest.raises(ConfigInvalid):
-        WeightSchedule((1.0, -2.0))
+        construction.level_weights((1.0, -2.0), 2)
+    with pytest.raises(WeightListTooShort):
+        construction.level_weights((1.0, 2.0), 3)
+    assert construction.level_weights((1, 2), 2) == (1.0, 2.0)
+
+
+def test_alpha_fiber_decay(synthetic_cons):
+    # alpha_{i,l} = w_l FIBER_DECAY**i g_{l+1} / g_l with w_l = l and g_1 = 1
+    g = dict(enumerate(synthetic_cons.gaps, start=2))
+    assert synthetic_cons.alpha(1, 2) * g[2] / g[3] == pytest.approx(1.0)
+    assert synthetic_cons.alpha(2, 2) * g[2] / g[3] == pytest.approx(0.5)
+    assert synthetic_cons.alpha(3, 1) / g[2] == pytest.approx(1.0 / 8.0)
 
 
 # --- symmetric sums -------------------------------------------------------------
