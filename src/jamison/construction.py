@@ -104,7 +104,8 @@ class LevelBudget:
                coefficient tail <= 2^(1-l)                (levels >= 2)
 
     Level 2 has no gap or eigenvector predicate; those flags are vacuously
-    true there and the measured fields are zero.
+    true there and the measured fields are zero.  Only eigvec_a, eigvec_b,
+    tail_max and eta_used are measured; ``judge`` derives every other field.
     """
 
     level: int
@@ -119,7 +120,7 @@ class LevelBudget:
     tail_max: float
     tail_budget: float
     eta_used: float
-    delta: Fraction | None
+    delta: Fraction
 
     @property
     def all_ok(self) -> bool:
@@ -134,8 +135,38 @@ class LevelBudget:
             return "tail_sum"
         return None
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+    @classmethod
+    def judge(
+        cls, level: int, thetas, gaps: dict, w: tuple,
+        eigvec_a: float, eigvec_b: float, tail_max: float, eta_used: float,
+    ) -> "LevelBudget":
+        """One level's record: bounds, flags and delta judged from its measured values.
+
+        gaps is the gaps_table of the angles through at least this level;
+        eta_used is the search target, NaN where no search ran; delta is the
+        parent angle minus the level angle, exactly.
+        """
+        if level >= 3:
+            gap_bound = gaps[level - 1] / (2 ** level * w[level - 2])
+            eigvec_budget = 2.0 ** -(level + 1)
+        else:
+            gap_bound = eigvec_budget = math.inf
+        tail_budget = 2.0 ** (1 - level)
+        return cls(
+            level=level,
+            gap_ratio_ok=gaps[level] <= gap_bound,
+            eigvec_budget_ok=eigvec_a <= eigvec_budget and eigvec_b <= eigvec_budget,
+            tail_sum_ok=tail_max <= tail_budget,
+            gap_value=gaps[level],
+            gap_bound=gap_bound,
+            eigvec_a=eigvec_a,
+            eigvec_b=eigvec_b,
+            eigvec_budget=eigvec_budget,
+            tail_max=tail_max,
+            tail_budget=tail_budget,
+            eta_used=eta_used,
+            delta=thetas[fiber_map(level) - 1].theta - thetas[level - 1].theta,
+        )
 
 
 # --- symmetric sums and coefficient rows -----------------------------------------
@@ -268,7 +299,8 @@ def _chain_difference(thetas, alphas1, n: int) -> tuple:
 # --- per-level budget evaluation ----------------------------------------------------
 
 
-def _gaps_table(thetas, upto: int) -> dict:
+def gaps_table(thetas, upto: int) -> dict:
+    """Chord distance g_l from level l to its parent level, for l = 2..upto."""
     return {
         l: chord_distance(thetas[l - 1], thetas[fiber_map(l) - 1])
         for l in range(2, upto + 1)
@@ -276,48 +308,16 @@ def _gaps_table(thetas, upto: int) -> dict:
 
 
 def _evaluate_level_budget(
-    seq: IndexSequence,
-    thetas,
-    w: tuple,
-    K: int,
-    level: int,
-    eta_used: float = float("nan"),
-    delta: Fraction | None = None,
+    seq: IndexSequence, thetas, w: tuple, K: int, level: int, eta_used: float = float("nan")
 ) -> LevelBudget:
-    """Measure all three placement predicates at one level against live angles."""
-    terms = seq.prefix(K)
-    gaps = _gaps_table(thetas, level)
+    """Measure the eigenvector chain and the coefficient tail at one level, then judge them."""
+    gaps = gaps_table(thetas, level)
     if level >= 3:
-        gap_bound = gaps[level - 1] / (2 ** level * w[level - 2])
-        gap_ok = gaps[level] <= gap_bound
-        alphas1 = _alphas_fiber1(gaps, w, level - 1)
-        eig_a, eig_b = _chain_difference(thetas, alphas1, level)
-        eig_budget = 2.0 ** -(level + 1)
-        eig_ok = eig_a <= eig_budget and eig_b <= eig_budget
+        eig_a, eig_b = _chain_difference(thetas, _alphas_fiber1(gaps, w, level - 1), level)
     else:
-        gap_bound = math.inf
-        gap_ok = True
         eig_a = eig_b = 0.0
-        eig_budget = math.inf
-        eig_ok = True
-    tail_budget = 2.0 ** (1 - level)
-    tail_max = max(_tail_sum(Jn, w, gaps, level) for Jn in _unit_band_powers(thetas[:level], terms))
-    tail_ok = tail_max <= tail_budget
-    return LevelBudget(
-        level=level,
-        gap_ratio_ok=gap_ok,
-        eigvec_budget_ok=eig_ok,
-        tail_sum_ok=tail_ok,
-        gap_value=gaps[level],
-        gap_bound=gap_bound,
-        eigvec_a=eig_a,
-        eigvec_b=eig_b,
-        eigvec_budget=eig_budget,
-        tail_max=tail_max,
-        tail_budget=tail_budget,
-        eta_used=eta_used,
-        delta=delta,
-    )
+    tail_max = max(_tail_sum(Jn, w, gaps, level) for Jn in _unit_band_powers(thetas[:level], seq.prefix(K)))
+    return LevelBudget.judge(level, thetas, gaps, w, eig_a, eig_b, tail_max, eta_used)
 
 
 # --- the construction record ----------------------------------------------------------
@@ -331,6 +331,8 @@ class ShiftConstruction:
     use: gaps[l-2] is the chord distance from level l to its parent level,
     for l = 2..L; alphas1[l-1] is the fiber-1 shift weight for l = 1..L-1.
     The fiber-i weight follows by multiplying with FIBER_DECAY**(i-1).
+    budgets[l-2] is level l's LevelBudget, judged from its measured values;
+    the file format of a record belongs to ``jamison.serialize``.
     """
 
     seq: IndexSequence
@@ -343,6 +345,8 @@ class ShiftConstruction:
         if self.levels < 2:
             raise ConfigInvalid(f"a construction needs at least two levels, got {self.levels}")
         object.__setattr__(self, "weights", level_weights(self.weights, self.levels))
+        if not 1 <= self.horizon <= len(self.seq):
+            raise HorizonExceedsSequence(f"horizon {self.horizon} outside 1..{len(self.seq)}")
         if len(set(p.theta for p in self.lambdas)) != len(self.lambdas):
             raise PreconditionViolated("eigenvalue angles must be pairwise distinct")
         if any(g <= 0.0 for g in self.gaps):
@@ -358,7 +362,7 @@ class ShiftConstruction:
 
     @cached_property
     def _gap_of(self) -> dict:
-        return _gaps_table(self.lambdas, self.levels)
+        return gaps_table(self.lambdas, self.levels)
 
     @cached_property
     def gaps(self) -> tuple:
@@ -390,30 +394,16 @@ class ShiftConstruction:
         No search happens here; the budgets simply record whether the supplied
         spectrum satisfies each predicate.  Synthetic well-separated spectra
         will come out uncertified, which is exactly what downstream gates need.
+        Each budget records eta_used as NaN and its exact delta, the parent
+        angle minus the level angle, as a built one does.
         """
         points = tuple(p if isinstance(p, TorusPoint) else TorusPoint(Fraction(p)) for p in thetas)
         w = level_weights(w, len(points))
-        if horizon < 1 or horizon > len(seq):
-            raise HorizonExceedsSequence(f"horizon {horizon} outside 1..{len(seq)}")
         budgets = tuple(
             _evaluate_level_budget(seq, points, w, horizon, level)
             for level in range(2, len(points) + 1)
         )
         return cls(seq=seq, lambdas=points, weights=w, horizon=horizon, budgets=budgets)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sequence": self.seq.to_json_dict(),
-            "horizon": self.horizon,
-            "thetas": [p.theta for p in self.lambdas],
-            "thetas_float": [p.as_float() for p in self.lambdas],
-            "weights": list(self.weights),
-            "gaps": list(self.gaps),
-            "alphas_fiber1": list(self.alphas1),
-            "nuclear_partial_sum": self.nuclear_partial_sum,
-            "certified": self.certified,
-            "budgets": [b.to_json_dict() for b in self.budgets],
-        }
 
 
 # --- adaptive build ---------------------------------------------------------------------
@@ -439,7 +429,7 @@ def _level_search_target(seq, thetas, w, K, level) -> float:
     terms = seq.prefix(K)
     if level == 2:
         return _chord_to_eta(min(2.0, 1.0 / (2.0 * w[0])))
-    gaps = _gaps_table(thetas, level - 1)
+    gaps = gaps_table(thetas, level - 1)
     j = fiber_map(level)
     lam_j = thetas[j - 1]
     # (a) gap recursion
@@ -536,14 +526,13 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
                 seq, K, eta, max_candidates=4, arc=(Fraction(0), parent.theta)
             )
             for point in candidates:
-                delta = point.theta
-                new_theta = parent.theta - delta
+                new_theta = parent.theta - point.theta
                 if not 0 < new_theta < theta1.theta:
                     continue
                 if any(new_theta == p.theta for p in thetas):
                     continue
                 trial = thetas + [TorusPoint(new_theta)]
-                record = _evaluate_level_budget(seq, trial, w, K, level, eta, delta)
+                record = _evaluate_level_budget(seq, trial, w, K, level, eta)
                 if record.all_ok:
                     accepted = (TorusPoint(new_theta), record)
                     break

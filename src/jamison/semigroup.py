@@ -35,6 +35,8 @@ from .sequences import IndexSequence
 
 LOG_METHOD = "exact-phase-schur-parlett"
 UNIT_GRID_POINTS = 64
+BOUNDED_TOL = 1e-6  # relative slack of the floor-power bound in bounded_along
+SPECTRUM_TOL = 1e-9  # largest real part and deviation a generator eigenvalue may show
 
 
 @dataclass(frozen=True)
@@ -179,14 +181,14 @@ def check_lattice(sg: MatrixSemigroup, seq: IndexSequence, P: int, tol: float = 
     return LatticeReport(tol, tuple(rows))
 
 
-def unit_interval_sup(sg: MatrixSemigroup, points: int = UNIT_GRID_POINTS):
+def unit_interval_sup(sg: MatrixSemigroup):
     """Grid maximum of ||exp(sG)|| over [0,1] plus a Lipschitz certificate.
 
     The derivative bound ||G|| e^{||G||} turns the grid max into a bound on
     the true supremum within half a grid step times that constant.
     """
     norm_G = operator_norm(sg.generator, 2)
-    grid = np.linspace(0.0, 1.0, points)
+    grid = np.linspace(0.0, 1.0, UNIT_GRID_POINTS)
     vals = [operator_norm(evolve(sg, s), 2) for s in grid]
     grid_max = max(vals)
     half_step = 0.5 * (grid[1] - grid[0])
@@ -220,7 +222,7 @@ class BoundedReport:
         return {**asdict(self), "all_ok": self.all_ok}
 
 
-def bounded_along(sg: MatrixSemigroup, realseq: IndexSequence, P: int, tol: float = 1e-6) -> BoundedReport:
+def bounded_along(sg: MatrixSemigroup, realseq: IndexSequence, P: int) -> BoundedReport:
     """Norms along a real sequence against the floor-power factorization.
 
     Writing t = n + s with n the integer part and s in [0,1), the family
@@ -237,7 +239,7 @@ def bounded_along(sg: MatrixSemigroup, realseq: IndexSequence, P: int, tol: floa
         n_k = int(math.floor(t_k))
         norm_t = operator_norm(evolve(sg, t_k), 2)
         norm_floor = operator_norm(evolve(sg, n_k), 2)
-        bound = grid_sup * norm_floor * (1.0 + tol)
+        bound = grid_sup * norm_floor * (1.0 + BOUNDED_TOL)
         sup_along = max(sup_along, norm_t)
         rows.append(BoundedRow(k, t_k, n_k, norm_t, norm_floor, bound, norm_t <= bound))
     return BoundedReport(grid_sup, certified_sup, sup_along, tuple(rows))
@@ -266,7 +268,7 @@ class SpectrumReport:
         return {**asdict(self), "all_ok": self.all_ok}
 
 
-def generator_spectrum_check(sg: MatrixSemigroup, tol: float = 1e-9) -> SpectrumReport:
+def generator_spectrum_check(sg: MatrixSemigroup) -> SpectrumReport:
     """Generator eigenvalues against i times the diagonal phase angles.
 
     Each diagonal entry of T contributes its principal argument once per
@@ -283,7 +285,7 @@ def generator_spectrum_check(sg: MatrixSemigroup, tol: float = 1e-9) -> Spectrum
         max_real = max(max_real, float(abs(got.real)))
         max_dev = max(max_dev, dev)
         rows.append(SpectrumRow(want, float(got.real), float(got.imag), dev))
-    return SpectrumReport(max_real, max_dev, tol, tuple(rows))
+    return SpectrumReport(max_real, max_dev, SPECTRUM_TOL, tuple(rows))
 
 
 def lift_report(sg: MatrixSemigroup, seq: IndexSequence, P: int) -> dict:

@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -659,14 +659,15 @@ def near_return_search(
     K: int,
     eta: float,
     max_candidates: int = 8,
-    exclude: Iterable[TorusPoint] = (),
     arc: Optional[tuple] = None,
 ) -> list:
     """Find angles theta with f_K(theta) <= eta (torus units), up to a budget.
 
-    Runs a multi-resolution grid descent over the resolved domain
-    [1/(2 n_K), 1/2] intersected with ``arc``.  When that comes up short, and
-    only when the sequence's own separation profile at sub-horizons decays
+    Runs a multi-resolution grid descent, one octave band at a time, over
+    the resolved domain [1/(2 n_K), 1/2] intersected with ``arc``; since
+    t_1 = 1 gives f_K(theta) >= theta, it stops before the first band above
+    1.25 eta, where no grid hit can lie.  When that comes up short, and only
+    when the sequence's own separation profile at sub-horizons decays
     (evidence that small f values are a feature of the sequence rather than an
     artifact of theta being below the horizon's resolution), the search admits
     constructed sub-resolution witnesses theta = 1/(m * n_K * 2^j), each
@@ -674,10 +675,12 @@ def near_return_search(
     so a separated family returns an empty list rather than the vacuous tiny
     angles every sequence has below 1/(2 n_K).  This gate is a documented
     heuristic; every returned point satisfies f_K(theta) <= eta exactly.
+    Deep in a construction 1.25 eta falls below 1/(2 n_K), and the offsets
+    come from the witnesses alone.
 
-    Returns at most max_candidates TorusPoints, none in ``exclude``, sorted by
-    (exact f value, theta).  An eta that is not finite and positive, or whose
-    reciprocal overflows (a subnormal), raises InvalidEta.
+    Returns at most max_candidates TorusPoints, sorted by (exact f value,
+    theta).  An eta that is not finite and positive, or whose reciprocal
+    overflows (a subnormal), raises InvalidEta.
     """
     if not (eta > 0 and math.isfinite(eta) and math.isfinite(1.0 / eta)):
         raise InvalidEta(f"eta must be positive with a finite reciprocal, got {eta!r}")
@@ -692,12 +695,11 @@ def near_return_search(
         if not (0 <= arc_lo < arc_hi <= Fraction(1, 2)):
             raise OutOfDomain(f"arc {arc!r} is not a sub-interval of (0, 1/2]")
 
-    excluded = {p.theta for p in exclude}
     eta_t = float(eta)
     eta_exact = Fraction(eta)
 
     def admit(found: list, theta: Fraction, f_exact: Fraction) -> None:
-        if theta in excluded or any(theta == t for t, _ in found):
+        if any(theta == t for t, _ in found):
             return
         if not (arc_lo < theta <= arc_hi):
             return
@@ -725,7 +727,7 @@ def near_return_search(
     dhi = min(float(arc_hi), 0.5)
     if dlo < dhi:
         band_lo = dlo
-        while band_lo < dhi and len(found) < max_candidates:
+        while band_lo < dhi and band_lo <= eta_t * 1.25 and len(found) < max_candidates:
             band_hi = min(band_lo * 2.0, dhi)
             grid = np.linspace(band_lo, band_hi, 4097)
             spacing = (band_hi - band_lo) / 4096.0

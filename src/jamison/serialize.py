@@ -4,17 +4,18 @@ Eigenvalue angles are written in two forms: an exact numerator/denominator
 string, which is authoritative, and a 30-significant-digit decimal rendering
 for human inspection.  Plain decimal storage would destroy the deep-level
 placement (parent gaps shrink past 1e-20 by level 5), so the loader rebuilds
-every construction from the exact angles and then recomputes the gap and
-shift-weight tables; any disagreement with the stored floats means the file
-was edited or truncated and raises :class:`ArtifactCorrupt`.
+every construction from the exact angles, the weights and each level's
+measured budget values, from which the flags follow, and re-renders every
+stored field; any disagreement means the file was edited or truncated and
+raises :class:`ArtifactCorrupt`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -26,7 +27,7 @@ from .sequences import IndexSequence, TorusPoint
 # The construction module loads only when a construction is read back, so
 # commands that handle sequences alone do not pay for importing it.
 if TYPE_CHECKING:
-    from .construction import LevelBudget, ShiftConstruction
+    from .construction import ShiftConstruction
 
 DECIMAL_DIGITS = 30
 # Largest fiber truncation I a construction file may carry.  The operator
@@ -105,69 +106,74 @@ def check_fibers(fibers: int) -> None:
 
 
 def construction_to_json_dict(cons: ShiftConstruction, fibers: int = 2) -> dict:
-    """Serializable payload: the construction's own dict plus exact-angle extras."""
+    """The construction file's payload; the loader checks every key it writes."""
     check_fibers(fibers)
-    obj = cons.to_json_dict()
-    obj["thetas_decimal"] = [decimal_string(p.theta) for p in cons.lambdas]
-    obj["fibers"] = int(fibers)
-    return obj
+    return {
+        "sequence": cons.seq.to_json_dict(),
+        "horizon": cons.horizon,
+        "thetas": [p.theta for p in cons.lambdas],
+        "thetas_float": [p.as_float() for p in cons.lambdas],
+        "thetas_decimal": [decimal_string(p.theta) for p in cons.lambdas],
+        "weights": list(cons.weights),
+        "gaps": list(cons.gaps),
+        "alphas_fiber1": list(cons.alphas1),
+        "nuclear_partial_sum": cons.nuclear_partial_sum,
+        "certified": cons.certified,
+        "budgets": [dict(vars(b)) for b in cons.budgets],  # flat records; asdict would deep-copy each field
+        "fibers": int(fibers),
+    }
 
 
 def save_construction(cons: ShiftConstruction, path, fibers: int = 2) -> None:
     write_json(path, construction_to_json_dict(cons, fibers))
 
 
-def _budget_from_dict(obj: dict) -> LevelBudget:
-    from .construction import LevelBudget
-
-    kwargs = {f.name: obj[f.name] for f in fields(LevelBudget)}
-    if kwargs["delta"] is not None:
-        kwargs["delta"] = fraction_from_string(kwargs["delta"])
-    return LevelBudget(**kwargs)
+# The values of a level's budget that no angle or weight determines.
+_MEASURED = ("eigvec_a", "eigvec_b", "tail_max", "eta_used")
+_json_text = partial(json.dumps, sort_keys=True, default=_json_default)
 
 
 def construction_from_json_dict(obj: dict) -> tuple:
     """Rebuild (construction, fibers) from a stored payload and check integrity.
 
-    The exact angles and the weights are the source of truth.  The gap,
-    shift-weight and nuclear tables the construction derives from them are
-    compared bit-for-bit against the stored floats (JSON round-trips doubles
-    exactly), so a corrupted or hand-edited artifact cannot slip through into
-    verification.
+    The record is rebuilt from the chosen values (sequence, exact angles,
+    weights, horizon, fibers) and each level's measured values, which
+    LevelBudget.judge turns into bounds, flags and delta.  Every key that
+    construction_to_json_dict writes for it must equal the stored key as JSON
+    text (doubles round-trip exactly; NaN and Infinity compare equal), so an
+    edited or truncated artifact cannot reach verification.
     """
-    from .construction import ShiftConstruction
+    from .construction import LevelBudget, ShiftConstruction, gaps_table, level_weights
 
     try:
+        points = tuple(TorusPoint(fraction_from_string(s)) for s in obj["thetas"])
+        weights = level_weights(obj["weights"], len(points))
+        stored_budgets = obj["budgets"]
+        gaps = gaps_table(points, len(points))
         cons = ShiftConstruction(
             seq=IndexSequence.from_json_dict(obj["sequence"]),
-            lambdas=tuple(TorusPoint(fraction_from_string(s)) for s in obj["thetas"]),
-            weights=tuple(obj["weights"]),
+            lambdas=points,
+            weights=weights,
             horizon=int(obj["horizon"]),
-            budgets=tuple(_budget_from_dict(b) for b in obj["budgets"]),
+            budgets=tuple(
+                LevelBudget.judge(level, points, gaps, weights, *(float(b[k]) for k in _MEASURED))
+                for level, b in zip(range(2, len(points) + 1), stored_budgets)
+            ),
         )
-        stored_gaps = tuple(float(g) for g in obj["gaps"])
-        stored_alphas = tuple(float(a) for a in obj["alphas_fiber1"])
-        stored_floats = [float(x) for x in obj["thetas_float"]]
-        stored_certified = bool(obj["certified"])
-        stored_nuclear = float(obj["nuclear_partial_sum"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"bad construction payload: {exc!r}") from exc
+    if len(stored_budgets) != cons.levels - 1:
+        raise ArtifactCorrupt(f"'budgets' holds {len(stored_budgets)} records for {cons.levels} levels")
     fibers = obj.get("fibers", 2)
     if isinstance(fibers, bool) or not isinstance(fibers, int) or not 1 <= fibers <= MAX_FIBERS:
         raise ConfigInvalid(
             f"bad construction payload: fibers must be a positive integer at most {MAX_FIBERS}, got {fibers!r}"
         )
 
-    if stored_gaps != cons.gaps:
-        raise ArtifactCorrupt("stored gap table differs from recomputation over exact angles")
-    if stored_alphas != cons.alphas1:
-        raise ArtifactCorrupt("stored shift-weight table differs from recomputation")
-    if stored_floats != [p.as_float() for p in cons.lambdas]:
-        raise ArtifactCorrupt("stored float angles differ from the exact angles")
-    if stored_certified != cons.certified:
-        raise ArtifactCorrupt("stored certification flag contradicts the budget records")
-    if stored_nuclear != cons.nuclear_partial_sum:
-        raise ArtifactCorrupt("stored nuclear partial sum differs from recomputation")
+    stored = {**obj, "fibers": fibers}
+    for key, value in construction_to_json_dict(cons, fibers).items():
+        if _json_text(value) != _json_text(stored.get(key)):
+            raise ArtifactCorrupt(f"stored {key!r} differs from the record rebuilt from the angles and measurements")
     return cons, fibers
 
 

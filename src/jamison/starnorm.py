@@ -33,6 +33,7 @@ from .sequences import IndexSequence
 ROOT_HALF_PI = math.sqrt(math.pi / 2.0)
 EXHAUSTIVE_LIMIT = 20000
 BEAM_WIDTH = 32
+TRANSLATION_TOL = 1e-6  # relative slack of the asserted factor-5 translation bound
 # Items walked together are chunked so that one frontier holds about this
 # many rows, 0.25 MB per complex array of two columns.  Eight times as many
 # rows ran no faster and raised a starnorm command's peak RSS by 7 MB.
@@ -404,9 +405,7 @@ class TranslationBoundReport:
         return {**asdict(self), "all_ok": self.all_ok, "max_ratio": self.max_ratio}
 
 
-def verify_translation_bound(
-    seq: IndexSequence, samples, J: int, K: int, P: int, tol: float = 1e-6
-) -> TranslationBoundReport:
+def verify_translation_bound(seq: IndexSequence, samples, J: int, K: int, P: int) -> TranslationBoundReport:
     """Renormed shift bound: translate by n_k costs at most a factor 5.
 
     Sound at matched truncations: each product tuple against the translated
@@ -432,7 +431,7 @@ def verify_translation_bound(
                 ratio = left.value / right.value
             tight = len(v.terms) <= 2 and left.search in ("", "exhaustive")
             asserted = tight and k <= K
-            ok = (not asserted) or left.value <= 5.0 * right.value * (1.0 + tol)
+            ok = (not asserted) or left.value <= 5.0 * right.value * (1.0 + TRANSLATION_TOL)
             rows.append(
                 TranslationRow(s_i, k, n_k, left.value, right.value, ratio, asserted, ok)
             )

@@ -133,7 +133,7 @@ def test_retired_schedule_keys_are_ignored(workdir, tmp_path):
     # alphas written under another fiber decay no longer match the recomputation
     obj.update(i_decay=0.25, alphas_fiber1=[a / 2 for a in obj["alphas_fiber1"]])
     (tmp_path / "old.json").write_text(json.dumps(obj))
-    with pytest.raises(ArtifactCorrupt, match="shift-weight table"):
+    with pytest.raises(ArtifactCorrupt, match="alphas_fiber1"):
         load_construction(tmp_path / "old.json")
 
 
@@ -152,12 +152,103 @@ def test_stored_weights_fewer_than_levels_exit_one(workdir, tmp_path, capsys, ke
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("horizon", [0, 7])
+def test_stored_horizon_outside_the_sequence_exits_one(workdir, tmp_path, capsys, horizon):
+    obj = json.loads((workdir / "C.json").read_text())
+    obj["horizon"] = horizon
+    (tmp_path / "h.json").write_text(json.dumps(obj))
+    rc = main([
+        "verify", "--construction", str(tmp_path / "h.json"),
+        "--powers", "7", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert f"config error: horizon {horizon} outside 1..6" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tampered_certified_flag_is_caught(workdir, tmp_path):
     obj = json.loads((workdir / "C.json").read_text())
     obj["certified"] = False
     (tmp_path / "tam.json").write_text(json.dumps(obj))
     with pytest.raises(ArtifactCorrupt):
         load_construction(tmp_path / "tam.json")
+
+
+# An uncertified spectrum on factorials 1..6!: the budgets record honest failures.
+UNCERTIFIED_THETAS = (Fraction(1, 23), Fraction(1, 31), Fraction(1, 41))
+
+
+def _save_uncertified(workdir, path):
+    from jamison.construction import ShiftConstruction
+
+    seq = load_sequence(workdir / "fact6.json")
+    save_construction(ShiftConstruction.from_parameters(seq, UNCERTIFIED_THETAS, (1.0, 2.0, 3.0), horizon=6), path)
+
+
+def test_forged_certificate_exits_two_before_the_power_table(workdir, tmp_path, capsys, monkeypatch):
+    _save_uncertified(workdir, tmp_path / "U.json")
+    obj = json.loads((tmp_path / "U.json").read_text())
+    for budget in obj["budgets"]:
+        budget.update(gap_ratio_ok=True, eigvec_budget_ok=True, tail_sum_ok=True)
+    obj["certified"] = True
+    (tmp_path / "forged.json").write_text(json.dumps(obj))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the power table ran on a forged certificate")
+
+    monkeypatch.setattr(jamison.construction, "verify_partial_power_bound", no_table)
+    rc = main([
+        "verify", "--construction", str(tmp_path / "forged.json"),
+        "--powers", "3", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    assert "artifact integrity failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kept", [3, 5])
+def test_budget_list_not_one_per_level_exits_two(workdir, tmp_path, capsys, kept):
+    obj = json.loads((workdir / "C.json").read_text())
+    obj["budgets"] = (obj["budgets"] * 2)[:kept]
+    (tmp_path / "short.json").write_text(json.dumps(obj))
+    rc = main([
+        "verify", "--construction", str(tmp_path / "short.json"),
+        "--powers", "3", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    assert "artifact integrity failure: 'budgets'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["eigvec_a", "eigvec_b", "tail_max", "eta_used"])
+@pytest.mark.parametrize("bad", ["x", None])
+def test_non_numeric_measurement_exits_one(workdir, tmp_path, capsys, field, bad):
+    obj = json.loads((workdir / "C.json").read_text())
+    obj["budgets"][1][field] = bad
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    rc = main([
+        "verify", "--construction", str(tmp_path / "bad.json"),
+        "--powers", "3", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("record", ["built", "from_parameters", "weight_file"])
+def test_construction_save_load_save_is_byte_identical(workdir, tmp_path, record):
+    first = tmp_path / "first.json"
+    if record == "built":
+        first = workdir / "C.json"
+    elif record == "from_parameters":
+        _save_uncertified(workdir, first)
+    else:
+        (tmp_path / "w.json").write_text(json.dumps([1.5, 0.7, 2.25, 1.0, 3.0]))
+        assert main([
+            "construct", "--sequence", str(workdir / "fact6.json"), "--levels", "5", "--horizon", "6",
+            "--weights", str(tmp_path / "w.json"), "--out", str(first), "--out-dir", str(tmp_path / "out"),
+        ]) == 0
+    cons, fibers = load_construction(first)
+    save_construction(cons, tmp_path / "again.json", fibers=fibers)
+    assert (tmp_path / "again.json").read_bytes() == first.read_bytes()
 
 
 # --- analyze ---------------------------------------------------------------------
@@ -442,6 +533,12 @@ def test_stored_fibers_bound_is_inclusive(workdir):
     obj["fibers"] = MAX_FIBERS + 1
     with pytest.raises(ConfigInvalid):
         construction_from_json_dict(obj)
+
+
+def test_stored_file_without_fibers_loads_with_two(workdir):
+    obj = json.loads((workdir / "C.json").read_text())
+    del obj["fibers"]
+    assert construction_from_json_dict(obj)[1] == 2
 
 
 def test_construct_too_many_fibers_exit_one(workdir, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jamison.sequences as sequences
 from jamison import (
     INCONCLUSIVE,
     SEPARATED,
@@ -459,14 +460,42 @@ def test_near_return_resolved_domain_hit():
 
 
 def test_near_return_respects_exclude_and_arc():
-    first = near_return_search(FACTORIALS, 8, eta=1e-2, max_candidates=1)
-    assert first
-    again = near_return_search(FACTORIALS, 8, eta=1e-2, max_candidates=1, exclude=first)
-    assert again and again[0].theta != first[0].theta
     arc = (Fraction(1, 100), Fraction(1, 10))
     pts = near_return_search(FACTORIALS, 8, eta=0.45, max_candidates=3, arc=arc)
     for p in pts:
         assert Fraction(1, 100) < p.theta <= Fraction(1, 10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    terms=st.one_of(_INTEGER_TERMS, _REAL_TERMS),
+    lo=st.floats(1e-12, 0.5),
+    prune_above=st.one_of(st.just(math.inf), st.floats(0.0, 0.5)),
+)
+def test_f_grid_never_reads_below_theta(terms, lo, prune_above):
+    # the float scan keeps f_K(theta) >= theta (t_1 = 1), pruned entries included:
+    # near_return_search's descent skips the bands above 1.25 eta on this bound
+    grid = np.linspace(lo, min(2.0 * lo, 0.5), 257)
+    assert (_f_grid(np.asarray(terms, dtype=float), grid, prune_above=prune_above) >= grid).all()
+
+
+@pytest.mark.parametrize("eta", [0.12, 1e-2, 1e-3, 1e-6])
+def test_near_return_scans_no_band_above_its_reach(monkeypatch, eta):
+    # t_1 = 1 gives f_K(theta) >= theta, so no grid hit (f <= 1.25 eta) lies above 1.25 eta
+    real = sequences._f_grid
+    band_lows = []
+
+    def recording(terms, thetas, prune_above=math.inf):
+        if math.isfinite(prune_above):  # the descent's bands; the profile's pilot scan sets no threshold
+            band_lows.append(float(thetas[0]))
+        return real(terms, thetas, prune_above)
+
+    monkeypatch.setattr(sequences, "_f_grid", recording)
+    pts = near_return_search(FACTORIALS, 8, eta=eta, max_candidates=4)
+    assert pts
+    assert all(lo <= 1.25 * eta for lo in band_lows)
+    if 1.25 * eta < 1.0 / (2.0 * 40320.0):
+        assert band_lows == []  # below the resolved floor the offsets come from the witnesses
 
 
 def test_near_return_validation():
