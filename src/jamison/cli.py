@@ -15,6 +15,8 @@ search proved infeasible at some level.
 
 All artifacts are deterministic functions of the flags and the seed; the only
 field that varies between identical runs is report.json's "timestamp".
+starnorm draws its samples from Python's random.Random(--seed), so no
+command loads numpy.random.
 
 Each handler imports the modules its command needs, so a command loads only
 its own part of the package (analyze and report need no more than the
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import random
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -90,6 +93,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigInvalid(message)
 
 
+def _seed(text: str) -> int:
+    """A --seed value; random.Random seeds from |seed|, so a negative one would repeat its twin."""
+    try:
+        seed = int(text)
+    except ValueError:
+        pass
+    else:
+        if seed >= 0:
+            return seed
+    raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="jamison", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -127,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=["bound", "pairs", "field"])
     p.add_argument("--J", type=int, default=1, help="outer truncation order")
     p.add_argument("--K", type=int, default=6, help="sequence truncation horizon")
-    p.add_argument("--seed", type=int, default=0, help="sample generator seed")
+    p.add_argument("--seed", type=_seed, default=0, help="sample generator seed (>= 0)")
     p.add_argument("--count", type=int, default=None, help="sample count (mode-specific default)")
     p.add_argument("--out-dir", default=".", help="artifact directory")
 
@@ -299,20 +314,19 @@ def _cmd_semigroup(args) -> int:
 
 
 def _starnorm_bound(seq, args):
-    import numpy as np
-
     from .starnorm import ExpSpan, verify_translation_bound
 
     count = 3 if args.count is None else args.count
     if count < 1:
         raise ConfigInvalid(f"sample count {count} must be >= 1")
-    freqs = np.random.default_rng(args.seed).uniform(0.1, 4.0, size=2 * count)
+    rng = random.Random(args.seed)
+    freqs = [rng.uniform(0.1, 4.0) for _ in range(2 * count)]
     samples = []
     for i in range(count):
-        samples.append(ExpSpan(((1.0 + 0.0j, float(freqs[2 * i])),)))
+        samples.append(ExpSpan(((1.0 + 0.0j, freqs[2 * i]),)))
         samples.append(ExpSpan((
-            (1.0 + 0.0j, float(freqs[2 * i])),
-            (-1.0 + 0.0j, float(freqs[2 * i + 1])),
+            (1.0 + 0.0j, freqs[2 * i]),
+            (-1.0 + 0.0j, freqs[2 * i + 1]),
         )))
     P = min(args.K, len(seq))
     report = verify_translation_bound(seq, samples, J=args.J, K=args.K, P=P)
@@ -328,17 +342,15 @@ def _starnorm_bound(seq, args):
 
 
 def _starnorm_pairs(seq, args):
-    import numpy as np
-
     from .starnorm import dj_bound_checks
 
     count = 10 if args.count is None else args.count
     if count < 1:
         raise ConfigInvalid(f"sample count {count} must be >= 1")
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     pairs = []
     for _ in range(count):
-        eta, xi = np.sort(rng.uniform(0.0, 3.0, size=2))
+        eta, xi = sorted((rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)))
         if xi - eta < 1e-6:
             xi = eta + 0.5
         pairs.append((eta, xi))
@@ -358,15 +370,13 @@ def _starnorm_pairs(seq, args):
 
 
 def _starnorm_field(seq, args):
-    import numpy as np
-
     from .starnorm import eigenfield_modulus
 
     count = 6 if args.count is None else args.count
     if count < 2:
         raise ConfigInvalid(f"field mode needs at least 2 frequencies, got {count}")
-    rng = np.random.default_rng(args.seed)
-    freqs = sorted(float(x) for x in rng.uniform(0.05, 3.0, size=count))
+    rng = random.Random(args.seed)
+    freqs = sorted(rng.uniform(0.05, 3.0) for _ in range(count))
     table = eigenfield_modulus(seq, freqs, J=args.J, K=args.K)
     return table.to_json_dict(), table.all_ok, (
         "field.csv",

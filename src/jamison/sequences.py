@@ -230,6 +230,7 @@ def d_metric(a: TorusPoint, b: TorusPoint, seq: IndexSequence, K: int) -> float:
 
 _TILE = 1 << 13
 _CHUNK = 64
+_SCRATCH = 1 << 17  # doubles per scratch buffer of a scan: 1 MB
 _PRUNED_HEAD = (0, 4, 12, 28, 60)  # chunks of 4, 8, 16 and 32 terms, then 64
 _BLOCK = 64  # grid points per block of separation_constant's Lipschitz bound
 _MAX_GRID_POINTS = 1 << 31  # largest grid separation_constant scans
@@ -245,10 +246,13 @@ def _chunk_edges(n_terms: int) -> list:
 class _TileScan:
     """f_K(theta) = max_k torus_norm(t_k * theta) on one tile of thetas at a time.
 
-    Every tile goes through one pair of 64 x tile scratch buffers, so scan
-    memory is bounded by the tile, not by the grid resolution or K.  Each
-    entry is t*theta, minus its floor, then min(p, 1 - p), then an exact max,
-    so the chunk schedule cannot change a value.
+    Every tile goes through one pair of scratch buffers of at most _SCRATCH
+    doubles each, rows x tile for rows = min(64, K) terms at a time, so the
+    tile is min(_TILE, _SCRATCH // rows) points: 8192 up to K = 16, 2048
+    from K = 64 on.  Scan memory is bounded by the cap, not by the grid
+    resolution or K.  Each entry is t*theta, minus its floor, then
+    min(p, 1 - p), then an exact max, so neither the chunk schedule nor the
+    tile can change a value.
 
     Terms go 4, 8, 16, 32, then 64 at a time; after each chunk a theta whose
     running maximum has crossed the threshold is dropped from its tile.  Its
@@ -260,9 +264,12 @@ class _TileScan:
     of points, for the Lipschitz lower bound of ``separation_constant``.
     """
 
-    def __init__(self, terms: np.ndarray, tile: int):
+    def __init__(self, terms: np.ndarray, points: int):
+        """Scratch for tiles of at most ``points`` thetas (fewer if the cap allows fewer)."""
         self.terms = terms
-        size = min(_CHUNK, terms.size) * tile
+        rows = min(_CHUNK, terms.size)
+        self.tile = min(_TILE, _SCRATCH // rows)
+        size = rows * min(self.tile, points)
         self.scratch_p, self.scratch_q = np.empty(size), np.empty(size)
 
     def _norms(self, lo: int, hi: int, sub: np.ndarray) -> tuple:
@@ -306,8 +313,8 @@ class _TileScan:
         t * theta, of c and of the bound itself, this bounds the float f_K of
         ``__call__`` too.  From 2^48 on the margin exceeds 1/2, so terms past
         2^53, such as 3^40, make the bound vacuous.  The result is a view
-        into scratch, valid until the next call; at most one tile of centres
-        fits.
+        into scratch, valid until the next call; at most ``tile`` centres
+        fit.
         """
         m = min(_CHUNK, self.terms.size)
         p, q = self._norms(0, m, centres)
@@ -317,11 +324,11 @@ class _TileScan:
 
 
 def _f_grid(terms: np.ndarray, thetas: np.ndarray, prune_above: float = math.inf) -> np.ndarray:
-    """f_K over an array of thetas, scanned in tiles of 2^13 points (see _TileScan)."""
+    """f_K over an array of thetas, scanned one tile at a time (see _TileScan)."""
     best = np.zeros(thetas.shape, dtype=float)
-    scan = _TileScan(terms, min(_TILE, thetas.size))
-    for start in range(0, thetas.size, _TILE):
-        best[start:start + _TILE] = scan(thetas[start:start + _TILE], prune_above)
+    scan = _TileScan(terms, thetas.size)
+    for start in range(0, thetas.size, scan.tile):
+        best[start:start + scan.tile] = scan(thetas[start:start + scan.tile], prune_above)
     return best
 
 
@@ -444,7 +451,9 @@ def separation_constant(
     margin covers rounding; for terms past 2^53 it exceeds 1/2 and nothing is
     dropped.  The surviving points go through the same float operations, threshold and
     first-index tie rule as an unblocked scan, so the report is the same to
-    the bit.
+    the bit.  Blocks are bounded, and their survivors scanned, one scan tile
+    at a time (see _TileScan) in index order against the running minimum,
+    so the tile size cannot change the grid minimum or its index either.
 
     A grid of more than 2^31 points, or a step below the double spacing at
     1/2 (where thetas would repeat), raises InvalidResolution.
@@ -487,20 +496,21 @@ def separation_constant(
     best_val = float(f_pilot[i])
     best_theta = float(pilot[i])
 
-    # Blocks of _BLOCK points go _TILE blocks at a time through the tile's
-    # bound; only the points of blocks it cannot rule out are generated and
-    # scanned, _TILE at a time, so the scan holds no grid-sized array.  The
-    # threshold follows the running minimum.
-    scan = _TileScan(terms, min(_TILE, n_points))
+    # Blocks of _BLOCK points go one tile of blocks at a time through the
+    # scan's bound; only the points of blocks it cannot rule out are
+    # generated and scanned, one tile at a time, so the scan holds no
+    # grid-sized array.  The threshold follows the running minimum.
+    scan = _TileScan(terms, n_points)
+    tile, per_tile = scan.tile, scan.tile // _BLOCK
     half = 0.5 * (_BLOCK - 1)
     n_blocks = -(-n_points // _BLOCK)
     offsets = np.arange(_BLOCK)
-    for first in range(0, n_blocks, _TILE):
-        blocks = np.arange(first, min(first + _TILE, n_blocks), dtype=float)
+    for first in range(0, n_blocks, tile):
+        blocks = np.arange(first, min(first + tile, n_blocks), dtype=float)
         bound = scan.block_bound(theta_min + resolution * (blocks * _BLOCK + half), half * resolution)
         live = first + np.flatnonzero(bound <= best_val)
-        for start in range(0, live.size, _TILE // _BLOCK):
-            idx = (live[start:start + _TILE // _BLOCK, None] * _BLOCK + offsets).ravel()
+        for start in range(0, live.size, per_tile):
+            idx = (live[start:start + per_tile, None] * _BLOCK + offsets).ravel()
             thetas = theta_min + resolution * idx[idx < n_points].astype(float)
             thetas = thetas[thetas <= 0.5]
             if thetas.size == 0:

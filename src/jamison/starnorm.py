@@ -22,7 +22,7 @@ numpy alone.
 import cmath
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -230,7 +230,7 @@ class StarNormValue:
     search: str = ""  # exhaustive | beam | "" when no tuple search ran
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _factor_table(freqs: tuple, seq: IndexSequence, K: int) -> np.ndarray:
@@ -374,6 +374,11 @@ def _star_norms(spans, seq: IndexSequence, J: int, K: int) -> list:
     return values
 
 
+def _fields_with_rows(report) -> dict:
+    """A report's fields, its rows as a list of field dicts; no deep copy, unlike dataclasses.asdict."""
+    return {**vars(report), "rows": [dict(vars(row)) for row in report.rows]}
+
+
 @dataclass(frozen=True)
 class TranslationRow:
     sample: int
@@ -402,7 +407,7 @@ class TranslationBoundReport:
         return max((r.ratio for r in self.rows), default=0.0)
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "all_ok": self.all_ok, "max_ratio": self.max_ratio}
+        return {**_fields_with_rows(self), "all_ok": self.all_ok, "max_ratio": self.max_ratio}
 
 
 def verify_translation_bound(seq: IndexSequence, samples, J: int, K: int, P: int) -> TranslationBoundReport:
@@ -459,7 +464,7 @@ class DjBoundReport:
         return all(r.ok for r in self.rows)
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "all_ok": self.all_ok}
+        return {**_fields_with_rows(self), "all_ok": self.all_ok}
 
 
 def _abs_difference(rows: np.ndarray, items=None) -> np.ndarray:

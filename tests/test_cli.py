@@ -714,6 +714,18 @@ def test_starnorm_rejects_bad_count(workdir, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("mode", ["bound", "pairs", "field"])
+@pytest.mark.parametrize("seed", ["-1", "seven"])
+def test_starnorm_refuses_a_seed_that_is_not_a_natural_number(workdir, tmp_path, capsys, mode, seed):
+    rc = main([
+        "starnorm", "--sequence", str(workdir / "fact6.json"), "--mode", mode,
+        "--K", "4", "--count", "3", "--seed", seed, "--out-dir", str(tmp_path),
+    ])
+    assert rc == 1
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # --- report ----------------------------------------------------------------------
 
 
@@ -796,6 +808,19 @@ def test_reports_deterministic_modulo_timestamp(workdir, tmp_path):
     assert csv_a == (tmp_path / "c" / "pairs.csv").read_text()
 
 
+@pytest.mark.parametrize("mode, table", [("bound", "translation.csv"), ("pairs", "pairs.csv"), ("field", "field.csv")])
+def test_same_seed_gives_the_same_bytes(workdir, tmp_path, mode, table):
+    argv = [
+        "starnorm", "--sequence", str(workdir / "fact6.json"), "--mode", mode,
+        "--J", "1", "--K", "4", "--count", "3", "--seed", "11",
+    ]
+    assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--out-dir", str(tmp_path / "b")]) == 0
+    a, b = _artifacts(tmp_path / "a"), _artifacts(tmp_path / "b")
+    assert sorted(a) == sorted(["report.json", table])
+    assert a == b
+
+
 def test_different_seed_changes_samples(workdir, tmp_path):
     base = [
         "starnorm", "--sequence", str(workdir / "fact6.json"),
@@ -834,6 +859,16 @@ def test_starnorm_loads_no_scipy(workdir, tmp_path, mode):
         "--J", "1", "--K", "4", "--count", "3", "--out-dir", str(tmp_path),
     ]
     assert _modules_after(_main_code(argv), "scipy") == []
+
+
+@pytest.mark.parametrize("mode", ["bound", "pairs", "field"])
+def test_starnorm_loads_no_numpy_random(workdir, tmp_path, mode):
+    # numpy.random alone adds about 6 MB of RSS to a command that draws a few hundred uniforms
+    argv = [
+        "starnorm", "--sequence", str(workdir / "fact6.json"), "--mode", mode,
+        "--J", "1", "--K", "4", "--count", "3", "--out-dir", str(tmp_path),
+    ]
+    assert "numpy.random" not in _modules_after(_main_code(argv), "numpy")
 
 
 def test_semigroup_loads_no_scipy(workdir, tmp_path):

@@ -38,6 +38,7 @@ from jamison.sequences import (
     _BLOCK,
     _CHUNK,
     _MAX_GRID_POINTS,
+    _SCRATCH,
     _TILE,
     SeparationReport,
     _f_exact,
@@ -221,7 +222,13 @@ def _f_grid_reference(terms: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.minimum(p, 1.0 - p).max(axis=0)
 
 
-@pytest.mark.parametrize("n_thetas", [0, 1, _TILE - 1, _TILE, _TILE + 1])
+# the capped tile of K >= 64 terms and the full tile of K <= 16, each straddled
+_CAPPED_TILE = _SCRATCH // _CHUNK
+
+
+@pytest.mark.parametrize(
+    "n_thetas", [0, 1, _CAPPED_TILE - 1, _CAPPED_TILE, _CAPPED_TILE + 1, _TILE - 1, _TILE, _TILE + 1]
+)
 @pytest.mark.parametrize("n_terms", [1, 3, 64, 65, 1000])
 @settings(max_examples=4, deadline=None)
 @given(
@@ -302,6 +309,8 @@ _REAL_TERMS = st.lists(st.floats(1.0, 1e7, exclude_min=True), max_size=40).map(
 @example(terms=(1, 3, 3**40), resolution=1e-5, refine_steps=24, theta_min=None)
 @example(terms=(1, 3, 3**40), resolution=3e-6, refine_steps=0, theta_min=0.01)
 @example(terms=tuple(range(1, 101)), resolution=1e-5, refine_steps=0, theta_min=0.25)
+# K > 64 over 400001 points: four capped tiles of blocks
+@example(terms=tuple(range(1, 201, 2)), resolution=1e-6, refine_steps=24, theta_min=0.1)
 # every example above ends its grid on a partial block of 64 points
 def test_block_bound_keeps_separation_report(terms, resolution, refine_steps, theta_min):
     kind = "integer" if isinstance(terms[0], int) else "real"
@@ -354,11 +363,21 @@ def test_block_bound_is_below_every_float_point(terms, centre, scale):
     assert _f_grid(t, thetas).min() >= bound
 
 
+@pytest.mark.parametrize("K, tile", [(12, _TILE), (1000, _CAPPED_TILE)])
+def test_scan_scratch_is_capped_in_doubles(K, tile):
+    scan = _TileScan(np.arange(1.0, K + 1.0), 10**9)
+    assert scan.tile == tile
+    assert scan.scratch_p.size <= _SCRATCH and scan.scratch_q.size <= _SCRATCH
+    # a short grid gets no more scratch than it needs
+    assert _TileScan(np.arange(1.0, K + 1.0), 3).scratch_p.size == 3 * min(K, _CHUNK)
+
+
 def test_block_bound_leaves_few_points_to_scan(monkeypatch):
     arrived = []
     scan = _TileScan.__call__
 
     def counting(self, sub, prune_above=None):
+        assert sub.size <= self.tile  # no survivor tile outgrows the capped scratch
         arrived.append(sub.size)
         return scan(self, sub, prune_above)
 
