@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True, help="sequence JSON file")
     p.add_argument("--levels", type=int, required=True, help="number of eigenvalue levels L")
     p.add_argument("--fibers", type=int, default=2, help=f"fiber truncation I stored for assembly (at most {MAX_FIBERS})")
-    p.add_argument("--weights", default="linear", help="'linear' (w_l = l) or a JSON file with a list")
+    p.add_argument("--weights", default="linear", help="'linear' (w_l = l) or a JSON file with a list of at least L - 1 numbers")
     p.add_argument("--horizon", type=int, default=None, help="sequence horizon K (default: full length)")
     p.add_argument("--out", required=True, help="construction JSON output path")
     p.add_argument("--out-dir", default=".", help="artifact directory")
@@ -186,7 +186,7 @@ def _cmd_analyze(args) -> int:
 
 def _resolve_weights(spec: str, levels: int) -> tuple:
     if spec == "linear":
-        return tuple(float(l) for l in range(1, levels + 1))
+        return tuple(float(l) for l in range(1, levels))
     try:
         data = json.loads(Path(spec).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:

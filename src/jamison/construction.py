@@ -77,18 +77,18 @@ FIBER_DECAY = 0.5  # weight ratio between consecutive fibers
 
 
 def level_weights(w, levels: int) -> tuple:
-    """Level weights w_1, w_2, ... as floats: positive, finite, at least `levels` of them.
+    """w_1..w_{levels-1} as floats, from a list of at least that many, all positive and finite.
 
-    The weight of fiber i at level l is w_l * FIBER_DECAY**i.
+    w_l sets the band between levels l and l+1; fiber i carries w_l * FIBER_DECAY**i.
     """
     w = tuple(float(x) for x in w)
     if not w:
         raise ConfigInvalid("weight list is empty")
     if any(not math.isfinite(x) or x <= 0.0 for x in w):
         raise ConfigInvalid("all level weights must be positive and finite")
-    if len(w) < levels:
-        raise WeightListTooShort(f"{len(w)} weights for {levels} levels")
-    return w
+    if len(w) < levels - 1:
+        raise WeightListTooShort(f"{len(w)} weights for {levels} levels; need {levels - 1}")
+    return w[: levels - 1]
 
 
 # --- budget certificates ---------------------------------------------------------
@@ -125,6 +125,10 @@ class LevelBudget:
     @property
     def all_ok(self) -> bool:
         return self.gap_ratio_ok and self.eigvec_budget_ok and self.tail_sum_ok
+
+    @property
+    def measured(self) -> tuple:
+        return (self.eigvec_a, self.eigvec_b, self.tail_max, self.eta_used)
 
     def failing_predicate(self) -> str | None:
         if not self.gap_ratio_ok:
@@ -325,21 +329,22 @@ def _evaluate_level_budget(
 
 @dataclass(frozen=True)
 class ShiftConstruction:
-    """One truncated operator as chosen: exact level angles, level weights, budget certificates.
+    """One truncated operator as chosen and as measured.
 
-    Every other table is derived from the angles and weights once, on first
-    use: gaps[l-2] is the chord distance from level l to its parent level,
-    for l = 2..L; alphas1[l-1] is the fiber-1 shift weight for l = 1..L-1.
-    The fiber-i weight follows by multiplying with FIBER_DECAY**(i-1).
-    budgets[l-2] is level l's LevelBudget, judged from its measured values;
-    the file format of a record belongs to ``jamison.serialize``.
+    Chosen: exact level angles, weights w_1..w_{L-1}, horizon.  Measured:
+    measured[l-2] = (eigvec_a, eigvec_b, tail_max, eta_used) of level l.
+    Every other table is derived from these once, on first use: gaps[l-2] is
+    the chord distance from level l to its parent level, for l = 2..L;
+    alphas1[l-1] is the fiber-1 shift weight for l = 1..L-1 (fiber i: times
+    FIBER_DECAY**(i-1)); budgets[l-2] is level l's LevelBudget, judged from
+    its measured values.  The file format belongs to ``jamison.serialize``.
     """
 
     seq: IndexSequence
     lambdas: tuple
     weights: tuple
     horizon: int
-    budgets: tuple
+    measured: tuple
 
     def __post_init__(self):
         if self.levels < 2:
@@ -358,11 +363,18 @@ class ShiftConstruction:
 
     @property
     def certified(self) -> bool:
-        return len(self.budgets) == self.levels - 1 and all(b.all_ok for b in self.budgets)
+        return len(self.measured) == self.levels - 1 and all(b.all_ok for b in self.budgets)
 
     @cached_property
     def _gap_of(self) -> dict:
         return gaps_table(self.lambdas, self.levels)
+
+    @cached_property
+    def budgets(self) -> tuple:
+        return tuple(
+            LevelBudget.judge(level, self.lambdas, self._gap_of, self.weights, *m)
+            for level, m in zip(range(2, self.levels + 1), self.measured)
+        )
 
     @cached_property
     def gaps(self) -> tuple:
@@ -389,21 +401,21 @@ class ShiftConstruction:
 
     @classmethod
     def from_parameters(cls, seq: IndexSequence, thetas, w, horizon: int) -> "ShiftConstruction":
-        """Assemble a construction from explicit angles, measuring budgets honestly.
+        """Assemble a construction from explicit angles and weights, measuring every level honestly.
 
         No search happens here; the budgets simply record whether the supplied
         spectrum satisfies each predicate.  Synthetic well-separated spectra
         will come out uncertified, which is exactly what downstream gates need.
-        Each budget records eta_used as NaN and its exact delta, the parent
-        angle minus the level angle, as a built one does.
+        w needs at least L - 1 entries and keeps its first L - 1.  Each level
+        records eta_used as NaN, since no search ran.
         """
         points = tuple(p if isinstance(p, TorusPoint) else TorusPoint(Fraction(p)) for p in thetas)
         w = level_weights(w, len(points))
-        budgets = tuple(
-            _evaluate_level_budget(seq, points, w, horizon, level)
+        measured = tuple(
+            _evaluate_level_budget(seq, points, w, horizon, level).measured
             for level in range(2, len(points) + 1)
         )
-        return cls(seq=seq, lambdas=points, weights=w, horizon=horizon, budgets=budgets)
+        return cls(seq=seq, lambdas=points, weights=w, horizon=horizon, measured=measured)
 
 
 # --- adaptive build ---------------------------------------------------------------------
@@ -510,7 +522,7 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
 
     theta1 = TorusPoint(Fraction(math.asin(1.0 / 6.0) / math.pi))
     thetas = [theta1]
-    budgets = []
+    measured = []
     for level in range(2, L + 1):
         j = fiber_map(level)
         parent = thetas[j - 1]
@@ -551,9 +563,9 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
                 level, "eta_search", "near-return search found no usable candidates"
             )
         thetas.append(accepted[0])
-        budgets.append(accepted[1])
+        measured.append(accepted[1].measured)
 
-    return ShiftConstruction(seq=seq, lambdas=tuple(thetas), weights=w, horizon=K, budgets=tuple(budgets))
+    return ShiftConstruction(seq=seq, lambdas=tuple(thetas), weights=w, horizon=K, measured=tuple(measured))
 
 
 # --- matrix assembly and powers ------------------------------------------------------

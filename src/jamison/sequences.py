@@ -564,9 +564,6 @@ class ClassificationResult:
     floor: Optional[float]
     decay_slope: Optional[float]
 
-    def table(self) -> dict:
-        return {r.horizon: r.epsilon_hat_torus for r in self.reports}
-
     def to_json_dict(self) -> dict:
         return {
             "verdict": self.verdict,
@@ -714,17 +711,6 @@ def near_return_search(
         if not (arc_lo < theta <= arc_hi):
             return
         found.append((theta, f_exact))
-
-    # Vacuous threshold: half the torus diameter, every point qualifies.
-    if eta_t >= 0.5:
-        found = []
-        step = (arc_hi - arc_lo) / (max_candidates + 1)
-        for i in range(1, max_candidates + 1):
-            theta = arc_lo + step * i
-            admit(found, theta, _f_exact(terms_exact, theta))
-            if len(found) >= max_candidates:
-                break
-        return [TorusPoint(t) for t, _ in sorted(found, key=lambda p: (p[1], p[0]))]
 
     terms = np.asarray(terms_exact, dtype=float)
     n_K = float(terms[-1])

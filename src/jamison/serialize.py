@@ -136,30 +136,26 @@ _json_text = partial(json.dumps, sort_keys=True, default=_json_default)
 def construction_from_json_dict(obj: dict) -> tuple:
     """Rebuild (construction, fibers) from a stored payload and check integrity.
 
-    The record is rebuilt from the chosen values (sequence, exact angles,
-    weights, horizon, fibers) and each level's measured values, which
-    LevelBudget.judge turns into bounds, flags and delta.  Every key that
-    construction_to_json_dict writes for it must equal the stored key as JSON
-    text (doubles round-trip exactly; NaN and Infinity compare equal), so an
-    edited or truncated artifact cannot reach verification.
+    The record is rebuilt from what was chosen (sequence, exact angles,
+    weights w_1..w_{L-1}, horizon, fibers) and what was measured, the four
+    values of _MEASURED per level; the record judges its own budgets from
+    those.  Every key that construction_to_json_dict writes for it must
+    equal the stored key as JSON text (doubles round-trip exactly; NaN and
+    Infinity compare equal), so an edited, appended or truncated artifact
+    cannot reach verification.
     """
-    from .construction import LevelBudget, ShiftConstruction, gaps_table, level_weights
+    from .construction import ShiftConstruction
 
     try:
-        points = tuple(TorusPoint(fraction_from_string(s)) for s in obj["thetas"])
-        weights = level_weights(obj["weights"], len(points))
         stored_budgets = obj["budgets"]
-        gaps = gaps_table(points, len(points))
         cons = ShiftConstruction(
             seq=IndexSequence.from_json_dict(obj["sequence"]),
-            lambdas=points,
-            weights=weights,
+            lambdas=tuple(TorusPoint(fraction_from_string(s)) for s in obj["thetas"]),
+            weights=obj["weights"],
             horizon=int(obj["horizon"]),
-            budgets=tuple(
-                LevelBudget.judge(level, points, gaps, weights, *(float(b[k]) for k in _MEASURED))
-                for level, b in zip(range(2, len(points) + 1), stored_budgets)
-            ),
+            measured=tuple(tuple(float(b[k]) for k in _MEASURED) for b in stored_budgets),
         )
+        cons.budgets  # judged inside the try: a malformed file is a config error, not a traceback
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"bad construction payload: {exc!r}") from exc
     if len(stored_budgets) != cons.levels - 1:

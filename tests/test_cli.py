@@ -137,7 +137,7 @@ def test_retired_schedule_keys_are_ignored(workdir, tmp_path):
         load_construction(tmp_path / "old.json")
 
 
-@pytest.mark.parametrize("kept", [0, 3, 4])
+@pytest.mark.parametrize("kept", [0, 2, 3])
 def test_stored_weights_fewer_than_levels_exit_one(workdir, tmp_path, capsys, kept):
     obj = json.loads((workdir / "C.json").read_text())
     assert len(obj["thetas"]) == 5
@@ -150,6 +150,48 @@ def test_stored_weights_fewer_than_levels_exit_one(workdir, tmp_path, capsys, ke
     assert rc == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _verify_exit(path, capsys) -> tuple:
+    rc = main(["verify", "--construction", str(path), "--powers", "3", "--out-dir", str(path.parent / "out")])
+    return rc, capsys.readouterr().err
+
+
+def test_appended_weight_exits_two(workdir, tmp_path, capsys):
+    obj = json.loads((workdir / "C.json").read_text())
+    assert len(obj["weights"]) == len(obj["thetas"]) - 1
+    obj["weights"].append(777.0)
+    (tmp_path / "long.json").write_text(json.dumps(obj))
+    rc, err = _verify_exit(tmp_path / "long.json", capsys)
+    assert rc == 2
+    assert "artifact integrity failure: stored 'weights'" in err
+
+
+def test_every_stored_weight_enters_a_table(workdir, tmp_path, capsys):
+    obj = json.loads((workdir / "C.json").read_text())
+    for index in range(len(obj["weights"])):
+        edited = json.loads(json.dumps(obj))
+        edited["weights"][index] *= 2.0
+        (tmp_path / "w.json").write_text(json.dumps(edited))
+        rc, err = _verify_exit(tmp_path / "w.json", capsys)
+        assert rc == 2, index
+        assert "artifact integrity failure: stored 'alphas_fiber1'" in err
+
+
+def test_one_gap_table_per_load(workdir, monkeypatch):
+    from jamison import construction
+
+    calls = []
+    real = construction.gaps_table
+
+    def counting(thetas, upto):
+        calls.append(upto)
+        return real(thetas, upto)
+
+    monkeypatch.setattr(construction, "gaps_table", counting)
+    cons, _ = load_construction(workdir / "C.json")
+    assert cons.certified
+    assert calls == [5]
 
 
 @pytest.mark.parametrize("horizon", [0, 7])
@@ -462,7 +504,22 @@ def test_construct_weight_file(workdir, tmp_path):
     ])
     assert rc == 0
     obj = json.loads((tmp_path / "C.json").read_text())
-    assert obj["weights"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert obj["weights"] == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_construct_weight_file_of_one_weight_per_band(workdir, tmp_path):
+    # five levels have four bands, so w_1..w_4 suffice and a fifth weight changes nothing
+    for name, weights in (("four", [1.5, 0.7, 2.25, 1.0]), ("five", [1.5, 0.7, 2.25, 1.0, 3.0])):
+        (tmp_path / f"{name}.json").write_text(json.dumps(weights))
+        assert main([
+            "construct", "--sequence", str(workdir / "fact6.json"), "--levels", "5", "--horizon", "6",
+            "--weights", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / f"C_{name}.json"),
+            "--out-dir", str(tmp_path / name),
+        ]) == 0
+    stored = json.loads((tmp_path / "C_four.json").read_text())
+    assert stored["weights"] == [1.5, 0.7, 2.25, 1.0]
+    assert stored["certified"]
+    assert (tmp_path / "C_four.json").read_bytes() == (tmp_path / "C_five.json").read_bytes()
 
 
 def test_construct_bad_weight_file_is_config_error(workdir, tmp_path):

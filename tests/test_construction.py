@@ -127,8 +127,10 @@ def test_level_weights_validation():
     with pytest.raises(ConfigInvalid):
         construction.level_weights((1.0, -2.0), 2)
     with pytest.raises(WeightListTooShort):
-        construction.level_weights((1.0, 2.0), 3)
-    assert construction.level_weights((1, 2), 2) == (1.0, 2.0)
+        construction.level_weights((1.0,), 3)
+    # w_l sets the band between levels l and l + 1: L levels keep w_1..w_{L-1}
+    assert construction.level_weights((1, 2), 3) == (1.0, 2.0)
+    assert construction.level_weights((1, 2, 7), 3) == (1.0, 2.0)
 
 
 def test_alpha_fiber_decay(synthetic_cons):
