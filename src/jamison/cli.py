@@ -191,7 +191,8 @@ def _resolve_weights(spec: str, levels: int) -> tuple:
         data = json.loads(Path(spec).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"weight file {spec}: not valid JSON ({exc})") from exc
-    if not isinstance(data, list) or not all(isinstance(x, (int, float)) for x in data):
+    # bool is an int subclass, but true is not a weight
+    if not isinstance(data, list) or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in data):
         raise ConfigInvalid(f"weight file {spec}: expected a JSON list of numbers")
     return tuple(float(x) for x in data)
 

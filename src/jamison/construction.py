@@ -104,8 +104,9 @@ class LevelBudget:
                coefficient tail <= 2^(1-l)                (levels >= 2)
 
     Level 2 has no gap or eigenvector predicate; those flags are vacuously
-    true there and the measured fields are zero.  Only eigvec_a, eigvec_b,
-    tail_max and eta_used are measured; ``judge`` derives every other field.
+    true there and the measured fields are zero.  eigvec_a, eigvec_b and
+    tail_max are measured by ``ShiftConstruction.budget``; ``judge`` derives
+    every other field.
     """
 
     level: int
@@ -119,16 +120,11 @@ class LevelBudget:
     eigvec_budget: float
     tail_max: float
     tail_budget: float
-    eta_used: float
     delta: Fraction
 
     @property
     def all_ok(self) -> bool:
         return self.gap_ratio_ok and self.eigvec_budget_ok and self.tail_sum_ok
-
-    @property
-    def measured(self) -> tuple:
-        return (self.eigvec_a, self.eigvec_b, self.tail_max, self.eta_used)
 
     def failing_predicate(self) -> str | None:
         if not self.gap_ratio_ok:
@@ -141,14 +137,12 @@ class LevelBudget:
 
     @classmethod
     def judge(
-        cls, level: int, thetas, gaps: dict, w: tuple,
-        eigvec_a: float, eigvec_b: float, tail_max: float, eta_used: float,
+        cls, level: int, thetas, gaps: dict, w: tuple, eigvec_a: float, eigvec_b: float, tail_max: float
     ) -> "LevelBudget":
         """One level's record: bounds, flags and delta judged from its measured values.
 
         gaps is the gaps_table of the angles through at least this level;
-        eta_used is the search target, NaN where no search ran; delta is the
-        parent angle minus the level angle, exactly.
+        delta is the parent angle minus the level angle, exactly.
         """
         if level >= 3:
             gap_bound = gaps[level - 1] / (2 ** level * w[level - 2])
@@ -168,7 +162,6 @@ class LevelBudget:
             eigvec_budget=eigvec_budget,
             tail_max=tail_max,
             tail_budget=tail_budget,
-            eta_used=eta_used,
             delta=thetas[fiber_map(level) - 1].theta - thetas[level - 1].theta,
         )
 
@@ -300,7 +293,7 @@ def _chain_difference(thetas, alphas1, n: int) -> tuple:
     return math.sqrt(a_sq), math.sqrt(b_sq)
 
 
-# --- per-level budget evaluation ----------------------------------------------------
+# --- the construction record ----------------------------------------------------------
 
 
 def gaps_table(thetas, upto: int) -> dict:
@@ -311,42 +304,30 @@ def gaps_table(thetas, upto: int) -> dict:
     }
 
 
-def _evaluate_level_budget(
-    seq: IndexSequence, thetas, w: tuple, K: int, level: int, eta_used: float = float("nan")
-) -> LevelBudget:
-    """Measure the eigenvector chain and the coefficient tail at one level, then judge them."""
-    gaps = gaps_table(thetas, level)
-    if level >= 3:
-        eig_a, eig_b = _chain_difference(thetas, _alphas_fiber1(gaps, w, level - 1), level)
-    else:
-        eig_a = eig_b = 0.0
-    tail_max = max(_tail_sum(Jn, w, gaps, level) for Jn in _unit_band_powers(thetas[:level], seq.prefix(K)))
-    return LevelBudget.judge(level, thetas, gaps, w, eig_a, eig_b, tail_max, eta_used)
-
-
-# --- the construction record ----------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class ShiftConstruction:
-    """One truncated operator as chosen and as measured.
+    """One truncated operator, held as what was chosen: exact level angles, weights w_1..w_{L-1}, horizon.
 
-    Chosen: exact level angles, weights w_1..w_{L-1}, horizon.  Measured:
-    measured[l-2] = (eigvec_a, eigvec_b, tail_max, eta_used) of level l.
-    Every other table is derived from these once, on first use: gaps[l-2] is
-    the chord distance from level l to its parent level, for l = 2..L;
+    Angles may be given as TorusPoints or as rationals (turns).  Every other
+    table is derived from the choices once, on first use: gaps[l-2] is the
+    chord distance from level l to its parent level, for l = 2..L;
     alphas1[l-1] is the fiber-1 shift weight for l = 1..L-1 (fiber i: times
-    FIBER_DECAY**(i-1)); budgets[l-2] is level l's LevelBudget, judged from
-    its measured values.  The file format belongs to ``jamison.serialize``.
+    FIBER_DECAY**(i-1)); powers[k-1] is J^(n_k) over all L levels for
+    k = 1..horizon, whose column l holds level l's coefficient row;
+    budgets[l-2] is level l's LevelBudget, measured from those tables and
+    judged.  No search happens here, so a spectrum that fails a predicate
+    simply comes out uncertified.  The file format belongs to
+    ``jamison.serialize``.
     """
 
     seq: IndexSequence
     lambdas: tuple
     weights: tuple
     horizon: int
-    measured: tuple
 
     def __post_init__(self):
+        points = tuple(p if isinstance(p, TorusPoint) else TorusPoint(Fraction(p)) for p in self.lambdas)
+        object.__setattr__(self, "lambdas", points)
         if self.levels < 2:
             raise ConfigInvalid(f"a construction needs at least two levels, got {self.levels}")
         object.__setattr__(self, "weights", level_weights(self.weights, self.levels))
@@ -363,18 +344,11 @@ class ShiftConstruction:
 
     @property
     def certified(self) -> bool:
-        return len(self.measured) == self.levels - 1 and all(b.all_ok for b in self.budgets)
+        return all(b.all_ok for b in self.budgets)
 
     @cached_property
     def _gap_of(self) -> dict:
         return gaps_table(self.lambdas, self.levels)
-
-    @cached_property
-    def budgets(self) -> tuple:
-        return tuple(
-            LevelBudget.judge(level, self.lambdas, self._gap_of, self.weights, *m)
-            for level, m in zip(range(2, self.levels + 1), self.measured)
-        )
 
     @cached_property
     def gaps(self) -> tuple:
@@ -383,6 +357,25 @@ class ShiftConstruction:
     @cached_property
     def alphas1(self) -> tuple:
         return tuple(_alphas_fiber1(self._gap_of, self.weights, self.levels - 1))
+
+    @cached_property
+    def powers(self) -> list:
+        return _unit_band_powers(self.lambdas, self.seq.prefix(self.horizon))
+
+    def budget(self, level: int) -> LevelBudget:
+        """Measure level l's eigenvector-chain difference and coefficient tail, then judge them."""
+        if not 2 <= level <= self.levels:
+            raise IndexOutOfRange(f"budget level {level} outside 2..{self.levels}")
+        if level >= 3:
+            eig_a, eig_b = _chain_difference(self.lambdas, self.alphas1, level)
+        else:
+            eig_a = eig_b = 0.0
+        tail_max = max(_tail_sum(Jn, self.weights, self._gap_of, level) for Jn in self.powers)
+        return LevelBudget.judge(level, self.lambdas, self._gap_of, self.weights, eig_a, eig_b, tail_max)
+
+    @cached_property
+    def budgets(self) -> tuple:
+        return tuple(self.budget(level) for level in range(2, self.levels + 1))
 
     def alpha(self, i: int, level: int) -> float:
         if i < 1:
@@ -398,24 +391,6 @@ class ShiftConstruction:
     @property
     def nuclear_partial_sum(self) -> float:
         return sum(t for _, t in self.nuclear_terms())
-
-    @classmethod
-    def from_parameters(cls, seq: IndexSequence, thetas, w, horizon: int) -> "ShiftConstruction":
-        """Assemble a construction from explicit angles and weights, measuring every level honestly.
-
-        No search happens here; the budgets simply record whether the supplied
-        spectrum satisfies each predicate.  Synthetic well-separated spectra
-        will come out uncertified, which is exactly what downstream gates need.
-        w needs at least L - 1 entries and keeps its first L - 1.  Each level
-        records eta_used as NaN, since no search ran.
-        """
-        points = tuple(p if isinstance(p, TorusPoint) else TorusPoint(Fraction(p)) for p in thetas)
-        w = level_weights(w, len(points))
-        measured = tuple(
-            _evaluate_level_budget(seq, points, w, horizon, level).measured
-            for level in range(2, len(points) + 1)
-        )
-        return cls(seq=seq, lambdas=points, weights=w, horizon=horizon, measured=measured)
 
 
 # --- adaptive build ---------------------------------------------------------------------
@@ -444,6 +419,7 @@ def _level_search_target(seq, thetas, w, K, level) -> float:
     gaps = gaps_table(thetas, level - 1)
     j = fiber_map(level)
     lam_j = thetas[j - 1]
+    dist = [abs(unit_diff(lam_j, p)) for p in thetas[: level - 1]]  # |lambda_j - lambda_q|
     # (a) gap recursion
     g_a = gaps[level - 1] / (2 ** level * w[level - 2])
     # (b) eigenvector budgets, linearized in the new gap with a 2x safety factor
@@ -454,16 +430,9 @@ def _level_search_target(seq, thetas, w, K, level) -> float:
         denom = abs(math.prod(alphas1[: m - 1], start=1 + 0j))
         s = 0.0
         for r in range(m - 1):
-            part = 1.0
-            for q in range(m - 1):
-                if q != r:
-                    part *= abs(unit_diff(lam_j, thetas[q]))
-            s += part
+            s += math.prod(dist[q] for q in range(m - 1) if q != r)
         a_slope_sq += (s / denom) ** 2
-    b_limit = 1.0
-    for q in range(level - 1):
-        if q != j - 1:
-            b_limit *= abs(unit_diff(lam_j, thetas[q]))
+    b_limit = math.prod(dist[q] for q in range(level - 1) if q != j - 1)
     for q in range(1, level):
         b_limit /= w[q - 1] * FIBER_DECAY
     if b_limit > budget:
@@ -475,10 +444,7 @@ def _level_search_target(seq, thetas, w, K, level) -> float:
     b_slope_sq = 0.0
     for m in range(j + 1, level):
         denom = abs(math.prod(alphas1[: m - 1], start=1 + 0j))
-        part = 1.0
-        for q in range(m - 1):
-            if q != j - 1:
-                part *= abs(unit_diff(lam_j, thetas[q]))
+        part = math.prod(dist[q] for q in range(m - 1) if q != j - 1)
         b_slope_sq += (part / denom) ** 2
     g_b = math.inf
     if a_slope_sq > 0.0:
@@ -518,11 +484,12 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
         raise PreconditionViolated("construction requires an integer sequence; reduce real input first")
     if K < 1 or K > len(seq):
         raise HorizonExceedsSequence(f"horizon {K} outside 1..{len(seq)}")
+    if L < 2:
+        raise ConfigInvalid(f"a construction needs at least two levels, got {L}")
     w = level_weights(w, L)
 
     theta1 = TorusPoint(Fraction(math.asin(1.0 / 6.0) / math.pi))
-    thetas = [theta1]
-    measured = []
+    thetas = (theta1,)
     for level in range(2, L + 1):
         j = fiber_map(level)
         parent = thetas[j - 1]
@@ -543,10 +510,10 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
                     continue
                 if any(new_theta == p.theta for p in thetas):
                     continue
-                trial = thetas + [TorusPoint(new_theta)]
-                record = _evaluate_level_budget(seq, trial, w, K, level, eta)
+                trial = ShiftConstruction(seq, (*thetas, TorusPoint(new_theta)), w, K)
+                record = trial.budget(level)
                 if record.all_ok:
-                    accepted = (TorusPoint(new_theta), record)
+                    accepted = trial
                     break
                 last_failure = record
             if accepted is not None:
@@ -562,10 +529,9 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
             raise BudgetInfeasible(
                 level, "eta_search", "near-return search found no usable candidates"
             )
-        thetas.append(accepted[0])
-        measured.append(accepted[1].measured)
+        thetas = accepted.lambdas
 
-    return ShiftConstruction(seq=seq, lambdas=tuple(thetas), weights=w, horizon=K, measured=tuple(measured))
+    return accepted
 
 
 # --- matrix assembly and powers ------------------------------------------------------
@@ -776,7 +742,7 @@ def verify_partial_power_bound(cons: ShiftConstruction, L: int, I: int, P: int, 
     rows = []
     for k in range(1, P + 1):
         n = cons.seq.terms[k - 1]
-        (Jn,) = _unit_band_powers(cons.lambdas[:L], [n])
+        Jn = cons.powers[k - 1][:L, :L]
         Tn = Jn * products
         norm_diff = operator_norm(np.triu(Tn, 1), p)
         norm_T = operator_norm(Tn, p)

@@ -4,10 +4,10 @@ Eigenvalue angles are written in two forms: an exact numerator/denominator
 string, which is authoritative, and a 30-significant-digit decimal rendering
 for human inspection.  Plain decimal storage would destroy the deep-level
 placement (parent gaps shrink past 1e-20 by level 5), so the loader rebuilds
-every construction from the exact angles, the weights and each level's
-measured budget values, from which the flags follow, and re-renders every
-stored field; any disagreement means the file was edited or truncated and
-raises :class:`ArtifactCorrupt`.
+every construction from the exact angles, the weights and the horizon,
+measures every level's budget again, and re-renders every stored field; any
+disagreement means the file was edited or truncated and raises
+:class:`ArtifactCorrupt`.
 """
 
 from __future__ import annotations
@@ -118,8 +118,9 @@ def construction_to_json_dict(cons: ShiftConstruction, fibers: int = 2) -> dict:
         "gaps": list(cons.gaps),
         "alphas_fiber1": list(cons.alphas1),
         "nuclear_partial_sum": cons.nuclear_partial_sum,
-        "certified": cons.certified,
+        # budgets before certified, so the loader names a forged level rather than the summary flag
         "budgets": [dict(vars(b)) for b in cons.budgets],  # flat records; asdict would deep-copy each field
+        "certified": cons.certified,
         "fibers": int(fibers),
     }
 
@@ -128,38 +129,44 @@ def save_construction(cons: ShiftConstruction, path, fibers: int = 2) -> None:
     write_json(path, construction_to_json_dict(cons, fibers))
 
 
-# The values of a level's budget that no angle or weight determines.
-_MEASURED = ("eigvec_a", "eigvec_b", "tail_max", "eta_used")
 _json_text = partial(json.dumps, sort_keys=True, default=_json_default)
+
+
+def _first_budget_difference(rebuilt: list, stored) -> str:
+    """Where a one-record-per-level budget list first differs: the level, then the field in sorted order."""
+    if not isinstance(stored, list) or len(stored) != len(rebuilt):
+        return ""
+    for mine, theirs in zip(rebuilt, stored):
+        theirs = theirs if isinstance(theirs, dict) else {}
+        for field in sorted(mine.keys() | theirs.keys()):
+            if field not in mine or field not in theirs or _json_text(mine[field]) != _json_text(theirs[field]):
+                return f" at level {mine['level']} {field!r}"
+    return ""
 
 
 def construction_from_json_dict(obj: dict) -> tuple:
     """Rebuild (construction, fibers) from a stored payload and check integrity.
 
-    The record is rebuilt from what was chosen (sequence, exact angles,
-    weights w_1..w_{L-1}, horizon, fibers) and what was measured, the four
-    values of _MEASURED per level; the record judges its own budgets from
-    those.  Every key that construction_to_json_dict writes for it must
-    equal the stored key as JSON text (doubles round-trip exactly; NaN and
-    Infinity compare equal), so an edited, appended or truncated artifact
-    cannot reach verification.
+    The record is rebuilt from what was chosen alone (sequence, exact
+    angles, weights w_1..w_{L-1}, horizon, fibers); it measures and judges
+    every level's budget again.  Every key that construction_to_json_dict
+    writes for it must equal the stored key as JSON text (doubles
+    round-trip exactly; NaN and Infinity compare equal), so an edited,
+    appended or truncated artifact, a measured value forged together with
+    its flag included, cannot reach verification.
     """
     from .construction import ShiftConstruction
 
     try:
-        stored_budgets = obj["budgets"]
         cons = ShiftConstruction(
             seq=IndexSequence.from_json_dict(obj["sequence"]),
             lambdas=tuple(TorusPoint(fraction_from_string(s)) for s in obj["thetas"]),
             weights=obj["weights"],
             horizon=int(obj["horizon"]),
-            measured=tuple(tuple(float(b[k]) for k in _MEASURED) for b in stored_budgets),
         )
-        cons.budgets  # judged inside the try: a malformed file is a config error, not a traceback
+        cons.budgets  # measured inside the try: a malformed file is a config error, not a traceback
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"bad construction payload: {exc!r}") from exc
-    if len(stored_budgets) != cons.levels - 1:
-        raise ArtifactCorrupt(f"'budgets' holds {len(stored_budgets)} records for {cons.levels} levels")
     fibers = obj.get("fibers", 2)
     if isinstance(fibers, bool) or not isinstance(fibers, int) or not 1 <= fibers <= MAX_FIBERS:
         raise ConfigInvalid(
@@ -169,7 +176,8 @@ def construction_from_json_dict(obj: dict) -> tuple:
     stored = {**obj, "fibers": fibers}
     for key, value in construction_to_json_dict(cons, fibers).items():
         if _json_text(value) != _json_text(stored.get(key)):
-            raise ArtifactCorrupt(f"stored {key!r} differs from the record rebuilt from the angles and measurements")
+            where = _first_budget_difference(value, stored.get(key)) if key == "budgets" else ""
+            raise ArtifactCorrupt(f"stored {key!r} differs{where} from the record rebuilt from the chosen values")
     return cons, fibers
 
 

@@ -224,7 +224,7 @@ def _save_uncertified(workdir, path):
     from jamison.construction import ShiftConstruction
 
     seq = load_sequence(workdir / "fact6.json")
-    save_construction(ShiftConstruction.from_parameters(seq, UNCERTIFIED_THETAS, (1.0, 2.0, 3.0), horizon=6), path)
+    save_construction(ShiftConstruction(seq, UNCERTIFIED_THETAS, (1.0, 2.0, 3.0), horizon=6), path)
 
 
 def test_forged_certificate_exits_two_before_the_power_table(workdir, tmp_path, capsys, monkeypatch):
@@ -257,12 +257,14 @@ def test_budget_list_not_one_per_level_exits_two(workdir, tmp_path, capsys, kept
         "--powers", "3", "--out-dir", str(tmp_path / "out"),
     ])
     assert rc == 2
-    assert "artifact integrity failure: 'budgets'" in capsys.readouterr().err
+    assert "artifact integrity failure: stored 'budgets' differs from" in capsys.readouterr().err
 
 
+# eta_used is a key that files written before every budget was re-measured still carry
 @pytest.mark.parametrize("field", ["eigvec_a", "eigvec_b", "tail_max", "eta_used"])
 @pytest.mark.parametrize("bad", ["x", None])
 def test_non_numeric_measurement_exits_one(workdir, tmp_path, capsys, field, bad):
+    # the loader reads no stored measurement, so a non-numeric one is a corrupt file: exit 2
     obj = json.loads((workdir / "C.json").read_text())
     obj["budgets"][1][field] = bad
     (tmp_path / "bad.json").write_text(json.dumps(obj))
@@ -270,9 +272,31 @@ def test_non_numeric_measurement_exits_one(workdir, tmp_path, capsys, field, bad
         "verify", "--construction", str(tmp_path / "bad.json"),
         "--powers", "3", "--out-dir", str(tmp_path / "out"),
     ])
-    assert rc == 1
-    assert "config error" in capsys.readouterr().err
+    assert rc == 2
+    assert f"artifact integrity failure: stored 'budgets' differs at level 3 {field!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+FLAG_OF = {"eigvec_a": "eigvec_budget_ok", "eigvec_b": "eigvec_budget_ok", "tail_max": "tail_sum_ok"}
+
+
+@pytest.mark.parametrize("field", sorted(FLAG_OF))
+@pytest.mark.parametrize("source", ["L5", "L8"])
+def test_forged_measurement_with_its_flag_exits_two_naming_level_and_field(workdir, tmp_path, capsys, field, source):
+    # a measured value pushed past its budget, with its flag and certified set to agree,
+    # is caught because the loader measures every level again
+    path = workdir / "C.json" if source == "L5" else GOLDEN / "ladder/L8/L8.json"
+    obj = json.loads(path.read_text())
+    level = 4
+    record = obj["budgets"][level - 2]
+    budget = record["eigvec_budget" if field.startswith("eigvec") else "tail_budget"]
+    record[field] = 2.0 * budget
+    record[FLAG_OF[field]] = False
+    obj["certified"] = False
+    (tmp_path / "forged.json").write_text(json.dumps(obj))
+    rc, err = _verify_exit(tmp_path / "forged.json", capsys)
+    assert rc == 2
+    assert f"artifact integrity failure: stored 'budgets' differs at level {level} {field!r}" in err
 
 
 @pytest.mark.parametrize("record", ["built", "from_parameters", "weight_file"])
@@ -522,6 +546,18 @@ def test_construct_weight_file_of_one_weight_per_band(workdir, tmp_path):
     assert (tmp_path / "C_four.json").read_bytes() == (tmp_path / "C_five.json").read_bytes()
 
 
+def test_construct_boolean_weights_are_config_error(workdir, tmp_path, capsys):
+    (tmp_path / "w.json").write_text("[true, true, true, true]")
+    rc = main([
+        "construct", "--sequence", str(workdir / "fact6.json"),
+        "--levels", "5", "--weights", str(tmp_path / "w.json"), "--horizon", "6",
+        "--out", str(tmp_path / "C.json"), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert "config error: weight file" in capsys.readouterr().err
+    assert not (tmp_path / "C.json").exists()
+
+
 def test_construct_bad_weight_file_is_config_error(workdir, tmp_path):
     (tmp_path / "w.json").write_text("{\"w\": 1}")
     rc = main([
@@ -627,7 +663,7 @@ def test_verify_uncertified_construction_is_config_error(workdir, tmp_path):
     from jamison.construction import ShiftConstruction
 
     seq = load_sequence(workdir / "fact6.json")
-    cons = ShiftConstruction.from_parameters(
+    cons = ShiftConstruction(
         seq,
         [Fraction(1, 23), Fraction(1, 31), Fraction(1, 41)],
         (1.0, 2.0, 3.0),

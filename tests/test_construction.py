@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product as iter_product
@@ -83,7 +84,7 @@ def small_cons():
 @pytest.fixture(scope="module")
 def synthetic_cons():
     # plainly separated angles: budgets measure honestly and fail
-    return ShiftConstruction.from_parameters(
+    return ShiftConstruction(
         IndexSequence.factorials(6),
         [Fraction(1, 23), Fraction(1, 31), Fraction(1, 41), Fraction(1, 53), Fraction(2, 23)],
         (1.0, 2.0, 3.0, 4.0, 5.0),
@@ -352,7 +353,6 @@ def test_factorial_build_certified_golden(factorial_cons):
     for g, expected in zip(cons.gaps, LOG10_GAPS_L8):
         assert math.log10(g) == pytest.approx(expected, abs=1e-6)
     assert cons.budgets[0].delta == Fraction(1, 32256000)
-    assert cons.budgets[0].eta_used == pytest.approx(0.02010765581379156, rel=1e-12)
     for budget in cons.budgets:
         assert budget.all_ok
         assert budget.tail_max <= budget.tail_budget
@@ -373,6 +373,69 @@ def test_build_reaches_level_eleven():
     # the profile gate resolves 1/n_h, so the sub-resolution witnesses at 1/11! open up
     cons = build_construction(IndexSequence.factorials(11), L=11, K=11, w=tuple(range(1, 12)))
     assert cons.certified and cons.levels == 11
+
+
+# The search target of each level of the L = 8 factorial ladder (linear weights,
+# horizon 8), as recorded in the ladder's construction file when it still stored them.
+ETA_L8 = [
+    0.02010765581379156,
+    2.393408887907834e-14,
+    9.584834444594821e-27,
+    1.439407000413891e-39,
+    8.646544913873705e-53,
+    2.164164924016757e-66,
+    2.32146062593769e-80,
+]
+
+
+def test_level_search_targets_pinned_on_the_L8_ladder(factorial_cons):
+    cons = factorial_cons
+    got = [
+        construction._level_search_target(cons.seq, cons.lambdas[: level - 1], cons.weights, 8, level)
+        for level in range(2, 9)
+    ]
+    assert got == ETA_L8
+
+
+def test_record_holds_only_its_choices(factorial_cons):
+    assert [f.name for f in dataclasses.fields(ShiftConstruction)] == ["seq", "lambdas", "weights", "horizon"]
+    # the build returns its last accepted trial, whose powers J^(n_k) are already measured
+    assert "powers" in vars(factorial_cons)
+    assert len(factorial_cons.powers) == 8 and factorial_cons.powers[0].shape == (8, 8)
+
+
+def _principal_block_budget(cons, level):
+    """Level l measured on the powers of its own l x l principal block: the reference for the record's full-block powers."""
+    thetas, w = cons.lambdas, cons.weights
+    gaps = construction.gaps_table(thetas, level)
+    eig = (0.0, 0.0)
+    if level >= 3:
+        eig = construction._chain_difference(thetas, construction._alphas_fiber1(gaps, w, level - 1), level)
+    powers = construction._unit_band_powers(thetas[:level], cons.seq.prefix(cons.horizon))
+    tail_max = max(construction._tail_sum(Jn, w, gaps, level) for Jn in powers)
+    return eig, tail_max
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    angles=st.lists(
+        st.fractions(min_value=Fraction(1, 97), max_value=Fraction(96, 97), max_denominator=97),
+        min_size=3, max_size=6, unique=True,
+    ),
+    steps=st.lists(st.integers(1, 50), min_size=1, max_size=6),
+    w=st.lists(st.floats(0.25, 8.0), min_size=5, max_size=5),
+)
+def test_record_budgets_match_per_level_principal_blocks(angles, steps, w):
+    terms = [1]
+    for step in steps:
+        terms.append(terms[-1] + step)
+    cons = ShiftConstruction(IndexSequence(tuple(terms)), angles, w, horizon=len(terms))
+    for budget in cons.budgets:
+        (eig_a, eig_b), tail_max = _principal_block_budget(cons, budget.level)
+        assert (budget.eigvec_a, budget.eigvec_b) == (eig_a, eig_b)
+        assert budget.tail_max == pytest.approx(tail_max, rel=1e-15, abs=0.0)
+        assert budget.tail_sum_ok == (tail_max <= budget.tail_budget)
+        assert budget.eigvec_budget_ok == (eig_a <= budget.eigvec_budget and eig_b <= budget.eigvec_budget)
 
 
 def test_build_is_deterministic(small_cons):

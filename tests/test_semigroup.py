@@ -43,7 +43,7 @@ def factorial_setup():
 
 @pytest.fixture(scope="module")
 def separated_setup():
-    cons = ShiftConstruction.from_parameters(
+    cons = ShiftConstruction(
         IndexSequence.factorials(6),
         [Fraction(1, 23), Fraction(1, 31), Fraction(1, 41), Fraction(1, 53), Fraction(2, 23)],
         (1.0, 2.0, 3.0, 4.0, 5.0),
