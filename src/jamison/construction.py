@@ -728,9 +728,9 @@ def verify_partial_power_bound(cons: ShiftConstruction, L: int, I: int, P: int, 
     T^n comes from the exact-phase kernel, whose diagonal is the exact D^n, so
     the difference is the strictly upper part of T^n: the genuine band
     contribution.  Every fiber band is positive, so the kernel's balancing
-    turns each block into the unit-band J on the exact eigenvalues: one power
-    J^n per row gives T^n = J^n * band_products and the analytic tail bound
-    alike.  Each row also carries that bound; a certified
+    turns each block into the unit-band J on the exact eigenvalues: the
+    record's J^n of each row, cut to L levels, gives T^n = J^n * band_products
+    and the analytic tail bound alike.  Each row also carries that bound; a certified
     construction must come out with measured <= 1, operator power <= 2, and
     analytic bound at least the measured value.
     """
