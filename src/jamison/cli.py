@@ -11,7 +11,8 @@ Subcommands:
 Exit codes separate what went wrong: 0 success; 1 bad configuration or
 unreadable input; 2 a checked invariant failed or a stored artifact is
 corrupt (the failing rows are dumped to stderr as JSON); 3 the construction
-search proved infeasible at some level.
+search proved infeasible at some level.  Each error type carries its code and
+stderr label in ``jamison.errors``, the one table; main adds only OSError.
 
 All artifacts are deterministic functions of the flags and the seed; the only
 field that varies between identical runs is report.json's "timestamp".
@@ -33,43 +34,9 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import (
-    ArtifactCorrupt,
-    BudgetInfeasible,
-    BudgetsNotCertified,
-    ConfigInvalid,
-    HorizonExceedsSequence,
-    IndexOutOfRange,
-    JamisonError,
-    PreconditionViolated,
-    SpectrumOutsideDomain,
-)
+from .errors import BudgetInfeasible, ConfigInvalid, InvariantFailure, JamisonError
 from .sequences import classify_jamison
 from .serialize import MAX_FIBERS, check_fibers, load_construction, load_sequence, read_json, save_construction, write_json
-
-# errors that mean the user asked for something invalid, not that math failed
-_CONFIG_ERRORS = (
-    ConfigInvalid,
-    OSError,
-    HorizonExceedsSequence,
-    PreconditionViolated,
-    BudgetsNotCertified,
-    SpectrumOutsideDomain,
-    IndexOutOfRange,
-)
-
-
-class InvariantFailure(JamisonError):
-    """A checked invariant came out false; carries the rows for the stderr dump."""
-
-    def __init__(self, message: str, dump):
-        super().__init__(message)
-        self.dump = dump
-
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
 
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -78,9 +45,11 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _emit_report(out_dir: Path, payload: dict) -> None:
+def _emit_report(out_dir: Path, command: str, payload: dict) -> None:
+    """Write report.json: the payload in the envelope every command shares."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "report.json", payload)
+    stamp = datetime.now(timezone.utc).isoformat()
+    write_json(out_dir / "report.json", {"command": command, "timestamp": stamp, **payload})
 
 
 # --- argument parsing ----------------------------------------------------------
@@ -163,9 +132,7 @@ def _cmd_analyze(args) -> int:
         raise ConfigInvalid(f"bad horizon list {args.horizons!r}") from exc
     result = classify_jamison(seq, horizons, resolution=args.resolution, refine_steps=args.refine_steps)
     out_dir = Path(args.out_dir)
-    payload = {
-        "command": "analyze",
-        "timestamp": _timestamp(),
+    _emit_report(out_dir, args.command, {
         "config": {
             "sequence": str(args.sequence),
             "horizons": horizons,
@@ -173,8 +140,7 @@ def _cmd_analyze(args) -> int:
             "refine_steps": args.refine_steps,
         },
         "classification": result.to_json_dict(),
-    }
-    _emit_report(out_dir, payload)
+    })
     _write_csv(
         out_dir / "decay.csv",
         ("K", "epsilon_hat_torus", "epsilon_hat_chord", "witness_theta"),
@@ -218,9 +184,7 @@ def _cmd_construct(args) -> int:
     try:
         cons = build_construction(seq, L=args.levels, K=horizon, w=weights)
     except BudgetInfeasible as exc:
-        _emit_report(out_dir, {
-            "command": "construct",
-            "timestamp": _timestamp(),
+        _emit_report(out_dir, args.command, {
             "config": config,
             "status": "infeasible",
             "level": exc.level,
@@ -228,9 +192,7 @@ def _cmd_construct(args) -> int:
         })
         raise
     save_construction(cons, args.out, fibers=args.fibers)
-    _emit_report(out_dir, {
-        "command": "construct",
-        "timestamp": _timestamp(),
+    _emit_report(out_dir, args.command, {
         "config": config,
         "status": "certified" if cons.certified else "uncertified",
         "construction": {
@@ -251,9 +213,7 @@ def _cmd_verify(args) -> int:
     cons, fibers = load_construction(args.construction)
     report = verify_partial_power_bound(cons, cons.levels, fibers, args.powers, args.p)
     out_dir = Path(args.out_dir)
-    _emit_report(out_dir, {
-        "command": "verify",
-        "timestamp": _timestamp(),
+    _emit_report(out_dir, args.command, {
         "config": {
             "construction": str(args.construction),
             "p": str(args.p),
@@ -284,8 +244,6 @@ def _cmd_semigroup(args) -> int:
     lift = lift_report(sg, cons.seq, args.powers)
     out_dir = Path(args.out_dir)
     payload = {
-        "command": "semigroup",
-        "timestamp": _timestamp(),
         "config": {
             "construction": str(args.construction),
             "real_sequence": None if args.real_sequence is None else str(args.real_sequence),
@@ -306,7 +264,7 @@ def _cmd_semigroup(args) -> int:
         payload["bounded"] = bounded.to_json_dict()
         checks["bounded"] = bounded.all_ok
     payload["checks"] = checks
-    _emit_report(out_dir, payload)
+    _emit_report(out_dir, args.command, payload)
     _write_csv(out_dir / "generator.csv", ("row", "col", "re", "im"), sg.generator_csv_rows())
     if not all(checks.values()):
         raise InvariantFailure("semigroup lift checks failed", {"checks": checks, "lift": lift})
@@ -392,9 +350,7 @@ def _cmd_starnorm(args) -> int:
     handler = {"bound": _starnorm_bound, "pairs": _starnorm_pairs, "field": _starnorm_field}[args.mode]
     result, ok, (csv_name, header, rows) = handler(seq, args)
     out_dir = Path(args.out_dir)
-    _emit_report(out_dir, {
-        "command": "starnorm",
-        "timestamp": _timestamp(),
+    _emit_report(out_dir, args.command, {
         "config": {
             "sequence": str(args.sequence),
             "mode": args.mode,
@@ -437,13 +393,11 @@ def _cmd_report(args) -> int:
                 entry["summary"] = summary
         artifacts.append(entry)
     payload = {
-        "command": "report",
-        "timestamp": _timestamp(),
         "config": {"out_dir": str(args.out_dir)},
         "artifacts": artifacts,
         "csv_tables": sorted(p.name for p in out_dir.glob("*.csv")),
     }
-    _emit_report(out_dir, payload)
+    _emit_report(out_dir, args.command, payload)
     print(f"indexed {len(artifacts)} artifacts, {len(payload['csv_tables'])} tables")
     return 0
 
@@ -462,23 +416,15 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
-    except BudgetInfeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
-    except InvariantFailure as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        json.dump(exc.dump, sys.stderr, indent=2, default=str)
-        print(file=sys.stderr)
-        return 2
-    except ArtifactCorrupt as exc:
-        print(f"artifact integrity failure: {exc}", file=sys.stderr)
-        return 2
-    except _CONFIG_ERRORS as exc:
+    except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except JamisonError as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return 2
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        if exc.dump is not None:
+            json.dump(exc.dump, sys.stderr, indent=2, default=str)
+            print(file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

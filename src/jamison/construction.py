@@ -279,18 +279,31 @@ def _chain_coeffs(thetas, alphas1, n: int) -> list:
     return coeffs
 
 
+def _norm2(values) -> float:
+    """2-norm of a list of moduli, squared after scaling by a power of two taken from the largest.
+
+    Squares below about 1.5e-154 are not doubles; scaled to the largest
+    modulus, no square that matters to the sum underflows (Blue, ACM TOMS
+    4, 1978).  Scaling by 2^-e is exact, so wherever the plain sum of
+    squares did not underflow the norm keeps its bits.
+    """
+    top = max(values, default=0.0)
+    if top == 0.0:
+        return 0.0
+    e = math.frexp(top)[1]
+    return math.ldexp(math.sqrt(sum(math.ldexp(v, -e) ** 2 for v in values)), e)
+
+
 def _chain_difference(thetas, alphas1, n: int) -> tuple:
     """(head, tail) 2-norm parts of the fiber-1 chain difference u^(n) - u^(j(n))."""
     j = fiber_map(n)
     lam_n, lam_j = thetas[n - 1], thetas[j - 1]
-    a_sq = 0.0
-    for m in range(2, j + 1):
-        denom = math.prod(alphas1[: m - 1], start=1 + 0j)
-        diff = product_difference(lam_n, lam_j, thetas[: m - 1]) / denom
-        a_sq += abs(diff) ** 2
-    chain = _chain_coeffs(thetas, alphas1, n)
-    b_sq = sum(abs(c) ** 2 for c in chain[j:])
-    return math.sqrt(a_sq), math.sqrt(b_sq)
+    head = [
+        abs(product_difference(lam_n, lam_j, thetas[: m - 1]) / math.prod(alphas1[: m - 1], start=1 + 0j))
+        for m in range(2, j + 1)
+    ]
+    tail = [abs(c) for c in _chain_coeffs(thetas, alphas1, n)[j:]]
+    return _norm2(head), _norm2(tail)
 
 
 # --- the construction record ----------------------------------------------------------

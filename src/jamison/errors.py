@@ -1,24 +1,46 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one table of exit codes.
 
-Everything raised on purpose derives from :class:`JamisonError` so callers can
-catch one base class at API boundaries (the CLI maps subclasses to exit codes).
+Everything raised on purpose derives from :class:`JamisonError`, so callers can
+catch one base class at API boundaries.  Each type carries the exit code and
+the stderr label the CLI reports it with: 1 "config error" for input the user
+got wrong, 3 "infeasible" for a construction search that proved infeasible,
+and 2 for everything else, a failed invariant or a corrupt artifact.
 """
 
 from __future__ import annotations
 
 
 class JamisonError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors: a failed check, exit code 2 unless a subclass says otherwise."""
+
+    exit_code = 2
+    label = "invariant failure"
+    dump = None  # JSON-able rows printed to stderr after the message
 
 
-class ConfigInvalid(JamisonError):
+class _BadInput(JamisonError):
+    """The user asked for something invalid; no computation went wrong."""
+
+    exit_code = 1
+    label = "config error"
+
+
+class InvariantFailure(JamisonError):
+    """A checked invariant came out false; carries the rows for the stderr dump."""
+
+    def __init__(self, message: str, dump):
+        super().__init__(message)
+        self.dump = dump
+
+
+class ConfigInvalid(_BadInput):
     """A config dataclass or CLI argument set fails validation."""
 
 
 # --- sequence / separation errors -------------------------------------------
 
 
-class HorizonExceedsSequence(JamisonError):
+class HorizonExceedsSequence(_BadInput):
     """A requested horizon K is past the end of the stored sequence."""
 
 
@@ -38,7 +60,7 @@ class OutOfDomain(JamisonError):
     """A torus angle or arc argument lies outside the expected range."""
 
 
-class PreconditionViolated(JamisonError):
+class PreconditionViolated(_BadInput):
     """An input sequence breaks a documented precondition (monotone, first term 1, ...)."""
 
 
@@ -61,6 +83,9 @@ class BudgetInfeasible(JamisonError):
     the construction.
     """
 
+    exit_code = 3
+    label = "infeasible"
+
     def __init__(self, level: int, predicate: str, detail: str = ""):
         self.level = level
         self.predicate = predicate
@@ -74,7 +99,7 @@ class WeightListTooShort(ConfigInvalid):
     """Fewer weights supplied than the construction depth requires."""
 
 
-class IndexOutOfRange(JamisonError):
+class IndexOutOfRange(_BadInput):
     """Row/level index outside the operator's finite section."""
 
 
@@ -82,12 +107,14 @@ class NegativeDegree(JamisonError):
     """Symmetric-sum degree must be non-negative."""
 
 
-class BudgetsNotCertified(JamisonError):
+class BudgetsNotCertified(_BadInput):
     """verify/serialize called on a construction whose budgets never passed."""
 
 
 class ArtifactCorrupt(JamisonError):
     """A stored artifact fails its load-time integrity recomputation."""
+
+    label = "artifact integrity failure"
 
 
 # --- linear-algebra errors ---------------------------------------------------
@@ -101,5 +128,5 @@ class NonSquare(JamisonError):
     """A square matrix was required."""
 
 
-class SpectrumOutsideDomain(JamisonError):
+class SpectrumOutsideDomain(_BadInput):
     """An eigenvalue falls outside the right half-plane cut needed for the log."""

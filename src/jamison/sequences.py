@@ -145,6 +145,9 @@ class IndexSequence:
         terms = tuple(self.terms)
         if not terms:
             raise ConfigInvalid("sequence needs at least one term")
+        # bool is an int subclass, but true is not a term
+        if any(isinstance(t, (bool, np.bool_)) for t in terms):
+            raise ConfigInvalid("sequence terms must be numbers, not booleans")
         if any(not isinstance(t, int) and not math.isfinite(t) for t in terms):
             raise ConfigInvalid("sequence terms must be finite")
         if any(isinstance(t, int) and abs(t) > sys.float_info.max for t in terms):

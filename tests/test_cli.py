@@ -5,6 +5,7 @@ asserted without subprocess overhead.  A shared session directory carries one
 certified construction through construct -> verify -> semigroup.
 """
 
+import builtins
 import importlib
 import json
 import math
@@ -16,9 +17,11 @@ from pathlib import Path
 import pytest
 
 import jamison
+import jamison.cli as cli
+import jamison.errors as errors
 from jamison import IndexSequence, build_construction
 from jamison.cli import main
-from jamison.errors import ArtifactCorrupt, ConfigInvalid
+from jamison.errors import ArtifactCorrupt, ConfigInvalid, JamisonError
 from jamison.serialize import (
     MAX_FIBERS,
     construction_from_json_dict,
@@ -847,6 +850,73 @@ def test_report_on_missing_dir_is_config_error(tmp_path):
 # --- exit codes and determinism ----------------------------------------------------
 
 
+# The exit-code contract: every error type the package raises, and OSError,
+# with the code main returns and the prefix of its first stderr line.
+_INVALID = (1, "config error")
+_INVARIANT = (2, "invariant failure")
+EXIT_TABLE = {
+    "OSError": _INVALID,
+    "ConfigInvalid": _INVALID,
+    "InvalidResolution": _INVALID,
+    "InvalidEta": _INVALID,
+    "EmptyHorizons": _INVALID,
+    "WeightListTooShort": _INVALID,
+    "HorizonExceedsSequence": _INVALID,
+    "PreconditionViolated": _INVALID,
+    "BudgetsNotCertified": _INVALID,
+    "SpectrumOutsideDomain": _INVALID,
+    "IndexOutOfRange": _INVALID,
+    "BudgetInfeasible": (3, "infeasible"),
+    "ArtifactCorrupt": (2, "artifact integrity failure"),
+    "InvariantFailure": _INVARIANT,
+    "JamisonError": _INVARIANT,
+    "OutOfDomain": _INVARIANT,
+    "DegenerateInput": _INVARIANT,
+    "InvalidIndex": _INVARIANT,
+    "NegativeDegree": _INVARIANT,
+    "SizeMismatch": _INVARIANT,
+    "NonSquare": _INVARIANT,
+}
+
+
+def _error_type(name):
+    for module in (errors, cli, builtins):
+        if hasattr(module, name):
+            return getattr(module, name)
+    raise LookupError(name)
+
+
+def test_exit_table_names_every_error_type():
+    public, stack = {"JamisonError"}, [JamisonError]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("jamison") and not sub.__name__.startswith("_"):
+                public.add(sub.__name__)
+    assert public | {"OSError"} == set(EXIT_TABLE)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_TABLE))
+def test_each_error_type_exits_with_its_code_and_label(name, monkeypatch, capsys):
+    kind = _error_type(name)
+    dump = {"rows": [{"k": 1, "ok": False}]}
+    exc = {
+        "BudgetInfeasible": lambda: kind(4, "tail_sum", "no candidate"),
+        "InvariantFailure": lambda: kind("checks failed", dump),
+    }.get(name, lambda: kind("something is wrong"))()
+
+    def stub(args):
+        raise exc
+
+    monkeypatch.setitem(cli._DISPATCH, "report", stub)
+    code, label = EXIT_TABLE[name]
+    assert main(["report"]) == code
+    first, *rest = capsys.readouterr().err.splitlines()
+    assert first == f"{label}: {exc}"
+    # only a failed invariant check carries rows, and they follow as JSON
+    assert (json.loads("\n".join(rest)) if rest else None) == (dump if name == "InvariantFailure" else None)
+
+
 def test_unknown_flag_exits_one(capsys):
     assert main(["analyze", "--nope"]) == 1
     assert "config error" in capsys.readouterr().err
@@ -881,6 +951,26 @@ def test_out_of_range_terms_exit_one(tmp_path, capsys, kind, bad, message):
     rc = main(["analyze", "--sequence", str(path), "--horizons", "2,3", "--out-dir", str(tmp_path)])
     assert rc == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["integer", "real"])
+@pytest.mark.parametrize("command", ["analyze", "construct", "verify"])
+def test_boolean_terms_exit_one(workdir, tmp_path, capsys, kind, command):
+    # JSON true would otherwise read as the term 1
+    terms = [True, 2, 6, 24, 120, 720]
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text(json.dumps({"kind": kind, "terms": terms}))
+    cons_path = tmp_path / "C.json"
+    record = json.loads((workdir / "C.json").read_text())
+    record["sequence"] = {"kind": kind, "terms": terms}
+    cons_path.write_text(json.dumps(record))
+    argv = {
+        "analyze": ["analyze", "--sequence", str(seq_path), "--horizons", "2,3"],
+        "construct": ["construct", "--sequence", str(seq_path), "--levels", "3", "--out", str(tmp_path / "out.json")],
+        "verify": ["verify", "--construction", str(cons_path), "--powers", "2"],
+    }[command]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert "config error: sequence terms must be numbers, not booleans" in capsys.readouterr().err
 
 
 def test_reports_deterministic_modulo_timestamp(workdir, tmp_path):

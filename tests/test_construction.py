@@ -37,6 +37,7 @@ from jamison.errors import (
     SizeMismatch,
     WeightListTooShort,
 )
+from jamison.serialize import construction_to_json_dict
 
 # Golden data frozen from the first certified runs; the whole pipeline is
 # deterministic so these reproduce bit-for-bit on rebuild.
@@ -341,6 +342,51 @@ def test_chain_cauchy_estimate(factorial_cons):
     for n in range(3, 9):
         a, b = chain_difference_norms(factorial_cons, n)
         assert math.hypot(a, b) <= 2.0 ** -n
+
+
+def _chain_difference_oracle(cons, n):
+    """(head, tail) of u^(n) - u^(parent of n) in 900-digit arithmetic on the exact angles and weights.
+
+    Straight from the definitions: no product-difference identity, no
+    half-angle form, no scaling.  Past level 9 of the factorial ladder the
+    parts fall below 1e-154, whose squares are not doubles.
+    """
+    with mpmath.workdps(900):
+        lam = [mpmath.expjpi(2 * mpmath.mpf(p.theta.numerator) / p.theta.denominator) for p in cons.lambdas]
+
+        def gap(l):
+            return mpmath.mpf(1) if l == 1 else abs(lam[l - 1] - lam[fiber_map(l) - 1])
+
+        alpha = [mpmath.mpf(w) / 2 * gap(l + 1) / gap(l) for l, w in enumerate(cons.weights, start=1)]
+        j = fiber_map(n)
+        head = mpmath.fsum(
+            abs((mpmath.fprod(lam[n - 1] - x for x in lam[: m - 1]) - mpmath.fprod(lam[j - 1] - x for x in lam[: m - 1]))
+                / mpmath.fprod(alpha[: m - 1])) ** 2
+            for m in range(2, j + 1)
+        )
+        tail = mpmath.fsum(
+            abs(mpmath.fprod(lam[n - 1] - x for x in lam[: m - 1]) / mpmath.fprod(alpha[: m - 1])) ** 2
+            for m in range(j + 1, n + 1)
+        )
+        return float(mpmath.sqrt(head)), float(mpmath.sqrt(tail))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-150, 1e150), max_size=12))
+def test_scaled_norm_keeps_the_bits_of_the_plain_sum_of_squares(values):
+    # no square underflows in this range, so the power-of-two scaling must change no bit
+    assert construction._norm2(values) == math.sqrt(sum(v * v for v in values))
+
+
+@pytest.mark.parametrize("L", [11, 13])
+def test_stored_chain_differences_match_the_mpmath_oracle(L):
+    cons = build_construction(IndexSequence.factorials(L), L=L, K=L, w=tuple(range(1, L)))
+    stored = construction_to_json_dict(cons)["budgets"]
+    for record in stored[1:]:
+        want = _chain_difference_oracle(cons, record["level"])
+        for field, value in zip(("eigvec_a", "eigvec_b"), want):
+            # zeros included: an empty head is exactly 0.0, and a value below 1e-154 is no zero
+            assert abs(record[field] - value) <= 1e-12 * value, (record["level"], field, record[field], value)
 
 
 # --- adaptive build -------------------------------------------------------------------

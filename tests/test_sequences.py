@@ -602,6 +602,11 @@ def test_index_sequence_validation():
         IndexSequence((), "integer")
     with pytest.raises(ConfigInvalid):
         IndexSequence((1, 2), "weird")
+    # bool is an int subclass, numpy's bool is not, and neither is a term
+    for kind in ("integer", "real"):
+        for flag in (True, np.True_):
+            with pytest.raises(ConfigInvalid, match="not booleans"):
+                IndexSequence((1, 2, flag), kind)
     assert IndexSequence((1, 2.5, 7.9), "real").terms == (1.0, 2.5, 7.9)
 
 
