@@ -81,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="separation profile and verdict for a sequence")
     p.add_argument("--sequence", required=True, help="sequence JSON file")
     p.add_argument("--horizons", default="10,100,1000", help="comma-separated horizons")
-    p.add_argument("--resolution", type=float, default=1e-6, help="torus grid resolution")
-    p.add_argument("--refine-steps", type=int, default=48, help="ternary refinement steps")
+    p.add_argument("--resolution", type=float, default=1e-6, help="width of each certified separation interval")
     p.add_argument("--out-dir", default=".", help="artifact directory")
 
     p = sub.add_parser("construct", help="adaptive eigenvalue placement with certificates")
@@ -130,14 +129,13 @@ def _cmd_analyze(args) -> int:
         horizons = [int(h) for h in str(args.horizons).split(",") if h.strip()]
     except ValueError as exc:
         raise ConfigInvalid(f"bad horizon list {args.horizons!r}") from exc
-    result = classify_jamison(seq, horizons, resolution=args.resolution, refine_steps=args.refine_steps)
+    result = classify_jamison(seq, horizons, resolution=args.resolution)
     out_dir = Path(args.out_dir)
     _emit_report(out_dir, args.command, {
         "config": {
             "sequence": str(args.sequence),
             "horizons": horizons,
             "resolution": args.resolution,
-            "refine_steps": args.refine_steps,
         },
         "classification": result.to_json_dict(),
     })

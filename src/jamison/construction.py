@@ -12,9 +12,10 @@ separation (factorial-like growth), the adaptive search succeeds and the
 resulting matrix keeps all powers T^{n_k} within distance 1 of the diagonal
 part.
 
-Everything here is deterministic: the near-return search is grid plus exact
-rational witnesses, budgets are re-checked with exact-angle arithmetic after
-every selection, and builds with identical inputs produce identical output.
+Everything here is deterministic: the near-return search is a box search
+plus exact rational witnesses, budgets are re-checked with exact-angle
+arithmetic after every selection, and builds with identical inputs produce
+identical output.
 """
 
 from __future__ import annotations
@@ -291,7 +292,8 @@ def _norm2(values) -> float:
     if top == 0.0:
         return 0.0
     e = math.frexp(top)[1]
-    return math.ldexp(math.sqrt(sum(math.ldexp(v, -e) ** 2 for v in values)), e)
+    scaled = [math.ldexp(v, -e) for v in values]
+    return math.ldexp(math.sqrt(sum(x * x for x in scaled)), e)
 
 
 def _chain_difference(thetas, alphas1, n: int) -> tuple:
@@ -417,8 +419,8 @@ def _chord_to_eta(chord_bound: float) -> float:
 
     Since the index sequence starts at 1, any offset delta accepted at target
     eta satisfies |delta| <= eta on the torus, hence its chord is at most
-    2 sin(pi eta).  Inverting and keeping a quarter of the slack absorbs grid
-    granularity.
+    2 sin(pi eta).  Inverting and keeping a quarter of the slack absorbs the
+    search's granularity.
     """
     x = min(1.0, max(chord_bound, 0.0) / 2.0)
     return math.asin(x) / math.pi / 4.0

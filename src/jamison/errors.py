@@ -45,7 +45,7 @@ class HorizonExceedsSequence(_BadInput):
 
 
 class InvalidResolution(ConfigInvalid):
-    """Grid resolution must lie in (0, 1/2), not below the double spacing at 1/2, with at most 2^31 points."""
+    """Resolution, the width of a certified separation interval, must lie in (0, 1/2), not below the double spacing at 1/2."""
 
 
 class InvalidEta(ConfigInvalid):

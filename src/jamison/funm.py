@@ -13,6 +13,18 @@ by its band products first, so every entry keeps its own relative accuracy.
 An operator is anything with a (fibers, L, L) ``blocks`` stack and an
 ``exact_angles()`` method giving the exact diagonal angles (turns) that every
 block shares.
+
+Accuracy, to first order in u = 2^-53.  A Taylor sum, a Parlett entry and a
+plane rotation each err by a few u relative to the moduli they combine
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+sections 3.6 and 19.3).  A Parlett entry divides by the gap between nodes of
+two clusters, at least CLUSTER_GAP / scale, so each of the m - 1 cluster
+boundaries an entry spans can magnify the errors it inherits by scale /
+CLUSTER_GAP.  Where clusters interleave, the r swaps that make them
+contiguous, and the return by Q, apply 2r plane rotations to the block and
+to its result.  So every entry of f(T), in the balanced basis, errs by at
+most 12 (L + r) u ||f(T)||_F (1 + scale / CLUSTER_GAP)^(m - 1); r = 0 where no
+clusters interleave.
 """
 
 import numbers

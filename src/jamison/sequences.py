@@ -3,14 +3,14 @@
 Angles live in turns (fractions of a full circle) and are carried as exact
 `fractions.Fraction` values wherever a downstream computation could hinge on
 cancellation: the searches in this module certify fractional parts far below
-double-precision resolution.  Floats appear only inside vectorized grid scans,
-and every winning point is re-checked in exact arithmetic before it is
-reported.
+double-precision resolution.  Floats appear only inside the vectorized box
+search, whose products are exact and whose bounds carry a rounding margin,
+and every reported point is re-checked in exact arithmetic.
 
 The central quantity is f_K(theta) = max over the first K sequence terms t of
 the distance from t*theta to the nearest integer.  A sequence "separates" when
-f_K stays bounded away from zero; the searches below estimate that floor and
-hunt for points where it is beaten.
+f_K stays bounded away from zero; the searches below certify an interval for
+that floor and hunt for points where it is beaten.
 """
 
 from __future__ import annotations
@@ -227,112 +227,14 @@ def d_metric(a: TorusPoint, b: TorusPoint, seq: IndexSequence, K: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# grid kernels
+# box search
 # ---------------------------------------------------------------------------
 
 
-_TILE = 1 << 13
-_CHUNK = 64
-_SCRATCH = 1 << 17  # doubles per scratch buffer of a scan: 1 MB
-_PRUNED_HEAD = (0, 4, 12, 28, 60)  # chunks of 4, 8, 16 and 32 terms, then 64
-_BLOCK = 64  # grid points per block of separation_constant's Lipschitz bound
-_MAX_GRID_POINTS = 1 << 31  # largest grid separation_constant scans
-_PROFILE_MAX_TERM = 1 << 30  # largest n_h whose profile step 1/(4 n_h) keeps the grid within 2^31 points
-
-
-def _chunk_edges(n_terms: int) -> list:
-    """Term indices at which the scan's chunks start, with n_terms last."""
-    edges = list(_PRUNED_HEAD) + list(range(_PRUNED_HEAD[-1] + _CHUNK, n_terms, _CHUNK))
-    return [e for e in edges if e < n_terms] + [n_terms]
-
-
-class _TileScan:
-    """f_K(theta) = max_k torus_norm(t_k * theta) on one tile of thetas at a time.
-
-    Every tile goes through one pair of scratch buffers of at most _SCRATCH
-    doubles each, rows x tile for rows = min(64, K) terms at a time, so the
-    tile is min(_TILE, _SCRATCH // rows) points: 8192 up to K = 16, 2048
-    from K = 64 on.  Scan memory is bounded by the cap, not by the grid
-    resolution or K.  Each entry is t*theta, minus its floor, then
-    min(p, 1 - p), then an exact max, so neither the chunk schedule nor the
-    tile can change a value.
-
-    Terms go 4, 8, 16, 32, then 64 at a time; after each chunk a theta whose
-    running maximum has crossed the threshold is dropped from its tile.  Its
-    entry is then only a lower bound above the threshold, which is sound for
-    callers hunting minima below it; every entry at or below the threshold is
-    exact, and an infinite threshold drops nothing.
-
-    ``block_bound`` runs the same float operations on block centres instead
-    of points, for the Lipschitz lower bound of ``separation_constant``.
-    """
-
-    def __init__(self, terms: np.ndarray, points: int):
-        """Scratch for tiles of at most ``points`` thetas (fewer if the cap allows fewer)."""
-        self.terms = terms
-        rows = min(_CHUNK, terms.size)
-        self.tile = min(_TILE, _SCRATCH // rows)
-        size = rows * min(self.tile, points)
-        self.scratch_p, self.scratch_q = np.empty(size), np.empty(size)
-
-    def _norms(self, lo: int, hi: int, sub: np.ndarray) -> tuple:
-        """torus_norm(t * theta) for terms[lo:hi] x sub in the first buffer; the second is free."""
-        rows, cols = hi - lo, sub.size
-        p = self.scratch_p[:rows * cols].reshape(rows, cols)
-        q = self.scratch_q[:rows * cols].reshape(rows, cols)
-        np.multiply(self.terms[lo:hi, None], sub, out=p)
-        np.floor(p, out=q)
-        np.subtract(p, q, out=p)
-        np.subtract(1.0, p, out=q)
-        np.minimum(p, q, out=p)
-        return p, q
-
-    def __call__(self, sub: np.ndarray, prune_above: float) -> np.ndarray:
-        edges = _chunk_edges(self.terms.size)
-        out = np.empty(sub.shape)
-        idx = np.arange(sub.size)  # positions of the live thetas within the tile
-        run = np.zeros(sub.size)
-        for lo, hi in zip(edges, edges[1:]):
-            p, q = self._norms(lo, hi, sub)
-            np.max(p, axis=0, out=q[0])
-            np.maximum(run, q[0], out=run)
-            live = run <= prune_above
-            if live.all():
-                continue
-            dead = ~live
-            out[idx[dead]] = run[dead]
-            idx, sub, run = idx[live], sub[live], run[live]
-            if idx.size == 0:
-                break
-        out[idx] = run
-        return out
-
-    def block_bound(self, centres: np.ndarray, half_width: float) -> np.ndarray:
-        """Lower bound on f_K over each block of thetas within half_width of a centre c.
-
-        Since torus_norm is 1-Lipschitz, f_K(theta) >= max over the first <= 64
-        terms of (torus_norm(t_k * c) - t_k * half_width).  Less a margin of
-        2^-49 * (1 + max t_k) over those terms, which covers the rounding of
-        t * theta, of c and of the bound itself, this bounds the float f_K of
-        ``__call__`` too.  From 2^48 on the margin exceeds 1/2, so terms past
-        2^53, such as 3^40, make the bound vacuous.  The result is a view
-        into scratch, valid until the next call; at most ``tile`` centres
-        fit.
-        """
-        m = min(_CHUNK, self.terms.size)
-        p, q = self._norms(0, m, centres)
-        np.subtract(p, (self.terms[:m] * half_width)[:, None], out=p)
-        np.max(p, axis=0, out=q[0])
-        return np.subtract(q[0], 2.0 ** -49 * (1.0 + self.terms[:m].max()), out=q[0])
-
-
-def _f_grid(terms: np.ndarray, thetas: np.ndarray, prune_above: float = math.inf) -> np.ndarray:
-    """f_K over an array of thetas, scanned one tile at a time (see _TileScan)."""
-    best = np.zeros(thetas.shape, dtype=float)
-    scan = _TileScan(terms, thetas.size)
-    for start in range(0, thetas.size, scan.tile):
-        best[start:start + scan.tile] = scan(thetas[start:start + scan.tile], prune_above)
-    return best
+_SCRATCH = 1 << 16  # doubles per scratch buffer of the box search (512 kB), and boxes per round
+_PART_BITS = 26  # significant bits of each double a term is split into
+_ODD_RADIX = 3 ** 19  # each box's second point is the nearest a / 3^19, a power of 3 below 2^31
+_MAX_WORK = 1 << 25  # term parts x boxes one search evaluates, about half a second, before it stops
 
 
 def _f_exact(terms: Sequence, theta: Fraction) -> Fraction:
@@ -354,35 +256,133 @@ def _f_exact(terms: Sequence, theta: Fraction) -> Fraction:
     return Fraction(best_num, best_den)
 
 
-def _f_float(terms: np.ndarray, theta: float) -> float:
-    p = (terms * theta) % 1.0
-    return float(np.minimum(p, 1.0 - p).max())
+class _BoxSearch:
+    """Lower bounds and values of f_K on boxes [lo, hi] of thetas in one domain.
+
+    A box with centre c holds every theta within reach r of c, and since
+    torus_norm is 1-Lipschitz, f_K(theta) >= max_k (||t_k c|| - t_k r) there
+    (Piyavskii 1972; Hansen and Jaumard, "Lipschitz optimization", Handbook
+    of Global Optimization, 1995); a term with t_k r >= 1/2 adds nothing.
+
+    ||t c|| is formed from exact products at any term size.  Each term is
+    split into doubles of at most 26 significant bits (one part for a term
+    below 2^26 or a power of 2) and the centre into two 26-bit halves
+    (Veltkamp's split), so every partial product is exact, and so is its
+    reduction x - rint(x).  Only the sums of the reduced products round, by
+    at most (1 + P^2) 2^-53 for a term of P parts, and the reach and the
+    bound by a few 2^-53 more, so every bound is lowered by 2^-50 (1 + P^2)
+    for the largest P (underflow aside, which errs by 2^-1074 a product).
+
+    Each box is evaluated at its centre, a double and so a dyadic rational.
+    Points of one radix are blind to its powers: a centre in (0, 1/2) ends at
+    2^-54 or below, and reads exactly 1/2 on every term divisible by the power
+    of 2 at its last bit.  So where a term reaches 2^53, every box of an
+    integer sequence is also evaluated at a second point of coprime radix,
+    the nearest a / 3^19 in the domain, reduced exactly in int64 as
+    (t mod 3^19) a mod 3^19; the odd point keeps 2^k from stalling the upper
+    end, and the centre keeps 3^k from stalling it.  Values are for ranking:
+    a caller re-checks a point with _f_exact before it keeps it.
+
+    Term parts x boxes go through three scratch buffers of at most _SCRATCH
+    doubles, so boxes are taken _SCRATCH // (number of parts) at a time.  A
+    caller stops when a round would hold more than _SCRATCH boxes, or once
+    the search has evaluated _MAX_WORK term parts x boxes (see exhausted).
+    """
+
+    def __init__(self, terms: Sequence, lo: float, hi: float):
+        parts, starts = [], []
+        for t in terms:
+            n, d = t.as_integer_ratio()
+            starts.append(len(parts))
+            for shift in range(0, n.bit_length(), _PART_BITS):
+                digit = (n >> shift) & ((1 << _PART_BITS) - 1)
+                if digit:
+                    parts.append(math.ldexp(digit, shift) / d)
+        self.parts = np.asarray(parts)
+        self.starts = np.asarray(starts) if len(parts) > len(terms) else None
+        self.terms = np.asarray([float(t) for t in terms])
+        most = max(b - a for a, b in zip(starts, starts[1:] + [len(parts)]))
+        self.margin = 2.0 ** -50 * (1 + most ** 2)
+        self.chunk = max(1, _SCRATCH // len(parts))
+        self.work = 0
+        self.scratch = [np.empty(len(parts) * self.chunk) for _ in range(3)]
+        self.odd = None
+        if terms[-1] >= 2 ** 53 and all(isinstance(t, int) for t in terms):
+            a_lo, a_hi = math.ceil(Fraction(lo) * _ODD_RADIX), math.floor(Fraction(hi) * _ODD_RADIX)
+            if a_lo <= a_hi:
+                self.odd = a_lo, a_hi
+                self.residues = np.asarray([t % _ODD_RADIX for t in terms], dtype=np.int64)
+
+    def _norms(self, c: np.ndarray) -> tuple:
+        """||t c|| for the terms by the centres c in one buffer, and a free one of the same shape."""
+        rows, cols = self.parts.size, c.size
+        p, q, r = (b[:rows * cols].reshape(rows, cols) for b in self.scratch)
+        split = c * 134217729.0  # 2^27 + 1
+        high = split - (split - c)
+        for out, half in ((p, high), (q, c - high)):
+            np.multiply(self.parts[:, None], half, out=out)
+            np.rint(out, out=r)
+            np.subtract(out, r, out=out)
+        np.add(p, q, out=p)
+        if self.starts is not None:
+            k = self.starts.size
+            np.add.reduceat(p, self.starts, axis=0, out=q[:k])
+            p, r = q[:k], r[:k]
+        np.rint(p, out=r)
+        np.subtract(p, r, out=p)
+        np.abs(p, out=p)
+        return p, r
+
+    def _odd_norms(self, a: np.ndarray) -> np.ndarray:
+        """max_k ||t_k a / 3^19|| for the points a / 3^19, reduced exactly in int64."""
+        rows, cols = self.residues.size, a.size
+        p, q = (b[:rows * cols].view(np.int64).reshape(rows, cols) for b in self.scratch[:2])
+        np.multiply(self.residues[:, None], a, out=p)
+        np.remainder(p, _ODD_RADIX, out=p)
+        np.subtract(_ODD_RADIX, p, out=q)
+        np.minimum(p, q, out=p)
+        return p.max(axis=0) / _ODD_RADIX
+
+    def evaluate(self, lo: np.ndarray, hi: np.ndarray) -> tuple:
+        """(bounds, values, point): a lower bound of f_K on each box, f_K's values at
+        the centres and then at the odd points, and point(i), point i exactly."""
+        n = lo.size
+        self.work += n * self.parts.size
+        c = lo + 0.5 * (hi - lo)
+        reach = np.maximum(c - lo, hi - c) * (1.0 + 2.0 ** -50)  # covers the rounding of both differences
+        a = np.clip(np.rint(c * _ODD_RADIX), *self.odd).astype(np.int64) if self.odd else None
+        bounds, values = np.empty(n), np.empty(2 * n if self.odd else n)
+        for s in range(0, n, self.chunk):
+            e = min(s + self.chunk, n)
+            norms, scratch = self._norms(c[s:e])
+            values[s:e] = norms.max(axis=0)
+            np.multiply(self.terms[:, None], reach[s:e], out=scratch)
+            np.subtract(norms, scratch, out=norms)
+            bounds[s:e] = norms.max(axis=0)
+            if self.odd:
+                values[n + s:n + e] = self._odd_norms(a[s:e])
+        bounds -= self.margin
+
+        def point(i: int) -> Fraction:
+            return Fraction(c[i]) if i < n else Fraction(int(a[i - n]), _ODD_RADIX)
+
+        return bounds, values, point
+
+    def exhausted(self, cut: np.ndarray) -> bool:
+        """Whether cutting these boxes would outgrow the scratch cap, or the work is spent."""
+        return 3 * np.count_nonzero(cut) > _SCRATCH or self.work >= _MAX_WORK
 
 
-def _ternary_refine(terms: np.ndarray, lo: float, hi: float, steps: int):
-    """Shrink [lo, hi] towards a local minimum of f; returns (theta, f)."""
-    best_t = lo
-    best_f = _f_float(terms, lo)
-    for point in (hi, 0.5 * (lo + hi)):
-        f = _f_float(terms, point)
-        if f < best_f:
-            best_t, best_f = point, f
-    for _ in range(max(0, steps)):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        f1 = _f_float(terms, m1)
-        f2 = _f_float(terms, m2)
-        if f1 < best_f:
-            best_t, best_f = m1, f1
-        if f2 < best_f:
-            best_t, best_f = m2, f2
-        if f1 <= f2:
-            hi = m2
-        else:
-            lo = m1
-        if hi - lo <= 1e-18:
-            break
-    return best_t, best_f
+def _uncuttable(lo: np.ndarray, hi: np.ndarray, width: float) -> np.ndarray:
+    """Boxes at most ``width`` wide, or within a few doubles of it, which cutting could not resolve."""
+    return hi - lo <= np.maximum(width, 2.0 ** -50 * hi)
+
+
+def _split(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Each box [lo, hi] cut into thirds; neighbours share their ends, so the thirds cover it."""
+    third = (hi - lo) / 3.0
+    cuts = np.stack((lo, lo + third, hi - third, hi), axis=1)
+    return cuts[:, :3].ravel(), cuts[:, 1:].ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -392,24 +392,27 @@ def _ternary_refine(terms: np.ndarray, lo: float, hi: float, steps: int):
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Estimate of inf f_K over the resolved part of (0, 1/2].
+    """Certified interval for inf f_K over the resolved part of (0, 1/2].
 
-    epsilon_hat_torus is an upper bound on the true infimum over the searched
-    domain [theta_min, 1/2] (it is the exact f value at the reported witness).
-    lower_bound_torus is the certified grid lower bound for the same domain,
-    from the Lipschitz constant n_K.  boundary_limited marks the degenerate
-    case where the default domain floor collapses to the grid resolution.
+    The infimum of f_K over the searched domain [theta_min, 1/2] lies in
+    [lower_bound_torus, epsilon_hat_torus].  epsilon_hat_torus is the exact f
+    value at the reported witness; lower_bound_torus is the least box bound of
+    the branch and bound.  The two are at most ``resolution`` apart unless
+    truncated is set, when the box budget ended the search first, or doubles
+    could not close the gap (see separation_constant).  boundary_limited
+    marks the degenerate case where the default domain floor collapses to
+    the resolution.
     """
 
     horizon: int
     epsilon_hat: float
     epsilon_hat_torus: float
     witness: TorusPoint
-    grid_resolution: float
+    resolution: float
     theta_min: float
     lower_bound_torus: float
     boundary_limited: bool
-    refine_steps: int
+    truncated: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -418,11 +421,11 @@ class SeparationReport:
             "epsilon_hat_torus": self.epsilon_hat_torus,
             "witness_theta": str(self.witness.theta),
             "witness_theta_float": self.witness.as_float(),
-            "grid_resolution": self.grid_resolution,
+            "resolution": self.resolution,
             "theta_min": self.theta_min,
             "lower_bound_torus": self.lower_bound_torus,
             "boundary_limited": self.boundary_limited,
-            "refine_steps": self.refine_steps,
+            "truncated": self.truncated,
         }
 
 
@@ -430,36 +433,33 @@ def separation_constant(
     seq: IndexSequence,
     K: int,
     resolution: float = 1e-6,
-    refine_steps: int = 48,
     theta_min: Optional[float] = None,
 ) -> SeparationReport:
-    """Estimate inf of f_K(theta) = max_{k<=K} torus_norm(t_k * theta).
+    """Certify inf of f_K(theta) = max_{k<=K} torus_norm(t_k * theta) to within ``resolution``.
 
     At any finite horizon the infimum over all of (0, 1/2] is trivially zero
     (f_K(theta) <= t_K * theta near zero), so the search runs over the resolved
     domain [theta_min, 1/2], default theta_min = 1/(2 t_K), where the largest
     multiplier has wrapped at least half a turn.  Pass theta_min explicitly to
-    pin the domain (for example when comparing horizons on a common grid).
+    pin the domain (for example when comparing horizons on a common domain).
 
-    Uniform grid of the stated resolution, then ternary refinement around the
-    grid minimum.  The returned estimate is the exact f value at the witness,
-    hence an upper bound on the domain infimum; lower_bound_torus certifies
-    grid_min - n_K * resolution / 2 from the Lipschitz constant.
+    Branch and bound on boxes of thetas (see _BoxSearch), starting from the
+    whole domain.  Each round evaluates the boxes and keeps the point of least
+    value as the witness; its exact f, from _f_exact at the end, is the upper
+    end, and its value is that to within the search's rounding margin.  A box
+    whose bound is within ``resolution`` of the value plus twice the margin
+    is discarded, and the least bound of any discarded box is the lower end;
+    every other box is cut in three.  So the run ends with upper - lower <=
+    resolution, with two exceptions.  A box with t_K (hi - lo) <= resolution,
+    or within a few doubles of its ends, is discarded whatever its bound,
+    since cutting it could only close the interval past the bound's rounding
+    margin; that happens only where doubles cannot resolve the interval.  And
+    when the box budget runs out (_BoxSearch.exhausted), every box left is
+    discarded with its bound and the report is marked truncated: the
+    interval is still certified, only wider.
 
-    The grid is cut into blocks of 64 consecutive points, centre c and
-    half-width w.  Every theta in a block has f_K(theta) >= max over the first
-    <= 64 terms of (torus_norm(t_k c) - t_k w), and a block whose bound, less
-    a margin of 2^-49 (1 + max t_k) over those terms, exceeds the running
-    minimum is never scanned point by point (_TileScan.block_bound).  The
-    margin covers rounding; for terms past 2^53 it exceeds 1/2 and nothing is
-    dropped.  The surviving points go through the same float operations, threshold and
-    first-index tie rule as an unblocked scan, so the report is the same to
-    the bit.  Blocks are bounded, and their survivors scanned, one scan tile
-    at a time (see _TileScan) in index order against the running minimum,
-    so the tile size cannot change the grid minimum or its index either.
-
-    A grid of more than 2^31 points, or a step below the double spacing at
-    1/2 (where thetas would repeat), raises InvalidResolution.
+    A resolution outside (0, 1/2), or below the double spacing at 1/2, raises
+    InvalidResolution.
     """
     if not (isinstance(K, int) and K >= 1):
         raise HorizonExceedsSequence(f"horizon must be a positive integer, got {K!r}")
@@ -468,12 +468,8 @@ def separation_constant(
         raise InvalidResolution(f"resolution {resolution!r} outside (0, 1/2)")
     if resolution < math.ulp(0.5):
         raise InvalidResolution(f"resolution {resolution!r} is below the double spacing at 1/2")
-    if refine_steps < 0:
-        raise ConfigInvalid("refine_steps must be >= 0")
 
-    terms = np.asarray(terms_exact, dtype=float)
-    n_K = float(terms[-1])
-
+    n_K = float(terms_exact[-1])
     boundary_limited = False
     if theta_min is None:
         if n_K <= 1.0:
@@ -486,66 +482,33 @@ def separation_constant(
         if not (0.0 < theta_min < 0.5):
             raise OutOfDomain(f"theta_min {theta_min!r} outside (0, 1/2)")
 
-    n_points = int(math.floor((0.5 - theta_min) / resolution)) + 1
-    if n_points > _MAX_GRID_POINTS:
-        raise InvalidResolution(
-            f"resolution {resolution!r} needs {n_points} grid points, more than {_MAX_GRID_POINTS}"
-        )
+    search = _BoxSearch(terms_exact, theta_min, 0.5)
+    lo, hi = np.array([theta_min]), np.array([0.5])
+    upper, witness, lower, truncated = math.inf, None, math.inf, False
+    while lo.size:
+        bounds, values, point = search.evaluate(lo, hi)
+        i = int(np.argmin(values))
+        if values[i] < upper:
+            upper, witness = float(values[i]), point(i)
+        # the witness's exact f is within one margin of its value; the second margin covers these sums
+        cut = (bounds < upper + 2.0 * search.margin - resolution) & ~_uncuttable(lo, hi, resolution / n_K)
+        truncated = cut.any() and search.exhausted(cut)
+        if truncated:
+            cut[:] = False
+        lower = min(lower, float(bounds[~cut].min(initial=math.inf)))
+        lo, hi = _split(lo[cut], hi[cut])
 
-    # Pilot pass seeds the pruning threshold cheaply.
-    pilot = np.linspace(theta_min, 0.5, 4097)
-    f_pilot = _f_grid(terms, pilot)
-    i = int(np.argmin(f_pilot))
-    best_val = float(f_pilot[i])
-    best_theta = float(pilot[i])
-
-    # Blocks of _BLOCK points go one tile of blocks at a time through the
-    # scan's bound; only the points of blocks it cannot rule out are
-    # generated and scanned, one tile at a time, so the scan holds no
-    # grid-sized array.  The threshold follows the running minimum.
-    scan = _TileScan(terms, n_points)
-    tile, per_tile = scan.tile, scan.tile // _BLOCK
-    half = 0.5 * (_BLOCK - 1)
-    n_blocks = -(-n_points // _BLOCK)
-    offsets = np.arange(_BLOCK)
-    for first in range(0, n_blocks, tile):
-        blocks = np.arange(first, min(first + tile, n_blocks), dtype=float)
-        bound = scan.block_bound(theta_min + resolution * (blocks * _BLOCK + half), half * resolution)
-        live = first + np.flatnonzero(bound <= best_val)
-        for start in range(0, live.size, per_tile):
-            idx = (live[start:start + per_tile, None] * _BLOCK + offsets).ravel()
-            thetas = theta_min + resolution * idx[idx < n_points].astype(float)
-            thetas = thetas[thetas <= 0.5]
-            if thetas.size == 0:
-                continue
-            f = scan(thetas, best_val)
-            j = int(np.argmin(f))
-            if f[j] < best_val:
-                best_val = float(f[j])
-                best_theta = float(thetas[j])
-    grid_min = best_val
-
-    if refine_steps:
-        lo = max(theta_min, best_theta - resolution)
-        hi = min(0.5, best_theta + resolution)
-        t_ref, f_ref = _ternary_refine(terms, lo, hi, refine_steps)
-        if f_ref < best_val:
-            best_val, best_theta = f_ref, t_ref
-
-    witness = TorusPoint(Fraction(best_theta))
-    eps_torus = float(_f_exact(terms_exact, witness.theta))
-    lower = max(0.0, grid_min - n_K * resolution / 2.0)
-
+    eps_torus = float(_f_exact(terms_exact, witness))
     return SeparationReport(
         horizon=K,
         epsilon_hat=2.0 * math.sin(math.pi * eps_torus),
         epsilon_hat_torus=eps_torus,
-        witness=witness,
-        grid_resolution=resolution,
+        witness=TorusPoint(witness),
+        resolution=resolution,
         theta_min=theta_min,
-        lower_bound_torus=lower,
+        lower_bound_torus=max(0.0, lower),
         boundary_limited=boundary_limited,
-        refine_steps=refine_steps,
+        truncated=truncated,
     )
 
 
@@ -580,18 +543,19 @@ def classify_jamison(
     seq: IndexSequence,
     horizons: Sequence[int],
     resolution: float = 1e-6,
-    refine_steps: int = 48,
 ) -> ClassificationResult:
-    """Estimate the separation floor at several horizons and call a verdict.
+    """Certify the separation floor at several horizons and call a verdict.
 
+    The estimates are the upper ends of the certified intervals.
     SEPARATED: the last three estimates sit above 1e-2 and either agree within
-    10% or never decrease (a floor that rises as the grid loses the deepest
-    valleys is separation evidence, not decay).
+    10% or never decrease (a floor that rises with the horizon is separation
+    evidence, not decay).
     VANISHING: the last three strictly decrease and either the final estimate
     is below 1e-2 or the log-log decay slope across all horizons is <= -0.5
     (slow 1/K-style decay is still decay; demanding the absolute threshold
     alone would misread short horizon tables).
-    Anything else, or fewer than three horizons, is INCONCLUSIVE.
+    Anything else, fewer than three horizons, or an interval the box budget
+    left wider than the resolution (a truncated report), is INCONCLUSIVE.
     """
     horizons = list(horizons)
     if not horizons:
@@ -600,16 +564,13 @@ def classify_jamison(
         if not cur > prev:
             raise ConfigInvalid("horizons must be strictly increasing")
 
-    reports = tuple(
-        separation_constant(seq, K, resolution=resolution, refine_steps=refine_steps)
-        for K in horizons
-    )
+    reports = tuple(separation_constant(seq, K, resolution=resolution) for K in horizons)
     estimates = [r.epsilon_hat_torus for r in reports]
 
     verdict = INCONCLUSIVE
     floor = None
     slope = None
-    if len(estimates) >= 3:
+    if len(estimates) >= 3 and not any(r.truncated for r in reports):
         tail = estimates[-3:]
         hi, lo = max(tail), min(tail)
         stable = hi > 0 and (hi - lo) / hi <= 0.10
@@ -633,35 +594,26 @@ def classify_jamison(
 # ---------------------------------------------------------------------------
 
 
+_PROFILE_RESOLUTION = 1e-5  # width of each sub-horizon's certified interval in the profile
+
+
 @functools.lru_cache(maxsize=128)
 def _separation_profile(terms_exact: tuple, K: int) -> tuple:
-    """Separation estimates at sub-horizons ~K/4, K/2, K (cached).
+    """Certified separation intervals (h, lower, upper) at sub-horizons ~K/4, K/2, K (cached).
 
-    Sub-horizon h is scanned at step min(1e-5, 1/(4 n_h)), fine enough to see
-    the near return at 1/n_h (f_h(1/h!) = 1/h on factorials).  A sub-horizon
-    with n_h > 2^30 is left out: its step would put more than 2^31 points on
-    the grid, or, clamped, leave a grid it cannot resolve (on 2^k every point
-    of a 2^-32 grid past K = 32 is dyadic and reads exactly 1/2).
+    Each interval is 1e-5 wide, which resolves the near return at 1/n_h
+    (f_h(1/h!) = 1/h on factorials) at any n_h.
     """
     kind = "real" if any(isinstance(t, float) for t in terms_exact) else "integer"
     seq = IndexSequence(terms_exact, kind=kind)
     hs = sorted({max(1, math.ceil(K / 4)), max(1, math.ceil(K / 2)), K})
-    ests = []
-    for h in hs:
-        n_h = float(terms_exact[h - 1])
-        if n_h > _PROFILE_MAX_TERM:
-            break
-        rep = separation_constant(seq, h, resolution=min(1e-5, 0.25 / n_h), refine_steps=24)
-        ests.append(rep.epsilon_hat_torus)
-    return tuple(zip(hs, ests))
+    reports = (separation_constant(seq, h, resolution=_PROFILE_RESOLUTION) for h in hs)
+    return tuple((rep.horizon, rep.lower_bound_torus, rep.epsilon_hat_torus) for rep in reports)
 
 
 def _profile_decays(profile: tuple) -> bool:
-    ests = [e for _, e in profile]
-    if len(ests) < 2:
-        return False
-    non_increasing = all(b <= a * 1.02 for a, b in zip(ests, ests[1:]))
-    return non_increasing and ests[-1] <= 0.9 * ests[0]
+    """The last sub-horizon's upper end is at most 0.9 times the first one's lower end."""
+    return len(profile) >= 2 and profile[-1][2] <= 0.9 * profile[0][1]
 
 
 def near_return_search(
@@ -673,20 +625,24 @@ def near_return_search(
 ) -> list:
     """Find angles theta with f_K(theta) <= eta (torus units), up to a budget.
 
-    Runs a multi-resolution grid descent, one octave band at a time, over
-    the resolved domain [1/(2 n_K), 1/2] intersected with ``arc``; since
-    t_1 = 1 gives f_K(theta) >= theta, it stops before the first band above
-    1.25 eta, where no grid hit can lie.  When that comes up short, and only
-    when the sequence's own separation profile at sub-horizons decays
-    (evidence that small f values are a feature of the sequence rather than an
-    artifact of theta being below the horizon's resolution), the search admits
-    constructed sub-resolution witnesses theta = 1/(m * n_K * 2^j), each
-    re-verified exactly.  Sequences with a flat profile get no such fallback,
-    so a separated family returns an empty list rather than the vacuous tiny
-    angles every sequence has below 1/(2 n_K).  This gate is a documented
-    heuristic; every returned point satisfies f_K(theta) <= eta exactly.
-    Deep in a construction 1.25 eta falls below 1/(2 n_K), and the offsets
-    come from the witnesses alone.
+    Pass 1 runs the box search of separation_constant over the resolved
+    domain [1/(2 n_K), 1/2] intersected with ``arc``.  Every evaluated point
+    whose exact f is at most eta is admitted, unless it lies within half its
+    box's width of one admitted before; a box is cut again while its bound is
+    at most eta and its t_K (hi - lo) exceeds eta/4.  Since t_1 = 1 gives
+    f_K(theta) >= theta, boxes above eta are dropped by their bound.  When
+    that comes up short, and only when the sequence's own separation profile
+    at sub-horizons decays (evidence that small f values are a feature of the
+    sequence rather than an artifact of theta being below the horizon's
+    resolution), the search admits constructed sub-resolution witnesses
+    theta = 1/(m * n_K * 2^j), each re-verified exactly.  The profile decays
+    when the certified upper end at the last sub-horizon is at most 0.9 times
+    the lower end at the first.  Sequences with a flat profile get no such
+    fallback, so a separated family returns an empty list rather than the
+    vacuous tiny angles every sequence has below 1/(2 n_K).  This gate is a
+    documented heuristic; every returned point satisfies f_K(theta) <= eta
+    exactly.  Deep in a construction eta falls below 1/(2 n_K), and the
+    offsets come from the witnesses alone.
 
     Returns at most max_candidates TorusPoints, sorted by (exact f value,
     theta).  An eta that is not finite and positive, or whose reciprocal
@@ -715,38 +671,33 @@ def near_return_search(
             return
         found.append((theta, f_exact))
 
-    terms = np.asarray(terms_exact, dtype=float)
-    n_K = float(terms[-1])
+    n_K = float(terms_exact[-1])
     floor = 1.0 / (2.0 * n_K) if n_K > 1.0 else 1e-6
 
     found: list = []
 
-    # Pass 1: multi-resolution descent over the resolved domain.
+    # Pass 1: boxes of the resolved domain whose bound is at most eta.
     dlo = max(float(arc_lo), floor)
     dhi = min(float(arc_hi), 0.5)
     if dlo < dhi:
-        band_lo = dlo
-        while band_lo < dhi and band_lo <= eta_t * 1.25 and len(found) < max_candidates:
-            band_hi = min(band_lo * 2.0, dhi)
-            grid = np.linspace(band_lo, band_hi, 4097)
-            spacing = (band_hi - band_lo) / 4096.0
-            f = _f_grid(terms, grid, prune_above=eta_t * 1.5)
-            hits = np.flatnonzero(f <= eta_t * 1.25)
-            order = hits[np.argsort(f[hits], kind="stable")]
-            for idx in order:
-                if len(found) >= max_candidates:
+        search = _BoxSearch(terms_exact, dlo, dhi)
+        lo, hi = np.array([dlo]), np.array([dhi])
+        while lo.size and len(found) < max_candidates:
+            bounds, values, point = search.evaluate(lo, hi)
+            for i in np.argsort(values, kind="stable"):
+                if values[i] > eta_t or len(found) >= max_candidates:
                     break
-                t0 = float(grid[idx])
-                if any(abs(t0 - float(t)) < 2.0 * spacing for t, _ in found):
-                    continue
-                t_ref, _ = _ternary_refine(terms, max(dlo, t0 - spacing), min(dhi, t0 + spacing), 60)
-                if any(abs(t_ref - float(t)) < spacing for t, _ in found):
-                    continue
-                theta = Fraction(t_ref)
+                theta = point(int(i))
+                half = (hi[i % lo.size] - lo[i % lo.size]) / 2.0
+                if any(abs(theta - t) <= half for t, _ in found):
+                    continue  # a point of a box that already yielded one, seen again from a third of it
                 f_exact = _f_exact(terms_exact, theta)
                 if f_exact <= eta_exact:
                     admit(found, theta, f_exact)
-            band_lo = band_hi
+            cut = (bounds <= eta_t) & ~_uncuttable(lo, hi, eta_t / (4.0 * n_K))
+            if search.exhausted(cut):
+                break
+            lo, hi = _split(lo[cut], hi[cut])
 
     # Pass 2: constructed witnesses below the resolved floor, profile-gated.
     if len(found) < max_candidates:

@@ -69,14 +69,14 @@ def test_criterion_01_separation_dichotomy(factorial_seq):
     floors = {}
     for K in (10, 100, 1000):
         t0 = time.perf_counter()
-        rep = separation_constant(ints, K, resolution=1e-6, refine_steps=48)
+        rep = separation_constant(ints, K, resolution=1e-6)
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0
         floors[K] = rep.epsilon_hat_torus
     fact_floors = []
     for K in (4, 6, 8):
         t0 = time.perf_counter()
-        rep = separation_constant(factorial_seq, K, resolution=1e-6, refine_steps=48)
+        rep = separation_constant(factorial_seq, K, resolution=1e-6)
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0
         fact_floors.append(rep.epsilon_hat_torus)

@@ -443,9 +443,9 @@ def test_reports_match_golden_bytes(tmp_path, monkeypatch, case):
         assert got[name] == want[name], name
 
 
-@pytest.mark.parametrize("resolution", ["1e-300", "1e-10"])
+@pytest.mark.parametrize("resolution", ["1e-300"])
 def test_analyze_unscannable_resolution_exits_one_quickly(tmp_path, resolution):
-    # 1e-300 steps below the double spacing at 1/2; 1e-10 needs more than 2^31 points
+    # 1e-300 is below the double spacing at 1/2
     save_sequence(IndexSequence.powers_of_two(12), tmp_path / "powers2.json")
     src = str(Path(jamison.__file__).resolve().parent.parent)
     argv = [
@@ -456,6 +456,28 @@ def test_analyze_unscannable_resolution_exits_one_quickly(tmp_path, resolution):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert out.returncode == 1
     assert "config error" in out.stderr and "resolution" in out.stderr
+
+
+def test_analyze_fine_resolution_certifies(tmp_path):
+    # the interval's width, not a grid's size, is what --resolution sets
+    save_sequence(IndexSequence.powers_of_two(12), tmp_path / "powers2.json")
+    rc = main([
+        "analyze", "--sequence", str(tmp_path / "powers2.json"), "--horizons", "4",
+        "--resolution", "1e-10", "--out-dir", str(tmp_path),
+    ])
+    assert rc == 0
+    (rep,) = read_report(tmp_path)["classification"]["reports"]
+    assert rep["lower_bound_torus"] <= 1.0 / 3.0 <= rep["epsilon_hat_torus"] <= rep["lower_bound_torus"] + 1e-10
+    assert "refine_steps" not in read_report(tmp_path)["config"]
+
+
+def test_analyze_refine_steps_is_gone(workdir, tmp_path, capsys):
+    rc = main([
+        "analyze", "--sequence", str(workdir / "fact6.json"), "--refine-steps", "10",
+        "--out-dir", str(tmp_path),
+    ])
+    assert rc == 1
+    assert "--refine-steps" in capsys.readouterr().err
 
 
 def test_analyze_bad_horizon_list_is_config_error(workdir, tmp_path, capsys):

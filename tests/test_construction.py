@@ -6,10 +6,11 @@ from itertools import product as iter_product
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jamison.construction as construction
+import jamison.funm as funm
 from jamison import (
     IndexSequence,
     ShiftConstruction,
@@ -373,6 +374,8 @@ def _chain_difference_oracle(cons, n):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(1e-150, 1e150), max_size=12))
+# x ** 2 goes through the C library's pow, which may miss x * x by an ulp
+@example([2.7843401940295e149, 5.384536657571958e149])
 def test_scaled_norm_keeps_the_bits_of_the_plain_sum_of_squares(values):
     # no square underflows in this range, so the power-of-two scaling must change no bit
     assert construction._norm2(values) == math.sqrt(sum(v * v for v in values))
@@ -451,7 +454,8 @@ def test_record_holds_only_its_choices(factorial_cons):
 
 
 def _principal_block_budget(cons, level):
-    """Level l measured on the powers of its own l x l principal block: the reference for the record's full-block powers."""
+    """Level l measured on the powers of its own l x l principal block: the reference for
+    the record's full-block powers.  Returns the chain differences, tail_max and the powers."""
     thetas, w = cons.lambdas, cons.weights
     gaps = construction.gaps_table(thetas, level)
     eig = (0.0, 0.0)
@@ -459,7 +463,75 @@ def _principal_block_budget(cons, level):
         eig = construction._chain_difference(thetas, construction._alphas_fiber1(gaps, w, level - 1), level)
     powers = construction._unit_band_powers(thetas[:level], cons.seq.prefix(cons.horizon))
     tail_max = max(construction._tail_sum(Jn, w, gaps, level) for Jn in powers)
-    return eig, tail_max
+    return eig, tail_max, powers
+
+
+def _entry_error_bound(points, n: int, Jn: np.ndarray) -> float:
+    """The funm module docstring's first-order bound on every entry of J^n over these nodes
+    (the unit band needs no balancing): 12 (L + r) u ||J^n||_F (1 + scale / CLUSTER_GAP)^(m - 1)."""
+    scale = max(n, 1)
+    label = funm.clusters(funm.NodeSet(tuple(p.theta for p in points)), scale)
+    swaps = sum(a > b for i, a in enumerate(label) for b in label[i + 1:])
+    growth = (1 + scale / funm.CLUSTER_GAP) ** max(label)
+    return 12 * (len(points) + swaps) * 2.0 ** -53 * float(np.linalg.norm(Jn)) * growth
+
+
+def _tail_slack(cons, level: int, routes) -> float:
+    """How far level l's tail_max may stray on the given routes, each a (points, powers) pair,
+    by the kernel's entry bound: _tail_sum is linear in the moduli of the entries it reads."""
+    gaps = construction.gaps_table(cons.lambdas, level)
+    exponents = cons.seq.prefix(cons.horizon)
+    return max(
+        construction._tail_sum(
+            np.full((level, level), sum(_entry_error_bound(points, n, powers[i]) for points, powers in routes)),
+            cons.weights, gaps, level,
+        )
+        for i, n in enumerate(exponents)
+    )
+
+
+# drawn by the property test below; at level 3 their node clusters interleave, so the
+# record's powers take the rotation path, while no 2 x 2 principal block can
+_ROTATED_SPECTRA = {
+    "1/97,88/97,1/86": ((Fraction(1, 97), Fraction(88, 97), Fraction(1, 86)), (1, 12)),
+    "4/73,1/97,2/37": ((Fraction(4, 73), Fraction(1, 97), Fraction(2, 37)), (1, 17)),
+}
+
+
+def _mp_tail_max(cons, level: int) -> float:
+    """Level l's tail_max from the complete homogeneous sums in 50-digit mpmath, with the
+    construction's own weight and gap coefficients."""
+    gaps = construction.gaps_table(cons.lambdas, level)
+    with mpmath.workdps(50):
+        lam = [mpmath.expjpi(2 * mpmath.mpf(p.theta.numerator) / p.theta.denominator) for p in cons.lambdas]
+
+        def h(m, zs):  # h_m(zs) as the divided difference of x^(m + r - 1)
+            r = len(zs)
+            return mpmath.fsum(zs[i] ** (m + r - 1) / mpmath.fprod(zs[i] - zs[j] for j in range(r) if j != i)
+                               for i in range(r))
+
+        def tail(n):
+            row = [abs(h(n - (level - k), lam[k - 1:level])) if n >= level - k else 0 for k in range(1, level)]
+            Jn = np.zeros((level, level))
+            Jn[: level - 1, level - 1] = [float(x) for x in row]
+            return construction._tail_sum(Jn, cons.weights, gaps, level)
+
+        return max(tail(n) for n in cons.seq.prefix(cons.horizon))
+
+
+@pytest.mark.parametrize("angles, terms", _ROTATED_SPECTRA.values(), ids=_ROTATED_SPECTRA.keys())
+def test_tail_max_routes_match_the_mpmath_oracle(angles, terms):
+    # each route, the record's full block and the level's principal block, within its own
+    # kernel bound of the 50-digit value (plus a few u for _tail_sum's own sum)
+    cons = ShiftConstruction(IndexSequence(terms), angles, (1.0,) * 5, horizon=len(terms))
+    full = (cons.lambdas, cons.powers)
+    for budget in cons.budgets:
+        level = budget.level
+        want = _mp_tail_max(cons, level)
+        _, block_tail, block_powers = _principal_block_budget(cons, level)
+        assert abs(budget.tail_max - want) <= _tail_slack(cons, level, [full]) + 4 * level * 2.0 ** -53 * want
+        block = (cons.lambdas[:level], block_powers)
+        assert abs(block_tail - want) <= _tail_slack(cons, level, [block]) + 4 * level * 2.0 ** -53 * want
 
 
 @settings(max_examples=30, deadline=None)
@@ -471,15 +543,21 @@ def _principal_block_budget(cons, level):
     steps=st.lists(st.integers(1, 50), min_size=1, max_size=6),
     w=st.lists(st.floats(0.25, 8.0), min_size=5, max_size=5),
 )
+@example(angles=[Fraction(1, 97), Fraction(88, 97), Fraction(1, 86)], steps=[11], w=[1.0] * 5)
+@example(angles=[Fraction(4, 73), Fraction(1, 97), Fraction(2, 37)], steps=[16], w=[1.0] * 5)
 def test_record_budgets_match_per_level_principal_blocks(angles, steps, w):
+    # the chain differences share one routine and match bit for bit; the tails come from two
+    # kernel routes, so they match to within the sum of both routes' kernel bounds
     terms = [1]
     for step in steps:
         terms.append(terms[-1] + step)
     cons = ShiftConstruction(IndexSequence(tuple(terms)), angles, w, horizon=len(terms))
     for budget in cons.budgets:
-        (eig_a, eig_b), tail_max = _principal_block_budget(cons, budget.level)
+        level = budget.level
+        (eig_a, eig_b), tail_max, block_powers = _principal_block_budget(cons, level)
         assert (budget.eigvec_a, budget.eigvec_b) == (eig_a, eig_b)
-        assert budget.tail_max == pytest.approx(tail_max, rel=1e-15, abs=0.0)
+        routes = [(cons.lambdas, cons.powers), (cons.lambdas[:level], block_powers)]
+        assert abs(budget.tail_max - tail_max) <= _tail_slack(cons, level, routes)
         assert budget.tail_sum_ok == (tail_max <= budget.tail_budget)
         assert budget.eigvec_budget_ok == (eig_a <= budget.eigvec_budget and eig_b <= budget.eigvec_budget)
 

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -35,16 +36,11 @@ from jamison.errors import (
     PreconditionViolated,
 )
 from jamison.sequences import (
-    _BLOCK,
-    _CHUNK,
-    _MAX_GRID_POINTS,
     _SCRATCH,
-    _TILE,
-    SeparationReport,
+    _BoxSearch,
     _f_exact,
-    _f_grid,
-    _TileScan,
-    _ternary_refine,
+    _profile_decays,
+    _separation_profile,
 )
 
 FACTORIALS = IndexSequence.factorials(8)
@@ -187,11 +183,11 @@ def test_separation_report_sandwich():
 
 
 def test_separation_constant_monotone_horizons_on_fixed_grid():
-    vals = []
-    for K in range(2, 9):
-        rep = separation_constant(FACTORIALS, K, resolution=1e-4, refine_steps=0, theta_min=0.01)
-        vals.append(rep.epsilon_hat_torus)
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+    # f_K <= f_{K+1} pointwise, so on a fixed domain inf f_K <= inf f_{K+1}: each certified
+    # lower end sits below the next horizon's upper end
+    reps = [separation_constant(FACTORIALS, K, resolution=1e-4, theta_min=0.01) for K in range(2, 9)]
+    assert all(r.epsilon_hat_torus - r.lower_bound_torus <= 1e-4 for r in reps)
+    assert all(a.lower_bound_torus <= b.epsilon_hat_torus for a, b in zip(reps, reps[1:]))
 
 
 def test_separation_constant_validation():
@@ -201,96 +197,95 @@ def test_separation_constant_validation():
         separation_constant(FACTORIALS, 9)
     with pytest.raises(OutOfDomain):
         separation_constant(FACTORIALS, 4, theta_min=0.7)
-    # grids past _MAX_GRID_POINTS, and steps below the double spacing at 1/2
-    with pytest.raises(InvalidResolution, match="grid points"):
-        separation_constant(FACTORIALS, 4, resolution=0.25 / _MAX_GRID_POINTS)
+    # widths below the double spacing at 1/2
     with pytest.raises(InvalidResolution, match="double spacing"):
         separation_constant(FACTORIALS, 4, resolution=1e-300)
     with pytest.raises(InvalidResolution, match="double spacing"):
         separation_constant(FACTORIALS, 4, resolution=math.ulp(0.5) / 2, theta_min=0.5 - 1e-14)
-    rep = separation_constant(FACTORIALS, 4, resolution=math.ulp(0.5), theta_min=0.5 - 1e-14, refine_steps=0)
-    assert rep.grid_resolution == math.ulp(0.5)
+    rep = separation_constant(FACTORIALS, 4, resolution=math.ulp(0.5), theta_min=0.5 - 1e-14)
+    assert rep.resolution == math.ulp(0.5)
 
 
-# --- grid kernel ------------------------------------------------------------
+@pytest.mark.parametrize("K", [31, 40])
+def test_separation_powers_of_two_certify_one_third(K):
+    # every theta in [2^-K, 1/2] has some 2^k theta within 1/3 of 1/2 (mod 1), and 1/3 attains it
+    t0 = time.perf_counter()
+    rep = separation_constant(IndexSequence.powers_of_two(K), K)
+    elapsed = time.perf_counter() - t0
+    assert rep.lower_bound_torus <= 1.0 / 3.0 <= rep.epsilon_hat_torus
+    assert rep.epsilon_hat_torus - rep.lower_bound_torus <= 1e-6
+    assert elapsed < 1.0
 
 
-def _f_grid_reference(terms: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """One-shot f_K over the whole grid: the full outer product, no tiles, no pruning."""
-    p = np.multiply.outer(terms, thetas)
-    p = p - np.floor(p)
-    return np.minimum(p, 1.0 - p).max(axis=0)
+def test_separation_factorials_certify_a_floor_at_twelve():
+    rep = separation_constant(IndexSequence.factorials(12), 12)
+    assert rep.lower_bound_torus >= 0.07
+    assert rep.lower_bound_torus <= 1.0 / 13.0 <= rep.epsilon_hat_torus + 1e-6
 
 
-# the capped tile of K >= 64 terms and the full tile of K <= 16, each straddled
-_CAPPED_TILE = _SCRATCH // _CHUNK
+def test_separation_terms_past_two_to_the_53_stay_exact():
+    seq = IndexSequence((1, 3, 3**40))
+    # on the default domain the infimum is 3 / 3^40, at theta = 1 / 3^40: below any resolution,
+    # so the certified interval is [0, upper] with upper itself within the resolution
+    rep = separation_constant(seq, 3, resolution=1e-5)
+    assert rep.lower_bound_torus == 0.0 and rep.epsilon_hat_torus <= 1e-5
+    assert rep.epsilon_hat_torus == float(_f_exact(seq.terms, rep.witness.theta))
+    # away from it, max(theta, ||3 theta||) >= 3/100 is certified with the huge term in play
+    rep = separation_constant(seq, 3, resolution=3e-6, theta_min=0.01)
+    assert 0.0299 <= rep.lower_bound_torus <= 0.03 <= rep.epsilon_hat_torus <= rep.lower_bound_torus + 3e-6
 
 
-@pytest.mark.parametrize(
-    "n_thetas", [0, 1, _CAPPED_TILE - 1, _CAPPED_TILE, _CAPPED_TILE + 1, _TILE - 1, _TILE, _TILE + 1]
-)
+def test_separation_odd_points_see_past_the_last_bit_of_a_double():
+    # every double in [1/4, 1/2] ends at 2^-54 or above, so it reads exactly 1/2 on some 2^k
+    # with k < 60; the a / 3^19 points do not, and one of them is 1/3, where f is 1/3
+    rep = separation_constant(IndexSequence.powers_of_two(60), 60, resolution=1e-2, theta_min=0.25)
+    assert not rep.truncated
+    assert rep.lower_bound_torus <= 1.0 / 3.0 == rep.epsilon_hat_torus
+    assert rep.witness.theta == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("L", range(5, 15))
+def test_profile_gate_opens_on_the_factorial_ladder(L):
+    profile = _separation_profile(IndexSequence.factorials(15).terms[:L], L)
+    assert [h for h, _, _ in profile] == sorted({math.ceil(L / 4), math.ceil(L / 2), L})
+    assert all(0.0 <= lo <= up <= lo + 1e-5 for _, lo, up in profile)
+    assert _profile_decays(profile)
+
+
+@pytest.mark.parametrize("seq", [IndexSequence.powers_of_two(40), IndexSequence.integers_up_to(100)])
+def test_profile_gate_stays_shut_on_separated_sequences(seq):
+    assert not _profile_decays(_separation_profile(seq.terms, len(seq)))
+
+
+# --- box search -------------------------------------------------------------
+
+
+def _rechunked(search: _BoxSearch, chunk: int) -> _BoxSearch:
+    """The same search taking ``chunk`` boxes at a time."""
+    search.chunk = chunk
+    search.scratch = [np.empty(search.parts.size * chunk) for _ in range(3)]
+    return search
+
+
+# points around 2^11 and 2^13: these straddle the chunks of 32 and 8 one-part terms, and
+# span several chunks from 64 terms on
+@pytest.mark.parametrize("n_thetas", [0, 1, 2047, 2048, 2049, 8191, 8192, 8193])
 @pytest.mark.parametrize("n_terms", [1, 3, 64, 65, 1000])
 @settings(max_examples=4, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    scale=st.sampled_from([10.0, 1e6, 1e18]),
-    threshold=st.floats(0.0, 0.5),
-)
-def test_f_grid_matches_one_shot_reference(n_terms, n_thetas, seed, scale, threshold):
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([10.0, 1e6, 1e18]))
+def test_f_grid_matches_one_shot_reference(n_terms, n_thetas, seed, scale):
+    # f_K at a batch of points, as the box search evaluates it chunk by chunk, equals the
+    # same batch in chunks of another size (one chunk up to 97 points) bit for bit, and the
+    # exact f to within the search's margin
     rng = np.random.default_rng(seed)
-    terms = np.sort(np.floor(rng.uniform(1.0, scale, n_terms)))
+    terms = tuple(int(t) for t in np.sort(np.floor(rng.uniform(1.0, scale, n_terms))))
     thetas = rng.uniform(0.0, 0.5, n_thetas)
-    want = _f_grid_reference(terms, thetas)
-    assert np.array_equal(_f_grid(terms, thetas), want)
-    got = _f_grid(terms, thetas, prune_above=threshold)
-    exact = want <= threshold
-    assert np.array_equal(got[exact], want[exact])
-    assert np.all(got[~exact] > threshold)
-    assert np.all(got[~exact] <= want[~exact])
-
-
-def _separation_reference(seq, K, resolution, refine_steps, theta_min):
-    """separation_constant without the block bound: every grid point, tile by tile, unpruned."""
-    terms_exact = seq.prefix(K)
-    terms = np.asarray(terms_exact, dtype=float)
-    n_K = float(terms[-1])
-    boundary_limited = theta_min is None and n_K <= 1.0
-    if theta_min is None:
-        theta_min = resolution if boundary_limited else 1.0 / (2.0 * n_K)
-    pilot = np.linspace(theta_min, 0.5, 4097)
-    f_pilot = _f_grid(terms, pilot)
-    i = int(np.argmin(f_pilot))
-    best_val, best_theta = float(f_pilot[i]), float(pilot[i])
-    n_points = int(math.floor((0.5 - theta_min) / resolution)) + 1
-    for start in range(0, n_points, _TILE):
-        thetas = theta_min + resolution * np.arange(start, min(start + _TILE, n_points), dtype=float)
-        thetas = thetas[thetas <= 0.5]
-        if thetas.size == 0:
-            continue
-        f = _f_grid(terms, thetas)
-        j = int(np.argmin(f))
-        if f[j] < best_val:
-            best_val, best_theta = float(f[j]), float(thetas[j])
-    grid_min = best_val
-    if refine_steps:
-        lo = max(theta_min, best_theta - resolution)
-        hi = min(0.5, best_theta + resolution)
-        t_ref, f_ref = _ternary_refine(terms, lo, hi, refine_steps)
-        if f_ref < best_val:
-            best_val, best_theta = f_ref, t_ref
-    witness = TorusPoint(Fraction(best_theta))
-    eps_torus = float(_f_exact(terms_exact, witness.theta))
-    return SeparationReport(
-        horizon=K,
-        epsilon_hat=2.0 * math.sin(math.pi * eps_torus),
-        epsilon_hat_torus=eps_torus,
-        witness=witness,
-        grid_resolution=resolution,
-        theta_min=theta_min,
-        lower_bound_torus=max(0.0, grid_min - n_K * resolution / 2.0),
-        boundary_limited=boundary_limited,
-        refine_steps=refine_steps,
-    )
+    search = _BoxSearch(terms, 0.0, 0.5)
+    bounds, values, point = search.evaluate(thetas, thetas)
+    want_bounds, want_values, _ = _rechunked(_BoxSearch(terms, 0.0, 0.5), 97).evaluate(thetas, thetas)
+    assert np.array_equal(values, want_values) and np.array_equal(bounds, want_bounds)
+    for i in range(min(n_thetas, 3)):
+        assert abs(values[i] - float(_f_exact(terms, point(i)))) <= search.margin
 
 
 _INTEGER_TERMS = st.lists(st.integers(2, 10**7), max_size=40).map(lambda ts: (1,) + tuple(sorted(set(ts))))
@@ -303,20 +298,28 @@ _REAL_TERMS = st.lists(st.floats(1.0, 1e7, exclude_min=True), max_size=40).map(
 @given(
     terms=st.one_of(_INTEGER_TERMS, _REAL_TERMS),
     resolution=st.floats(3.0, 5.7).map(lambda e: 10.0 ** -e),
-    refine_steps=st.sampled_from([0, 24]),
     theta_min=st.one_of(st.none(), st.floats(1e-4, 0.49)),
+    probes=st.lists(st.fractions(0, 1, max_denominator=10**12), min_size=1, max_size=8),
 )
-@example(terms=(1, 3, 3**40), resolution=1e-5, refine_steps=24, theta_min=None)
-@example(terms=(1, 3, 3**40), resolution=3e-6, refine_steps=0, theta_min=0.01)
-@example(terms=tuple(range(1, 101)), resolution=1e-5, refine_steps=0, theta_min=0.25)
-# K > 64 over 400001 points: four capped tiles of blocks
-@example(terms=tuple(range(1, 201, 2)), resolution=1e-6, refine_steps=24, theta_min=0.1)
-# every example above ends its grid on a partial block of 64 points
-def test_block_bound_keeps_separation_report(terms, resolution, refine_steps, theta_min):
-    kind = "integer" if isinstance(terms[0], int) else "real"
-    seq = IndexSequence(terms, kind)
-    got = separation_constant(seq, len(terms), resolution, refine_steps, theta_min)
-    assert got == _separation_reference(seq, len(terms), resolution, refine_steps, theta_min)
+@example(terms=(1, 3, 3**40), resolution=1e-5, theta_min=None, probes=[Fraction(1, 3)])
+@example(terms=(1, 3, 3**40), resolution=3e-6, theta_min=0.01, probes=[Fraction(0), Fraction(1)])
+@example(terms=tuple(range(1, 101)), resolution=1e-5, theta_min=0.25, probes=[Fraction(1, 4)])
+# K > 64: several chunks of boxes per round
+@example(terms=tuple(range(1, 201, 2)), resolution=1e-6, theta_min=0.1, probes=[Fraction(1, 2)])
+# two large terms leave thousands of valleys near the floor: the budget ends the search
+@example(terms=(1.0, 5625404.0, 9997663.0), resolution=1e-3, theta_min=None, probes=[Fraction(0)])
+def test_block_bound_keeps_separation_report(terms, resolution, theta_min, probes):
+    # the certified interval: upper is f at the witness, exactly; lower is below f at every
+    # exact theta of the domain; and the two are at most the resolution apart unless the
+    # box budget ran out first, which the report says
+    seq = IndexSequence(terms, "integer" if isinstance(terms[0], int) else "real")
+    rep = separation_constant(seq, len(terms), resolution, theta_min)
+    assert rep.epsilon_hat_torus == float(_f_exact(terms, rep.witness.theta))
+    assert rep.theta_min <= rep.witness.theta <= Fraction(1, 2)
+    assert rep.truncated or rep.epsilon_hat_torus - rep.lower_bound_torus <= resolution
+    lo = Fraction(rep.theta_min)
+    for u in probes:
+        assert Fraction(rep.lower_bound_torus) <= _f_exact(terms, lo + u * (Fraction(1, 2) - lo))
 
 
 def _f_exact_fractions(terms, theta):
@@ -352,39 +355,46 @@ def test_f_exact_matches_the_fraction_loop(terms, theta):
     ),
     centre=st.floats(0.0, 0.5),
     scale=st.floats(0.0, 0.5),
+    probes=st.lists(st.fractions(0, 1, max_denominator=10**12), max_size=4),
 )
-@example(terms=(1, 3, 3**40), centre=0.3, scale=0.4)
-def test_block_bound_is_below_every_float_point(terms, centre, scale):
-    # the bound must hold for the float f_K the scan computes, rounding included
-    t = np.asarray(terms, dtype=float)
-    half_width = scale / t[:_CHUNK].max()
-    thetas = centre + half_width * np.linspace(-1.0, 1.0, _BLOCK)
-    bound = _TileScan(t, 1).block_bound(np.array([centre]), half_width)[0]
-    assert _f_grid(t, thetas).min() >= bound
+@example(terms=(1, 3, 3**40), centre=0.3, scale=0.4, probes=[])
+@example(terms=(1, 2**60, 3**40 * 2**20), centre=1 / 3, scale=1e-3, probes=[Fraction(1, 2)])
+def test_block_bound_is_below_every_float_point(terms, centre, scale, probes):
+    # the bound must hold at every point of the box, the doubles in it and exact rationals alike
+    half_width = scale / max(terms)
+    lo, hi = max(0.0, centre - half_width), min(0.5, centre + half_width)
+    search = _BoxSearch(terms, lo, hi)
+    bound = search.evaluate(np.array([lo]), np.array([hi]))[0][0]
+    points = [Fraction(x) for x in np.linspace(lo, hi, 64)]
+    points += [Fraction(lo) + u * (Fraction(hi) - Fraction(lo)) for u in probes]
+    assert all(Fraction(bound) <= _f_exact(terms, theta) for theta in points)
 
 
-@pytest.mark.parametrize("K, tile", [(12, _TILE), (1000, _CAPPED_TILE)])
-def test_scan_scratch_is_capped_in_doubles(K, tile):
-    scan = _TileScan(np.arange(1.0, K + 1.0), 10**9)
-    assert scan.tile == tile
-    assert scan.scratch_p.size <= _SCRATCH and scan.scratch_q.size <= _SCRATCH
-    # a short grid gets no more scratch than it needs
-    assert _TileScan(np.arange(1.0, K + 1.0), 3).scratch_p.size == 3 * min(K, _CHUNK)
+@pytest.mark.parametrize("K, boxes", [(12, 8192), (1000, 2048)])
+def test_scan_scratch_is_capped_in_doubles(K, boxes):
+    # at K = 1000 one chunk holds 65 boxes, so 2048 boxes go through the same buffers in 32
+    search = _BoxSearch(tuple(range(1, K + 1)), 0.001, 0.5)
+    edges = np.linspace(0.001, 0.5, boxes + 1)
+    bounds, values, _ = search.evaluate(edges[:-1], edges[1:])
+    assert bounds.shape == values.shape == (boxes,)
+    assert search.chunk == _SCRATCH // K
+    assert all(b.size <= _SCRATCH for b in search.scratch)
 
 
 def test_block_bound_leaves_few_points_to_scan(monkeypatch):
-    arrived = []
-    scan = _TileScan.__call__
+    # the grid this search replaced evaluated every 1e-6 step of the domain
+    evaluated = []
+    evaluate = _BoxSearch.evaluate
 
-    def counting(self, sub, prune_above=None):
-        assert sub.size <= self.tile  # no survivor tile outgrows the capped scratch
-        arrived.append(sub.size)
-        return scan(self, sub, prune_above)
+    def counting(self, lo, hi):
+        assert lo.size <= _SCRATCH  # no round outgrows the scratch cap
+        evaluated.append(lo.size)
+        return evaluate(self, lo, hi)
 
-    monkeypatch.setattr(_TileScan, "__call__", counting)
+    monkeypatch.setattr(_BoxSearch, "evaluate", counting)
     rep = separation_constant(IndexSequence.integers_up_to(1000), 1000, resolution=1e-6)
     n_points = int(math.floor((0.5 - rep.theta_min) / 1e-6)) + 1
-    assert sum(arrived) < n_points / 10
+    assert sum(evaluated) < n_points / 10
 
 
 def test_separation_scan_memory_bounded_by_tile():
@@ -433,6 +443,33 @@ def test_classify_powers_of_two_separated():
     assert res.floor >= 0.01
 
 
+@pytest.mark.parametrize(
+    "seq, horizons, verdict, floors",
+    [
+        (IndexSequence.integers_up_to(1000), (10, 100, 1000), SEPARATED, (1 / 3, 1 / 3, 1 / 3)),
+        (IndexSequence.factorials(12), (6, 8, 10), VANISHING, (1 / 7, 1 / 9, 1 / 11)),
+        (IndexSequence.powers_of_two(12), (4, 8, 12), SEPARATED, (1 / 3, 1 / 3, 1 / 3)),
+    ],
+    ids=["integers", "factorials", "powers2"],
+)
+def test_benchmark_analyze_verdicts(seq, horizons, verdict, floors):
+    # the full sequence-lab analyze inputs at its resolution, with the verdicts that
+    # benchmarks/references.json pins: a flip shows here before the benchmark refuses a run
+    res = classify_jamison(seq, horizons, resolution=1e-7)
+    assert res.verdict == verdict
+    for rep, floor in zip(res.reports, floors):
+        assert rep.epsilon_hat_torus - rep.lower_bound_torus <= 1e-7
+        assert rep.lower_bound_torus <= floor <= rep.epsilon_hat_torus
+
+
+def test_classify_reads_no_verdict_from_a_truncated_interval():
+    # 2^k past K = 44 outgrows the box budget at the default resolution: the upper end of
+    # its interval is no estimate of the floor, so no verdict rests on it
+    res = classify_jamison(IndexSequence.powers_of_two(48), (16, 32, 48))
+    assert res.reports[-1].truncated and not res.reports[0].truncated
+    assert res.verdict == INCONCLUSIVE
+
+
 def test_classify_validation():
     with pytest.raises(EmptyHorizons):
         classify_jamison(FACTORIALS, ())
@@ -459,8 +496,7 @@ def test_near_return_separated_sequence_comes_up_empty():
 
 @pytest.mark.parametrize("K", [24, 40])
 def test_near_return_powers_of_two_keep_the_gate_shut(K):
-    # a profile fine enough to resolve 1/n_h still reads 1/3 on 2^k; past n_h = 2^30 the
-    # sub-horizon is left out rather than scanned on a dyadic grid that reads 1/2 everywhere
+    # the profile certifies 1/3 at every sub-horizon of 2^k, so it does not decay
     assert near_return_search(IndexSequence.powers_of_two(K), K, eta=1e-3) == []
 
 
@@ -486,35 +522,35 @@ def test_near_return_respects_exclude_and_arc():
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    terms=st.one_of(_INTEGER_TERMS, _REAL_TERMS),
-    lo=st.floats(1e-12, 0.5),
-    prune_above=st.one_of(st.just(math.inf), st.floats(0.0, 0.5)),
-)
-def test_f_grid_never_reads_below_theta(terms, lo, prune_above):
-    # the float scan keeps f_K(theta) >= theta (t_1 = 1), pruned entries included:
-    # near_return_search's descent skips the bands above 1.25 eta on this bound
-    grid = np.linspace(lo, min(2.0 * lo, 0.5), 257)
-    assert (_f_grid(np.asarray(terms, dtype=float), grid, prune_above=prune_above) >= grid).all()
+@given(terms=st.one_of(_INTEGER_TERMS, _REAL_TERMS), lo=st.floats(1e-12, 0.5))
+def test_f_grid_never_reads_below_theta(terms, lo):
+    # t_1 = 1 gives f_K(theta) >= theta, and the search reads that term exactly, so a box's
+    # bound is at least its lower end less the margin: pass 1 drops the boxes above eta on it
+    edges = np.linspace(lo, min(2.0 * lo, 0.5), 257)
+    search = _BoxSearch(terms, lo, 0.5)
+    bounds, values, _ = search.evaluate(edges, edges)
+    assert (values[:edges.size] >= edges).all()
+    bounds = search.evaluate(edges[:-1], edges[1:])[0]
+    assert (bounds >= edges[:-1] - 2.0 * search.margin).all()
 
 
 @pytest.mark.parametrize("eta", [0.12, 1e-2, 1e-3, 1e-6])
 def test_near_return_scans_no_band_above_its_reach(monkeypatch, eta):
-    # t_1 = 1 gives f_K(theta) >= theta, so no grid hit (f <= 1.25 eta) lies above 1.25 eta
-    real = sequences._f_grid
-    band_lows = []
+    # t_1 = 1 gives f_K(theta) >= theta, so pass 1 cuts no box that starts above eta
+    sequences._separation_profile(FACTORIALS.terms, 8)  # pass 2's profile, cached before recording
+    split = sequences._split
+    cut_lows = []
 
-    def recording(terms, thetas, prune_above=math.inf):
-        if math.isfinite(prune_above):  # the descent's bands; the profile's pilot scan sets no threshold
-            band_lows.append(float(thetas[0]))
-        return real(terms, thetas, prune_above)
+    def recording(lo, hi):
+        cut_lows.extend(lo.tolist())
+        return split(lo, hi)
 
-    monkeypatch.setattr(sequences, "_f_grid", recording)
+    monkeypatch.setattr(sequences, "_split", recording)
     pts = near_return_search(FACTORIALS, 8, eta=eta, max_candidates=4)
     assert pts
-    assert all(lo <= 1.25 * eta for lo in band_lows)
-    if 1.25 * eta < 1.0 / (2.0 * 40320.0):
-        assert band_lows == []  # below the resolved floor the offsets come from the witnesses
+    assert all(lo <= eta for lo in cut_lows)
+    if eta < 1.0 / (2.0 * 40320.0):
+        assert cut_lows == []  # below the resolved floor the offsets come from the witnesses
 
 
 def test_near_return_validation():
