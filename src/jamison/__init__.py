@@ -13,10 +13,9 @@ import importlib
 _MODULE_OF = {
     **dict.fromkeys((
         "LevelBudget", "PowerBoundReport", "PowerBoundRow", "ShiftConstruction",
-        "TruncatedOperator", "analytic_power_bound",
-        "assemble_operator", "build_construction", "chain_difference_norms",
-        "fiber_map", "matrix_power", "operator_norm", "power_coefficient",
-        "product_difference", "symmetric_sum", "verify_partial_power_bound",
+        "TruncatedOperator", "analytic_power_bound", "assemble_operator",
+        "build_construction", "fiber_map", "matrix_power", "operator_norm",
+        "product_difference", "verify_partial_power_bound",
     ), "construction"),
     **dict.fromkeys((
         "BoundedReport", "LatticeReport", "MatrixSemigroup", "SpectrumReport",

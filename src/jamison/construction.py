@@ -35,7 +35,6 @@ from .errors import (
     HorizonExceedsSequence,
     IndexOutOfRange,
     InvalidIndex,
-    NegativeDegree,
     NonSquare,
     PreconditionViolated,
     SizeMismatch,
@@ -183,23 +182,6 @@ def _unit_band_powers(points, exponents) -> list:
     J = np.diag([p.complex_value() for p in points]) + np.eye(len(points), k=1)
     nodes = NodeSet(tuple(p.theta for p in points))
     return [apply(J[None], nodes, Power(n))[0] for n in exponents]
-
-
-def symmetric_sum(lambdas, m: int) -> complex:
-    """Complete homogeneous symmetric sum h_m over the given variables.
-
-    h_m(x_1..x_r) is the corner entry (1, r) of J^(m+r-1), with J the
-    bidiagonal matrix carrying the variables on its diagonal; binary
-    exponentiation keeps factorial-scale degrees at O(r^3 log m).
-    """
-    if m < 0:
-        raise NegativeDegree(f"degree {m} must be >= 0")
-    xs = [complex(x) for x in lambdas]
-    if not xs:
-        raise PreconditionViolated("symmetric_sum needs at least one variable")
-    r = len(xs)
-    J = np.diag(xs) + np.eye(r, k=1)
-    return complex(matrix_power(J, m + r - 1)[0, r - 1])
 
 
 def _suffix_weight_products(w: tuple, level: int) -> dict:
@@ -399,13 +381,10 @@ class ShiftConstruction:
             raise IndexOutOfRange(f"shift weight index {level} outside 1..{self.levels - 1}")
         return self.alphas1[level - 1] * FIBER_DECAY ** (i - 1)
 
-    def nuclear_terms(self) -> list:
-        """(level, w_l g_{l+1} / g_l) pairs of the nuclear-series partial sum, with g_1 = 1."""
-        return [(l, a / FIBER_DECAY) for l, a in enumerate(self.alphas1, start=1)]
-
     @property
     def nuclear_partial_sum(self) -> float:
-        return sum(t for _, t in self.nuclear_terms())
+        """sum over l of w_l g_{l+1} / g_l, with g_1 = 1: the fiber-1 weights over FIBER_DECAY, a power of two."""
+        return sum(self.alphas1) / FIBER_DECAY
 
 
 # --- adaptive build ---------------------------------------------------------------------
@@ -424,6 +403,14 @@ def _chord_to_eta(chord_bound: float) -> float:
     """
     x = min(1.0, max(chord_bound, 0.0) / 2.0)
     return math.asin(x) / math.pi / 4.0
+
+
+def _saturating_float(n: int) -> float:
+    """n as a double, rounded as float(n) rounds it, or inf past the double range."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
 
 
 def _level_search_target(seq, thetas, w, K, level) -> float:
@@ -475,7 +462,7 @@ def _level_search_target(seq, thetas, w, K, level) -> float:
         tot = 0.0
         for k in range(kmin, level):
             gk = 1.0 if k == 1 else gaps[k]
-            tot += wprod[k] * math.comb(n, level - k) / gk
+            tot += wprod[k] * _saturating_float(math.comb(n, level - k)) / gk
         worst = max(worst, tot)
     g_c = (2.0 ** (1 - level)) / worst if worst > 0.0 else math.inf
     return _chord_to_eta(min(g_a, g_b, g_c))
@@ -493,7 +480,8 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
     search target sixteen-fold per round, up to six rounds (SEARCH_ROUNDS),
     before giving up with the level and predicate that blocked.  A target
     below the normal double range (on factorials it underflows to 0 at
-    level 14) stops the build with predicate float_range.
+    level 14) stops the build with predicate float_range, and a candidate
+    whose gap to its parent is no normal double counts as failing it.
     """
     if seq.kind != "integer":
         raise PreconditionViolated("construction requires an integer sequence; reduce real input first")
@@ -525,21 +513,22 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
                     continue
                 if any(new_theta == p.theta for p in thetas):
                     continue
+                if not chord_distance(TorusPoint(new_theta), parent) >= sys.float_info.min:
+                    last_failure = "float_range"  # its gap is no normal double
+                    continue
                 trial = ShiftConstruction(seq, (*thetas, TorusPoint(new_theta)), w, K)
                 record = trial.budget(level)
                 if record.all_ok:
                     accepted = trial
                     break
-                last_failure = record
+                last_failure = record.failing_predicate()
             if accepted is not None:
                 break
             eta /= 16.0
         if accepted is None:
             if last_failure is not None:
                 raise BudgetInfeasible(
-                    level,
-                    last_failure.failing_predicate() or "tail_sum",
-                    f"no candidate passed within {SEARCH_ROUNDS} search rounds",
+                    level, last_failure, f"no candidate passed within {SEARCH_ROUNDS} search rounds"
                 )
             raise BudgetInfeasible(
                 level, "eta_search", "near-return search found no usable candidates"
@@ -621,45 +610,6 @@ def matrix_power(M: np.ndarray, n: int) -> np.ndarray:
     if n < 0:
         raise ConfigInvalid("matrix powers here are for n >= 0")
     return np.linalg.matrix_power(np.asarray(M, dtype=complex), n)
-
-
-def power_coefficient(cons: ShiftConstruction, k: int, l: int, i: int, n: int) -> complex:
-    """Entry of T^n linking slot (i, k) to slot (i, l), in closed form.
-
-    Zero when k > l or when the band offset l - k exceeds n; otherwise the
-    product of band weights times a complete homogeneous sum of the spanned
-    eigenvalues, which on the diagonal is the exact-angle power of the level
-    eigenvalue.
-    """
-    L = cons.levels
-    if not (1 <= k <= L and 1 <= l <= L):
-        raise IndexOutOfRange(f"indices ({k}, {l}) outside 1..{L}")
-    if i < 1:
-        raise IndexOutOfRange(f"fiber index {i} must be >= 1")
-    if n < 0:
-        raise IndexOutOfRange(f"power {n} must be >= 0")
-    if k > l or l - k > n:
-        return 0j
-    alpha_prod = 1.0
-    for q in range(k, l):
-        alpha_prod *= cons.alpha(i, q)
-    (Jn,) = _unit_band_powers(cons.lambdas[:l], [n])
-    return alpha_prod * complex(Jn[k - 1, l - 1])
-
-
-# --- eigenvector-chain differences ----------------------------------------------------
-
-
-def chain_difference_norms(cons: ShiftConstruction, n: int) -> tuple:
-    """(head, tail) 2-norm parts of u^(n) - u^(parent of n).
-
-    The head compares shared coordinates through the stable product-difference
-    form; the tail collects the coefficients the longer chain adds.  Their
-    squared sum is the full squared distance between the two eigenvectors.
-    """
-    if n < 2 or n > cons.levels:
-        raise IndexOutOfRange(f"difference needs 2 <= n <= {cons.levels}")
-    return _chain_difference(cons.lambdas, cons.alphas1, n)
 
 
 # --- norms and verification -----------------------------------------------------------

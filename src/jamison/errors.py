@@ -103,10 +103,6 @@ class IndexOutOfRange(_BadInput):
     """Row/level index outside the operator's finite section."""
 
 
-class NegativeDegree(JamisonError):
-    """Symmetric-sum degree must be non-negative."""
-
-
 class BudgetsNotCertified(_BadInput):
     """verify/serialize called on a construction whose budgets never passed."""
 

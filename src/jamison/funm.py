@@ -27,6 +27,7 @@ most 12 (L + r) u ||f(T)||_F (1 + scale / CLUSTER_GAP)^(m - 1); r = 0 where no
 clusters interleave.
 """
 
+import cmath
 import numbers
 from fractions import Fraction
 
@@ -207,7 +208,11 @@ def _swap(B: np.ndarray, Q: np.ndarray, k: int, gap: complex) -> None:
 
 
 def _taylor(A: np.ndarray, coeffs) -> np.ndarray:
-    """sum_j coeffs[j] A^j over a stack, until two terms past the nilpotent part are negligible."""
+    """sum_j coeffs[j] A^j over a stack, until two terms past the nilpotent part are negligible.
+
+    A nilpotent A (a singleton cluster, or equal nodes) ends the sum at A^m = 0
+    exactly, before a coefficient too large for a double meets that zero.
+    """
     m = A.shape[-1]
     S = np.zeros_like(A)
     power = np.broadcast_to(np.eye(m, dtype=complex), A.shape)
@@ -215,6 +220,10 @@ def _taylor(A: np.ndarray, coeffs) -> np.ndarray:
     for j, c in enumerate(coeffs):
         if j:
             power = power @ A
+            if j == m and not power.any():
+                return S
+        if not cmath.isfinite(c):
+            raise OutOfDomain(f"Taylor coefficient {j} overflows the double range")
         term = c * power
         S += term
         tiny = np.abs(term).max(axis=(-2, -1)) <= _EPS * np.abs(S).max(axis=(-2, -1))

@@ -598,14 +598,12 @@ _PROFILE_RESOLUTION = 1e-5  # width of each sub-horizon's certified interval in 
 
 
 @functools.lru_cache(maxsize=128)
-def _separation_profile(terms_exact: tuple, K: int) -> tuple:
+def _separation_profile(seq: IndexSequence, K: int) -> tuple:
     """Certified separation intervals (h, lower, upper) at sub-horizons ~K/4, K/2, K (cached).
 
     Each interval is 1e-5 wide, which resolves the near return at 1/n_h
     (f_h(1/h!) = 1/h on factorials) at any n_h.
     """
-    kind = "real" if any(isinstance(t, float) for t in terms_exact) else "integer"
-    seq = IndexSequence(terms_exact, kind=kind)
     hs = sorted({max(1, math.ceil(K / 4)), max(1, math.ceil(K / 2)), K})
     reports = (separation_constant(seq, h, resolution=_PROFILE_RESOLUTION) for h in hs)
     return tuple((rep.horizon, rep.lower_bound_torus, rep.epsilon_hat_torus) for rep in reports)
@@ -701,7 +699,7 @@ def near_return_search(
 
     # Pass 2: constructed witnesses below the resolved floor, profile-gated.
     if len(found) < max_candidates:
-        profile = _separation_profile(terms_exact, K)
+        profile = _separation_profile(seq, K)
         if _profile_decays(profile):
             m0 = 2 * math.ceil(1.0 / eta_t)
             base = m0 * int(math.ceil(terms_exact[-1]))

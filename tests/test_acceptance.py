@@ -15,16 +15,15 @@ import pytest
 from scipy.integrate import quad
 
 from jamison.construction import (
+    _unit_band_powers,
     assemble_operator,
     build_construction,
-    chain_difference_norms,
     matrix_power,
     operator_norm,
-    power_coefficient,
-    symmetric_sum,
     verify_partial_power_bound,
 )
 from jamison.errors import BudgetInfeasible
+from jamison.funm import operator_power
 from jamison.semigroup import (
     check_lattice,
     evolve,
@@ -124,8 +123,8 @@ def test_criterion_03_power_bounds(certified):
 def test_criterion_04_eigenvector_cauchy(certified):
     worst_margin = math.inf
     for n in range(3, 9):
-        head, tail = chain_difference_norms(certified, n)
-        dist = math.hypot(head, tail)
+        budget = certified.budget(n)
+        dist = math.hypot(budget.eigvec_a, budget.eigvec_b)
         worst_margin = min(worst_margin, 2.0 ** -n - dist)
         assert dist <= 2.0 ** -n
     announce(4, worst_margin >= 0.0, f"smallest budget margin {worst_margin:.3e}")
@@ -143,24 +142,31 @@ def _brute_symmetric_sum(lams, m: int) -> complex:
 
 
 def test_criterion_05_symmetric_sum_oracles(certified):
+    # h_m(x_1..x_r) is the corner (1, r) of the unit-band J^(m + r - 1) from the exact-phase kernel
     rng = np.random.default_rng(5)
     worst_sum = 0.0
     for _ in range(100):
         r = int(rng.integers(1, 6))
         m = int(rng.integers(0, 13))
-        lams = tuple(complex(np.exp(2j * np.pi * u)) for u in rng.uniform(0.0, 1.0, size=r))
-        got = symmetric_sum(lams, m)
-        want = _brute_symmetric_sum(lams, m)
-        worst_sum = max(worst_sum, abs(got - want) / max(1.0, abs(want)))
+        points = [TorusPoint(Fraction(float(u))) for u in rng.uniform(0.0, 1.0, size=r)]
+        (Jn,) = _unit_band_powers(points, [m + r - 1])
+        want = _brute_symmetric_sum([p.complex_value() for p in points], m)
+        worst_sum = max(worst_sum, abs(Jn[0, r - 1] - want) / max(1.0, abs(want)))
     assert worst_sum <= 1e-10
 
+    # entry (k, l) of T^n is the band product alpha_{i,k} ... alpha_{i,l-1} times h_{n-(l-k)}
     op = assemble_operator(certified, 8, 2)
+    lams = [p.complex_value() for p in certified.lambdas]
     worst_coeff = 0.0
     for n in (1, 2, 3, 5, 8, 12):
-        Tn = matrix_power(op.blocks, n)
-        for k, l, i in itertools.product(range(1, 9), range(1, 9), range(1, 3)):
-            entry = power_coefficient(certified, k, l, i, n)
-            worst_coeff = max(worst_coeff, abs(entry - Tn[i - 1, k - 1, l - 1]))
+        Tn = operator_power(op, n)
+        dense = matrix_power(op.blocks, n)
+        for k, l in itertools.product(range(1, 9), range(1, 9)):
+            h = _brute_symmetric_sum(lams[k - 1:l], n - (l - k)) if k <= l <= k + n else 0.0
+            for i in (1, 2):
+                want = math.prod(certified.alpha(i, q) for q in range(k, l)) * h
+                got = Tn[i - 1, k - 1, l - 1]
+                worst_coeff = max(worst_coeff, abs(got - want), abs(got - dense[i - 1, k - 1, l - 1]))
     ok = worst_sum <= 1e-10 and worst_coeff <= 1e-10
     announce(5, ok, f"symmetric-sum err {worst_sum:.2e}, coefficient err {worst_coeff:.2e}")
     assert worst_coeff <= 1e-10

@@ -5,6 +5,7 @@ asserted without subprocess overhead.  A shared session directory carries one
 certified construction through construct -> verify -> semigroup.
 """
 
+import ast
 import builtins
 import importlib
 import json
@@ -543,6 +544,38 @@ def test_construct_refuses_search_targets_below_the_double_range(tmp_path, monke
     assert "float_range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [150, 155, 160, 300])
+def test_construct_terms_past_the_double_range_end_in_float_range(tmp_path, capsys, k):
+    # level 3 needs a gap near 10^-2k: at 10^150 the witnesses' chords read 0.0, and from
+    # 10^155 on the binomial C(10^k, 2) in its search target is past the double range
+    save_sequence(IndexSequence((1, 2, 10 ** k)), tmp_path / "seq.json")
+    rc = main([
+        "construct", "--sequence", str(tmp_path / "seq.json"), "--levels", "3",
+        "--out", str(tmp_path / "X.json"), "--out-dir", str(tmp_path),
+    ])
+    assert rc == 3
+    report = read_report(tmp_path)
+    assert (report["status"], report["level"], report["predicate"]) == ("infeasible", 3, "float_range")
+    assert "float_range" in capsys.readouterr().err
+    assert not (tmp_path / "X.json").exists()
+
+
+def test_a_term_near_the_top_of_the_double_range_builds_verifies_and_lifts(tmp_path):
+    # every node its own cluster at n = 10^300, whose binomial C(n, 2) is no double
+    save_sequence(IndexSequence((1, 2, 10 ** 300)), tmp_path / "seq.json")
+    save_sequence(IndexSequence((1.0, 2.5, 1e300), "real"), tmp_path / "real.json")
+    cons = str(tmp_path / "C.json")
+    assert main([
+        "construct", "--sequence", str(tmp_path / "seq.json"), "--levels", "2",
+        "--out", cons, "--out-dir", str(tmp_path / "construct"),
+    ]) == 0
+    assert main(["verify", "--construction", cons, "--powers", "3", "--out-dir", str(tmp_path / "verify")]) == 0
+    assert main([
+        "semigroup", "--construction", cons, "--real-sequence", str(tmp_path / "real.json"),
+        "--powers", "3", "--out-dir", str(tmp_path / "semigroup"),
+    ]) == 0
+
+
 def test_construct_weight_file(workdir, tmp_path):
     (tmp_path / "w.json").write_text("[1.0, 2.0, 3.0, 4.0, 5.0]")
     rc = main([
@@ -895,7 +928,6 @@ EXIT_TABLE = {
     "OutOfDomain": _INVARIANT,
     "DegenerateInput": _INVARIANT,
     "InvalidIndex": _INVARIANT,
-    "NegativeDegree": _INVARIANT,
     "SizeMismatch": _INVARIANT,
     "NonSquare": _INVARIANT,
 }
@@ -908,6 +940,16 @@ def _error_type(name):
     raise LookupError(name)
 
 
+def _raised_names() -> set:
+    """Every Name of a `raise Name(...)` in the package's source."""
+    names = set()
+    for path in Path(jamison.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name):
+                names.add(node.exc.func.id)
+    return names
+
+
 def test_exit_table_names_every_error_type():
     public, stack = {"JamisonError"}, [JamisonError]
     while stack:
@@ -916,6 +958,10 @@ def test_exit_table_names_every_error_type():
             if sub.__module__.startswith("jamison") and not sub.__name__.startswith("_"):
                 public.add(sub.__name__)
     assert public | {"OSError"} == set(EXIT_TABLE)
+    # and no type is dead: each concrete one is raised somewhere in the package
+    concrete = {name for name, kind in vars(errors).items() if isinstance(kind, type) and issubclass(kind, JamisonError)}
+    dead = concrete - {"JamisonError", "_BadInput"} - _raised_names()
+    assert not dead, dead
 
 
 @pytest.mark.parametrize("name", sorted(EXIT_TABLE))

@@ -14,15 +14,13 @@ import jamison.funm as funm
 from jamison import (
     IndexSequence,
     ShiftConstruction,
+    TorusPoint,
     analytic_power_bound,
     assemble_operator,
     build_construction,
-    chain_difference_norms,
     fiber_map,
     matrix_power,
     operator_norm,
-    power_coefficient,
-    symmetric_sum,
     verify_partial_power_bound,
 )
 from jamison.errors import (
@@ -30,15 +28,17 @@ from jamison.errors import (
     BudgetsNotCertified,
     ConfigInvalid,
     HorizonExceedsSequence,
-    IndexOutOfRange,
     InvalidIndex,
-    NegativeDegree,
     NonSquare,
     PreconditionViolated,
     SizeMismatch,
     WeightListTooShort,
 )
+from jamison.funm import operator_power
+from jamison.sequences import unit_diff
 from jamison.serialize import construction_to_json_dict
+
+from test_exact_phase import _err, _opitz, power_value
 
 # Golden data frozen from the first certified runs; the whole pipeline is
 # deterministic so these reproduce bit-for-bit on rebuild.
@@ -145,6 +145,8 @@ def test_alpha_fiber_decay(synthetic_cons):
 
 
 # --- symmetric sums -------------------------------------------------------------
+# h_m(x_1..x_r) is the corner (1, r) of J^(m + r - 1), J the unit band on the variables:
+# the exact-phase kernel's route on exact angles, the one every budget reads.
 
 
 def brute_homogeneous(xs, m):
@@ -157,15 +159,19 @@ def brute_homogeneous(xs, m):
     return total
 
 
+def kernel_homogeneous(thetas, m):
+    """h_m over the unimodular variables e^(2 pi i theta), from the exact-phase kernel."""
+    points = [TorusPoint(Fraction(theta)) for theta in thetas]
+    (Jn,) = construction._unit_band_powers(points, [m + len(points) - 1])
+    return complex(Jn[0, -1])
+
+
 def test_symmetric_sum_basics():
-    assert symmetric_sum([1.0, 1.0, 1.0], 3) == pytest.approx(10.0)
-    assert symmetric_sum([2.0 + 1.0j], 0) == 1.0
-    lam = complex(math.cos(0.7), math.sin(0.7))
-    assert symmetric_sum([lam], 9) == pytest.approx(lam ** 9, abs=1e-12)
-    with pytest.raises(NegativeDegree):
-        symmetric_sum([1.0], -1)
-    with pytest.raises(PreconditionViolated):
-        symmetric_sum([], 2)
+    assert kernel_homogeneous([0, 0, 0], 3) == 10.0  # C(5, 2) monomials, each 1
+    theta = Fraction(7, 62)
+    assert kernel_homogeneous([theta], 0) == 1.0
+    lam = TorusPoint(theta).complex_value()
+    assert kernel_homogeneous([theta], 9) == pytest.approx(lam ** 9, abs=1e-12)
 
 
 def test_symmetric_sum_matches_composition_enumeration():
@@ -173,65 +179,66 @@ def test_symmetric_sum_matches_composition_enumeration():
     for _ in range(100):
         r = int(rng.integers(1, 6))
         m = int(rng.integers(0, 13))
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=r)
-        xs = [complex(math.cos(p), math.sin(p)) for p in phases]
-        expected = brute_homogeneous(xs, m)
-        got = symmetric_sum(xs, m)
+        thetas = [Fraction(float(u)) for u in rng.uniform(0.0, 1.0, size=r)]
+        expected = brute_homogeneous([TorusPoint(t).complex_value() for t in thetas], m)
+        got = kernel_homogeneous(thetas, m)
         scale = max(abs(expected), 1.0)
         assert abs(got - expected) <= 1e-10 * scale
 
 
 def test_symmetric_sum_large_degree_closed_form():
-    # two real variables: h_m = (x^(m+1) - y^(m+1)) / (x - y)
-    x, y, m = 0.9, 0.5, 2000
-    expected = (x ** (m + 1) - y ** (m + 1)) / (x - y)
-    assert symmetric_sum([x, y], m) == pytest.approx(expected, rel=1e-12)
+    # two variables: h_m = (x^(m+1) - y^(m+1)) / (x - y), every phase from its exact angle
+    a, b, m = Fraction(1, 7), Fraction(1, 5), 2000
+    x, y = TorusPoint(a), TorusPoint(b)
+    expected = unit_diff(x.scaled(m + 1), y.scaled(m + 1)) / unit_diff(x, y)
+    assert kernel_homogeneous([a, b], m) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [math.factorial(8) - 1, math.factorial(10) - 1])
-@pytest.mark.parametrize("offsets", [(0.0, 1.0e-4), (0.0, 1.0e-4, 2.3e-4)])
+@pytest.mark.parametrize("offsets", [(0, Fraction(1, 10**4)), (0, Fraction(1, 10**4), Fraction(23, 10**5))])
 def test_symmetric_sum_factorial_degree_mpmath_oracle(offsets, m):
     # clustered unimodular variables against sum_i x_i^(m+r-1) / prod_{j != i} (x_i - x_j),
-    # evaluated at 80 digits from the very same double inputs
-    xs = [complex(math.cos(2 * math.pi * (0.1 + d)), math.sin(2 * math.pi * (0.1 + d))) for d in offsets]
-    r = len(xs)
+    # evaluated at 80 digits on the very same exact angles
+    thetas = [Fraction(1, 10) + d for d in offsets]
+    r = len(thetas)
     with mpmath.workdps(80):
-        zs = [mpmath.mpc(x.real, x.imag) for x in xs]
+        zs = [mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator) for t in thetas]
         want = complex(mpmath.fsum(
             zs[i] ** (m + r - 1) / mpmath.fprod(zs[i] - zs[j] for j in range(r) if j != i)
             for i in range(r)
         ))
-    got = symmetric_sum(xs, m)
-    assert abs(got - want) <= 1e-8 * abs(want)
+    got = kernel_homogeneous(thetas, m)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False), min_size=2, max_size=5),
+    st.lists(st.fractions(min_value=0, max_value=1, max_denominator=1000), min_size=2, max_size=5),
     st.integers(min_value=1, max_value=30),
 )
-def test_symmetric_sum_peeling_recursion(xs, m):
-    lhs = symmetric_sum(xs, m)
-    rhs = symmetric_sum(xs[:-1], m) + xs[-1] * symmetric_sum(xs, m - 1)
+def test_symmetric_sum_peeling_recursion(thetas, m):
+    lhs = kernel_homogeneous(thetas, m)
+    x = TorusPoint(thetas[-1]).complex_value()
+    rhs = kernel_homogeneous(thetas[:-1], m) + x * kernel_homogeneous(thetas, m - 1)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
 # --- power coefficients -----------------------------------------------------------
+# Entry (k, l) of T^n is alpha_{i,k} ... alpha_{i,l-1} h_{n-(l-k)}(lambda_k..lambda_l), zero
+# below the diagonal and past the band; operator_power takes T^n from the exact-phase kernel.
 
 
 def test_power_coefficient_vanishing_and_diagonal(synthetic_cons):
-    assert power_coefficient(synthetic_cons, 3, 2, 1, 5) == 0
-    assert power_coefficient(synthetic_cons, 1, 4, 1, 2) == 0
-    lam = synthetic_cons.lambdas[1]
-    assert power_coefficient(synthetic_cons, 2, 2, 1, 7) == pytest.approx(
-        lam.scaled(7).complex_value(), abs=1e-15
-    )
-    with pytest.raises(IndexOutOfRange):
-        power_coefficient(synthetic_cons, 0, 2, 1, 5)
-    with pytest.raises(IndexOutOfRange):
-        power_coefficient(synthetic_cons, 1, 6, 1, 5)
-    with pytest.raises(IndexOutOfRange):
-        power_coefficient(synthetic_cons, 1, 2, 0, 5)
+    op = assemble_operator(synthetic_cons, 5, 2)
+    for n in (0, 1, 2, 7):
+        Tn = operator_power(op, n)
+        for k, l in iter_product(range(1, 6), range(1, 6)):
+            if k > l:
+                assert (Tn[:, k - 1, l - 1] == 0).all()
+            elif l - k > n:  # the Parlett step leaves its rounding there
+                assert np.abs(Tn[:, k - 1, l - 1]).max() <= 1e-13 * np.linalg.norm(Tn)
+        diagonal = [lam.scaled(n).complex_value() for lam in synthetic_cons.lambdas]
+        assert (np.diagonal(Tn, axis1=1, axis2=2) == diagonal).all()
 
 
 def test_power_coefficient_matches_dense_powers(synthetic_cons):
@@ -239,10 +246,7 @@ def test_power_coefficient_matches_dense_powers(synthetic_cons):
     for I in (1, 2, 3):
         op = assemble_operator(synthetic_cons, 5, I)
         for n in (0, 1, 2, 3, 5, 8, 12):
-            Tn = matrix_power(op.blocks, n)
-            for k, l, i in iter_product(range(1, 6), range(1, 6), range(1, I + 1)):
-                t = power_coefficient(synthetic_cons, k, l, i, n)
-                worst = max(worst, abs(t - Tn[i - 1, k - 1, l - 1]))
+            worst = max(worst, float(np.abs(operator_power(op, n) - matrix_power(op.blocks, n)).max()))
     assert worst <= 1e-10
 
 
@@ -341,8 +345,8 @@ def test_chain_residuals(factorial_cons):
 
 def test_chain_cauchy_estimate(factorial_cons):
     for n in range(3, 9):
-        a, b = chain_difference_norms(factorial_cons, n)
-        assert math.hypot(a, b) <= 2.0 ** -n
+        budget = factorial_cons.budget(n)
+        assert math.hypot(budget.eigvec_a, budget.eigvec_b) <= 2.0 ** -n
 
 
 def _chain_difference_oracle(cons, n):
@@ -381,15 +385,35 @@ def test_scaled_norm_keeps_the_bits_of_the_plain_sum_of_squares(values):
     assert construction._norm2(values) == math.sqrt(sum(v * v for v in values))
 
 
-@pytest.mark.parametrize("L", [11, 13])
+def _tail_max_oracle(cons) -> dict:
+    """Every level's tail_max from the |h| of Opitz's formula for the unit-band J^n, at 900
+    digits on the exact angles, each J^n checked against a run 60 digits finer; the weight and
+    gap coefficients are the construction's own."""
+    gaps = construction.gaps_table(cons.lambdas, cons.levels)
+    thetas = [p.theta for p in cons.lambdas]
+    band = [mpmath.mpf(1)] * (cons.levels - 1)
+    tails = dict.fromkeys(range(2, cons.levels + 1), 0.0)
+    for n in cons.seq.prefix(cons.horizon):
+        coarse, fine = (_opitz(thetas, band, power_value(Fraction(n)), dps) for dps in (900, 960))
+        assert _err(coarse, fine, band) <= 1e-60
+        Jn = np.array([[float(abs(x)) for x in row] for row in fine])
+        for level in tails:
+            tails[level] = max(tails[level], construction._tail_sum(Jn, cons.weights, gaps, level))
+    return tails
+
+
+@pytest.mark.parametrize("L", [11, 12, 13])
 def test_stored_chain_differences_match_the_mpmath_oracle(L):
     cons = build_construction(IndexSequence.factorials(L), L=L, K=L, w=tuple(range(1, L)))
-    stored = construction_to_json_dict(cons)["budgets"]
-    for record in stored[1:]:
-        want = _chain_difference_oracle(cons, record["level"])
-        for field, value in zip(("eigvec_a", "eigvec_b"), want):
+    tails = _tail_max_oracle(cons)
+    for record in construction_to_json_dict(cons)["budgets"]:
+        level = record["level"]
+        want = {"tail_max": tails[level]}
+        if level >= 3:
+            want.update(zip(("eigvec_a", "eigvec_b"), _chain_difference_oracle(cons, level)))
+        for field, value in want.items():
             # zeros included: an empty head is exactly 0.0, and a value below 1e-154 is no zero
-            assert abs(record[field] - value) <= 1e-12 * value, (record["level"], field, record[field], value)
+            assert abs(record[field] - value) <= 1e-12 * value, (level, field, record[field], value)
 
 
 # --- adaptive build -------------------------------------------------------------------
@@ -406,8 +430,9 @@ def test_factorial_build_certified_golden(factorial_cons):
         assert budget.all_ok
         assert budget.tail_max <= budget.tail_budget
     assert cons.nuclear_partial_sum == pytest.approx(NUCLEAR_L8, rel=1e-12)
-    for level, term in cons.nuclear_terms()[1:]:
-        assert term <= 2.0 ** -level
+    # the nuclear series' terms w_l g_{l+1} / g_l, from l = 2 on
+    for level, alpha in enumerate(cons.alphas1[1:], start=2):
+        assert alpha / construction.FIBER_DECAY <= 2.0 ** -level
 
 
 def test_small_build_golden(small_cons):
@@ -674,14 +699,13 @@ def test_verify_single_level_is_diagonal(small_cons):
 
 
 def test_powers_of_constructions_take_the_exact_phase_kernel(monkeypatch):
-    # float squaring loses about n * eps; it is left to symmetric_sum alone
+    # float squaring loses about n * eps, so it is left to the tests as their oracle
     def refuse(M, n):
         raise AssertionError("matrix_power called")
 
     monkeypatch.setattr(construction, "matrix_power", refuse)
     cons = build_construction(IndexSequence.factorials(6), L=5, K=6, w=(1, 2, 3, 4, 5))
     assert verify_partial_power_bound(cons, 5, 2, 6, 2).all_ok
-    assert power_coefficient(cons, 2, 4, 2, 720) != 0
     assert analytic_power_bound(cons, 5, 720) > 0
 
 

@@ -30,6 +30,7 @@ import pytest
 
 from jamison import IndexSequence, assemble_operator, build_construction
 from jamison.construction import TruncatedOperator, _unit_band_powers
+from jamison.errors import OutOfDomain
 from jamison.funm import band_products, operator_power
 from jamison.semigroup import evolve, principal_log
 
@@ -227,3 +228,23 @@ def test_band_products_below_the_double_range():
         got = operator_power(op, n)[0]
         assert np.isfinite(got).all()
         assert _rel(got, oracle(thetas, band, power_value(Fraction(n)))) <= TOL
+
+
+def test_singleton_clusters_take_powers_near_the_top_of_the_double_range():
+    # each node is its own cluster, so each Taylor sum ends at A^1 = 0; C(n, 2), past the
+    # double range from n ~ 1.9e154 on, must not meet that zero
+    thetas = [Fraction(1, 20), Fraction(1, 10), Fraction(3, 20)]
+    band = [0.3, 0.2]
+    lams = [complex(mp.expjpi(2 * _mpf(t))) for t in thetas]
+    op = TruncatedOperator((np.diag(lams) + np.diag(band, k=1))[None], tuple(thetas))
+    for n in (10**155, 10**300):
+        assert _rel(operator_power(op, n)[0], oracle(thetas, band, power_value(Fraction(n)))) <= TOL
+
+
+def test_a_taylor_coefficient_past_the_double_range_is_out_of_domain():
+    # 1e-200 turns apart, the two nodes share a cluster at n = 10^160, whose C(n, 2) is no double
+    thetas = [Fraction(1, 20), Fraction(1, 20) + Fraction(1, 10**200)]
+    lam = complex(mp.expjpi(2 * _mpf(thetas[0])))
+    op = TruncatedOperator(np.array([[lam, 0.5], [0.0, lam]])[None], tuple(thetas))
+    with pytest.raises(OutOfDomain, match="overflows the double range"):
+        operator_power(op, 10**160)

@@ -246,7 +246,7 @@ def test_separation_odd_points_see_past_the_last_bit_of_a_double():
 
 @pytest.mark.parametrize("L", range(5, 15))
 def test_profile_gate_opens_on_the_factorial_ladder(L):
-    profile = _separation_profile(IndexSequence.factorials(15).terms[:L], L)
+    profile = _separation_profile(IndexSequence.factorials(15), L)
     assert [h for h, _, _ in profile] == sorted({math.ceil(L / 4), math.ceil(L / 2), L})
     assert all(0.0 <= lo <= up <= lo + 1e-5 for _, lo, up in profile)
     assert _profile_decays(profile)
@@ -254,7 +254,7 @@ def test_profile_gate_opens_on_the_factorial_ladder(L):
 
 @pytest.mark.parametrize("seq", [IndexSequence.powers_of_two(40), IndexSequence.integers_up_to(100)])
 def test_profile_gate_stays_shut_on_separated_sequences(seq):
-    assert not _profile_decays(_separation_profile(seq.terms, len(seq)))
+    assert not _profile_decays(_separation_profile(seq, len(seq)))
 
 
 # --- box search -------------------------------------------------------------
@@ -537,7 +537,7 @@ def test_f_grid_never_reads_below_theta(terms, lo):
 @pytest.mark.parametrize("eta", [0.12, 1e-2, 1e-3, 1e-6])
 def test_near_return_scans_no_band_above_its_reach(monkeypatch, eta):
     # t_1 = 1 gives f_K(theta) >= theta, so pass 1 cuts no box that starts above eta
-    sequences._separation_profile(FACTORIALS.terms, 8)  # pass 2's profile, cached before recording
+    sequences._separation_profile(FACTORIALS, 8)  # pass 2's profile, cached before recording
     split = sequences._split
     cut_lows = []
 
