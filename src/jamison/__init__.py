@@ -34,8 +34,8 @@ _MODULE_OF = {
         "INCONCLUSIVE", "SEPARATED", "VANISHING", "ClassificationResult",
         "IndexSequence", "SeparationReport", "TorusPoint", "box_dimension_estimate",
         "chord_distance", "chord_torus_bounds_check", "classify_jamison", "d_metric",
-        "near_return_search", "radians_to_turns", "separation_constant", "torus_norm",
-        "turns_to_radians", "unit_diff",
+        "near_return_search", "separation_constant", "torus_norm", "turns_to_radians",
+        "unit_diff",
     ), "sequences"),
 }
 

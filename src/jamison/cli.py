@@ -158,7 +158,8 @@ def _resolve_weights(spec: str, levels: int) -> tuple:
     # bool is an int subclass, but true is not a weight
     if not isinstance(data, list) or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in data):
         raise ConfigInvalid(f"weight file {spec}: expected a JSON list of numbers")
-    return tuple(float(x) for x in data)
+    # an integer past the double range reads as inf, which the build refuses as it refuses 1e400
+    return tuple(float(x) if abs(x) <= sys.float_info.max else float("inf") for x in data)
 
 
 def _cmd_construct(args) -> int:

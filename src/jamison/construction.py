@@ -41,7 +41,7 @@ from .errors import (
     WeightListTooShort,
 )
 from .funm import NodeSet, Power, apply, band_products
-from .sequences import IndexSequence, TorusPoint, chord_distance, near_return_search, unit_diff
+from .sequences import IndexSequence, TorusPoint, chord_distance, near_return_search, torus_from_chord, unit_diff
 
 
 # --- fiber (parent) index map -------------------------------------------------
@@ -401,8 +401,7 @@ def _chord_to_eta(chord_bound: float) -> float:
     2 sin(pi eta).  Inverting and keeping a quarter of the slack absorbs the
     search's granularity.
     """
-    x = min(1.0, max(chord_bound, 0.0) / 2.0)
-    return math.asin(x) / math.pi / 4.0
+    return torus_from_chord(chord_bound) / 4.0
 
 
 def _saturating_float(n: int) -> float:
@@ -481,7 +480,8 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
     before giving up with the level and predicate that blocked.  A target
     below the normal double range (on factorials it underflows to 0 at
     level 14) stops the build with predicate float_range, and a candidate
-    whose gap to its parent is no normal double counts as failing it.
+    whose gap to its parent is no normal double counts as failing it (and a
+    round where every candidate does ends the level).
     """
     if seq.kind != "integer":
         raise PreconditionViolated("construction requires an integer sequence; reduce real input first")
@@ -491,7 +491,7 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
         raise ConfigInvalid(f"a construction needs at least two levels, got {L}")
     w = level_weights(w, L)
 
-    theta1 = TorusPoint(Fraction(math.asin(1.0 / 6.0) / math.pi))
+    theta1 = TorusPoint(Fraction(torus_from_chord(1.0 / 3.0)))
     thetas = (theta1,)
     for level in range(2, L + 1):
         j = fiber_map(level)
@@ -507,13 +507,15 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
             candidates = near_return_search(
                 seq, K, eta, max_candidates=4, arc=(Fraction(0), parent.theta)
             )
+            gaps = []
             for point in candidates:
                 new_theta = parent.theta - point.theta
                 if not 0 < new_theta < theta1.theta:
                     continue
                 if any(new_theta == p.theta for p in thetas):
                     continue
-                if not chord_distance(TorusPoint(new_theta), parent) >= sys.float_info.min:
+                gaps.append(chord_distance(TorusPoint(new_theta), parent))
+                if not gaps[-1] >= sys.float_info.min:
                     last_failure = "float_range"  # its gap is no normal double
                     continue
                 trial = ShiftConstruction(seq, (*thetas, TorusPoint(new_theta)), w, K)
@@ -524,6 +526,11 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
                 last_failure = record.failing_predicate()
             if accepted is not None:
                 break
+            if gaps and max(gaps) < sys.float_info.min:  # t_1 = 1: a smaller eta offers no larger gap
+                raise BudgetInfeasible(
+                    level, "float_range",
+                    f"largest candidate gap to the parent {max(gaps)!r} is below the normal double range",
+                )
             eta /= 16.0
         if accepted is None:
             if last_failure is not None:
@@ -549,13 +556,11 @@ class TruncatedOperator:
     (fibers, levels, levels) stack: blocks[i-1] is the upper-bidiagonal block
     of fiber i, the unimodular diagonal plus the band alpha_{i,l} linking
     level l+1 to level l.  A stack cannot couple distinct fibers.  thetas
-    holds the exact level angles (turns) that every block's diagonal rounds;
-    an operator built from bare floats leaves it None, and its blocks must
-    then share one diagonal.
+    holds the exact level angles (turns) that every block's diagonal rounds.
     """
 
     blocks: np.ndarray
-    thetas: tuple | None = None
+    thetas: tuple
 
     @property
     def fibers(self) -> int:
@@ -573,19 +578,6 @@ class TruncatedOperator:
 
     def shift_part(self) -> np.ndarray:
         return self.blocks - self.diagonal_part()
-
-    def exact_angles(self) -> tuple:
-        """Exact angle (turns) of every level, shared by all fiber blocks.
-
-        Without stored thetas each angle is the exact Fraction of the double
-        phase of its diagonal entry.
-        """
-        if self.thetas is not None:
-            return tuple(self.thetas)
-        diag = np.diagonal(self.blocks, axis1=1, axis2=2)
-        if np.any(diag != diag[0]):
-            raise PreconditionViolated("fiber blocks built from floats must share one diagonal")
-        return tuple(TorusPoint.from_radians(float(np.angle(z))).theta for z in diag[0])
 
 
 def assemble_operator(cons: ShiftConstruction, L: int, I: int) -> TruncatedOperator:

@@ -10,9 +10,9 @@ exact angle, with t * theta reduced mod 1 before the float exponential, so no
 error of order n * eps builds up at factorial powers.  Each block is balanced
 by its band products first, so every entry keeps its own relative accuracy.
 
-An operator is anything with a (fibers, L, L) ``blocks`` stack and an
-``exact_angles()`` method giving the exact diagonal angles (turns) that every
-block shares.
+An operator is anything with a (fibers, L, L) ``blocks`` stack and a
+``thetas`` tuple holding the exact diagonal angles (turns) that every block
+shares.
 
 Accuracy, to first order in u = 2^-53.  A Taylor sum, a Parlett entry and a
 plane rotation each err by a few u relative to the moduli they combine
@@ -305,4 +305,4 @@ def exact_time(t) -> Fraction:
 
 def operator_power(op, t) -> np.ndarray:
     """T^t = exp(t Log T) on every fiber block of op, t*theta reduced mod 1 exactly."""
-    return apply(op.blocks, NodeSet(op.exact_angles()), Power(exact_time(t)))
+    return apply(op.blocks, NodeSet(op.thetas), Power(exact_time(t)))

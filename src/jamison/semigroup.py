@@ -51,7 +51,7 @@ class MatrixSemigroup:
 
     @functools.cached_property
     def nodes(self) -> NodeSet:
-        return NodeSet(self.base.exact_angles())
+        return NodeSet(self.base.thetas)
 
     @property
     def dim(self) -> int:
@@ -96,7 +96,7 @@ def principal_log(op: TruncatedOperator) -> MatrixSemigroup:
         raise SpectrumOutsideDomain(
             f"diagonal entry {worst} has real part <= 1/2; principal branch unsafe"
         )
-    nodes = NodeSet(op.exact_angles())
+    nodes = NodeSet(op.thetas)
     G = apply(op.blocks, nodes, Log())
     G.flags.writeable = False
     log_clusters = len(set(clusters(nodes, 1)))

@@ -37,8 +37,6 @@ from .errors import (
 
 Angle = Union[Fraction, float, int]
 
-TWO_PI = 2.0 * math.pi
-
 # Verdict labels for classify_jamison.
 SEPARATED = "SEPARATED"
 VANISHING = "VANISHING"
@@ -60,17 +58,17 @@ def torus_norm(theta: Angle):
 
 def turns_to_radians(theta: Angle) -> float:
     """Angle in turns (torus convention) to radians (frequency convention)."""
-    return TWO_PI * float(theta)
-
-
-def radians_to_turns(angle: float) -> float:
-    """Angle in radians (frequency convention) to turns (torus convention)."""
-    return float(angle) / TWO_PI
+    return 2.0 * math.pi * float(theta)
 
 
 def chord_from_torus(delta: Angle) -> float:
     """Chord length |e^{2 pi i delta} - 1| = 2 sin(pi * torus_norm(delta))."""
     return 2.0 * math.sin(math.pi * float(torus_norm(delta)))
+
+
+def torus_from_chord(chord: float) -> float:
+    """Torus norm in [0, 1/2] whose chord is ``chord`` clamped to [0, 2]: asin(c / 2) / pi."""
+    return math.asin(min(1.0, max(chord, 0.0) / 2.0)) / math.pi
 
 
 @dataclass(frozen=True)
@@ -83,10 +81,6 @@ class TorusPoint:
         if not isinstance(self.theta, Fraction):
             object.__setattr__(self, "theta", Fraction(self.theta))
         object.__setattr__(self, "theta", self.theta % 1)
-
-    @classmethod
-    def from_radians(cls, angle: float) -> "TorusPoint":
-        return cls(Fraction(radians_to_turns(angle)))
 
     def as_float(self) -> float:
         return float(self.theta)
@@ -117,8 +111,7 @@ def unit_diff(a: TorusPoint, b: TorusPoint) -> complex:
     exact angle difference, and the bracket expanded in half-angle form, so the
     result keeps full relative accuracy even when d is far below 1e-16 turns.
     """
-    phi = turns_to_radians(b.theta)
-    return unit_step(float(a.signed_angle_to(b)), complex(math.cos(phi), math.sin(phi)))
+    return unit_step(float(a.signed_angle_to(b)), b.complex_value())
 
 
 def unit_step(d: float, rot: complex = 1.0) -> complex:
@@ -501,7 +494,7 @@ def separation_constant(
     eps_torus = float(_f_exact(terms_exact, witness))
     return SeparationReport(
         horizon=K,
-        epsilon_hat=2.0 * math.sin(math.pi * eps_torus),
+        epsilon_hat=chord_from_torus(eps_torus),
         epsilon_hat_torus=eps_torus,
         witness=TorusPoint(witness),
         resolution=resolution,
@@ -744,11 +737,11 @@ def chord_torus_bounds_check(samples: Sequence[float]) -> ChordTorusReport:
         if not (0.0 < t <= 0.5):
             raise OutOfDomain(f"sample {theta!r} outside (0, 1/2]")
         tn = torus_norm(t)
-        chord = 2.0 * math.sin(math.pi * tn)
-        if not (4.0 * tn <= chord + 1e-14 and chord <= TWO_PI * tn + 1e-14):
+        chord = chord_from_torus(tn)
+        if not (4.0 * tn <= chord + 1e-14 and chord <= turns_to_radians(tn) + 1e-14):
             all_ok = False
         min_lower = min(min_lower, chord / (4.0 * tn))
-        max_upper = max(max_upper, chord / (TWO_PI * tn))
+        max_upper = max(max_upper, chord / turns_to_radians(tn))
     return ChordTorusReport(all_ok=all_ok, count=len(samples), min_lower_ratio=min_lower, max_upper_ratio=max_upper)
 
 

@@ -13,10 +13,10 @@ translation table, a pair table, a field table) walk together, and a single
 span or pair is the batch of one.
 
 Frequencies are radians per unit time throughout this module; torus points
-from the sequences module live in turns.  sequences.turns_to_radians /
-radians_to_turns are the single conversion boundary.  The Gram's sine parts
-come from a closed form in the exponential integrals, so this module needs
-numpy alone.
+from the sequences module live in turns.  sequences.turns_to_radians is the
+one conversion between them, and no frequency is turned back into an angle.
+The Gram's sine parts come from a closed form in the exponential integrals,
+so this module needs numpy alone.
 """
 
 import cmath
@@ -362,7 +362,11 @@ def _star_norms(spans, seq: IndexSequence, J: int, K: int) -> list:
         def score(rows, items, grams=grams):
             return np.array([_quadratic_norm(r, G) for r, G in zip(rows, grams[items])])
 
-        maxima = _multiset_maxima(coeffs, factors / 4.0, score, J + 1, None if exhaustive else BEAM_WIDTH)
+        # order-j products are below max|c| 2^-(j+1) < 2^(top-j-1), so every order from
+        # top + 1074 on, under half the least subnormal, is 0 and the walk stops there
+        top = math.frexp(float(np.abs(coeffs).max()))[1]
+        orders = min(J + 1, top + 1075)
+        maxima = _multiset_maxima(coeffs, factors / 4.0, score, orders, None if exhaustive else BEAM_WIDTH)
         for i, v, c, f, m in zip(group, batch, coeffs, factors, maxima):
             base = base_norm(v)
             s_max = np.abs(f).max(axis=1)
@@ -565,7 +569,7 @@ def eigenfield_modulus(
     For each pair the renormed distance between exponentials is compared to
     base-norm distance plus the index-sequence gap d_0; the observed ratio is
     recorded against the ceiling sqrt(pi/2) + 1.  Frequencies are radians;
-    convert torus points with turns_to_radians first.
+    convert torus points with sequences.turns_to_radians first.
     """
     freqs = [float(x) for x in frequencies]
     if len(freqs) < 2:

@@ -7,6 +7,7 @@ certified construction through construct -> verify -> semigroup.
 
 import ast
 import builtins
+import hashlib
 import importlib
 import json
 import math
@@ -560,6 +561,29 @@ def test_construct_terms_past_the_double_range_end_in_float_range(tmp_path, caps
     assert not (tmp_path / "X.json").exists()
 
 
+def test_construct_ends_a_level_whose_candidate_gaps_all_underflow(tmp_path, monkeypatch, capsys):
+    # at 10^150 each level-3 candidate's chord to its parent reads 0.0 in the first round;
+    # smaller targets cannot offer larger gaps, so the level ends there and names the gap
+    targets = []
+    search = jamison.construction.near_return_search
+
+    def counted(seq, K, eta, **kwargs):
+        targets.append(eta)
+        return search(seq, K, eta, **kwargs)
+
+    monkeypatch.setattr(jamison.construction, "near_return_search", counted)
+    save_sequence(IndexSequence((1, 2, 10 ** 150)), tmp_path / "seq.json")
+    rc = main([
+        "construct", "--sequence", str(tmp_path / "seq.json"), "--levels", "3",
+        "--out", str(tmp_path / "X.json"), "--out-dir", str(tmp_path),
+    ])
+    assert rc == 3
+    report = read_report(tmp_path)
+    assert (report["status"], report["level"], report["predicate"]) == ("infeasible", 3, "float_range")
+    assert "largest candidate gap to the parent 0.0 is below the normal double range" in capsys.readouterr().err
+    assert len(targets) == 2  # level 2's one round and level 3's first
+
+
 def test_a_term_near_the_top_of_the_double_range_builds_verifies_and_lifts(tmp_path):
     # every node its own cluster at n = 10^300, whose binomial C(n, 2) is no double
     save_sequence(IndexSequence((1, 2, 10 ** 300)), tmp_path / "seq.json")
@@ -613,6 +637,20 @@ def test_construct_boolean_weights_are_config_error(workdir, tmp_path, capsys):
     ])
     assert rc == 1
     assert "config error: weight file" in capsys.readouterr().err
+    assert not (tmp_path / "C.json").exists()
+
+
+@pytest.mark.parametrize("huge", ["1e400", "1" + "0" * 400], ids=["float", "int"])
+def test_construct_weight_past_the_double_range_is_config_error(workdir, tmp_path, capsys, huge):
+    # JSON reads 1e400 as inf and the 401-digit literal as an int that no double holds
+    (tmp_path / "w.json").write_text(f"[{huge}, 2, 3, 4, 5]")
+    rc = main([
+        "construct", "--sequence", str(workdir / "fact6.json"),
+        "--levels", "5", "--weights", str(tmp_path / "w.json"), "--horizon", "6",
+        "--out", str(tmp_path / "C.json"), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert "config error: all level weights must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "C.json").exists()
 
 
@@ -757,7 +795,17 @@ def test_semigroup_lift_and_bounded(workdir, tmp_path):
     assert len(lines) == 1 + dim * dim
 
 
-@pytest.mark.parametrize("L", [12, 13])
+# SHA-256 of each rung's construction file, recorded before the refactors
+# that must leave it byte-identical
+DEEP_LADDER_SHA256 = {
+    10: "f60ec2aca5394dc162545c5db43490f8909e7ae624eeb97399422bec39b512a3",
+    11: "7f70bf456ca3cd534d839f26da041291c1520a41bd243743e2b7d92102a6e75d",
+    12: "f828a25c4f16c6060f05b348022dc5a7c9337bffaf697e227dc3bdce845cd795",
+    13: "706dce751d56dbdd38ee49510ba05565533468ab758c7566d61c1e85dd5a1eef",
+}
+
+
+@pytest.mark.parametrize("L", sorted(DEEP_LADDER_SHA256))
 def test_deep_ladder_constructs_verifies_and_lifts(tmp_path, L):
     save_sequence(IndexSequence.factorials(13), tmp_path / "fact13.json")
     cons = str(tmp_path / "C.json")
@@ -765,6 +813,7 @@ def test_deep_ladder_constructs_verifies_and_lifts(tmp_path, L):
         "construct", "--sequence", str(tmp_path / "fact13.json"), "--levels", str(L),
         "--horizon", str(L), "--out", cons, "--out-dir", str(tmp_path / "construct"),
     ]) == 0
+    assert hashlib.sha256(Path(cons).read_bytes()).hexdigest() == DEEP_LADDER_SHA256[L]
     assert main([
         "verify", "--construction", cons, "--p", "2", "--powers", str(L),
         "--out-dir", str(tmp_path / "verify"),
@@ -855,6 +904,23 @@ def test_starnorm_field_finite_at_large_order(workdir, tmp_path):
     for row in read_report(tmp_path)["result"]["rows"]:
         star_searched, star_upper = row[4], row[5]
         assert math.isfinite(star_searched) and star_searched <= star_upper
+
+
+@pytest.mark.parametrize("mode, table", [("bound", "translation.csv"), ("field", "field.csv")], ids=["bound", "field"])
+def test_starnorm_order_past_the_underflow_costs_nothing(workdir, tmp_path, mode, table):
+    # order-j products of unit coefficients underflow to 0 by j ~ 1075, so J = 10^15
+    # must walk no further than J = 3000 and write the same values
+    results = []
+    for J in (3000, 10**15):
+        out = tmp_path / str(J)
+        assert main([
+            "starnorm", "--sequence", str(workdir / "fact6.json"), "--mode", mode, "--J", str(J),
+            "--K", "4", "--count", "2", "--seed", "3", "--out-dir", str(out),
+        ]) == 0
+        result = read_report(out)["result"]
+        result.pop("J", None)
+        results.append((result, (out / table).read_bytes()))
+    assert results[0] == results[1]
 
 
 def test_starnorm_rejects_bad_count(workdir, tmp_path):

@@ -33,6 +33,7 @@ from jamison.construction import TruncatedOperator, _unit_band_powers
 from jamison.errors import OutOfDomain
 from jamison.funm import band_products, operator_power
 from jamison.semigroup import evolve, principal_log
+from jamison.sequences import TorusPoint
 
 ORACLE_DPS = 500
 TOL = 1e-14
@@ -196,9 +197,9 @@ def test_parlett_step_between_interleaved_clusters():
 
 def test_defective_block_matches_closed_form():
     # T = lam (I + N / lam) with N^2 = 0: T^t = lam^t (I + t N / lam), Log T = Log(lam) I + N / lam
-    lam = np.exp(0.2j)
-    op = TruncatedOperator(np.array([[lam, 0.1], [0.0, lam]])[None])
-    theta = op.exact_angles()[0]
+    theta = Fraction(1, 30)
+    lam = TorusPoint(theta).complex_value()
+    op = TruncatedOperator(np.array([[lam, 0.1], [0.0, lam]])[None], (theta, theta))
     sg = principal_log(op)
     with mp.workdps(60):
         x = _phase(theta)

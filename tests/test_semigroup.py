@@ -31,6 +31,7 @@ from jamison.semigroup import (
     principal_log,
     unit_interval_sup,
 )
+from jamison.sequences import TorusPoint, turns_to_radians
 
 
 @pytest.fixture(scope="module")
@@ -56,42 +57,41 @@ def separated_setup():
 # --- principal log ----------------------------------------------------------
 
 
+def _exact_operator(thetas, band=()):
+    """One fiber block on exact angles (turns), its diagonal rounded from them."""
+    lams = [TorusPoint(t).complex_value() for t in thetas]
+    return TruncatedOperator((np.diag(lams) + np.diag(band, k=1))[None], tuple(thetas))
+
+
 def test_log_of_identity_is_zero():
-    sg = principal_log(TruncatedOperator(np.eye(3, dtype=complex)[None]))
+    sg = principal_log(_exact_operator((Fraction(0),) * 3))
     assert np.max(np.abs(sg.generator)) == 0.0
     assert sg.method == LOG_METHOD
     assert sg.log_clusters == 1
 
 
 def test_log_of_diagonal_phases():
-    phis = np.array([0.3, -0.8, 1.0])
-    sg = principal_log(TruncatedOperator(np.diag(np.exp(1j * phis))[None]))
+    thetas = (Fraction(1, 20), Fraction(-1, 8), Fraction(1, 6))
+    sg = principal_log(_exact_operator(thetas))
     G = sg.generator[0]
-    assert np.max(np.abs(np.diag(G) - 1j * phis)) <= 1e-14
+    assert np.max(np.abs(np.diag(G) - [1j * turns_to_radians(t) for t in thetas])) <= 1e-14
     off = G[~np.eye(3, dtype=bool)]
     assert np.max(np.abs(off)) == 0.0
 
 
 def test_log_rejects_left_halfplane_spectrum():
-    angles = np.exp(2j * np.pi * np.array([0.3, 0.05]))
     with pytest.raises(SpectrumOutsideDomain):
-        principal_log(TruncatedOperator(np.diag(angles)[None]))
-
-
-def test_float_blocks_must_share_one_diagonal():
-    # one node set serves every fiber block, so blocks built from floats may not differ there
-    blocks = np.stack([np.diag(np.exp([0.1j, 0.2j])), np.diag(np.exp([0.1j, 0.3j]))])
-    with pytest.raises(PreconditionViolated):
-        principal_log(TruncatedOperator(blocks))
+        principal_log(_exact_operator((Fraction(3, 10), Fraction(1, 20))))
 
 
 def test_defective_block_is_one_cluster():
     # Log(lam (I + N/lam)) = Log(lam) I + N/lam exactly, since N^2 = 0
-    lam = np.exp(0.2j)
-    op = TruncatedOperator(np.array([[lam, 0.1], [0.0, lam]])[None])
-    sg = principal_log(op)
+    theta = Fraction(1, 30)
+    lam = TorusPoint(theta).complex_value()
+    sg = principal_log(_exact_operator((theta, theta), [0.1]))
     assert sg.method == LOG_METHOD and sg.log_clusters == 1
-    want = np.array([[0.2j, 0.1 / lam], [0.0, 0.2j]])
+    log_lam = 1j * turns_to_radians(theta)
+    want = np.array([[log_lam, 0.1 / lam], [0.0, log_lam]])
     assert np.max(np.abs(sg.generator[0] - want)) <= 1e-16
     assert sg.roundtrip_error <= 1e-15
 
@@ -213,8 +213,7 @@ def test_lattice_on_band_products_below_the_double_range():
     # 1e-200 * 1e-200 underflows: the kernel leaves the block unbalanced,
     # and the check compares it unbalanced too instead of dividing by zero
     thetas = (Fraction(1, 20), Fraction(1, 20) + Fraction(1, 10**9), Fraction(1, 10))
-    lams = [np.exp(2j * np.pi * float(t)) for t in thetas]
-    op = TruncatedOperator((np.diag(lams) + np.diag([1e-200, 1e-200], k=1))[None], thetas)
+    op = _exact_operator(thetas, [1e-200, 1e-200])
     rep = check_lattice(principal_log(op), IndexSequence((1, 10**3, 10**6)), 3)
     assert rep.all_ok
     assert all(np.isfinite(r.rel_err) for r in rep.rows)
@@ -290,8 +289,7 @@ def test_generator_spectrum_on_separated(separated_setup):
 
 
 def test_zero_phase_level_gives_zero_eigenvalue():
-    M = np.diag(np.array([1.0 + 0j, np.exp(0.1j)]))
-    sg = principal_log(TruncatedOperator(M[None]))
+    sg = principal_log(_exact_operator((Fraction(0), Fraction(1, 60))))
     rep = generator_spectrum_check(sg)
     assert rep.rows[0].expected_imag == 0.0
     assert abs(complex(rep.rows[0].real_part, rep.rows[0].imag_part)) <= 1e-15

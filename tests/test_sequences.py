@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -41,6 +42,8 @@ from jamison.sequences import (
     _f_exact,
     _profile_decays,
     _separation_profile,
+    chord_from_torus,
+    torus_from_chord,
 )
 
 FACTORIALS = IndexSequence.factorials(8)
@@ -97,6 +100,37 @@ def test_unit_diff_keeps_relative_accuracy_for_tiny_gaps():
     direction = d / (1j * b.complex_value())
     assert direction.real == pytest.approx(abs(d), rel=1e-9)
     assert abs(direction.imag) <= abs(d) * 1e-9
+
+
+_ULPS = 4 * 2.0 ** -52  # relative slack of a few ulps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9),
+    gap=st.floats(1e-300, 0.5),
+    offset=st.fractions(min_value=0, max_value=Fraction(1, 10 ** 20), max_denominator=10 ** 30),
+    sign=st.sampled_from([1, -1]),
+)
+@example(base=Fraction(1, 3), gap=0.5, offset=Fraction(0), sign=1)
+@example(base=Fraction(0), gap=1e-300, offset=Fraction(0), sign=-1)
+def test_circle_boundary_against_a_50_digit_chord(base, gap, offset, sign):
+    # the exact gap d is a double plus a non-dyadic offset; chord_distance,
+    # |unit_diff| and the chord inverse keep their relative accuracy at every scale
+    d = min(Fraction(gap) + offset, Fraction(1, 2))
+    a, b = tp(base + sign * d), tp(base)
+    with mp.workdps(50):
+        want = 2 * mp.sin(mp.pi * mp.mpf(d.numerator) / d.denominator)
+        assert abs(chord_distance(a, b) - want) <= _ULPS * want
+        assert abs(abs(unit_diff(a, b)) - want) <= _ULPS * want
+    theta = float(d)
+    if theta <= 0.25:  # asin is well conditioned there
+        assert abs(torus_from_chord(chord_from_torus(theta)) - theta) <= _ULPS * theta
+
+
+def test_torus_from_chord_clamps_to_the_circle():
+    assert torus_from_chord(-1.0) == 0.0
+    assert torus_from_chord(2.0) == torus_from_chord(3.0) == 0.5
 
 
 # --- d_metric ------------------------------------------------------------

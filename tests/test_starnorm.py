@@ -12,7 +12,7 @@ from scipy.special import exp1, expi
 
 from jamison import starnorm
 from jamison.errors import ConfigInvalid, HorizonExceedsSequence
-from jamison.sequences import IndexSequence, radians_to_turns, turns_to_radians
+from jamison.sequences import IndexSequence, turns_to_radians
 from jamison.starnorm import (
     BEAM_WIDTH,
     EI_ASYMPTOTIC_FROM,
@@ -153,8 +153,6 @@ def test_span_canonicalization():
 
 def test_angle_unit_conversions():
     assert turns_to_radians(0.5) == math.pi
-    assert radians_to_turns(math.pi) == 0.5
-    assert radians_to_turns(turns_to_radians(0.123)) == pytest.approx(0.123, rel=1e-15)
 
 
 # --- translation ----------------------------------------------------------------
