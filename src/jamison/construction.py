@@ -10,7 +10,9 @@ powers is too well separated on the circle, no placement works and the build
 reports which budget failed first; when the sequence has fast-vanishing
 separation (factorial-like growth), the adaptive search succeeds and the
 resulting matrix keeps all powers T^{n_k} within distance 1 of the diagonal
-part.
+part.  Fiber i's weights are fiber 1's times 2^-(i-1), so the operator is
+held as fiber 1's block: every other fiber is an exact rescaling of it, with
+no larger norm (TruncatedOperator, fiber_rescaled).
 
 Everything here is deterministic: the near-return search is a box search
 plus exact rational witnesses, budgets are re-checked with exact-angle
@@ -35,6 +37,7 @@ from .errors import (
     HorizonExceedsSequence,
     IndexOutOfRange,
     InvalidIndex,
+    InvariantFailure,
     NonSquare,
     PreconditionViolated,
     SizeMismatch,
@@ -181,7 +184,7 @@ def _unit_band_powers(points, exponents) -> list:
     """
     J = np.diag([p.complex_value() for p in points]) + np.eye(len(points), k=1)
     nodes = NodeSet(tuple(p.theta for p in points))
-    return [apply(J[None], nodes, Power(n))[0] for n in exponents]
+    return [apply(J, nodes, Power(n)) for n in exponents]
 
 
 def _suffix_weight_products(w: tuple, level: int) -> dict:
@@ -482,6 +485,9 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
     level 14) stops the build with predicate float_range, and a candidate
     whose gap to its parent is no normal double counts as failing it (and a
     round where every candidate does ends the level).
+
+    In exact arithmetic the returned record's budgets are the trial
+    judgments, so a level it fails is a kernel error: InvariantFailure.
     """
     if seq.kind != "integer":
         raise PreconditionViolated("construction requires an integer sequence; reduce real input first")
@@ -542,6 +548,13 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
             )
         thetas = accepted.lambdas
 
+    failing = next((b for b in accepted.budgets if not b.all_ok), None)
+    if failing is not None:
+        raise InvariantFailure(
+            f"the built record fails level {failing.level} {failing.failing_predicate() + '_ok'!r}, "
+            "which its trial record passed",
+            dict(vars(failing)),
+        )
     return accepted
 
 
@@ -550,38 +563,43 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """One finite section, held as its fiber blocks.
+    """The direct sum of ``fibers`` upper-bidiagonal blocks, held as fiber 1's block.
 
-    The operator is the direct sum of its fibers, so it is stored as one
-    (fibers, levels, levels) stack: blocks[i-1] is the upper-bidiagonal block
-    of fiber i, the unimodular diagonal plus the band alpha_{i,l} linking
-    level l+1 to level l.  A stack cannot couple distinct fibers.  thetas
-    holds the exact level angles (turns) that every block's diagonal rounds.
+    block is the unimodular diagonal plus the band alpha_{1,l} linking level
+    l+1 to level l; thetas holds the exact level angles (turns) it rounds.
+    Fiber i's block is D T_1 D^-1 with D = diag(FIBER_DECAY**((i-1) k)), so
+    f(T_i) is f(T_1) times FIBER_DECAY**((i-1)(l-k)) entrywise, exactly in
+    binary (fiber_rescaled).  No entry grows, which bounds the 1- and
+    inf-norms by fiber 1's; for p = 2 the rescaling is a Schur product with
+    the positive definite [c^|k-l|], 0 < c < 1, which is no expansion.  So
+    the norm of the direct sum is fiber 1's.
     """
 
-    blocks: np.ndarray
+    block: np.ndarray
     thetas: tuple
-
-    @property
-    def fibers(self) -> int:
-        return self.blocks.shape[0]
+    fibers: int = 1
 
     @property
     def levels(self) -> int:
-        return self.blocks.shape[1]
-
-    def diagonal_part(self) -> np.ndarray:
-        out = np.zeros_like(self.blocks)
-        idx = np.arange(self.levels)
-        out[:, idx, idx] = self.blocks[:, idx, idx]
-        return out
+        return self.block.shape[0]
 
     def shift_part(self) -> np.ndarray:
-        return self.blocks - self.diagonal_part()
+        return np.triu(self.block, 1)
+
+
+def fiber_rescaled(M: np.ndarray, fiber: int) -> np.ndarray:
+    """The given fiber's block of a function of the operator, from fiber 1's block M.
+
+    Entry (k, l), k < l, is multiplied by FIBER_DECAY**((fiber-1)(l-k)), a
+    power of two, so it keeps its bits unless it falls below the normal
+    range; the diagonal and the lower part are M's.
+    """
+    k, l = np.indices(M.shape)
+    return M * FIBER_DECAY ** ((fiber - 1) * np.maximum(l - k, 0))
 
 
 def assemble_operator(cons: ShiftConstruction, L: int, I: int) -> TruncatedOperator:
-    """The L-level, I-fiber section as its stack of I fiber blocks."""
+    """The L-level, I-fiber section, held as fiber 1's block."""
     if L < 1 or L > cons.levels:
         raise SizeMismatch(f"requested {L} levels, construction has {cons.levels}")
     if I < 1:
@@ -589,12 +607,9 @@ def assemble_operator(cons: ShiftConstruction, L: int, I: int) -> TruncatedOpera
     lams = np.array([p.complex_value() for p in cons.lambdas[:L]])
     if np.any(np.abs(np.abs(lams) - 1.0) > 1e-14):
         raise PreconditionViolated("diagonal entry drifted off the unit circle")
-    blocks = np.array([
-        np.diag(lams) + np.diag([cons.alpha(i, l) for l in range(1, L)], k=1)
-        for i in range(1, I + 1)
-    ])
-    blocks.flags.writeable = False
-    return TruncatedOperator(blocks, tuple(p.theta for p in cons.lambdas[:L]))
+    block = np.diag(lams) + np.diag([cons.alpha(1, l) for l in range(1, L)], k=1)
+    block.flags.writeable = False
+    return TruncatedOperator(block, tuple(p.theta for p in cons.lambdas[:L]), I)
 
 
 def matrix_power(M: np.ndarray, n: int) -> np.ndarray:
@@ -684,18 +699,20 @@ def verify_partial_power_bound(cons: ShiftConstruction, L: int, I: int, P: int, 
 
     T^n comes from the exact-phase kernel, whose diagonal is the exact D^n, so
     the difference is the strictly upper part of T^n: the genuine band
-    contribution.  Every fiber band is positive, so the kernel's balancing
-    turns each block into the unit-band J on the exact eigenvalues: the
+    contribution.  The fiber band is positive, so the kernel's balancing
+    turns the block into the unit-band J on the exact eigenvalues: the
     record's J^n of each row, cut to L levels, gives T^n = J^n * band_products
-    and the analytic tail bound alike.  Each row also carries that bound; a certified
-    construction must come out with measured <= 1, operator power <= 2, and
-    analytic bound at least the measured value.
+    and the analytic tail bound alike.  Fiber 1's norms are the I-fiber
+    operator's (TruncatedOperator), so only the truncation bound reads I.
+    Each row also carries that bound; a certified construction must come out
+    with measured <= 1, operator power <= 2, and analytic bound at least the
+    measured value.
     """
     if not cons.certified:
         raise BudgetsNotCertified("verification requires a construction whose budgets all passed")
     if P < 1 or P > cons.horizon:
         raise HorizonExceedsSequence(f"powers horizon {P} outside 1..{cons.horizon}")
-    products = band_products(assemble_operator(cons, L, I).blocks)
+    products = band_products(assemble_operator(cons, L, I).block)
     rows = []
     for k in range(1, P + 1):
         n = cons.seq.terms[k - 1]

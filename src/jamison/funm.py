@@ -1,4 +1,4 @@
-"""One exact-phase kernel for functions of the upper-triangular fiber blocks.
+"""One exact-phase kernel for functions of an upper-triangular fiber block.
 
 T^t, Log T and exp(tG) all come from one Schur-Parlett evaluation (Davies &
 Higham, SIAM J. Matrix Anal. Appl. 25, 2003; Higham, Functions of Matrices,
@@ -7,12 +7,11 @@ the function form a cluster, summed as a Taylor series around an exact
 centre sigma in the shifted block sigma^-1 T - I; the Parlett recurrence
 joins distinct clusters.  Every phase (z^n, z^t, Log z) is taken from the
 exact angle, with t * theta reduced mod 1 before the float exponential, so no
-error of order n * eps builds up at factorial powers.  Each block is balanced
+error of order n * eps builds up at factorial powers.  The block is balanced
 by its band products first, so every entry keeps its own relative accuracy.
 
-An operator is anything with a (fibers, L, L) ``blocks`` stack and a
-``thetas`` tuple holding the exact diagonal angles (turns) that every block
-shares.
+An operator is anything with an (L, L) ``block``, fiber 1's, and a
+``thetas`` tuple holding its exact diagonal angles (turns).
 
 Accuracy, to first order in u = 2^-53.  A Taylor sum, a Parlett entry and a
 plane rotation each err by a few u relative to the moduli they combine
@@ -144,7 +143,7 @@ class Exp(Power):
 
 
 class NodeSet:
-    """Signed exact angles shared by the fiber blocks, with their sorted gaps."""
+    """Signed exact angles of a fiber block's diagonal, with their sorted gaps."""
 
     def __init__(self, row: tuple):
         self.thetas = tuple(_signed(theta) for theta in row)
@@ -169,25 +168,25 @@ def clusters(nodes: NodeSet, scale) -> list:
     return [first.setdefault(r, len(first)) for r in raw]
 
 
-def band_products(blocks: np.ndarray) -> np.ndarray:
-    """Stack whose entry (k, l), k < l, is |b_k ... b_{l-1}| over its block's superdiagonal b.
+def band_products(block: np.ndarray) -> np.ndarray:
+    """Entry (k, l), k < l, is |b_k ... b_{l-1}| over the block's superdiagonal b.
 
     A zero b_q counts as 1, and entries on and below the diagonal read 1.
-    Dividing a block by it entrywise is the diagonal similarity that gives
+    Dividing the block by it entrywise is the diagonal similarity that gives
     every nonzero superdiagonal entry modulus 1.
     """
-    band = np.abs(np.diagonal(blocks, offset=1, axis1=-2, axis2=-1))
+    band = np.abs(np.diagonal(block, offset=1))
     band[band == 0] = 1.0
-    out = np.ones(blocks.shape)
-    for k in range(blocks.shape[-1] - 1):
-        out[..., k, k + 1:] = np.cumprod(band[..., k:], axis=-1)
+    out = np.ones(block.shape)
+    for k in range(block.shape[0] - 1):
+        out[k, k + 1:] = np.cumprod(band[k:])
     return out
 
 
-def balancing(blocks: np.ndarray) -> np.ndarray:
-    """The band products the kernel balances a stack by: band_products, or all
-    ones when a product leaves the double range (the stack is then left unbalanced)."""
-    P = band_products(blocks)
+def balancing(block: np.ndarray) -> np.ndarray:
+    """The band products the kernel balances a block by: band_products, or all
+    ones when a product leaves the double range (the block is then left unbalanced)."""
+    P = band_products(block)
     return P if np.all((P > 0) & np.isfinite(P)) else np.ones_like(P)
 
 
@@ -198,24 +197,24 @@ def _swap(B: np.ndarray, Q: np.ndarray, k: int, gap: complex) -> None:
     is the eigenvector (b, gap) of the 2 x 2 diagonal block for its lower
     node, so B stays upper triangular; Q accumulates the rotations.
     """
-    v = np.stack([B[:, k, k + 1], np.full(B.shape[0], gap)], axis=-1)
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    R = np.stack([v, np.stack([-v[:, 1].conj(), v[:, 0].conj()], axis=-1)], axis=-1)
-    B[:, :, k:k + 2] = B[:, :, k:k + 2] @ R
-    B[:, k:k + 2, :] = R.conj().swapaxes(-1, -2) @ B[:, k:k + 2, :]
-    B[:, k + 1, k] = 0.0
-    Q[:, :, k:k + 2] = Q[:, :, k:k + 2] @ R
+    v = np.array([B[k, k + 1], gap])
+    v /= np.linalg.norm(v, axis=-1)  # sums |v_q|^2 pairwise; the default sums real parts, then imaginary
+    R = np.array([[v[0], -v[1].conjugate()], [v[1], v[0].conjugate()]])
+    B[:, k:k + 2] = B[:, k:k + 2] @ R
+    B[k:k + 2, :] = R.conj().T @ B[k:k + 2, :]
+    B[k + 1, k] = 0.0
+    Q[:, k:k + 2] = Q[:, k:k + 2] @ R
 
 
 def _taylor(A: np.ndarray, coeffs) -> np.ndarray:
-    """sum_j coeffs[j] A^j over a stack, until two terms past the nilpotent part are negligible.
+    """sum_j coeffs[j] A^j, until two terms past the nilpotent part are negligible.
 
     A nilpotent A (a singleton cluster, or equal nodes) ends the sum at A^m = 0
     exactly, before a coefficient too large for a double meets that zero.
     """
-    m = A.shape[-1]
+    m = A.shape[0]
     S = np.zeros_like(A)
-    power = np.broadcast_to(np.eye(m, dtype=complex), A.shape)
+    power = np.eye(m, dtype=complex)
     quiet = 0
     for j, c in enumerate(coeffs):
         if j:
@@ -226,16 +225,16 @@ def _taylor(A: np.ndarray, coeffs) -> np.ndarray:
             raise OutOfDomain(f"Taylor coefficient {j} overflows the double range")
         term = c * power
         S += term
-        tiny = np.abs(term).max(axis=(-2, -1)) <= _EPS * np.abs(S).max(axis=(-2, -1))
-        quiet = quiet + 1 if j >= m and tiny.all() else 0
+        tiny = np.abs(term).max() <= _EPS * np.abs(S).max()
+        quiet = quiet + 1 if j >= m and tiny else 0
         if quiet == 2:
             return S
         if j == _MAX_TERMS:
             raise OutOfDomain(f"cluster Taylor series not converged after {_MAX_TERMS} terms")
 
 
-def _schur_parlett(blocks: np.ndarray, nodes: NodeSet, f: Power) -> np.ndarray:
-    """f of a stack of upper-triangular blocks whose node l has signed angle nodes.thetas[l].
+def apply(block: np.ndarray, nodes: NodeSet, f: Power) -> np.ndarray:
+    """f of an upper-triangular (L, L) block whose node l has signed angle nodes.thetas[l].
 
     Rotations first make every cluster contiguous (none are needed when the
     clusters do not interleave); each diagonal cluster block is a Taylor sum,
@@ -244,18 +243,20 @@ def _schur_parlett(blocks: np.ndarray, nodes: NodeSet, f: Power) -> np.ndarray:
     with both differences taken from the exact angles.  The diagonal is set
     to the exact node values.
 
-    The blocks are balanced first by the similarity that divides entry
-    (k, l) by its band product (band_products).  Entry (k, l) of f(T) is that
+    The block is balanced first by the similarity that divides entry (k, l)
+    by its band product (band_products).  Entry (k, l) of f(T) is that
     product times a divided difference of f; unbalanced, the Taylor sums stop
     once the entries near the diagonal converge, while entries whose products
     are 1e-80 smaller still need terms.  A product outside the double range
-    leaves the blocks unbalanced.
+    leaves the block unbalanced.
     """
-    L = blocks.shape[-1]
+    if np.any(np.tril(block, -1)):
+        raise PreconditionViolated("the fiber block must be upper triangular")
+    L = block.shape[0]
     thetas = nodes.thetas
     label = clusters(nodes, f.scale)
-    P = balancing(blocks)
-    B = np.asarray(blocks, dtype=complex) / P
+    P = balancing(block)
+    B = np.asarray(block, dtype=complex) / P
     Q = None
     pos = list(range(L))  # node at each position
     for end in range(L - 1, 0, -1):
@@ -263,7 +264,7 @@ def _schur_parlett(blocks: np.ndarray, nodes: NodeSet, f: Power) -> np.ndarray:
             a, c = pos[k], pos[k + 1]
             if label[a] > label[c]:
                 if Q is None:
-                    Q = np.broadcast_to(np.eye(L, dtype=complex), B.shape).copy()
+                    Q = np.eye(L, dtype=complex)
                 _swap(B, Q, k, f.node_gap(thetas[c], thetas[a]))
                 pos[k], pos[k + 1] = c, a
     F = np.zeros_like(B)
@@ -273,30 +274,21 @@ def _schur_parlett(blocks: np.ndarray, nodes: NodeSet, f: Power) -> np.ndarray:
             continue
         members = [thetas[p] for p in pos[start:stop]]
         sigma = (min(members) + max(members)) / 2
-        A = np.triu(B[:, start:stop, start:stop], 1) * f.weight(sigma)
-        idx = np.arange(stop - start)
-        A[:, idx, idx] = [f.shifted(theta, sigma) for theta in members]
-        F[:, start:stop, start:stop] = _taylor(A, f.taylor(sigma))
+        A = np.triu(B[start:stop, start:stop], 1) * f.weight(sigma)
+        A[np.diag_indices(stop - start)] = [f.shifted(theta, sigma) for theta in members]
+        F[start:stop, start:stop] = _taylor(A, f.taylor(sigma))
         start = stop
     for l in range(L):
         for k in range(l - 1, -1, -1):
             a, c = pos[k], pos[l]
             if label[a] == label[c]:
                 continue
-            inner = (B[:, k, k + 1:l] * F[:, k + 1:l, l]).sum(-1) - (F[:, k, k + 1:l] * B[:, k + 1:l, l]).sum(-1)
-            F[:, k, l] = (B[:, k, l] * f.value_gap(thetas[c], thetas[a]) + inner) / f.node_gap(thetas[c], thetas[a])
+            inner = (B[k, k + 1:l] * F[k + 1:l, l]).sum() - (F[k, k + 1:l] * B[k + 1:l, l]).sum()
+            F[k, l] = (B[k, l] * f.value_gap(thetas[c], thetas[a]) + inner) / f.node_gap(thetas[c], thetas[a])
     if Q is not None:
-        F = np.triu(Q @ F @ Q.conj().swapaxes(-1, -2), 1)
-    idx = np.arange(L)
-    F[:, idx, idx] = [f.value(theta) for theta in thetas]
+        F = np.triu(Q @ F @ Q.conj().T, 1)
+    F[np.diag_indices(L)] = [f.value(theta) for theta in thetas]
     return F * P
-
-
-def apply(blocks: np.ndarray, nodes: NodeSet, f: Power) -> np.ndarray:
-    """f of every block of a stack whose blocks share the node set."""
-    if np.any(np.tril(blocks, -1)):
-        raise PreconditionViolated("fiber blocks must be upper triangular")
-    return _schur_parlett(blocks, nodes, f)
 
 
 def exact_time(t) -> Fraction:
@@ -304,5 +296,5 @@ def exact_time(t) -> Fraction:
 
 
 def operator_power(op, t) -> np.ndarray:
-    """T^t = exp(t Log T) on every fiber block of op, t*theta reduced mod 1 exactly."""
-    return apply(op.blocks, NodeSet(op.thetas), Power(exact_time(t)))
+    """T^t = exp(t Log T) on op's fiber block, t*theta reduced mod 1 exactly."""
+    return apply(op.block, NodeSet(op.thetas), Power(exact_time(t)))

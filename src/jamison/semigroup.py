@@ -1,9 +1,10 @@
 """Continuous-parameter lift of a truncated shift-plus-rotation operator.
 
-A certified operator T from the construction module is a stack of
+A certified operator T from the construction module is a direct sum of
 upper-bidiagonal fiber blocks whose unimodular diagonal entries carry exact
 rational angles on a short arc in the right half plane, well clear of the
-branch cut of the principal logarithm.  This module computes G = Log T,
+branch cut of the principal logarithm.  Every check runs on fiber 1's block,
+whose norms are the operator's.  This module computes G = Log T,
 exposes the one-parameter family t -> exp(tG), and provides checks that the
 family agrees with integer powers of T on the index sequence, stays bounded
 along real sequences, and has purely imaginary generator spectrum.
@@ -23,7 +24,7 @@ import numpy as np
 
 # matrix_power stays bound here as well: the benchmark tracer patches every
 # binding of it and checks this one.
-from .construction import TruncatedOperator, matrix_power, operator_norm  # noqa: F401
+from .construction import TruncatedOperator, fiber_rescaled, matrix_power, operator_norm  # noqa: F401
 from .errors import (
     HorizonExceedsSequence,
     OutOfDomain,
@@ -44,7 +45,7 @@ class MatrixSemigroup:
     """One-parameter matrix family exp(tG) with G the principal log of T."""
 
     base: TruncatedOperator
-    generator: np.ndarray  # (fibers, levels, levels) stack, one log per fiber block
+    generator: np.ndarray  # (levels, levels): the log of fiber 1's block
     method: str
     log_clusters: int  # Taylor clusters in the log; 1 means no Parlett step
     roundtrip_error: float = field(default=math.nan)
@@ -67,41 +68,44 @@ class MatrixSemigroup:
             "roundtrip_error": self.roundtrip_error,
         }
 
-    def generator_csv_rows(self) -> list:
-        """(row, col, re, im) of the dense generator in the level-major layout.
+    def generator_csv_rows(self):
+        """(row, col, re, im) of the dense generator in the level-major layout, row by row.
 
-        Slot (i, l) is row (l-1)*I + (i-1), so fiber block i fills every I-th
-        row and column starting at i-1; entries between fibers are zero.
+        Slot (i, l) is row (l-1)*I + (i-1), so fiber block i, fiber 1's
+        generator rescaled, fills every I-th row and column starting at i-1;
+        entries between fibers are zero.  The rows stream from fiber 1's
+        block, so the dense matrix is never formed.
         """
         I = self.base.fibers
-        dense = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, block in enumerate(self.generator):
-            dense[i::I, i::I] = block
-        return [(r, c, z.real, z.imag) for (r, c), z in np.ndenumerate(dense)]
+        for r in range(self.dim):
+            row = fiber_rescaled(self.generator, r % I + 1)[r // I].tolist()
+            for c in range(self.dim):
+                z = row[c // I] if c % I == r % I else 0j
+                yield r, c, z.real, z.imag
 
 
 def principal_log(op: TruncatedOperator) -> MatrixSemigroup:
-    """Principal matrix logarithm computed fiber block by fiber block.
+    """Principal matrix logarithm of fiber 1's block; every other fiber's is its rescaling.
 
     Every diagonal entry must have real part above 1/2, which keeps the
-    spectrum inside the domain where the principal branch is analytic.  Each
+    spectrum inside the domain where the principal branch is analytic.  The
     block goes through the exact-phase kernel with f = Log; a defective block
     (a repeated diagonal coupled through the band) is an ordinary cluster.
     The roundtrip error compares exp(G), from the same kernel with f = exp,
     against T.
     """
-    diag = np.diagonal(op.blocks, axis1=1, axis2=2).ravel()
+    diag = np.diag(op.block)
     if np.any(diag.real <= 0.5):
         worst = diag[np.argmin(diag.real)]
         raise SpectrumOutsideDomain(
             f"diagonal entry {worst} has real part <= 1/2; principal branch unsafe"
         )
     nodes = NodeSet(op.thetas)
-    G = apply(op.blocks, nodes, Log())
+    G = apply(op.block, nodes, Log())
     G.flags.writeable = False
     log_clusters = len(set(clusters(nodes, 1)))
     back = apply(G, nodes, Exp(Fraction(1)))
-    roundtrip = operator_norm(back - op.blocks, 2) / max(operator_norm(op.blocks, 2), 1.0)
+    roundtrip = operator_norm(back - op.block, 2) / max(operator_norm(op.block, 2), 1.0)
     return MatrixSemigroup(
         base=op, generator=G, method=LOG_METHOD, log_clusters=log_clusters, roundtrip_error=roundtrip
     )
@@ -115,8 +119,7 @@ def evolve(sg: MatrixSemigroup, t) -> np.ndarray:
     """
     if not math.isfinite(float(t)) or t < 0:
         raise OutOfDomain(f"time parameter must be finite and >= 0, got {t}")
-    diag = np.diagonal(sg.generator, axis1=1, axis2=2)
-    if np.any(diag != sg.nodes.log_diag):
+    if np.any(np.diag(sg.generator) != sg.nodes.log_diag):
         raise PreconditionViolated("generator diagonal is not the exact log spectrum of its base operator")
     out = apply(sg.generator, sg.nodes, Exp(exact_time(t)))
     if not np.all(np.isfinite(out)):
@@ -168,7 +171,7 @@ def check_lattice(sg: MatrixSemigroup, seq: IndexSequence, P: int, tol: float = 
         raise PreconditionViolated("lattice check needs an integer sequence")
     if not 1 <= P <= len(seq):
         raise HorizonExceedsSequence(f"P={P} outside 1..{len(seq)}")
-    products = balancing(sg.base.blocks)
+    products = balancing(sg.base.block)
     rows = []
     for k in range(1, P + 1):
         n_k = seq.terms[k - 1]
@@ -273,19 +276,17 @@ def generator_spectrum_check(sg: MatrixSemigroup) -> SpectrumReport:
 
     Each diagonal entry of T contributes its principal argument once per
     fiber; the generator spectrum must match that multiset and carry no real
-    part beyond roundoff.
+    part beyond roundoff.  Every fiber's block shares fiber 1's diagonal and
+    eigenvalues, so each of fiber 1's rows stands for all I fibers.
     """
-    expected = sorted(cmath.phase(z) for z in np.diagonal(sg.base.blocks, axis1=1, axis2=2).ravel())
-    eigs = sorted(np.linalg.eigvals(sg.generator).ravel(), key=lambda z: z.imag)
-    rows = []
-    max_real = 0.0
-    max_dev = 0.0
-    for want, got in zip(expected, eigs):
-        dev = float(abs(got - 1j * want))
-        max_real = max(max_real, float(abs(got.real)))
-        max_dev = max(max_dev, dev)
-        rows.append(SpectrumRow(want, float(got.real), float(got.imag), dev))
-    return SpectrumReport(max_real, max_dev, SPECTRUM_TOL, tuple(rows))
+    expected = sorted(cmath.phase(z) for z in np.diag(sg.base.block))
+    eigs = sorted(np.linalg.eigvals(sg.generator), key=lambda z: z.imag)
+    rows = [
+        SpectrumRow(want, float(z.real), float(z.imag), float(abs(z - 1j * want))) for want, z in zip(expected, eigs)
+    ]
+    max_real = max([0.0] + [abs(r.real_part) for r in rows])
+    max_dev = max([0.0] + [r.deviation for r in rows])
+    return SpectrumReport(max_real, max_dev, SPECTRUM_TOL, tuple(r for r in rows for _ in range(sg.base.fibers)))
 
 
 def lift_report(sg: MatrixSemigroup, seq: IndexSequence, P: int) -> dict:

@@ -31,8 +31,8 @@ if TYPE_CHECKING:
 
 DECIMAL_DIGITS = 30
 # Largest fiber truncation I a construction file may carry.  The operator
-# holds I L x L blocks, so the bound keeps a hand-edited count from heading
-# for gigabytes before any check runs.
+# holds fiber 1's L x L block alone and every norm is fiber 1's, so I costs
+# nothing until semigroup writes generator.csv, whose (L I)^2 rows it bounds.
 MAX_FIBERS = 4096
 
 
@@ -86,10 +86,6 @@ def read_json(path) -> dict:
 
 
 # --- sequences ---------------------------------------------------------------
-
-
-def save_sequence(seq: IndexSequence, path) -> None:
-    write_json(path, seq.to_json_dict())
 
 
 def load_sequence(path) -> IndexSequence:

@@ -147,16 +147,6 @@ def _quadratic_norm(rows: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ExponentialVector:
-    """Single exponential t -> exp(i frequency t) on the half line."""
-
-    frequency: float
-
-    def as_span(self) -> "ExpSpan":
-        return ExpSpan(((1.0 + 0.0j, float(self.frequency)),))
-
-
-@dataclass(frozen=True)
 class ExpSpan:
     """Finite span sum c_m * e_{eta_m}; equal frequencies merge on creation."""
 
@@ -199,22 +189,24 @@ def base_norm(v: ExpSpan) -> float:
 
     Single exponentials and spans whose pairwise coefficient products are
     real use cosine-only closed forms; anything else brings in the sine
-    parts through the Gram matrix.
+    parts through the Gram matrix.  The coefficients are scaled first by a
+    power of two taken from the largest part, as construction._norm2 does.
     """
     if v.is_zero():
         return 0.0
-    coeffs = v.coefficients
+    e = math.frexp(max(max(abs(c.real), abs(c.imag)) for c, _ in v.terms))[1]
+    coeffs = np.array([complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for c, _ in v.terms])
     if len(v.terms) == 1:
-        return abs(coeffs[0]) * ROOT_HALF_PI
-    if len(v.terms) == 2:
-        cross = coeffs[0] * coeffs[1].conjugate()
-        if cross.imag == 0.0:
-            delta = v.frequencies[0] - v.frequencies[1]
-            sq = 0.5 * math.pi * (
-                abs(coeffs[0]) ** 2 + abs(coeffs[1]) ** 2
-            ) + 2.0 * cross.real * 0.5 * math.pi * math.exp(-abs(delta))
-            return math.sqrt(max(sq, 0.0))
-    return float(_quadratic_norm(coeffs, _gram(v.frequencies)))
+        norm = abs(coeffs[0]) * ROOT_HALF_PI
+    elif len(v.terms) == 2 and (cross := coeffs[0] * coeffs[1].conjugate()).imag == 0.0:
+        delta = v.frequencies[0] - v.frequencies[1]
+        sq = 0.5 * math.pi * (
+            abs(coeffs[0]) ** 2 + abs(coeffs[1]) ** 2
+        ) + 2.0 * cross.real * 0.5 * math.pi * math.exp(-abs(delta))
+        norm = math.sqrt(max(sq, 0.0))
+    else:
+        norm = float(_quadratic_norm(coeffs, _gram(v.frequencies)))
+    return math.ldexp(norm, e)
 
 
 @dataclass(frozen=True)
@@ -228,9 +220,6 @@ class StarNormValue:
     base: float
     upper: float
     search: str = ""  # exhaustive | beam | "" when no tuple search ran
-
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))
 
 
 def _factor_table(freqs: tuple, seq: IndexSequence, K: int) -> np.ndarray:

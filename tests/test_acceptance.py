@@ -18,6 +18,7 @@ from jamison.construction import (
     _unit_band_powers,
     assemble_operator,
     build_construction,
+    fiber_rescaled,
     matrix_power,
     operator_norm,
     verify_partial_power_bound,
@@ -154,19 +155,21 @@ def test_criterion_05_symmetric_sum_oracles(certified):
         worst_sum = max(worst_sum, abs(Jn[0, r - 1] - want) / max(1.0, abs(want)))
     assert worst_sum <= 1e-10
 
-    # entry (k, l) of T^n is the band product alpha_{i,k} ... alpha_{i,l-1} times h_{n-(l-k)}
+    # entry (k, l) of T^n is the band product alpha_{i,k} ... alpha_{i,l-1} times h_{n-(l-k)};
+    # fiber i's T^n is fiber 1's rescaled, and the float power of fiber i's own block
     op = assemble_operator(certified, 8, 2)
     lams = [p.complex_value() for p in certified.lambdas]
     worst_coeff = 0.0
     for n in (1, 2, 3, 5, 8, 12):
         Tn = operator_power(op, n)
-        dense = matrix_power(op.blocks, n)
-        for k, l in itertools.product(range(1, 9), range(1, 9)):
-            h = _brute_symmetric_sum(lams[k - 1:l], n - (l - k)) if k <= l <= k + n else 0.0
-            for i in (1, 2):
+        for i in (1, 2):
+            got = fiber_rescaled(Tn, i)
+            dense = matrix_power(fiber_rescaled(op.block, i), n)
+            for k, l in itertools.product(range(1, 9), range(1, 9)):
+                h = _brute_symmetric_sum(lams[k - 1:l], n - (l - k)) if k <= l <= k + n else 0.0
                 want = math.prod(certified.alpha(i, q) for q in range(k, l)) * h
-                got = Tn[i - 1, k - 1, l - 1]
-                worst_coeff = max(worst_coeff, abs(got - want), abs(got - dense[i - 1, k - 1, l - 1]))
+                entry = got[k - 1, l - 1]
+                worst_coeff = max(worst_coeff, abs(entry - want), abs(entry - dense[k - 1, l - 1]))
     ok = worst_sum <= 1e-10 and worst_coeff <= 1e-10
     announce(5, ok, f"symmetric-sum err {worst_sum:.2e}, coefficient err {worst_coeff:.2e}")
     assert worst_coeff <= 1e-10

@@ -9,6 +9,8 @@ import ast
 import builtins
 import hashlib
 import importlib
+import importlib.util
+import inspect
 import json
 import math
 import subprocess
@@ -23,6 +25,7 @@ import jamison.cli as cli
 import jamison.errors as errors
 from jamison import IndexSequence, build_construction
 from jamison.cli import main
+from jamison.construction import FIBER_DECAY
 from jamison.errors import ArtifactCorrupt, ConfigInvalid, JamisonError
 from jamison.serialize import (
     MAX_FIBERS,
@@ -32,7 +35,7 @@ from jamison.serialize import (
     load_construction,
     load_sequence,
     save_construction,
-    save_sequence,
+    write_json,
 )
 
 
@@ -50,13 +53,11 @@ def strip_timestamp(payload: dict) -> str:
 def workdir(tmp_path_factory):
     """Sequence files plus one certified construction built through the CLI."""
     d = tmp_path_factory.mktemp("cli")
-    save_sequence(IndexSequence.factorials(6), d / "fact6.json")
-    save_sequence(IndexSequence.integers_up_to(100), d / "ints100.json")
+    write_json(d / "fact6.json", IndexSequence.factorials(6).to_json_dict())
+    write_json(d / "ints100.json", IndexSequence.integers_up_to(100).to_json_dict())
     terms = IndexSequence.factorials(6).terms
-    save_sequence(
-        IndexSequence((1.0,) + tuple(n + 0.5 for n in terms[1:]), "real"),
-        d / "half.json",
-    )
+    half = IndexSequence((1.0,) + tuple(n + 0.5 for n in terms[1:]), "real")
+    write_json(d / "half.json", half.to_json_dict())
     rc = main([
         "construct", "--sequence", str(d / "fact6.json"),
         "--levels", "5", "--fibers", "2", "--weights", "linear",
@@ -72,7 +73,7 @@ def workdir(tmp_path_factory):
 
 def test_sequence_save_load_round_trip(tmp_path):
     seq = IndexSequence((1, 3, 7, 20), "integer")
-    save_sequence(seq, tmp_path / "s.json")
+    write_json(tmp_path / "s.json", seq.to_json_dict())
     back = load_sequence(tmp_path / "s.json")
     assert back.terms == seq.terms and back.kind == "integer"
 
@@ -418,7 +419,7 @@ def run_golden_case(case: str) -> None:
     inputs, commands = GOLDEN_CASES[case]
     Path(case).mkdir(parents=True)
     for name, seq in inputs.items():
-        save_sequence(seq, name)
+        write_json(name, seq.to_json_dict())
     for rc, argv in commands:
         assert main(argv) == rc, argv
 
@@ -448,7 +449,7 @@ def test_reports_match_golden_bytes(tmp_path, monkeypatch, case):
 @pytest.mark.parametrize("resolution", ["1e-300"])
 def test_analyze_unscannable_resolution_exits_one_quickly(tmp_path, resolution):
     # 1e-300 is below the double spacing at 1/2
-    save_sequence(IndexSequence.powers_of_two(12), tmp_path / "powers2.json")
+    write_json(tmp_path / "powers2.json", IndexSequence.powers_of_two(12).to_json_dict())
     src = str(Path(jamison.__file__).resolve().parent.parent)
     argv = [
         "analyze", "--sequence", str(tmp_path / "powers2.json"), "--horizons", "4",
@@ -462,7 +463,7 @@ def test_analyze_unscannable_resolution_exits_one_quickly(tmp_path, resolution):
 
 def test_analyze_fine_resolution_certifies(tmp_path):
     # the interval's width, not a grid's size, is what --resolution sets
-    save_sequence(IndexSequence.powers_of_two(12), tmp_path / "powers2.json")
+    write_json(tmp_path / "powers2.json", IndexSequence.powers_of_two(12).to_json_dict())
     rc = main([
         "analyze", "--sequence", str(tmp_path / "powers2.json"), "--horizons", "4",
         "--resolution", "1e-10", "--out-dir", str(tmp_path),
@@ -526,6 +527,62 @@ def test_construct_on_integers_exits_infeasible(workdir, tmp_path, capsys):
     assert not (tmp_path / "X.json").exists()
 
 
+def test_construct_names_the_eigvec_precheck_that_tiny_weights_fail(tmp_path, capsys):
+    # weights of 1e-3 put level 3's offset-independent chain coefficient past its budget
+    write_json(tmp_path / "seq.json", IndexSequence.factorials(6).to_json_dict())
+    (tmp_path / "w.json").write_text(json.dumps([1e-3] * 5))
+    rc = main([
+        "construct", "--sequence", str(tmp_path / "seq.json"), "--levels", "6", "--horizon", "6",
+        "--weights", str(tmp_path / "w.json"), "--out", str(tmp_path / "X.json"), "--out-dir", str(tmp_path),
+    ])
+    assert rc == 3
+    report = read_report(tmp_path)
+    assert (report["status"], report["level"], report["predicate"]) == ("infeasible", 3, "eigvec_budget")
+    assert "offset-independent chain coefficient" in capsys.readouterr().err
+    assert not (tmp_path / "X.json").exists()
+
+
+def test_construct_names_the_predicate_its_candidates_fail(tmp_path, monkeypatch, capsys):
+    # a fixed search target admits candidates far past the deeper levels' budgets: each trial
+    # record fails, and the level ends after SEARCH_ROUNDS naming the predicate the last one failed
+    failed = []
+    judge = jamison.construction.LevelBudget.judge
+
+    def recorded(*args):
+        record = judge(*args)
+        failed.append((record.level, record.failing_predicate()))
+        return record
+
+    monkeypatch.setattr(jamison.construction, "_level_search_target", lambda *args: 0.05)
+    monkeypatch.setattr(jamison.construction.LevelBudget, "judge", recorded)
+    write_json(tmp_path / "seq.json", IndexSequence.factorials(6).to_json_dict())
+    rc = main([
+        "construct", "--sequence", str(tmp_path / "seq.json"), "--levels", "6", "--horizon", "6",
+        "--out", str(tmp_path / "X.json"), "--out-dir", str(tmp_path),
+    ])
+    assert rc == 3
+    report = read_report(tmp_path)
+    assert (report["status"], report["level"], report["predicate"]) == ("infeasible", 4, "gap_ratio")
+    assert "no candidate passed within 6 search rounds" in capsys.readouterr().err
+    assert failed[-1] == (4, "gap_ratio")
+
+
+def test_construct_never_writes_an_uncertified_record(tmp_path, capsys):
+    # on 2^(k(k-1)/2) the kernel's rotations misjudge level 2 on the full 10-level record,
+    # which its 2-level trial passed: the build stops instead of returning that record
+    seq = IndexSequence(tuple(2 ** (k * (k - 1) // 2) for k in range(1, 11)))
+    write_json(tmp_path / "seq.json", seq.to_json_dict())
+    rc = main([
+        "construct", "--sequence", str(tmp_path / "seq.json"), "--levels", "10", "--horizon", "10",
+        "--out", str(tmp_path / "X.json"), "--out-dir", str(tmp_path),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invariant failure: the built record fails level 2 'tail_sum_ok'" in err
+    assert json.loads(err[err.index("{"):])["tail_sum_ok"] is False
+    assert not (tmp_path / "X.json").exists()
+
+
 @pytest.mark.parametrize("seq, target", [
     (IndexSequence.factorials(6), 0.0),
     (IndexSequence.powers_of_two(6), 1e-306),
@@ -533,7 +590,7 @@ def test_construct_on_integers_exits_infeasible(workdir, tmp_path, capsys):
 def test_construct_refuses_search_targets_below_the_double_range(tmp_path, monkeypatch, capsys, seq, target):
     # 0.0 is what factorials reach at level 14; on 2^k, 1e-306 finds nothing and
     # shrinks sixteen-fold into the subnormals by the third round
-    save_sequence(seq, tmp_path / "seq.json")
+    write_json(tmp_path / "seq.json", seq.to_json_dict())
     monkeypatch.setattr(jamison.construction, "_level_search_target", lambda *args: target)
     rc = main([
         "construct", "--sequence", str(tmp_path / "seq.json"), "--levels", "3", "--horizon", "6",
@@ -549,7 +606,7 @@ def test_construct_refuses_search_targets_below_the_double_range(tmp_path, monke
 def test_construct_terms_past_the_double_range_end_in_float_range(tmp_path, capsys, k):
     # level 3 needs a gap near 10^-2k: at 10^150 the witnesses' chords read 0.0, and from
     # 10^155 on the binomial C(10^k, 2) in its search target is past the double range
-    save_sequence(IndexSequence((1, 2, 10 ** k)), tmp_path / "seq.json")
+    write_json(tmp_path / "seq.json", IndexSequence((1, 2, 10 ** k)).to_json_dict())
     rc = main([
         "construct", "--sequence", str(tmp_path / "seq.json"), "--levels", "3",
         "--out", str(tmp_path / "X.json"), "--out-dir", str(tmp_path),
@@ -572,7 +629,7 @@ def test_construct_ends_a_level_whose_candidate_gaps_all_underflow(tmp_path, mon
         return search(seq, K, eta, **kwargs)
 
     monkeypatch.setattr(jamison.construction, "near_return_search", counted)
-    save_sequence(IndexSequence((1, 2, 10 ** 150)), tmp_path / "seq.json")
+    write_json(tmp_path / "seq.json", IndexSequence((1, 2, 10 ** 150)).to_json_dict())
     rc = main([
         "construct", "--sequence", str(tmp_path / "seq.json"), "--levels", "3",
         "--out", str(tmp_path / "X.json"), "--out-dir", str(tmp_path),
@@ -586,8 +643,8 @@ def test_construct_ends_a_level_whose_candidate_gaps_all_underflow(tmp_path, mon
 
 def test_a_term_near_the_top_of_the_double_range_builds_verifies_and_lifts(tmp_path):
     # every node its own cluster at n = 10^300, whose binomial C(n, 2) is no double
-    save_sequence(IndexSequence((1, 2, 10 ** 300)), tmp_path / "seq.json")
-    save_sequence(IndexSequence((1.0, 2.5, 1e300), "real"), tmp_path / "real.json")
+    write_json(tmp_path / "seq.json", IndexSequence((1, 2, 10 ** 300)).to_json_dict())
+    write_json(tmp_path / "real.json", IndexSequence((1.0, 2.5, 1e300), "real").to_json_dict())
     cons = str(tmp_path / "C.json")
     assert main([
         "construct", "--sequence", str(tmp_path / "seq.json"), "--levels", "2",
@@ -807,7 +864,7 @@ DEEP_LADDER_SHA256 = {
 
 @pytest.mark.parametrize("L", sorted(DEEP_LADDER_SHA256))
 def test_deep_ladder_constructs_verifies_and_lifts(tmp_path, L):
-    save_sequence(IndexSequence.factorials(13), tmp_path / "fact13.json")
+    write_json(tmp_path / "fact13.json", IndexSequence.factorials(13).to_json_dict())
     cons = str(tmp_path / "C.json")
     assert main([
         "construct", "--sequence", str(tmp_path / "fact13.json"), "--levels", str(L),
@@ -825,6 +882,49 @@ def test_deep_ladder_constructs_verifies_and_lifts(tmp_path, L):
     rows = read_report(tmp_path / "semigroup")["lift"]["lattice"]["rows"]
     assert len(rows) == L
     assert max(row["rel_err"] for row in rows) <= 1e-13
+
+
+def _csv_blocks(path, I: int) -> list:
+    """The I fiber blocks of a level-major generator.csv, and whether every entry between fibers is zero."""
+    rows = [line.split(",") for line in Path(path).read_text().splitlines()[1:]]
+    dim = math.isqrt(len(rows))
+    dense = [[complex(float(re), float(im)) for _, _, re, im in rows[r * dim:(r + 1) * dim]] for r in range(dim)]
+    between = all(dense[r][c] == 0 for r in range(dim) for c in range(dim) if r % I != c % I)
+    return [[row[i::I] for row in dense[i::I]] for i in range(I)], between
+
+
+def test_semigroup_lifts_alike_at_every_fiber_count(tmp_path):
+    # fiber 11's band products at L = 13 are subnormal; every fiber block is fiber 1's rescaled,
+    # so the lift and its checks are fiber 1's whatever the count
+    seq = IndexSequence.factorials(13)
+    cons = build_construction(seq, L=13, K=13, w=tuple(float(l) for l in range(1, 13)))
+    half = IndexSequence((1.0,) + tuple(n + 0.5 for n in seq.terms[1:]), "real")
+    write_json(tmp_path / "half.json", half.to_json_dict())
+    lifts = {}
+    for I in (2, 11, 12):
+        save_construction(cons, tmp_path / f"C{I}.json", fibers=I)
+        assert main([
+            "semigroup", "--construction", str(tmp_path / f"C{I}.json"), "--real-sequence",
+            str(tmp_path / "half.json"), "--powers", "13", "--out-dir", str(tmp_path / f"I{I}"),
+        ]) == 0
+        report = read_report(tmp_path / f"I{I}")
+        spectrum = report["lift"]["spectrum"]
+        assert len(spectrum["rows"]) == 13 * I
+        spectrum["rows"] = spectrum["rows"][::I]
+        lifts[I] = (report["lift"]["lattice"], report["lift"]["semigroup"]["roundtrip_error"], report["bounded"], spectrum)
+    assert lifts[11] == lifts[2] and lifts[12] == lifts[2]
+
+    blocks, between = _csv_blocks(tmp_path / "I12" / "generator.csv", 12)
+    assert between
+    first = blocks[0]
+    assert first == _csv_blocks(tmp_path / "I2" / "generator.csv", 2)[0][0]
+    for i, block in enumerate(blocks, start=1):
+        for k in range(13):
+            for l in range(13):
+                scale = FIBER_DECAY ** ((i - 1) * max(l - k, 0))
+                want = complex(first[k][l].real * scale, first[k][l].imag * scale)
+                if all(x == 0 or abs(x) >= sys.float_info.min for x in (want.real, want.imag)):
+                    assert block[k][l] == want, (i, k, l)
 
 
 def test_semigroup_without_real_sequence(workdir, tmp_path):
@@ -1235,6 +1335,36 @@ def test_package_names_resolve_to_their_modules():
         assert getattr(value, "__module__", module.__name__) == module.__name__
     with pytest.raises(AttributeError):
         jamison.no_such_name
+
+
+def _arguments_read(describe) -> set:
+    """The argument names a tracing describe function reads: a["x"] and a.get("x")."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(describe))):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            names.add(node.slice.value)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "get" and node.args:
+            names.add(node.args[0].value)
+    return names
+
+
+def test_benchmark_tracing_targets_resolve_with_the_arguments_they_read(monkeypatch):
+    # the benchmark patches these functions by name and reads their arguments by name,
+    # so a rename in the package must show here and not only in the benchmark's own tests
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
+    spec.loader.exec_module(tracing)
+    read = set()
+    for module, name, describe in tracing.TARGETS:
+        fn = getattr(importlib.import_module(f"jamison.{module}"), name)
+        if describe is not None:
+            wanted = _arguments_read(describe)
+            assert wanted <= inspect.signature(fn).parameters.keys(), (module, name, wanted)
+            read |= wanted
+    assert read == {"L", "p", "K", "seq", "resolution", "theta_min"}
 
 
 def test_package_source_never_names_scipy():

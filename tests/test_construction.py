@@ -34,6 +34,7 @@ from jamison.errors import (
     SizeMismatch,
     WeightListTooShort,
 )
+from jamison.construction import fiber_rescaled
 from jamison.funm import operator_power
 from jamison.sequences import unit_diff
 from jamison.serialize import construction_to_json_dict
@@ -234,19 +235,23 @@ def test_power_coefficient_vanishing_and_diagonal(synthetic_cons):
         Tn = operator_power(op, n)
         for k, l in iter_product(range(1, 6), range(1, 6)):
             if k > l:
-                assert (Tn[:, k - 1, l - 1] == 0).all()
+                assert Tn[k - 1, l - 1] == 0
             elif l - k > n:  # the Parlett step leaves its rounding there
-                assert np.abs(Tn[:, k - 1, l - 1]).max() <= 1e-13 * np.linalg.norm(Tn)
+                assert abs(Tn[k - 1, l - 1]) <= 1e-13 * np.linalg.norm(Tn)
         diagonal = [lam.scaled(n).complex_value() for lam in synthetic_cons.lambdas]
-        assert (np.diagonal(Tn, axis1=1, axis2=2) == diagonal).all()
+        assert (np.diag(Tn) == diagonal).all()
 
 
 def test_power_coefficient_matches_dense_powers(synthetic_cons):
+    # every fiber's T^n is fiber 1's rescaled, against the float power of that fiber's own block
+    op = assemble_operator(synthetic_cons, 5, 3)
     worst = 0.0
-    for I in (1, 2, 3):
-        op = assemble_operator(synthetic_cons, 5, I)
+    for i in (1, 2, 3):
+        block = np.diag([lam.complex_value() for lam in synthetic_cons.lambdas])
+        block += np.diag([synthetic_cons.alpha(i, l) for l in range(1, 5)], k=1)
         for n in (0, 1, 2, 3, 5, 8, 12):
-            worst = max(worst, float(np.abs(operator_power(op, n) - matrix_power(op.blocks, n)).max()))
+            got = fiber_rescaled(operator_power(op, n), i)
+            worst = max(worst, float(np.abs(got - matrix_power(block, n)).max()))
     assert worst <= 1e-10
 
 
@@ -258,26 +263,28 @@ def test_assemble_two_level_golden(synthetic_cons):
     lam1 = synthetic_cons.lambdas[0].complex_value()
     lam2 = synthetic_cons.lambdas[1].complex_value()
     expected = np.array([[lam1, synthetic_cons.alpha(1, 1)], [0.0, lam2]])
-    assert op.blocks.shape == (1, 2, 2)
-    assert np.allclose(op.blocks[0], expected, atol=1e-15)
+    assert op.block.shape == (2, 2)
+    assert (op.levels, op.fibers) == (2, 1)
+    assert np.allclose(op.block, expected, atol=1e-15)
 
 
 def test_assemble_band_pattern(synthetic_cons):
     op = assemble_operator(synthetic_cons, 5, 2)
-    assert op.blocks.shape == (2, 5, 5)
+    assert op.block.shape == (5, 5)
+    assert op.fibers == 2
     for i in (1, 2):
-        B = op.blocks[i - 1]
+        B = fiber_rescaled(op.block, i)
         rows, cols = np.nonzero(B - np.diag(np.diag(B)))
         assert list(zip(rows, cols)) == [(l - 2, l - 1) for l in range(2, 6)]
         assert np.diag(B, k=1).tolist() == [synthetic_cons.alpha(i, l) for l in range(1, 5)]
-    diag = np.diagonal(op.blocks, axis1=1, axis2=2)
-    assert np.max(np.abs(np.abs(diag) - 1.0)) <= 1e-14
+        assert (np.diag(B) == np.diag(op.block)).all()
+    assert np.max(np.abs(np.abs(np.diag(op.block)) - 1.0)) <= 1e-14
 
 
 def test_assemble_shift_norm_vs_svd(synthetic_cons):
     op = assemble_operator(synthetic_cons, 5, 1)
     B = op.shift_part()
-    top = float(np.linalg.norm(B[0], 2))
+    top = float(np.linalg.norm(B, 2))
     assert operator_norm(B, 2) == pytest.approx(top, rel=1e-9)
     assert top <= max(synthetic_cons.alphas1) + 1e-12
 
@@ -292,12 +299,11 @@ def test_assemble_size_mismatch(synthetic_cons):
 def test_power_band_closure(synthetic_cons):
     op = assemble_operator(synthetic_cons, 5, 2)
     for n in range(0, 7):
-        Tn = matrix_power(op.blocks, n)
+        Tn = matrix_power(op.block, n)
         width = min(n, 4)
         for k, l in iter_product(range(1, 6), range(1, 6)):
             if l - k > width or l < k:
-                for i in (1, 2):
-                    assert Tn[i - 1, k - 1, l - 1] == 0
+                assert Tn[k - 1, l - 1] == 0
 
 
 def test_diagonal_power_is_isometry(synthetic_cons):
@@ -311,7 +317,7 @@ def test_diagonal_power_is_isometry(synthetic_cons):
             assert np.linalg.norm(Dn @ x, p) == pytest.approx(np.linalg.norm(x, p), rel=1e-14)
     # repeated squaring agrees at small exponents before rounding accumulates
     op = assemble_operator(synthetic_cons, 5, 2)
-    D = op.diagonal_part()
+    D = np.diag(np.diag(op.block))  # every fiber's
     fibers_x = x.reshape(2, 5, 1)  # x split into its two fiber coordinates
     for n in (1, 7, 31):
         Dn = matrix_power(D, n)
@@ -339,7 +345,7 @@ def test_chain_residuals(factorial_cons):
         v = np.zeros(8, dtype=complex)
         v[:n] = construction._chain_coeffs(cons.lambdas, cons.alphas1, n)
         lam = cons.lambdas[n - 1].complex_value()
-        resid = np.linalg.norm(op.blocks[0] @ v - lam * v)
+        resid = np.linalg.norm(op.block @ v - lam * v)
         assert resid <= 1e-10 * np.linalg.norm(v)
 
 
@@ -711,9 +717,9 @@ def test_powers_of_constructions_take_the_exact_phase_kernel(monkeypatch):
 
 def test_zeroed_band_power_difference_vanishes(small_cons):
     op = assemble_operator(small_cons, 5, 2)
-    T_no_band = np.array(op.blocks)
-    T_no_band[:, ~np.eye(5, dtype=bool)] = 0.0
-    D = op.diagonal_part()
+    T_no_band = np.array(op.block)
+    T_no_band[~np.eye(5, dtype=bool)] = 0.0
+    D = np.diag(np.diag(op.block))
     for n in (1, 6, 720):
         diff = matrix_power(T_no_band, n) - matrix_power(D, n)
         assert np.all(diff == 0)

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from jamison import IndexSequence, assemble_operator, build_construction
-from jamison.construction import TruncatedOperator, _unit_band_powers
+from jamison.construction import TruncatedOperator, _unit_band_powers, fiber_rescaled
 from jamison.errors import OutOfDomain
 from jamison.funm import band_products, operator_power
 from jamison.semigroup import evolve, principal_log
@@ -117,19 +117,23 @@ def ladder(request):
     cons = build_construction(seq, L=L, K=L, w=tuple(range(1, L + 1)))
     op = assemble_operator(cons, L, 1)
     thetas = [p.theta for p in cons.lambdas]
-    band = np.diagonal(op.blocks[0], offset=1).real
+    band = np.diagonal(op.block, offset=1).real
     return L, cons, op, principal_log(op), thetas, band
 
 
 def _power_route(route, cons, op):
-    """(band of every block, n -> stack of T^n) as the named command takes it."""
+    """(band of every fiber block, n -> T^n of every fiber) as the named command takes it.
+
+    verify measures fiber 1 and stands it for both fibers; fiber 2 is its rescaling."""
     if route == "construct":
         return [np.ones(cons.levels - 1)], lambda n: _unit_band_powers(cons.lambdas, [n])
     if route == "verify":
         two = assemble_operator(cons, cons.levels, 2)
-        bands = [np.diagonal(block, offset=1).real for block in two.blocks]
-        return bands, lambda n: _unit_band_powers(cons.lambdas, [n])[0] * band_products(two.blocks)
-    return [np.diagonal(op.blocks[0], offset=1).real], lambda n: operator_power(op, n)
+        bands = [np.diagonal(fiber_rescaled(two.block, i), offset=1).real for i in (1, 2)]
+        return bands, lambda n: [
+            fiber_rescaled(_unit_band_powers(cons.lambdas, [n])[0] * band_products(two.block), i) for i in (1, 2)
+        ]
+    return [np.diagonal(op.block, offset=1).real], lambda n: [operator_power(op, n)]
 
 
 def _check_integer_powers(ladder, route):
@@ -156,7 +160,7 @@ def test_verify_and_construct_powers_match_oracle_at_every_rung(ladder, route):
 
 def test_log_matches_oracle(ladder):
     L, cons, op, sg, thetas, band = ladder
-    err = _err(sg.generator[0], oracle(thetas, band, log_value), band)
+    err = _err(sg.generator, oracle(thetas, band, log_value), band)
     _report(f"Log T, L = {L}", [("-", err)])
     assert err <= TOL
 
@@ -167,7 +171,7 @@ def test_real_times_match_oracle_at_every_rung(ladder):
     for k in range(1, L + 1):
         t = math.factorial(k) + 0.5
         want = oracle(thetas, band, power_value(Fraction(t)))
-        errors.append((t, max(_err(evolve(sg, t)[0], want, band), _err(operator_power(op, t)[0], want, band))))
+        errors.append((t, max(_err(evolve(sg, t), want, band), _err(operator_power(op, t), want, band))))
     _report(f"T^t = exp(tG), L = {L}", errors)
     _assert_flat(errors)
 
@@ -180,16 +184,16 @@ def test_parlett_step_between_interleaved_clusters():
     thetas = [base[0], base[1], base[0] + Fraction(1, 10**9), base[1] + Fraction(3, 10**9), base[0] - Fraction(2, 10**9)]
     band = [0.3, 0.2, 0.25, 0.15]
     lams = [complex(mp.expjpi(2 * _mpf(t))) for t in thetas]
-    op = TruncatedOperator((np.diag(lams) + np.diag(band, k=1))[None], tuple(thetas))
+    op = TruncatedOperator((np.diag(lams) + np.diag(band, k=1)), tuple(thetas))
     sg = principal_log(op)
     assert sg.log_clusters == 2
-    assert _rel(sg.generator[0], oracle(thetas, band, log_value)) <= TOL
+    assert _rel(sg.generator, oracle(thetas, band, log_value)) <= TOL
     errors = []
     for j in range(7):
         n = 10**j
-        err = _rel(operator_power(op, n)[0], oracle(thetas, band, power_value(Fraction(n))))
+        err = _rel(operator_power(op, n), oracle(thetas, band, power_value(Fraction(n))))
         want = oracle(thetas, band, power_value(Fraction(n) + Fraction(1, 2)))
-        err = max(err, _rel(evolve(sg, n + 0.5)[0], want))
+        err = max(err, _rel(evolve(sg, n + 0.5), want))
         errors.append((n, err))
     _report("interleaved clusters", errors)
     _assert_flat(errors)
@@ -199,21 +203,21 @@ def test_defective_block_matches_closed_form():
     # T = lam (I + N / lam) with N^2 = 0: T^t = lam^t (I + t N / lam), Log T = Log(lam) I + N / lam
     theta = Fraction(1, 30)
     lam = TorusPoint(theta).complex_value()
-    op = TruncatedOperator(np.array([[lam, 0.1], [0.0, lam]])[None], (theta, theta))
+    op = TruncatedOperator(np.array([[lam, 0.1], [0.0, lam]]), (theta, theta))
     sg = principal_log(op)
     with mp.workdps(60):
         x = _phase(theta)
         band = mp.mpf(0.1)
         log_want = [[log_value(theta), band / x], [0, log_value(theta)]]
-        assert _rel(sg.generator[0], log_want) <= TOL
+        assert _rel(sg.generator, log_want) <= TOL
         errors = []
         for j in range(7):
             for t in (Fraction(10**j), Fraction(10**j) + Fraction(1, 2)):
                 xt = _phase(t * _signed(theta))
                 want = [[xt, xt * _mpf(t) * band / x], [0, xt]]
-                err = _rel(operator_power(op, t)[0], want)
+                err = _rel(operator_power(op, t), want)
                 if t.denominator == 2:
-                    err = max(err, _rel(evolve(sg, float(t))[0], want))
+                    err = max(err, _rel(evolve(sg, float(t)), want))
                 errors.append((float(t), err))
     _report("defective 2 x 2", errors)
     _assert_flat(errors)
@@ -224,9 +228,9 @@ def test_band_products_below_the_double_range():
     thetas = [Fraction(1, 20), Fraction(1, 20) + Fraction(1, 10**9), Fraction(1, 10)]
     band = [1e-200, 1e-200]
     lams = [complex(mp.expjpi(2 * _mpf(t))) for t in thetas]
-    op = TruncatedOperator((np.diag(lams) + np.diag(band, k=1))[None], tuple(thetas))
+    op = TruncatedOperator((np.diag(lams) + np.diag(band, k=1)), tuple(thetas))
     for n in (1, 10**3, 10**6):
-        got = operator_power(op, n)[0]
+        got = operator_power(op, n)
         assert np.isfinite(got).all()
         assert _rel(got, oracle(thetas, band, power_value(Fraction(n)))) <= TOL
 
@@ -237,15 +241,15 @@ def test_singleton_clusters_take_powers_near_the_top_of_the_double_range():
     thetas = [Fraction(1, 20), Fraction(1, 10), Fraction(3, 20)]
     band = [0.3, 0.2]
     lams = [complex(mp.expjpi(2 * _mpf(t))) for t in thetas]
-    op = TruncatedOperator((np.diag(lams) + np.diag(band, k=1))[None], tuple(thetas))
+    op = TruncatedOperator((np.diag(lams) + np.diag(band, k=1)), tuple(thetas))
     for n in (10**155, 10**300):
-        assert _rel(operator_power(op, n)[0], oracle(thetas, band, power_value(Fraction(n)))) <= TOL
+        assert _rel(operator_power(op, n), oracle(thetas, band, power_value(Fraction(n)))) <= TOL
 
 
 def test_a_taylor_coefficient_past_the_double_range_is_out_of_domain():
     # 1e-200 turns apart, the two nodes share a cluster at n = 10^160, whose C(n, 2) is no double
     thetas = [Fraction(1, 20), Fraction(1, 20) + Fraction(1, 10**200)]
     lam = complex(mp.expjpi(2 * _mpf(thetas[0])))
-    op = TruncatedOperator(np.array([[lam, 0.5], [0.0, lam]])[None], tuple(thetas))
+    op = TruncatedOperator(np.array([[lam, 0.5], [0.0, lam]]), tuple(thetas))
     with pytest.raises(OutOfDomain, match="overflows the double range"):
         operator_power(op, 10**160)

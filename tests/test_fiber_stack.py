@@ -1,7 +1,9 @@
-"""The fiber-block stack against the dense level-major operator it stands for.
+"""Fiber 1's block and its rescaling against the dense level-major operator they stand for.
 
 The reference is the LI x LI matrix with slot (i, l) at row (l-1)*I + (i-1),
-built here entry by entry from the construction's weights.
+built here entry by entry from the construction's weights.  The operator
+holds fiber 1's block; fiber i's block of any function of it is
+construction.fiber_rescaled, and the operator's norms are fiber 1's.
 """
 
 import numpy as np
@@ -9,18 +11,17 @@ import pytest
 from scipy.linalg import expm, logm
 
 from jamison import IndexSequence, assemble_operator, build_construction, matrix_power, operator_norm
-from jamison.construction import FIBER_DECAY
+from jamison.construction import FIBER_DECAY, fiber_rescaled
 from jamison.semigroup import evolve, principal_log
 
 L, I = 8, 3
 
 
-def _interleave(stack):
-    """Dense level-major matrix of a (I, L, L) stack; fibers sit on every I-th row and column."""
-    fibers, levels, _ = stack.shape
-    dense = np.zeros((levels * fibers, levels * fibers), dtype=complex)
-    for i in range(fibers):
-        dense[i::fibers, i::fibers] = stack[i]
+def _interleave(M):
+    """Dense level-major matrix of the I fibers of fiber 1's M; fibers sit on every I-th row and column."""
+    dense = np.zeros((L * I, L * I), dtype=complex)
+    for i in range(I):
+        dense[i::I, i::I] = fiber_rescaled(M, i + 1)
     return dense
 
 
@@ -38,22 +39,24 @@ def setup():
 
 def test_stack_is_the_dense_operator(setup):
     _, op, dense = setup
-    assert op.blocks.shape == (I, L, L)
+    assert op.block.shape == (L, L)
     assert (op.fibers, op.levels) == (I, L)
-    assert np.array_equal(_interleave(op.blocks), dense)
+    assert np.array_equal(_interleave(op.block), dense)
 
 
 def test_stack_powers_match_dense(setup):
     cons, op, dense = setup
     for n in cons.seq.terms:
-        got = _interleave(matrix_power(op.blocks, n))
+        got = np.zeros_like(dense)
+        for i in range(I):
+            got[i::I, i::I] = matrix_power(fiber_rescaled(op.block, i + 1), n)
         np.testing.assert_allclose(got, matrix_power(dense, n), rtol=1e-12, atol=0)
 
 
 def test_stack_norms_match_dense(setup):
     cons, op, dense = setup
     for n in (1, 24, 40320):
-        Tn, Dn = matrix_power(op.blocks, n), matrix_power(dense, n)
+        Tn, Dn = matrix_power(op.block, n), matrix_power(dense, n)
         assert operator_norm(Tn, 1) == pytest.approx(np.abs(Dn).sum(axis=0).max(), rel=1e-12)
         assert operator_norm(Tn, "inf") == pytest.approx(np.abs(Dn).sum(axis=1).max(), rel=1e-12)
         assert operator_norm(Tn, 2) == pytest.approx(np.linalg.norm(Dn, 2), rel=1e-12)
@@ -65,13 +68,13 @@ def test_stack_norms_match_dense(setup):
 def test_stack_log_and_evolution_match_dense(setup):
     _, op, dense = setup
     sg = principal_log(op)
-    assert sg.generator.shape == (I, L, L)
+    assert sg.generator.shape == (L, L)
     G = _interleave(sg.generator)
     assert np.linalg.norm(G - logm(dense), 2) <= 1e-12 * np.linalg.norm(G, 2)
     for t in (0.5, 1.0, 7.25, 720.0):
         want = expm(t * G)
         assert np.linalg.norm(_interleave(evolve(sg, t)) - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
-    rows = sg.generator_csv_rows()
+    rows = list(sg.generator_csv_rows())
     size = L * I
     assert rows == [(r, c, G[r, c].real, G[r, c].imag) for r in range(size) for c in range(size)]
 
@@ -81,7 +84,10 @@ def test_fiber_scaling_identity(setup):
     k, l = np.indices((L, L))
     decay = FIBER_DECAY
     for n in (1, 6, 720, 40320):
-        Tn = matrix_power(op.blocks, n)
+        T1 = matrix_power(op.block, n)
         for i in range(2, I + 1):
-            want = Tn[0] * decay ** ((i - 1) * (l - k))
-            np.testing.assert_allclose(Tn[i - 1], want, rtol=1e-12, atol=0)
+            Ti = matrix_power(fiber_rescaled(op.block, i), n)
+            np.testing.assert_allclose(Ti, T1 * decay ** ((i - 1) * (l - k)), rtol=1e-12, atol=0)
+            assert np.array_equal(fiber_rescaled(T1, i), T1 * decay ** ((i - 1) * np.triu(l - k)))
+            for p in (1, 2, "inf"):
+                assert operator_norm(Ti, p) <= operator_norm(T1, p)

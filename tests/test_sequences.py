@@ -557,7 +557,7 @@ def test_near_return_respects_exclude_and_arc():
 
 @settings(max_examples=100, deadline=None)
 @given(terms=st.one_of(_INTEGER_TERMS, _REAL_TERMS), lo=st.floats(1e-12, 0.5))
-def test_f_grid_never_reads_below_theta(terms, lo):
+def test_box_evaluate_never_reads_below_theta(terms, lo):
     # t_1 = 1 gives f_K(theta) >= theta, and the search reads that term exactly, so a box's
     # bound is at least its lower end less the margin: pass 1 drops the boxes above eta on it
     edges = np.linspace(lo, min(2.0 * lo, 0.5), 257)

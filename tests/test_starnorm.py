@@ -17,7 +17,6 @@ from jamison.starnorm import (
     BEAM_WIDTH,
     EI_ASYMPTOTIC_FROM,
     ROOT_HALF_PI,
-    ExponentialVector,
     ExpSpan,
     base_norm,
     dj_bound_check,
@@ -46,7 +45,7 @@ def factorial_seq():
 def test_single_exponential_norm_is_root_half_pi():
     rng = np.random.default_rng(1)
     for eta in rng.uniform(-40.0, 40.0, 50):
-        assert base_norm(ExponentialVector(eta).as_span()) == ROOT_HALF_PI
+        assert base_norm(ExpSpan(((1.0, eta),))) == ROOT_HALF_PI
 
 
 def test_two_term_difference_closed_form_vs_quadrature():
@@ -63,6 +62,18 @@ def test_two_term_difference_closed_form_vs_quadrature():
             weight="cos", wvar=abs(eta - xi), epsabs=1e-11, epsrel=0.0,
         )
         assert got_sq == pytest.approx(math.pi - 2.0 * cos_part, abs=1e-8)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("terms", [
+    ((1.0, 0.7), (2.0, 1.9)),  # real cross product: the closed form
+    ((1.0, 0.7), (2.0j, 1.9)),  # complex cross product: the Gram route
+    ((1.0, 0.7), (2.0, 1.9), (-0.5 + 0.5j, -2.4)),
+])
+def test_base_norm_scales_coefficients_past_the_square_range(scale, terms):
+    # 1e200 squares to inf and 1e-200 to 0.0; the norm is homogeneous in its coefficients
+    got = base_norm(ExpSpan(tuple((c * scale, eta) for c, eta in terms)))
+    assert got == pytest.approx(scale * base_norm(ExpSpan(terms)), rel=1e-14)
 
 
 def test_equal_frequency_difference_is_zero():
@@ -161,7 +172,7 @@ def test_angle_unit_conversions():
 def test_translate_identity_and_periodicity():
     v = ExpSpan(((0.3 - 1.1j, 2.5), (0.7, -0.4)))
     assert translate(v, 0.0).terms == v.terms
-    w = ExponentialVector(1.3).as_span()
+    w = ExpSpan(((1.0, 1.3),))
     back = translate(w, 2.0 * math.pi / 1.3)
     assert back.coefficients[0] == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
@@ -186,7 +197,7 @@ def test_star_norm_of_zero_span(factorial_seq):
 def test_star_norm_single_constant_in_frequency(factorial_seq):
     rng = np.random.default_rng(5)
     for eta in rng.uniform(-30.0, 30.0, 50):
-        s = star_norm(ExponentialVector(eta).as_span(), factorial_seq, 8, 8)
+        s = star_norm(ExpSpan(((1.0, eta),)), factorial_seq, 8, 8)
         assert s.mode == "exact-factorized"
         assert abs(s.value - ROOT_HALF_PI) <= 1e-12
 
@@ -229,7 +240,7 @@ def test_tuple_count_matches_the_sum_over_orders():
 
 
 def test_star_norm_validation(factorial_seq):
-    v = ExponentialVector(1.0).as_span()
+    v = ExpSpan(((1.0, 1.0),))
     with pytest.raises(HorizonExceedsSequence):
         star_norm(v, factorial_seq, 2, 9)
     with pytest.raises(ConfigInvalid):
@@ -411,7 +422,7 @@ def test_star_norm_stays_finite_at_large_orders(factorial_seq):
 
 def test_translation_bound_single_ratio_one(factorial_seq):
     rep = verify_translation_bound(
-        factorial_seq, [ExponentialVector(0.7).as_span()], J=2, K=6, P=6
+        factorial_seq, [ExpSpan(((1.0, 0.7),))], J=2, K=6, P=6
     )
     assert rep.all_ok
     for r in rep.rows:
