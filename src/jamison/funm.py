@@ -1,34 +1,50 @@
-"""One exact-phase kernel for functions of an upper-triangular fiber block.
+"""One exact-phase kernel for functions of an upper-bidiagonal fiber block.
 
-T^t, Log T and exp(tG) all come from one Schur-Parlett evaluation (Davies &
-Higham, SIAM J. Matrix Anal. Appl. 25, 2003; Higham, Functions of Matrices,
-2008, ch. 4 and 9).  Nodes whose exact angle gaps are small on the scale of
-the function form a cluster, summed as a Taylor series around an exact
-centre sigma in the shifted block sigma^-1 T - I; the Parlett recurrence
-joins distinct clusters.  Every phase (z^n, z^t, Log z) is taken from the
-exact angle, with t * theta reduced mod 1 before the float exponential, so no
-error of order n * eps builds up at factorial powers.  The block is balanced
-by its band products first, so every entry keeps its own relative accuracy.
+A fiber block T is a diagonal of nodes x_l = e^(2 pi i theta_l) plus a band
+b, so entry (k, l) of f(T) is the band product b_k ... b_{l-1} times the
+divided difference f[x_k, ..., x_l] (Opitz, ZAMM 44, 1964).  The kernel forms
+the divided differences, then multiplies each entry by its band product.
+T^t, Log T and exp(t Log T) all take this route.
+
+Nodes whose exact angle gaps are small on the scale of the function form a
+cluster.  The divided differences over runs of one cluster's nodes are the
+entries of f on the cluster's unit-band block, one Taylor series around an
+exact centre sigma in the shifted block A = sigma^-1 J - I (McCurdy, Ng and
+Parlett, Math. Comp. 43, 1984).  A node set S that meets several clusters
+takes f[S] = (f[S - {a}] - f[S - {b}]) / (x_b - x_a), with a and b in
+different clusters and the gap x_b - x_a from the exact angles; each set is
+memoised by the run of nodes each cluster still has.  The diagonal holds the
+exact node values.  Every phase (z^t, Log z) is taken from the exact angle,
+with t * theta reduced mod 1 before the float exponential, so no error of
+order n * eps builds up at factorial powers.
 
 An operator is anything with an (L, L) ``block``, fiber 1's, and a
 ``thetas`` tuple holding its exact diagonal angles (turns).
 
-Accuracy, to first order in u = 2^-53.  A Taylor sum, a Parlett entry and a
-plane rotation each err by a few u relative to the moduli they combine
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
-sections 3.6 and 19.3).  A Parlett entry divides by the gap between nodes of
-two clusters, at least CLUSTER_GAP / scale, so each of the m - 1 cluster
-boundaries an entry spans can magnify the errors it inherits by scale /
-CLUSTER_GAP.  Where clusters interleave, the r swaps that make them
-contiguous, and the return by Q, apply 2r plane rotations to the block and
-to its result.  So every entry of f(T), in the balanced basis, errs by at
-most 12 (L + r) u ||f(T)||_F (1 + scale / CLUSTER_GAP)^(m - 1); r = 0 where no
-clusters interleave.
+Accuracy, to first order in u = 2^-53.  A Taylor sum errs by a few u relative
+to the moduli it combines (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 2002, section 3.6), so a cluster's divided differences
+err by at most 12 L u times the largest of their moduli.  A cross-cluster
+step divides by a gap of at least CLUSTER_GAP / scale, so it can magnify the
+errors it inherits, and its own rounding, by 2 scale / CLUSTER_GAP.  Entry
+(k, l) takes s such steps, s = 0 within one cluster and s <= l - k across
+clusters, and reads no node outside k..l.  So entry (k, l) of D, f(T) with
+its band products divided out, errs by at most
+12 L u M_kl (1 + 2 scale / CLUSTER_GAP)^s, with M_kl the largest modulus of a
+cluster divided difference over nodes among k..l: each entry is accurate
+against its own band product, not against ||f(T)||.
+
+Range.  The band products are formed last, as products of the band's
+doubles.  Where one leaves the double range, its entry reads the rounded
+product times the divided difference: 0, or a subnormal with fewer digits,
+where it underflows, and inf where it overflows.
 """
 
 import cmath
+import functools
 import numbers
 from fractions import Fraction
+from itertools import accumulate, chain, count
 
 import numpy as np
 
@@ -60,42 +76,25 @@ class Power:
     """f(z) = z^t on a block of T, whose node l is e^(2 pi i theta_l).
 
     Node angles are the signed representatives, so z^t is the principal
-    power exp(t Log z).  A cluster centred at sigma is summed in the shifted
-    block M = sigma^-1 T - I: f(sigma (1 + x)) = sigma^t sum_j C(t, j) x^j.
+    power exp(t Log z).  A cluster centred at sigma is summed in its shifted
+    unit-band block A: f(sigma (1 + x)) = sigma^t sum_j C(t, j) x^j.
     """
 
     def __init__(self, t: Fraction):
         self.t = t
         self.scale = max(abs(t), 1)
 
-    def weight(self, sigma: Fraction) -> complex:
-        """Factor of the off-diagonal entries in the shifted block."""
-        return _phase(-sigma)
-
-    def shifted(self, theta: Fraction, sigma: Fraction) -> complex:
-        """Diagonal entry e^(2 pi i (theta - sigma)) - 1, to full relative accuracy.
-
-        theta and sigma are signed angles of one cluster, so their difference
-        needs no reduction.
-        """
-        return unit_step(float(theta - sigma))
-
-    def node_gap(self, a: Fraction, b: Fraction) -> complex:
-        return unit_diff(TorusPoint(a), TorusPoint(b))
-
     def value(self, theta: Fraction) -> complex:
         return _phase(self.t * theta)
 
-    def value_gap(self, a: Fraction, b: Fraction) -> complex:
-        return unit_diff(TorusPoint(self.t * a), TorusPoint(self.t * b))
+    def cluster(self, A: np.ndarray, sigma: Fraction, angles: tuple, levels: tuple) -> np.ndarray:
+        """Divided differences of f over the runs of one cluster, from its shifted unit-band block."""
+        return _taylor(A, self.taylor(sigma))
 
     def taylor(self, sigma: Fraction):
         """Coefficients of x -> f(e^(2 pi i sigma) (1 + x)) at x = 0."""
-        c, t, j = self.value(sigma), float(self.t), 0
-        while True:
-            yield c
-            j += 1
-            c = c * (t - (j - 1)) / j
+        t = float(self.t)
+        return accumulate(count(1), lambda c, j: c * (t - (j - 1)) / j, initial=self.value(sigma))
 
 
 class Log(Power):
@@ -107,39 +106,35 @@ class Log(Power):
     def value(self, theta: Fraction) -> complex:
         return _imag_turns(theta)
 
-    def value_gap(self, a: Fraction, b: Fraction) -> complex:
-        return _imag_turns(a - b)
-
     def taylor(self, sigma: Fraction):
-        yield self.value(sigma)
-        j = 1
-        while True:
-            yield (1.0 if j % 2 else -1.0) / j
-            j += 1
+        return chain([self.value(sigma)], ((1.0 if j % 2 else -1.0) / j for j in count(1)))
 
 
-class Exp(Power):
-    """f(y) = e^(t y) on a block of G = Log T, whose node l is 2 pi i theta_l.
+class ExpLog(Power):
+    """z^t as exp(t Log z): a cluster is the exp series of t times its log block.
 
-    A cluster centred at sigma is summed in Y = G - 2 pi i sigma I:
-    f = sigma^t sum_j (t Y)^j / j!, the phase sigma^t taken exactly.
+    The log block Y = Log(sigma^-1 J) of a cluster comes from Log's series,
+    with the exact diagonal 2 pi i (theta - sigma).  logs, one dict per block,
+    memoises it by the cluster's levels, so every time that forms the same
+    cluster reuses it.
     """
 
-    def weight(self, sigma: Fraction) -> complex:
-        return 1.0
+    def __init__(self, t: Fraction, logs: dict):
+        super().__init__(t)
+        self.logs = logs
 
-    def shifted(self, theta: Fraction, sigma: Fraction) -> complex:
-        return _imag_turns(theta - sigma)
+    def cluster(self, A: np.ndarray, sigma: Fraction, angles: tuple, levels: tuple) -> np.ndarray:
+        Y = self.logs.get(levels)
+        if Y is None:
+            Y = self.logs[levels] = Log().cluster(A, sigma, angles, levels)
+            Y[np.diag_indices(len(levels))] = [_imag_turns(theta - sigma) for theta in angles]
+        return exp_shifted(Y, sigma, self.t)
 
-    def node_gap(self, a: Fraction, b: Fraction) -> complex:
-        return _imag_turns(a - b)
 
-    def taylor(self, sigma: Fraction):
-        c, t, j = self.value(sigma), float(self.t), 0
-        while True:
-            yield c
-            j += 1
-            c = c * t / j
+def exp_shifted(Y: np.ndarray, sigma: Fraction, t: Fraction) -> np.ndarray:
+    """exp(t (2 pi i sigma I + Y)) = e^(2 pi i t sigma) sum_j t^j Y^j / j!, the phase from the exact sigma."""
+    s = float(t)
+    return _taylor(Y, accumulate(count(1), lambda c, j: c * s / j, initial=_phase(t * sigma)))
 
 
 class NodeSet:
@@ -150,7 +145,6 @@ class NodeSet:
         self.order = sorted(range(len(row)), key=self.thetas.__getitem__)
         # exact gap to the previous node in that order, as a float
         self.gaps = [float(self.thetas[cur] - self.thetas[prev]) for prev, cur in zip(self.order, self.order[1:])]
-        self.log_diag = np.array([_imag_turns(theta) for theta in self.thetas])  # the diagonal of Log T
 
 
 def clusters(nodes: NodeSet, scale) -> list:
@@ -169,41 +163,17 @@ def clusters(nodes: NodeSet, scale) -> list:
 
 
 def band_products(block: np.ndarray) -> np.ndarray:
-    """Entry (k, l), k < l, is |b_k ... b_{l-1}| over the block's superdiagonal b.
+    """Entry (k, l), k < l, is b_k ... b_{l-1} over the block's superdiagonal b.
 
-    A zero b_q counts as 1, and entries on and below the diagonal read 1.
-    Dividing the block by it entrywise is the diagonal similarity that gives
-    every nonzero superdiagonal entry modulus 1.
+    Entries on and below the diagonal read 1.  A product is formed in the
+    band's doubles, left to right, so one that leaves the double range reads
+    0 or inf.
     """
-    band = np.abs(np.diagonal(block, offset=1))
-    band[band == 0] = 1.0
-    out = np.ones(block.shape)
+    band = np.diagonal(block, offset=1)
+    out = np.ones(block.shape, dtype=band.dtype)
     for k in range(block.shape[0] - 1):
         out[k, k + 1:] = np.cumprod(band[k:])
     return out
-
-
-def balancing(block: np.ndarray) -> np.ndarray:
-    """The band products the kernel balances a block by: band_products, or all
-    ones when a product leaves the double range (the block is then left unbalanced)."""
-    P = band_products(block)
-    return P if np.all((P > 0) & np.isfinite(P)) else np.ones_like(P)
-
-
-def _swap(B: np.ndarray, Q: np.ndarray, k: int, gap: complex) -> None:
-    """Exchange the nodes at positions k and k+1 by a unitary rotation.
-
-    gap is the node at k+1 minus the node at k.  The rotation's first column
-    is the eigenvector (b, gap) of the 2 x 2 diagonal block for its lower
-    node, so B stays upper triangular; Q accumulates the rotations.
-    """
-    v = np.array([B[k, k + 1], gap])
-    v /= np.linalg.norm(v, axis=-1)  # sums |v_q|^2 pairwise; the default sums real parts, then imaginary
-    R = np.array([[v[0], -v[1].conjugate()], [v[1], v[0].conjugate()]])
-    B[:, k:k + 2] = B[:, k:k + 2] @ R
-    B[k:k + 2, :] = R.conj().T @ B[k:k + 2, :]
-    B[k + 1, k] = 0.0
-    Q[:, k:k + 2] = Q[:, k:k + 2] @ R
 
 
 def _taylor(A: np.ndarray, coeffs) -> np.ndarray:
@@ -234,61 +204,50 @@ def _taylor(A: np.ndarray, coeffs) -> np.ndarray:
 
 
 def apply(block: np.ndarray, nodes: NodeSet, f: Power) -> np.ndarray:
-    """f of an upper-triangular (L, L) block whose node l has signed angle nodes.thetas[l].
+    """f of an upper-bidiagonal (L, L) block whose node l has signed angle nodes.thetas[l].
 
-    Rotations first make every cluster contiguous (none are needed when the
-    clusters do not interleave); each diagonal cluster block is a Taylor sum,
-    and each entry linking two clusters follows from FT = TF (Parlett):
-    F_kl (T_ll - T_kk) = T_kl (F_ll - F_kk) + sum_{k<m<l} (T_km F_ml - F_km T_ml),
-    with both differences taken from the exact angles.  The diagonal is set
-    to the exact node values.
-
-    The block is balanced first by the similarity that divides entry (k, l)
-    by its band product (band_products).  Entry (k, l) of f(T) is that
-    product times a divided difference of f; unbalanced, the Taylor sums stop
-    once the entries near the diagonal converge, while entries whose products
-    are 1e-80 smaller still need terms.  A product outside the double range
-    leaves the block unbalanced.
+    Entry (k, l) is the band product of block times f[x_k, ..., x_l]: within
+    one cluster an entry of the cluster's Taylor sum, across clusters the
+    divided-difference recurrence on the exact node gaps (module docstring).
     """
-    if np.any(np.tril(block, -1)):
-        raise PreconditionViolated("the fiber block must be upper triangular")
+    if np.any(np.tril(block, -1)) or np.any(np.triu(block, 2)):
+        raise PreconditionViolated("the fiber block must be upper bidiagonal")
     L = block.shape[0]
     thetas = nodes.thetas
     label = clusters(nodes, f.scale)
-    P = balancing(block)
-    B = np.asarray(block, dtype=complex) / P
-    Q = None
-    pos = list(range(L))  # node at each position
-    for end in range(L - 1, 0, -1):
-        for k in range(end):
-            a, c = pos[k], pos[k + 1]
-            if label[a] > label[c]:
-                if Q is None:
-                    Q = np.eye(L, dtype=complex)
-                _swap(B, Q, k, f.node_gap(thetas[c], thetas[a]))
-                pos[k], pos[k + 1] = c, a
-    F = np.zeros_like(B)
-    start = 0
-    for stop in range(1, L + 1):
-        if stop < L and label[pos[stop]] == label[pos[start]]:
-            continue
-        members = [thetas[p] for p in pos[start:stop]]
-        sigma = (min(members) + max(members)) / 2
-        A = np.triu(B[start:stop, start:stop], 1) * f.weight(sigma)
-        A[np.diag_indices(stop - start)] = [f.shifted(theta, sigma) for theta in members]
-        F[start:stop, start:stop] = _taylor(A, f.taylor(sigma))
-        start = stop
-    for l in range(L):
-        for k in range(l - 1, -1, -1):
-            a, c = pos[k], pos[l]
-            if label[a] == label[c]:
-                continue
-            inner = (B[k, k + 1:l] * F[k + 1:l, l]).sum() - (F[k, k + 1:l] * B[k + 1:l, l]).sum()
-            F[k, l] = (B[k, l] * f.value_gap(thetas[c], thetas[a]) + inner) / f.node_gap(thetas[c], thetas[a])
-    if Q is not None:
-        F = np.triu(Q @ F @ Q.conj().T, 1)
-    F[np.diag_indices(L)] = [f.value(theta) for theta in thetas]
-    return F * P
+    values = [f.value(theta) for theta in thetas]
+    members = [tuple(l for l in range(L) if label[l] == c) for c in range(max(label) + 1)]
+    runs = []  # each cluster's divided differences over runs of its own nodes
+    for own in members:
+        angles = tuple(thetas[l] for l in own)
+        sigma = (min(angles) + max(angles)) / 2
+        A = np.eye(len(own), k=1) * _phase(-sigma)
+        A[np.diag_indices(len(own))] = [unit_step(float(theta - sigma)) for theta in angles]
+        D = f.cluster(A, sigma, angles, own)
+        D[np.diag_indices(len(own))] = [values[l] for l in own]
+        runs.append(D)
+    if len(runs) == 1:
+        F = runs[0]
+    else:
+        pos = [members[c].index(l) for l, c in enumerate(label)]
+
+        @functools.cache
+        def divided(S: tuple) -> complex:
+            """f over the levels S, in order: a run of each cluster's nodes."""
+            a = S[0]
+            b = next((l for l in S if label[l] != label[a]), None)
+            if b is None:
+                return runs[label[a]][pos[a], pos[S[-1]]]
+            rest = tuple(l for l in S if l != b)
+            return (divided(S[1:]) - divided(rest)) / unit_diff(TorusPoint(thetas[b]), TorusPoint(thetas[a]))
+
+        F = np.zeros((L, L), dtype=complex)
+        for k in range(L):
+            for l in range(k + 1, L):
+                F[k, l] = divided(tuple(range(k, l + 1)))
+    F = F * band_products(block)
+    F[np.diag_indices(L)] = values
+    return F
 
 
 def exact_time(t) -> Fraction:

@@ -10,8 +10,9 @@ family agrees with integer powers of T on the index sequence, stays bounded
 along real sequences, and has purely imaginary generator spectrum.
 
 T^n, Log T and exp(tG) all come from the exact-phase kernel of the funm
-module, so every phase is taken from the exact angles.  The module needs
-numpy alone.
+module, so every phase is taken from the exact angles.  exp(tG) is formed
+from T itself, as exp of t times the log series; G is read by the roundtrip
+check exp(G) = T, and by the spectrum check.  The module needs numpy alone.
 """
 
 import cmath
@@ -31,10 +32,10 @@ from .errors import (
     PreconditionViolated,
     SpectrumOutsideDomain,
 )
-from .funm import Exp, Log, NodeSet, apply, balancing, clusters, exact_time, operator_power
+from .funm import ExpLog, Log, NodeSet, Power, apply, band_products, clusters, exact_time, exp_shifted
 from .sequences import IndexSequence
 
-LOG_METHOD = "exact-phase-schur-parlett"
+LOG_METHOD = "exact-phase-divided-differences"
 UNIT_GRID_POINTS = 64
 BOUNDED_TOL = 1e-6  # relative slack of the floor-power bound in bounded_along
 SPECTRUM_TOL = 1e-9  # largest real part and deviation a generator eigenvalue may show
@@ -47,12 +48,17 @@ class MatrixSemigroup:
     base: TruncatedOperator
     generator: np.ndarray  # (levels, levels): the log of fiber 1's block
     method: str
-    log_clusters: int  # Taylor clusters in the log; 1 means no Parlett step
+    log_clusters: int  # Taylor clusters in the log; 1 means no divided-difference step
     roundtrip_error: float = field(default=math.nan)
 
     @functools.cached_property
     def nodes(self) -> NodeSet:
         return NodeSet(self.base.thetas)
+
+    @functools.cached_property
+    def log_blocks(self) -> dict:
+        """Each cluster's log block, by its levels, as evolve's times form them (funm.ExpLog)."""
+        return {}
 
     @property
     def dim(self) -> int:
@@ -91,8 +97,7 @@ def principal_log(op: TruncatedOperator) -> MatrixSemigroup:
     spectrum inside the domain where the principal branch is analytic.  The
     block goes through the exact-phase kernel with f = Log; a defective block
     (a repeated diagonal coupled through the band) is an ordinary cluster.
-    The roundtrip error compares exp(G), from the same kernel with f = exp,
-    against T.
+    roundtrip_error checks the result against T.
     """
     diag = np.diag(op.block)
     if np.any(diag.real <= 0.5):
@@ -104,24 +109,59 @@ def principal_log(op: TruncatedOperator) -> MatrixSemigroup:
     G = apply(op.block, nodes, Log())
     G.flags.writeable = False
     log_clusters = len(set(clusters(nodes, 1)))
-    back = apply(G, nodes, Exp(Fraction(1)))
-    roundtrip = operator_norm(back - op.block, 2) / max(operator_norm(op.block, 2), 1.0)
     return MatrixSemigroup(
-        base=op, generator=G, method=LOG_METHOD, log_clusters=log_clusters, roundtrip_error=roundtrip
+        base=op, generator=G, method=LOG_METHOD, log_clusters=log_clusters, roundtrip_error=roundtrip_error(op, G)
     )
 
 
-def evolve(sg: MatrixSemigroup, t) -> np.ndarray:
-    """exp(tG), with the phase of every node reduced mod 1 exactly.
+def _balancing(block: np.ndarray) -> np.ndarray:
+    """|band_products|, or all ones when one is 0 or leaves the double range."""
+    P = np.abs(band_products(block))
+    return P if np.all((P > 0) & np.isfinite(P)) else np.ones_like(P)
 
-    G must be upper triangular with the exact log nodes 2 pi i theta on its
-    diagonal, as principal_log writes it.
+
+def _relative_error(got: np.ndarray, want: np.ndarray, products: np.ndarray) -> float:
+    """The larger of the plain and the balanced relative 2-norm distances of got from want.
+
+    Entry (k, l) of a function of T is its band product times a divided
+    difference, and the products fall to 1e-16 and below past level 1, so
+    relative to ||want|| an error deep in the band is invisible.  After the
+    diagonal similarity that divides entry (k, l) by its band product, the
+    deep entries count against their own size, but at large powers the
+    corner (1, L), about C(n, L-1), outweighs the entries near the diagonal.
+    """
+    return max(
+        operator_norm(got / scale - want / scale, 2) / max(operator_norm(want / scale, 2), 1e-300)
+        for scale in (1.0, products)
+    )
+
+
+def roundtrip_error(op: TruncatedOperator, G: np.ndarray) -> float:
+    """exp(G) against T, in _relative_error's measure: the check that reads the generator.
+
+    exp(G) is one Taylor sum of G shifted by the mid angle sigma of the nodes,
+    in T's band-balanced basis.  principal_log requires Re lambda > 1/2, so
+    every signed angle lies within 1/6 turn of sigma and no clusters are
+    needed.
+    """
+    thetas = NodeSet(op.thetas).thetas
+    sigma = (min(thetas) + max(thetas)) / 2
+    products = _balancing(op.block)
+    Y = (G - Log().value(sigma) * np.eye(len(thetas))) / products
+    return _relative_error(exp_shifted(Y, sigma, Fraction(1)) * products, op.block, products)
+
+
+def evolve(sg: MatrixSemigroup, t) -> np.ndarray:
+    """exp(t Log T) from T itself, with the phase of every node reduced mod 1 exactly.
+
+    Within each cluster at scale t it is the exp series of t times the
+    cluster's log series, whose block is formed once per node run; across
+    clusters it is the kernel's recurrence on the exact values e^(2 pi i t theta).
+    It does not read the generator, which roundtrip_error checks.
     """
     if not math.isfinite(float(t)) or t < 0:
         raise OutOfDomain(f"time parameter must be finite and >= 0, got {t}")
-    if np.any(np.diag(sg.generator) != sg.nodes.log_diag):
-        raise PreconditionViolated("generator diagonal is not the exact log spectrum of its base operator")
-    out = apply(sg.generator, sg.nodes, Exp(exact_time(t)))
+    out = apply(sg.base.block, sg.nodes, ExpLog(exact_time(t), sg.log_blocks))
     if not np.all(np.isfinite(out)):
         raise OutOfDomain(f"matrix exponential overflowed at t={t}")
     return out
@@ -151,35 +191,23 @@ class LatticeReport:
 def check_lattice(sg: MatrixSemigroup, seq: IndexSequence, P: int, tol: float = 1e-8) -> LatticeReport:
     """Agreement of the continuous family with integer powers along seq.
 
-    The two sides share the exact phases but not the arithmetic: within a
-    cluster T^n is the binomial series sigma^n sum_j C(n, j) M^j in the
-    shifted block M = sigma^-1 T - I, while exp(nG) is
-    sigma^n sum_j (n Y)^j / j! in Y = G - 2 pi i sigma I, whose band came out
-    of the log series; the Parlett step between clusters divides T's band
-    and G's band by different node gaps.
-
-    Entry (k, l) of f(T) is the band product alpha_k ... alpha_{l-1} times a
-    divided difference of f, and the products fall to 1e-16 and below past
-    level 1, so relative to ||T^n|| an error deep in the band is invisible.
-    After the diagonal similarity that divides entry (k, l) by its band
-    product (the kernel's balancing), the deep entries count against their
-    own size, but at large n the corner (1, L), about C(n, L-1), outweighs
-    the entries near the diagonal.  rel_err is therefore the larger of the
-    two relative errors, unscaled and balanced.
+    The two sides share the exact phases and the kernel's recurrence between
+    clusters, but not the arithmetic within a cluster: T^n is the binomial
+    series sigma^n sum_j C(n, j) A^j in the shifted unit-band block A, while
+    evolve's exp(nG) is sigma^n sum_j (n Y)^j / j! in the cluster's log block
+    Y, which came out of the log series.  The recurrence is checked against
+    mpmath oracles instead.  rel_err is _relative_error's: the larger of the
+    plain and the band-balanced relative errors.
     """
     if seq.kind != "integer":
         raise PreconditionViolated("lattice check needs an integer sequence")
     if not 1 <= P <= len(seq):
         raise HorizonExceedsSequence(f"P={P} outside 1..{len(seq)}")
-    products = balancing(sg.base.block)
+    products = _balancing(sg.base.block)
     rows = []
     for k in range(1, P + 1):
         n_k = seq.terms[k - 1]
-        Tn, En = operator_power(sg.base, n_k), evolve(sg, n_k)
-        err = max(
-            operator_norm(En / scale - Tn / scale, 2) / max(operator_norm(Tn / scale, 2), 1e-300)
-            for scale in (1.0, products)
-        )
+        err = _relative_error(evolve(sg, n_k), apply(sg.base.block, sg.nodes, Power(n_k)), products)
         rows.append(LatticeRow(k, n_k, err, err <= tol))
     return LatticeReport(tol, tuple(rows))
 

@@ -567,13 +567,18 @@ def test_construct_names_the_predicate_its_candidates_fail(tmp_path, monkeypatch
     assert failed[-1] == (4, "gap_ratio")
 
 
-def test_construct_never_writes_an_uncertified_record(tmp_path, capsys):
-    # on 2^(k(k-1)/2) the kernel's rotations misjudge level 2 on the full 10-level record,
-    # which its 2-level trial passed: the build stops instead of returning that record
-    seq = IndexSequence(tuple(2 ** (k * (k - 1) // 2) for k in range(1, 11)))
-    write_json(tmp_path / "seq.json", seq.to_json_dict())
+def test_construct_never_writes_an_uncertified_record(tmp_path, capsys, monkeypatch):
+    # a measurement under which the full record reads level 2's tail far above what its
+    # 2-level trial read: the build stops instead of returning that record
+    honest = jamison.construction._tail_sum
+
+    def deeper_reads_worse(Jn, w, gaps, level):
+        return honest(Jn, w, gaps, level) + (1e6 if Jn.shape[0] > level else 0.0)
+
+    monkeypatch.setattr(jamison.construction, "_tail_sum", deeper_reads_worse)
+    write_json(tmp_path / "seq.json", IndexSequence.factorials(5).to_json_dict())
     rc = main([
-        "construct", "--sequence", str(tmp_path / "seq.json"), "--levels", "10", "--horizon", "10",
+        "construct", "--sequence", str(tmp_path / "seq.json"), "--levels", "5", "--horizon", "5",
         "--out", str(tmp_path / "X.json"), "--out-dir", str(tmp_path),
     ])
     assert rc == 2
@@ -581,6 +586,29 @@ def test_construct_never_writes_an_uncertified_record(tmp_path, capsys):
     assert "invariant failure: the built record fails level 2 'tail_sum_ok'" in err
     assert json.loads(err[err.index("{"):])["tail_sum_ok"] is False
     assert not (tmp_path / "X.json").exists()
+
+
+def test_triangular_exponents_construct_verify_and_lift(tmp_path):
+    # n_k = 2^(k(k-1)/2): interleaved clusters from n = 2^28 on; L = 11 needs a gap below
+    # the normal double range
+    seq = IndexSequence(tuple(2 ** (k * (k - 1) // 2) for k in range(1, 12)))
+    write_json(tmp_path / "seq.json", seq.to_json_dict())
+    for L in (9, 10, 11):
+        cons, out = str(tmp_path / f"C{L}.json"), tmp_path / f"L{L}"
+        rc = main([
+            "construct", "--sequence", str(tmp_path / "seq.json"), "--levels", str(L), "--horizon", str(L),
+            "--fibers", "2", "--out", cons, "--out-dir", str(out / "construct"),
+        ])
+        if L == 11:
+            assert rc == 3
+            assert read_report(out / "construct")["predicate"] == "float_range"
+            assert not Path(cons).exists()
+            continue
+        assert rc == 0
+        assert main(["verify", "--construction", cons, "--p", "2", "--powers", str(L),
+                     "--out-dir", str(out / "verify")]) == 0
+        assert main(["semigroup", "--construction", cons, "--powers", str(L),
+                     "--out-dir", str(out / "semigroup")]) == 0
 
 
 @pytest.mark.parametrize("seq, target", [

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -236,7 +237,7 @@ def test_power_coefficient_vanishing_and_diagonal(synthetic_cons):
         for k, l in iter_product(range(1, 6), range(1, 6)):
             if k > l:
                 assert Tn[k - 1, l - 1] == 0
-            elif l - k > n:  # the Parlett step leaves its rounding there
+            elif l - k > n:  # the divided-difference steps leave their rounding there
                 assert abs(Tn[k - 1, l - 1]) <= 1e-13 * np.linalg.norm(Tn)
         diagonal = [lam.scaled(n).complex_value() for lam in synthetic_cons.lambdas]
         assert (np.diag(Tn) == diagonal).all()
@@ -486,7 +487,7 @@ def test_record_holds_only_its_choices(factorial_cons):
 
 def _principal_block_budget(cons, level):
     """Level l measured on the powers of its own l x l principal block: the reference for
-    the record's full-block powers.  Returns the chain differences, tail_max and the powers."""
+    the record's full-block powers.  Returns the chain differences and tail_max."""
     thetas, w = cons.lambdas, cons.weights
     gaps = construction.gaps_table(thetas, level)
     eig = (0.0, 0.0)
@@ -494,36 +495,44 @@ def _principal_block_budget(cons, level):
         eig = construction._chain_difference(thetas, construction._alphas_fiber1(gaps, w, level - 1), level)
     powers = construction._unit_band_powers(thetas[:level], cons.seq.prefix(cons.horizon))
     tail_max = max(construction._tail_sum(Jn, w, gaps, level) for Jn in powers)
-    return eig, tail_max, powers
+    return eig, tail_max
 
 
-def _entry_error_bound(points, n: int, Jn: np.ndarray) -> float:
-    """The funm module docstring's first-order bound on every entry of J^n over these nodes
-    (the unit band needs no balancing): 12 (L + r) u ||J^n||_F (1 + scale / CLUSTER_GAP)^(m - 1)."""
+def _entry_error_bound(points, n: int) -> float:
+    """The funm module docstring's first-order bound, 12 L u M_kl (1 + 2 scale / CLUSTER_GAP)^s,
+    at its largest over the entries of J^n on these nodes (the unit band's products are 1).
+    A cluster divided difference over d + 1 unimodular nodes is a complete homogeneous sum of
+    at most C(n, d) unimodular monomials, which bounds M_kl; s is l - k across clusters."""
     scale = max(n, 1)
     label = funm.clusters(funm.NodeSet(tuple(p.theta for p in points)), scale)
-    swaps = sum(a > b for i, a in enumerate(label) for b in label[i + 1:])
-    growth = (1 + scale / funm.CLUSTER_GAP) ** max(label)
-    return 12 * (len(points) + swaps) * 2.0 ** -53 * float(np.linalg.norm(Jn)) * growth
+    L = len(points)
+    worst = 0.0
+    for k in range(L):
+        for l in range(k, L):
+            counts = Counter(label[k:l + 1])
+            steps = l - k if len(counts) > 1 else 0
+            M = max(math.comb(n, count - 1) for count in counts.values())
+            worst = max(worst, M * (1 + 2 * scale / funm.CLUSTER_GAP) ** steps)
+    return 12 * L * 2.0 ** -53 * worst
 
 
 def _tail_slack(cons, level: int, routes) -> float:
-    """How far level l's tail_max may stray on the given routes, each a (points, powers) pair,
-    by the kernel's entry bound: _tail_sum is linear in the moduli of the entries it reads."""
+    """How far level l's tail_max may stray on the given routes, each the nodes its powers
+    were taken over, by the kernel's entry bound: _tail_sum is linear in the moduli of the
+    entries it reads."""
     gaps = construction.gaps_table(cons.lambdas, level)
-    exponents = cons.seq.prefix(cons.horizon)
     return max(
         construction._tail_sum(
-            np.full((level, level), sum(_entry_error_bound(points, n, powers[i]) for points, powers in routes)),
+            np.full((level, level), sum(_entry_error_bound(points, n) for points in routes)),
             cons.weights, gaps, level,
         )
-        for i, n in enumerate(exponents)
+        for n in cons.seq.prefix(cons.horizon)
     )
 
 
 # drawn by the property test below; at level 3 their node clusters interleave, so the
-# record's powers take the rotation path, while no 2 x 2 principal block can
-_ROTATED_SPECTRA = {
+# record's powers join them by divided-difference steps
+_INTERLEAVED_SPECTRA = {
     "1/97,88/97,1/86": ((Fraction(1, 97), Fraction(88, 97), Fraction(1, 86)), (1, 12)),
     "4/73,1/97,2/37": ((Fraction(4, 73), Fraction(1, 97), Fraction(2, 37)), (1, 17)),
 }
@@ -550,19 +559,17 @@ def _mp_tail_max(cons, level: int) -> float:
         return max(tail(n) for n in cons.seq.prefix(cons.horizon))
 
 
-@pytest.mark.parametrize("angles, terms", _ROTATED_SPECTRA.values(), ids=_ROTATED_SPECTRA.keys())
+@pytest.mark.parametrize("angles, terms", _INTERLEAVED_SPECTRA.values(), ids=_INTERLEAVED_SPECTRA.keys())
 def test_tail_max_routes_match_the_mpmath_oracle(angles, terms):
     # each route, the record's full block and the level's principal block, within its own
     # kernel bound of the 50-digit value (plus a few u for _tail_sum's own sum)
     cons = ShiftConstruction(IndexSequence(terms), angles, (1.0,) * 5, horizon=len(terms))
-    full = (cons.lambdas, cons.powers)
     for budget in cons.budgets:
         level = budget.level
         want = _mp_tail_max(cons, level)
-        _, block_tail, block_powers = _principal_block_budget(cons, level)
-        assert abs(budget.tail_max - want) <= _tail_slack(cons, level, [full]) + 4 * level * 2.0 ** -53 * want
-        block = (cons.lambdas[:level], block_powers)
-        assert abs(block_tail - want) <= _tail_slack(cons, level, [block]) + 4 * level * 2.0 ** -53 * want
+        _, block_tail = _principal_block_budget(cons, level)
+        assert abs(budget.tail_max - want) <= _tail_slack(cons, level, [cons.lambdas]) + 4 * level * 2.0 ** -53 * want
+        assert abs(block_tail - want) <= _tail_slack(cons, level, [cons.lambdas[:level]]) + 4 * level * 2.0 ** -53 * want
 
 
 @settings(max_examples=30, deadline=None)
@@ -585,9 +592,9 @@ def test_record_budgets_match_per_level_principal_blocks(angles, steps, w):
     cons = ShiftConstruction(IndexSequence(tuple(terms)), angles, w, horizon=len(terms))
     for budget in cons.budgets:
         level = budget.level
-        (eig_a, eig_b), tail_max, block_powers = _principal_block_budget(cons, level)
+        (eig_a, eig_b), tail_max = _principal_block_budget(cons, level)
         assert (budget.eigvec_a, budget.eigvec_b) == (eig_a, eig_b)
-        routes = [(cons.lambdas, cons.powers), (cons.lambdas[:level], block_powers)]
+        routes = [cons.lambdas, cons.lambdas[:level]]
         assert abs(budget.tail_max - tail_max) <= _tail_slack(cons, level, routes)
         assert budget.tail_sum_ok == (tail_max <= budget.tail_budget)
         assert budget.eigvec_budget_ok == (eig_a <= budget.eigvec_budget and eig_b <= budget.eigvec_budget)

@@ -5,11 +5,13 @@ fiber, verify's two fibers, and the unit-band J^n behind construct's budgets.
 
 The oracle is Opitz's formula for an upper-bidiagonal block: entry (k, l) of
 f(T) is the band product alpha_k ... alpha_{l-1} times the divided difference
-f[x_k, ..., x_l] over the nodes x = e^(2 pi i theta).  It shares nothing with
-the kernel's Taylor/Parlett route except the exact angles.  Divided
-differences over the construction's nearly coincident nodes (gaps down to
-1e-148 turns at L = 10) cancel about 300 digits, so the oracle runs at
-ORACLE_DPS digits and checks itself against a run 60 digits finer.
+f[x_k, ..., x_l] over the nodes x = e^(2 pi i theta).  The kernel uses the
+same formula, but the oracle shares only the exact angles with its
+arithmetic: no Taylor sum, no clusters, and a Newton table over all nodes in
+level order at high precision.  Divided differences over the construction's
+nearly coincident nodes (gaps down to 1e-148 turns at L = 10) cancel about
+300 digits, so the oracle runs at ORACLE_DPS digits and checks itself
+against a run 60 digits finer.
 
 On the ladder, an error is the larger of two relative 1-norm distances:
 the plain one, and one after the diagonal similarity that divides entry
@@ -30,7 +32,7 @@ import pytest
 
 from jamison import IndexSequence, assemble_operator, build_construction
 from jamison.construction import TruncatedOperator, _unit_band_powers, fiber_rescaled
-from jamison.errors import OutOfDomain
+from jamison.errors import OutOfDomain, PreconditionViolated
 from jamison.funm import band_products, operator_power
 from jamison.semigroup import evolve, principal_log
 from jamison.sequences import TorusPoint
@@ -81,11 +83,11 @@ def _err(got, want, band) -> float:
     return max(_rel(got, want), _rel(got, want, band))
 
 
-def oracle(thetas, band, value):
+def oracle(thetas, band, value, dps=ORACLE_DPS):
     """f(T) from the exact angles and the (double) band, checked to 60 digits."""
     band = [mp.mpf(float(a)) for a in band]
-    coarse = _opitz(thetas, band, value, ORACLE_DPS)
-    fine = _opitz(thetas, band, value, ORACLE_DPS + 60)
+    coarse = _opitz(thetas, band, value, dps)
+    fine = _opitz(thetas, band, value, dps + 60)
     assert _err(coarse, fine, band) <= 1e-60
     return fine
 
@@ -176,10 +178,10 @@ def test_real_times_match_oracle_at_every_rung(ladder):
     _assert_flat(errors)
 
 
-def test_parlett_step_between_interleaved_clusters():
+def test_divided_differences_between_interleaved_clusters():
     # two clusters, 1/20 and 1/10, each a few 1e-9 turns wide, interleaved
     # along the diagonal: |t| * spread is far above the cluster gap at every
-    # t here, so rotations bring each cluster together and Parlett joins them
+    # t here, so the recurrence joins each cluster's Taylor sum across the gap
     base = (Fraction(1, 20), Fraction(1, 10))
     thetas = [base[0], base[1], base[0] + Fraction(1, 10**9), base[1] + Fraction(3, 10**9), base[0] - Fraction(2, 10**9)]
     band = [0.3, 0.2, 0.25, 0.15]
@@ -197,6 +199,37 @@ def test_parlett_step_between_interleaved_clusters():
         errors.append((n, err))
     _report("interleaved clusters", errors)
     _assert_flat(errors)
+
+
+@pytest.mark.parametrize("L", [9, 10])
+def test_powers_on_triangular_exponents_match_oracle_entry_by_entry(L):
+    # on n_k = 2^(k(k-1)/2) the nodes form interleaved clusters from n = 2^28 on; every
+    # entry of J^n (unit band, so every band product is 1) against the oracle's divided
+    # difference, which cancels more digits than 400 can hold
+    seq = IndexSequence(tuple(2 ** (k * (k - 1) // 2) for k in range(1, L + 1)))
+    cons = build_construction(seq, L=L, K=L, w=tuple(range(1, L + 1)))
+    thetas = [p.theta for p in cons.lambdas]
+    errors = []
+    for n, Jn in zip(seq.terms, cons.powers):
+        want = oracle(thetas, [1.0] * (L - 1), power_value(Fraction(n)), dps=2500)
+        err = 0.0
+        for k in range(L):
+            for l in range(k, L):
+                if l - k > n:  # h_(n - (l - k)) = 0
+                    assert Jn[k, l] == 0
+                else:
+                    err = max(err, float(abs(mp.mpc(Jn[k, l]) - want[k][l]) / abs(want[k][l])))
+        errors.append((n, err))
+    _report(f"J^n entry by entry, 2^(k(k-1)/2), L = {L}", errors)
+    assert max(e for _, e in errors) <= 1e-12
+
+
+def test_kernel_refuses_a_block_that_is_not_bidiagonal():
+    thetas = (Fraction(1, 20), Fraction(1, 10), Fraction(3, 20))
+    block = np.diag([TorusPoint(t).complex_value() for t in thetas]) + np.diag([0.3, 0.2], k=1)
+    block[0, 2] = 1e-3
+    with pytest.raises(PreconditionViolated, match="bidiagonal"):
+        operator_power(TruncatedOperator(block, thetas), 5)
 
 
 def test_defective_block_matches_closed_form():
@@ -224,7 +257,8 @@ def test_defective_block_matches_closed_form():
 
 
 def test_band_products_below_the_double_range():
-    # 1e-200 * 1e-200 underflows, so the kernel leaves the block unbalanced
+    # 1e-200 * 1e-200 underflows, so entry (1, 3) reads 0 against the oracle's 1e-400 times
+    # its divided difference
     thetas = [Fraction(1, 20), Fraction(1, 20) + Fraction(1, 10**9), Fraction(1, 10)]
     band = [1e-200, 1e-200]
     lams = [complex(mp.expjpi(2 * _mpf(t))) for t in thetas]
