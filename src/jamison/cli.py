@@ -235,7 +235,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_semigroup(args) -> int:
     from .construction import assemble_operator
-    from .semigroup import bounded_along, lift_report, principal_log
+    from .semigroup import ROUNDTRIP_TOL, bounded_along, lift_report, principal_log
 
     cons, fibers = load_construction(args.construction)
     op = assemble_operator(cons, cons.levels, fibers)
@@ -254,7 +254,7 @@ def _cmd_semigroup(args) -> int:
     checks = {
         "lattice": lift["lattice"]["all_ok"],
         "spectrum": lift["spectrum"]["all_ok"],
-        "roundtrip": sg.roundtrip_error <= 1e-10,
+        "roundtrip": sg.roundtrip_error <= ROUNDTRIP_TOL,
         "shift_norm_below_third": lift["shift_norm_below_third"],
     }
     if args.real_sequence is not None:

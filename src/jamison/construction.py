@@ -39,11 +39,12 @@ from .errors import (
     InvalidIndex,
     InvariantFailure,
     NonSquare,
+    OutOfDomain,
     PreconditionViolated,
     SizeMismatch,
     WeightListTooShort,
 )
-from .funm import NodeSet, Power, apply, band_products
+from .funm import NodeSet, Power, apply
 from .sequences import IndexSequence, TorusPoint, chord_distance, near_return_search, torus_from_chord, unit_diff
 
 
@@ -182,9 +183,8 @@ def _unit_band_powers(points, exponents) -> list:
     row.  The powers come from the exact-phase kernel, one node set shared by
     all exponents.
     """
-    J = np.diag([p.complex_value() for p in points]) + np.eye(len(points), k=1)
     nodes = NodeSet(tuple(p.theta for p in points))
-    return [apply(J, nodes, Power(n)) for n in exponents]
+    return [apply(nodes, Power(n)) for n in exponents]
 
 
 def _suffix_weight_products(w: tuple, level: int) -> dict:
@@ -572,16 +572,45 @@ class TruncatedOperator:
     binary (fiber_rescaled).  No entry grows, which bounds the 1- and
     inf-norms by fiber 1's; for p = 2 the rescaling is a Schur product with
     the positive definite [c^|k-l|], 0 < c < 1, which is no expansion.  So
-    the norm of the direct sum is fiber 1's.
+    the norm of the direct sum is fiber 1's.  The block must be square,
+    upper bidiagonal and as wide as thetas is long.
     """
 
     block: np.ndarray
     thetas: tuple
     fibers: int = 1
 
+    def __post_init__(self):
+        shape = np.shape(self.block)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise NonSquare(f"fiber block of shape {shape} is not square")
+        if shape[0] != len(self.thetas):
+            raise SizeMismatch(f"fiber block has {shape[0]} levels, thetas holds {len(self.thetas)} angles")
+        if np.any(np.tril(self.block, -1)) or np.any(np.triu(self.block, 2)):
+            raise PreconditionViolated("the fiber block must be upper bidiagonal")
+
     @property
     def levels(self) -> int:
         return self.block.shape[0]
+
+    @cached_property
+    def products(self) -> np.ndarray:
+        """Entry (k, l), k < l, is b_k ... b_{l-1} over the block's superdiagonal b; the rest read 1.
+
+        Formed once per operator, in the band's doubles, left to right.  A
+        product that underflows reads 0 or a subnormal with fewer digits, and
+        so does its entry of every function of T; one that overflows is
+        OutOfDomain.
+        """
+        band = np.diagonal(self.block, offset=1)
+        out = np.ones(self.block.shape, dtype=band.dtype)
+        with np.errstate(over="ignore"):
+            for k in range(self.levels - 1):
+                out[k, k + 1:] = np.cumprod(band[k:])
+        if not np.all(np.isfinite(out)):
+            raise OutOfDomain("a band product overflows the double range")
+        out.flags.writeable = False
+        return out
 
     def shift_part(self) -> np.ndarray:
         return np.triu(self.block, 1)
@@ -699,11 +728,11 @@ def verify_partial_power_bound(cons: ShiftConstruction, L: int, I: int, P: int, 
 
     T^n comes from the exact-phase kernel, whose diagonal is the exact D^n, so
     the difference is the strictly upper part of T^n: the genuine band
-    contribution.  The fiber band is positive, so the kernel's balancing
-    turns the block into the unit-band J on the exact eigenvalues: the
-    record's J^n of each row, cut to L levels, gives T^n = J^n * band_products
-    and the analytic tail bound alike.  Fiber 1's norms are the I-fiber
-    operator's (TruncatedOperator), so only the truncation bound reads I.
+    contribution.  The record's J^n of each row, the divided differences of
+    z^n on the exact eigenvalues cut to L levels, gives T^n = J^n times the
+    operator's band products (TruncatedOperator.products) and the analytic
+    tail bound alike.  Fiber 1's norms are the I-fiber operator's
+    (TruncatedOperator), so only the truncation bound reads I.
     Each row also carries that bound; a certified construction must come out
     with measured <= 1, operator power <= 2, and analytic bound at least the
     measured value.
@@ -712,7 +741,7 @@ def verify_partial_power_bound(cons: ShiftConstruction, L: int, I: int, P: int, 
         raise BudgetsNotCertified("verification requires a construction whose budgets all passed")
     if P < 1 or P > cons.horizon:
         raise HorizonExceedsSequence(f"powers horizon {P} outside 1..{cons.horizon}")
-    products = band_products(assemble_operator(cons, L, I).block)
+    products = assemble_operator(cons, L, I).products
     rows = []
     for k in range(1, P + 1):
         n = cons.seq.terms[k - 1]

@@ -1,10 +1,12 @@
-"""One exact-phase kernel for functions of an upper-bidiagonal fiber block.
+"""One exact-phase kernel: functions of the unit-band block on exact angles.
 
 A fiber block T is a diagonal of nodes x_l = e^(2 pi i theta_l) plus a band
 b, so entry (k, l) of f(T) is the band product b_k ... b_{l-1} times the
-divided difference f[x_k, ..., x_l] (Opitz, ZAMM 44, 1964).  The kernel forms
-the divided differences, then multiplies each entry by its band product.
-T^t, Log T and exp(t Log T) all take this route.
+divided difference f[x_k, ..., x_l] (Opitz, ZAMM 44, 1964).  The divided
+differences are the entries of f(J), with J the unit-band block on the same
+nodes, and this module forms only those: ``apply`` reads nothing but the
+exact angles.  T^t, Log T and exp(t Log T) all take this route; the band
+products belong to the operator (construction.TruncatedOperator.products).
 
 Nodes whose exact angle gaps are small on the scale of the function form a
 cluster.  The divided differences over runs of one cluster's nodes are the
@@ -18,9 +20,6 @@ exact node values.  Every phase (z^t, Log z) is taken from the exact angle,
 with t * theta reduced mod 1 before the float exponential, so no error of
 order n * eps builds up at factorial powers.
 
-An operator is anything with an (L, L) ``block``, fiber 1's, and a
-``thetas`` tuple holding its exact diagonal angles (turns).
-
 Accuracy, to first order in u = 2^-53.  A Taylor sum errs by a few u relative
 to the moduli it combines (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., 2002, section 3.6), so a cluster's divided differences
@@ -28,16 +27,11 @@ err by at most 12 L u times the largest of their moduli.  A cross-cluster
 step divides by a gap of at least CLUSTER_GAP / scale, so it can magnify the
 errors it inherits, and its own rounding, by 2 scale / CLUSTER_GAP.  Entry
 (k, l) takes s such steps, s = 0 within one cluster and s <= l - k across
-clusters, and reads no node outside k..l.  So entry (k, l) of D, f(T) with
-its band products divided out, errs by at most
-12 L u M_kl (1 + 2 scale / CLUSTER_GAP)^s, with M_kl the largest modulus of a
-cluster divided difference over nodes among k..l: each entry is accurate
-against its own band product, not against ||f(T)||.
-
-Range.  The band products are formed last, as products of the band's
-doubles.  Where one leaves the double range, its entry reads the rounded
-product times the divided difference: 0, or a subnormal with fewer digits,
-where it underflows, and inf where it overflows.
+clusters, and reads no node outside k..l.  So entry (k, l) of f(J) errs by
+at most 12 L u M_kl (1 + 2 scale / CLUSTER_GAP)^s, with M_kl the largest
+modulus of a cluster divided difference over nodes among k..l: each entry is
+accurate against its own size, not against ||f(J)||, and multiplying by a
+band product keeps that relative accuracy.
 """
 
 import cmath
@@ -48,7 +42,7 @@ from itertools import accumulate, chain, count
 
 import numpy as np
 
-from .errors import OutOfDomain, PreconditionViolated
+from .errors import OutOfDomain
 from .sequences import TorusPoint, turns_to_radians, unit_diff, unit_step
 
 CLUSTER_GAP = 0.1  # radians times max(|t|, 1): closer nodes share a Taylor cluster
@@ -162,20 +156,6 @@ def clusters(nodes: NodeSet, scale) -> list:
     return [first.setdefault(r, len(first)) for r in raw]
 
 
-def band_products(block: np.ndarray) -> np.ndarray:
-    """Entry (k, l), k < l, is b_k ... b_{l-1} over the block's superdiagonal b.
-
-    Entries on and below the diagonal read 1.  A product is formed in the
-    band's doubles, left to right, so one that leaves the double range reads
-    0 or inf.
-    """
-    band = np.diagonal(block, offset=1)
-    out = np.ones(block.shape, dtype=band.dtype)
-    for k in range(block.shape[0] - 1):
-        out[k, k + 1:] = np.cumprod(band[k:])
-    return out
-
-
 def _taylor(A: np.ndarray, coeffs) -> np.ndarray:
     """sum_j coeffs[j] A^j, until two terms past the nilpotent part are negligible.
 
@@ -203,17 +183,15 @@ def _taylor(A: np.ndarray, coeffs) -> np.ndarray:
             raise OutOfDomain(f"cluster Taylor series not converged after {_MAX_TERMS} terms")
 
 
-def apply(block: np.ndarray, nodes: NodeSet, f: Power) -> np.ndarray:
-    """f of an upper-bidiagonal (L, L) block whose node l has signed angle nodes.thetas[l].
+def apply(nodes: NodeSet, f: Power) -> np.ndarray:
+    """f(J) on the unit-band block J whose node l has signed angle nodes.thetas[l].
 
-    Entry (k, l) is the band product of block times f[x_k, ..., x_l]: within
-    one cluster an entry of the cluster's Taylor sum, across clusters the
-    divided-difference recurrence on the exact node gaps (module docstring).
+    Entry (k, l), k <= l, is f[x_k, ..., x_l]: within one cluster an entry of
+    the cluster's Taylor sum, across clusters the divided-difference
+    recurrence on the exact node gaps (module docstring).
     """
-    if np.any(np.tril(block, -1)) or np.any(np.triu(block, 2)):
-        raise PreconditionViolated("the fiber block must be upper bidiagonal")
-    L = block.shape[0]
     thetas = nodes.thetas
+    L = len(thetas)
     label = clusters(nodes, f.scale)
     values = [f.value(theta) for theta in thetas]
     members = [tuple(l for l in range(L) if label[l] == c) for c in range(max(label) + 1)]
@@ -227,26 +205,23 @@ def apply(block: np.ndarray, nodes: NodeSet, f: Power) -> np.ndarray:
         D[np.diag_indices(len(own))] = [values[l] for l in own]
         runs.append(D)
     if len(runs) == 1:
-        F = runs[0]
-    else:
-        pos = [members[c].index(l) for l, c in enumerate(label)]
+        return runs[0]
+    pos = [members[c].index(l) for l, c in enumerate(label)]
 
-        @functools.cache
-        def divided(S: tuple) -> complex:
-            """f over the levels S, in order: a run of each cluster's nodes."""
-            a = S[0]
-            b = next((l for l in S if label[l] != label[a]), None)
-            if b is None:
-                return runs[label[a]][pos[a], pos[S[-1]]]
-            rest = tuple(l for l in S if l != b)
-            return (divided(S[1:]) - divided(rest)) / unit_diff(TorusPoint(thetas[b]), TorusPoint(thetas[a]))
+    @functools.cache
+    def divided(S: tuple) -> complex:
+        """f over the levels S, in order: a run of each cluster's nodes."""
+        a = S[0]
+        b = next((l for l in S if label[l] != label[a]), None)
+        if b is None:
+            return runs[label[a]][pos[a], pos[S[-1]]]
+        rest = tuple(l for l in S if l != b)
+        return (divided(S[1:]) - divided(rest)) / unit_diff(TorusPoint(thetas[b]), TorusPoint(thetas[a]))
 
-        F = np.zeros((L, L), dtype=complex)
-        for k in range(L):
-            for l in range(k + 1, L):
-                F[k, l] = divided(tuple(range(k, l + 1)))
-    F = F * band_products(block)
-    F[np.diag_indices(L)] = values
+    F = np.diag(np.array(values, dtype=complex))
+    for k in range(L):
+        for l in range(k + 1, L):
+            F[k, l] = divided(tuple(range(k, l + 1)))
     return F
 
 
@@ -255,5 +230,5 @@ def exact_time(t) -> Fraction:
 
 
 def operator_power(op, t) -> np.ndarray:
-    """T^t = exp(t Log T) on op's fiber block, t*theta reduced mod 1 exactly."""
-    return apply(op.block, NodeSet(op.thetas), Power(exact_time(t)))
+    """T^t = exp(t Log T) on op's fiber block: J^t on its exact angles times its band products."""
+    return apply(NodeSet(op.thetas), Power(exact_time(t))) * op.products

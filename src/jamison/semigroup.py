@@ -10,9 +10,11 @@ family agrees with integer powers of T on the index sequence, stays bounded
 along real sequences, and has purely imaginary generator spectrum.
 
 T^n, Log T and exp(tG) all come from the exact-phase kernel of the funm
-module, so every phase is taken from the exact angles.  exp(tG) is formed
-from T itself, as exp of t times the log series; G is read by the roundtrip
-check exp(G) = T, and by the spectrum check.  The module needs numpy alone.
+module as functions of the unit-band block J on T's exact angles; a function
+of T is that times the band products (TruncatedOperator.products), which no
+check divides by.  exp(tG) is formed from T itself, as exp of t times the log
+series; Log J is read by the roundtrip check exp(Log J) = J, and G = Log J
+times the products by the spectrum check.  The module needs numpy alone.
 """
 
 import cmath
@@ -32,13 +34,15 @@ from .errors import (
     PreconditionViolated,
     SpectrumOutsideDomain,
 )
-from .funm import ExpLog, Log, NodeSet, Power, apply, band_products, clusters, exact_time, exp_shifted
-from .sequences import IndexSequence
+from .funm import ExpLog, Log, NodeSet, Power, apply, clusters, exact_time, exp_shifted
+from .sequences import IndexSequence, TorusPoint
 
 LOG_METHOD = "exact-phase-divided-differences"
 UNIT_GRID_POINTS = 64
 BOUNDED_TOL = 1e-6  # relative slack of the floor-power bound in bounded_along
 SPECTRUM_TOL = 1e-9  # largest real part and deviation a generator eigenvalue may show
+ROUNDTRIP_TOL = 1e-10  # largest roundtrip_error a lift may show
+_SIXTH = Fraction(1, 6)  # largest |signed angle| (turns) principal_log accepts: Re lambda >= 1/2
 
 
 @dataclass(frozen=True)
@@ -46,10 +50,17 @@ class MatrixSemigroup:
     """One-parameter matrix family exp(tG) with G the principal log of T."""
 
     base: TruncatedOperator
-    generator: np.ndarray  # (levels, levels): the log of fiber 1's block
+    unit_log: np.ndarray  # (levels, levels): Log J, the log's divided differences over fiber 1's nodes
     method: str
     log_clusters: int  # Taylor clusters in the log; 1 means no divided-difference step
     roundtrip_error: float = field(default=math.nan)
+
+    @functools.cached_property
+    def generator(self) -> np.ndarray:
+        """G = Log T of fiber 1's block: unit_log times the operator's band products."""
+        G = self.unit_log * self.base.products
+        G.flags.writeable = False
+        return G
 
     @functools.cached_property
     def nodes(self) -> NodeSet:
@@ -93,78 +104,80 @@ class MatrixSemigroup:
 def principal_log(op: TruncatedOperator) -> MatrixSemigroup:
     """Principal matrix logarithm of fiber 1's block; every other fiber's is its rescaling.
 
-    Every diagonal entry must have real part above 1/2, which keeps the
-    spectrum inside the domain where the principal branch is analytic.  The
-    block goes through the exact-phase kernel with f = Log; a defective block
-    (a repeated diagonal coupled through the band) is an ordinary cluster.
-    roundtrip_error checks the result against T.
+    Every signed level angle must lie within 1/6 turn of 0, so every
+    diagonal entry has real part at least 1/2, which keeps the spectrum
+    inside the domain where the principal branch is analytic; the exact
+    angles decide it.  The nodes go through the exact-phase kernel with
+    f = Log; a defective block (a repeated diagonal coupled through the band)
+    is an ordinary cluster.  roundtrip_error checks the result against J.
     """
-    diag = np.diag(op.block)
-    if np.any(diag.real <= 0.5):
-        worst = diag[np.argmin(diag.real)]
-        raise SpectrumOutsideDomain(
-            f"diagonal entry {worst} has real part <= 1/2; principal branch unsafe"
-        )
     nodes = NodeSet(op.thetas)
-    G = apply(op.block, nodes, Log())
-    G.flags.writeable = False
+    worst = max(nodes.thetas, key=abs)
+    if abs(worst) > _SIXTH:
+        raise SpectrumOutsideDomain(
+            f"level angle {worst} turns lies more than 1/6 turn from 0 (real part below 1/2); "
+            "principal branch unsafe"
+        )
+    D = apply(nodes, Log())
+    D.flags.writeable = False
     log_clusters = len(set(clusters(nodes, 1)))
     return MatrixSemigroup(
-        base=op, generator=G, method=LOG_METHOD, log_clusters=log_clusters, roundtrip_error=roundtrip_error(op, G)
+        base=op, unit_log=D, method=LOG_METHOD, log_clusters=log_clusters, roundtrip_error=roundtrip_error(op, D)
     )
-
-
-def _balancing(block: np.ndarray) -> np.ndarray:
-    """|band_products|, or all ones when one is 0 or leaves the double range."""
-    P = np.abs(band_products(block))
-    return P if np.all((P > 0) & np.isfinite(P)) else np.ones_like(P)
 
 
 def _relative_error(got: np.ndarray, want: np.ndarray, products: np.ndarray) -> float:
-    """The larger of the plain and the balanced relative 2-norm distances of got from want.
+    """The larger of two relative 2-norm distances of divided differences got from want.
 
-    Entry (k, l) of a function of T is its band product times a divided
-    difference, and the products fall to 1e-16 and below past level 1, so
-    relative to ||want|| an error deep in the band is invisible.  After the
-    diagonal similarity that divides entry (k, l) by its band product, the
-    deep entries count against their own size, but at large powers the
-    corner (1, L), about C(n, L-1), outweighs the entries near the diagonal.
+    One is taken on the functions of T, got and want times the band
+    products; the other on the divided differences themselves.  The products
+    fall to 1e-16 and below past level 1, so relative to the norm of the
+    function of T an error deep in the band is invisible; among the divided
+    differences the deep entries count against their own size, but at large
+    powers the corner (1, L), about C(n, L-1), outweighs the entries near the
+    diagonal.  No product is divided by, so one that underflows hides only
+    its own entry, and from the first measure alone.
     """
     return max(
-        operator_norm(got / scale - want / scale, 2) / max(operator_norm(want / scale, 2), 1e-300)
-        for scale in (1.0, products)
+        operator_norm((got - want) * scale, 2) / max(operator_norm(want * scale, 2), 1e-300)
+        for scale in (products, 1.0)
     )
 
 
-def roundtrip_error(op: TruncatedOperator, G: np.ndarray) -> float:
-    """exp(G) against T, in _relative_error's measure: the check that reads the generator.
+def roundtrip_error(op: TruncatedOperator, unit_log: np.ndarray) -> float:
+    """exp(Log J) against J, in _relative_error's measure: the check that reads the log.
 
-    exp(G) is one Taylor sum of G shifted by the mid angle sigma of the nodes,
-    in T's band-balanced basis.  principal_log requires Re lambda > 1/2, so
-    every signed angle lies within 1/6 turn of sigma and no clusters are
-    needed.
+    J is the unit-band block on op's exact angles, and exp(Log J) one Taylor
+    sum of unit_log shifted by the mid angle sigma of the nodes.
+    principal_log requires every signed angle within 1/6 turn of 0, so each
+    lies within 1/6 turn of sigma and no clusters are needed.
     """
     thetas = NodeSet(op.thetas).thetas
     sigma = (min(thetas) + max(thetas)) / 2
-    products = _balancing(op.block)
-    Y = (G - Log().value(sigma) * np.eye(len(thetas))) / products
-    return _relative_error(exp_shifted(Y, sigma, Fraction(1)) * products, op.block, products)
+    J = np.diag([TorusPoint(theta).complex_value() for theta in thetas]) + np.eye(len(thetas), k=1)
+    Y = unit_log - Log().value(sigma) * np.eye(len(thetas))
+    return _relative_error(exp_shifted(Y, sigma, Fraction(1)), J, op.products)
 
 
-def evolve(sg: MatrixSemigroup, t) -> np.ndarray:
-    """exp(t Log T) from T itself, with the phase of every node reduced mod 1 exactly.
+def unit_evolve(sg: MatrixSemigroup, t) -> np.ndarray:
+    """exp(t Log J): the divided differences of exp(t Log z) over fiber 1's nodes.
 
     Within each cluster at scale t it is the exp series of t times the
     cluster's log series, whose block is formed once per node run; across
     clusters it is the kernel's recurrence on the exact values e^(2 pi i t theta).
-    It does not read the generator, which roundtrip_error checks.
+    It does not read unit_log, which roundtrip_error checks.
     """
     if not math.isfinite(float(t)) or t < 0:
         raise OutOfDomain(f"time parameter must be finite and >= 0, got {t}")
-    out = apply(sg.base.block, sg.nodes, ExpLog(exact_time(t), sg.log_blocks))
+    out = apply(sg.nodes, ExpLog(exact_time(t), sg.log_blocks))
     if not np.all(np.isfinite(out)):
         raise OutOfDomain(f"matrix exponential overflowed at t={t}")
     return out
+
+
+def evolve(sg: MatrixSemigroup, t) -> np.ndarray:
+    """exp(t Log T) from T itself: unit_evolve times the operator's band products."""
+    return unit_evolve(sg, t) * sg.base.products
 
 
 @dataclass(frozen=True)
@@ -196,18 +209,18 @@ def check_lattice(sg: MatrixSemigroup, seq: IndexSequence, P: int, tol: float = 
     series sigma^n sum_j C(n, j) A^j in the shifted unit-band block A, while
     evolve's exp(nG) is sigma^n sum_j (n Y)^j / j! in the cluster's log block
     Y, which came out of the log series.  The recurrence is checked against
-    mpmath oracles instead.  rel_err is _relative_error's: the larger of the
-    plain and the band-balanced relative errors.
+    mpmath oracles instead.  Both sides are compared as divided differences;
+    rel_err is _relative_error's: the larger of the relative errors with and
+    without the band products.
     """
     if seq.kind != "integer":
         raise PreconditionViolated("lattice check needs an integer sequence")
     if not 1 <= P <= len(seq):
         raise HorizonExceedsSequence(f"P={P} outside 1..{len(seq)}")
-    products = _balancing(sg.base.block)
     rows = []
     for k in range(1, P + 1):
         n_k = seq.terms[k - 1]
-        err = _relative_error(evolve(sg, n_k), apply(sg.base.block, sg.nodes, Power(n_k)), products)
+        err = _relative_error(unit_evolve(sg, n_k), apply(sg.nodes, Power(n_k)), sg.base.products)
         rows.append(LatticeRow(k, n_k, err, err <= tol))
     return LatticeReport(tol, tuple(rows))
 

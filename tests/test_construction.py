@@ -35,7 +35,7 @@ from jamison.errors import (
     SizeMismatch,
     WeightListTooShort,
 )
-from jamison.construction import fiber_rescaled
+from jamison.construction import TruncatedOperator, fiber_rescaled
 from jamison.funm import operator_power
 from jamison.sequences import unit_diff
 from jamison.serialize import construction_to_json_dict
@@ -295,6 +295,15 @@ def test_assemble_size_mismatch(synthetic_cons):
         assemble_operator(synthetic_cons, 6, 1)
     with pytest.raises(SizeMismatch):
         assemble_operator(synthetic_cons, 3, 0)
+
+
+def test_operator_refuses_a_block_unlike_its_angles(synthetic_cons):
+    # a block wider than its exact angles would index past them in every kernel call
+    op = assemble_operator(synthetic_cons, 5, 1)
+    with pytest.raises(SizeMismatch):
+        TruncatedOperator(op.block, op.thetas[:4])
+    with pytest.raises(NonSquare):
+        TruncatedOperator(op.block[:4], op.thetas[:4])
 
 
 def test_power_band_closure(synthetic_cons):

@@ -33,7 +33,7 @@ import pytest
 from jamison import IndexSequence, assemble_operator, build_construction
 from jamison.construction import TruncatedOperator, _unit_band_powers, fiber_rescaled
 from jamison.errors import OutOfDomain, PreconditionViolated
-from jamison.funm import band_products, operator_power
+from jamison.funm import operator_power
 from jamison.semigroup import evolve, principal_log
 from jamison.sequences import TorusPoint
 
@@ -133,7 +133,7 @@ def _power_route(route, cons, op):
         two = assemble_operator(cons, cons.levels, 2)
         bands = [np.diagonal(fiber_rescaled(two.block, i), offset=1).real for i in (1, 2)]
         return bands, lambda n: [
-            fiber_rescaled(_unit_band_powers(cons.lambdas, [n])[0] * band_products(two.block), i) for i in (1, 2)
+            fiber_rescaled(_unit_band_powers(cons.lambdas, [n])[0] * two.products, i) for i in (1, 2)
         ]
     return [np.diagonal(op.block, offset=1).real], lambda n: [operator_power(op, n)]
 
@@ -267,6 +267,17 @@ def test_band_products_below_the_double_range():
         got = operator_power(op, n)
         assert np.isfinite(got).all()
         assert _rel(got, oracle(thetas, band, power_value(Fraction(n)))) <= TOL
+
+
+def test_a_band_product_past_the_double_range_is_out_of_domain():
+    # 1e200 * 1e200 overflows; no function of T is formed from an inf product
+    thetas = [Fraction(1, 20), Fraction(1, 19), Fraction(1, 18)]
+    lams = [complex(mp.expjpi(2 * _mpf(t))) for t in thetas]
+    op = TruncatedOperator((np.diag(lams) + np.diag([1e200, 1e200], k=1)), tuple(thetas))
+    with pytest.raises(OutOfDomain, match="overflows the double range"):
+        operator_power(op, 2)
+    with pytest.raises(OutOfDomain, match="overflows the double range"):
+        principal_log(op)
 
 
 def test_singleton_clusters_take_powers_near_the_top_of_the_double_range():

@@ -85,6 +85,17 @@ def test_log_rejects_left_halfplane_spectrum():
         principal_log(_exact_operator((Fraction(3, 10), Fraction(1, 20))))
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["above", "below"])
+def test_log_decides_the_domain_on_the_exact_angle(sign):
+    # 1e-20 turns past 1/6 the real part is below 1/2, though the rounded
+    # diagonal reads 0.5000000000000001
+    theta = sign * (Fraction(1, 6) + Fraction(1, 10**20))
+    op = _exact_operator((Fraction(1, 20), theta))
+    assert op.block[1, 1].real > 0.5
+    with pytest.raises(SpectrumOutsideDomain):
+        principal_log(op)
+
+
 def test_defective_block_is_one_cluster():
     # Log(lam (I + N/lam)) = Log(lam) I + N/lam exactly, since N^2 = 0
     theta = Fraction(1, 30)
@@ -172,22 +183,22 @@ def test_lattice_agreement(factorial_setup):
 
 
 def test_lattice_detects_perturbed_generator(factorial_setup):
-    # evolve forms exp(tG) from T, so the roundtrip is the check that reads the generator
+    # evolve forms exp(tG) from T, so the roundtrip is the check that reads the log
     _, op, sg = factorial_setup
     rng = np.random.default_rng(7)
     noise = 1e-3 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-    assert roundtrip_error(op, sg.generator + np.triu(noise, 1)) > 1e-8
+    assert roundtrip_error(op, sg.unit_log + np.triu(noise, 1)) > 1e-8
 
 
 def test_lattice_sees_errors_deep_in_the_band(factorial_setup):
     # band entries past level 1 are ~1e-16 and below, so an error there is
-    # invisible next to ||T|| ~ 1; the roundtrip measures after the band scaling too
+    # invisible next to ||T|| ~ 1; the roundtrip also measures the divided differences
     _, op, sg = factorial_setup
-    doubled = sg.generator + np.triu(sg.generator, 1) * (np.arange(8) >= 1)[:, None]
-    one_percent = np.array(sg.generator)
+    doubled = sg.unit_log + np.triu(sg.unit_log, 1) * (np.arange(8) >= 1)[:, None]
+    one_percent = np.array(sg.unit_log)
     one_percent[5, 6] *= 1.01
-    for generator, least in ((doubled, 0.9), (one_percent, 5e-3)):
-        assert roundtrip_error(op, generator) >= least
+    for unit_log, least in ((doubled, 0.9), (one_percent, 5e-3)):
+        assert roundtrip_error(op, unit_log) >= least
 
 
 def test_lattice_detects_a_perturbed_log_series_coefficient(factorial_setup, monkeypatch):
@@ -205,31 +216,49 @@ def test_lattice_detects_a_perturbed_log_series_coefficient(factorial_setup, mon
     assert not rep.all_ok
 
 
-def test_lattice_sees_errors_near_the_diagonal(factorial_setup, monkeypatch):
-    # after the band scaling the corner (1, L), about C(n, L-1), outweighs
-    # the first band row at large n; the plain measure still sees it
-    seq, _, sg = factorial_setup
-    honest = semigroup.evolve
+def _one_percent_off_in_entry_12(monkeypatch):
+    """Entry (1, 2) of the exp route's divided differences, 1 % too large."""
+    honest = semigroup.unit_evolve
 
     def shallow_error(sg, t):
         out = np.array(honest(sg, t))
         out[0, 1] *= 1.01
         return out
 
-    monkeypatch.setattr(semigroup, "evolve", shallow_error)
+    monkeypatch.setattr(semigroup, "unit_evolve", shallow_error)
+
+
+def test_lattice_sees_errors_near_the_diagonal(factorial_setup, monkeypatch):
+    # among the divided differences the corner (1, L), about C(n, L-1),
+    # outweighs the first band row at large n; the measure on T^n still sees it
+    seq, _, sg = factorial_setup
+    _one_percent_off_in_entry_12(monkeypatch)
     rep = check_lattice(sg, seq, 8)
     assert rep.rows[-1].rel_err >= 1e-5
     assert not any(r.ok for r in rep.rows)
 
 
+_UNDERFLOW_THETAS = (Fraction(1, 20), Fraction(1, 20) + Fraction(1, 10**9), Fraction(1, 10))
+
+
 def test_lattice_on_band_products_below_the_double_range():
-    # 1e-200 * 1e-200 underflows: that entry reads 0 on both routes, and the
-    # check compares the block unbalanced instead of dividing by zero
-    thetas = (Fraction(1, 20), Fraction(1, 20) + Fraction(1, 10**9), Fraction(1, 10))
-    op = _exact_operator(thetas, [1e-200, 1e-200])
+    # 1e-200 * 1e-200 underflows: that entry of T^n reads 0 on both routes, and
+    # the divided differences are compared as they are, with no product divided by
+    op = _exact_operator(_UNDERFLOW_THETAS, [1e-200, 1e-200])
     rep = check_lattice(principal_log(op), IndexSequence((1, 10**3, 10**6)), 3)
     assert rep.all_ok
     assert all(np.isfinite(r.rel_err) for r in rep.rows)
+
+
+def test_lattice_sees_a_band_error_while_a_product_underflows(monkeypatch):
+    # entry (1, 2) of T^n is 1e-200 times its divided difference, so next to
+    # ||T^n|| ~ 1 a 1 % error there is 1e-202; the divided differences show it,
+    # although the product over (1, 3) underflows to 0
+    op = _exact_operator(_UNDERFLOW_THETAS, [1e-200, 1e-200])
+    _one_percent_off_in_entry_12(monkeypatch)
+    rep = check_lattice(principal_log(op), IndexSequence((1, 10**3, 10**6)), 3)
+    assert rep.rows[0].rel_err >= 5e-3
+    assert not rep.all_ok
 
 
 def test_lattice_validation(factorial_setup):
