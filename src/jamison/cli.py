@@ -210,7 +210,7 @@ def _cmd_verify(args) -> int:
     from .construction import verify_partial_power_bound
 
     cons, fibers = load_construction(args.construction)
-    report = verify_partial_power_bound(cons, cons.levels, fibers, args.powers, args.p)
+    report = verify_partial_power_bound(cons, fibers, args.powers, args.p)
     out_dir = Path(args.out_dir)
     _emit_report(out_dir, args.command, {
         "config": {
@@ -235,10 +235,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_semigroup(args) -> int:
     from .construction import assemble_operator
-    from .semigroup import ROUNDTRIP_TOL, bounded_along, lift_report, principal_log
+    from .semigroup import LOG_METHOD, ROUNDTRIP_TOL, bounded_along, lift_report, principal_log
 
     cons, fibers = load_construction(args.construction)
-    op = assemble_operator(cons, cons.levels, fibers)
+    op = assemble_operator(cons, fibers)
     sg = principal_log(op)
     lift = lift_report(sg, cons.seq, args.powers)
     out_dir = Path(args.out_dir)
@@ -267,7 +267,7 @@ def _cmd_semigroup(args) -> int:
     _write_csv(out_dir / "generator.csv", ("row", "col", "re", "im"), sg.generator_csv_rows())
     if not all(checks.values()):
         raise InvariantFailure("semigroup lift checks failed", {"checks": checks, "lift": lift})
-    print(f"lift ok ({sg.method}); lattice and spectrum checks pass for P = {args.powers}")
+    print(f"lift ok ({LOG_METHOD}); lattice and spectrum checks pass for P = {args.powers}")
     return 0
 
 

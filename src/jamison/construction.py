@@ -11,8 +11,8 @@ reports which budget failed first; when the sequence has fast-vanishing
 separation (factorial-like growth), the adaptive search succeeds and the
 resulting matrix keeps all powers T^{n_k} within distance 1 of the diagonal
 part.  Fiber i's weights are fiber 1's times 2^-(i-1), so the operator is
-held as fiber 1's block: every other fiber is an exact rescaling of it, with
-no larger norm (TruncatedOperator, fiber_rescaled).
+held as its exact angles and fiber 1's band: every other fiber is an exact
+rescaling of fiber 1, with no larger norm (TruncatedOperator, fiber_rescaled).
 
 Everything here is deterministic: the near-return search is a box search
 plus exact rational witnesses, budgets are re-checked with exact-angle
@@ -563,57 +563,59 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """The direct sum of ``fibers`` upper-bidiagonal blocks, held as fiber 1's block.
+    """The direct sum of ``fibers`` upper-bidiagonal blocks, held as fiber 1's exact angles and band.
 
-    block is the unimodular diagonal plus the band alpha_{1,l} linking level
-    l+1 to level l; thetas holds the exact level angles (turns) it rounds.
+    Fiber 1's block is the unimodular diagonal e^(2 pi i theta_l) on the exact
+    level angles thetas (turns), which no float copy repeats, plus the band:
+    the L-1 float64 weights alpha_{1,l}, each linking level l+1 to level l.
     Fiber i's block is D T_1 D^-1 with D = diag(FIBER_DECAY**((i-1) k)), so
     f(T_i) is f(T_1) times FIBER_DECAY**((i-1)(l-k)) entrywise, exactly in
     binary (fiber_rescaled).  No entry grows, which bounds the 1- and
     inf-norms by fiber 1's; for p = 2 the rescaling is a Schur product with
     the positive definite [c^|k-l|], 0 < c < 1, which is no expansion.  So
-    the norm of the direct sum is fiber 1's.  The block must be square,
-    upper bidiagonal and as wide as thetas is long.
+    the norm of the direct sum is fiber 1's.
     """
 
-    block: np.ndarray
     thetas: tuple
+    band: np.ndarray
     fibers: int = 1
 
     def __post_init__(self):
-        shape = np.shape(self.block)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise NonSquare(f"fiber block of shape {shape} is not square")
-        if shape[0] != len(self.thetas):
-            raise SizeMismatch(f"fiber block has {shape[0]} levels, thetas holds {len(self.thetas)} angles")
-        if np.any(np.tril(self.block, -1)) or np.any(np.triu(self.block, 2)):
-            raise PreconditionViolated("the fiber block must be upper bidiagonal")
+        band = np.array(self.band, dtype=np.float64)
+        if band.shape != (len(self.thetas) - 1,):
+            raise SizeMismatch(f"band of shape {band.shape} for {len(self.thetas)} angles")
+        band.flags.writeable = False
+        object.__setattr__(self, "band", band)
 
     @property
     def levels(self) -> int:
-        return self.block.shape[0]
+        return len(self.thetas)
+
+    @cached_property
+    def nodes(self) -> NodeSet:
+        """The signed exact angles every function of the operator reads (funm.apply)."""
+        return NodeSet(self.thetas)
 
     @cached_property
     def products(self) -> np.ndarray:
-        """Entry (k, l), k < l, is b_k ... b_{l-1} over the block's superdiagonal b; the rest read 1.
+        """Entry (k, l), k < l, is b_k ... b_{l-1} over the band b; the rest read 1.
 
         Formed once per operator, in the band's doubles, left to right.  A
         product that underflows reads 0 or a subnormal with fewer digits, and
         so does its entry of every function of T; one that overflows is
         OutOfDomain.
         """
-        band = np.diagonal(self.block, offset=1)
-        out = np.ones(self.block.shape, dtype=band.dtype)
+        out = np.ones((self.levels, self.levels))
         with np.errstate(over="ignore"):
             for k in range(self.levels - 1):
-                out[k, k + 1:] = np.cumprod(band[k:])
+                out[k, k + 1:] = np.cumprod(self.band[k:])
         if not np.all(np.isfinite(out)):
             raise OutOfDomain("a band product overflows the double range")
         out.flags.writeable = False
         return out
 
     def shift_part(self) -> np.ndarray:
-        return np.triu(self.block, 1)
+        return np.diag(self.band, 1)
 
 
 def fiber_rescaled(M: np.ndarray, fiber: int) -> np.ndarray:
@@ -627,18 +629,11 @@ def fiber_rescaled(M: np.ndarray, fiber: int) -> np.ndarray:
     return M * FIBER_DECAY ** ((fiber - 1) * np.maximum(l - k, 0))
 
 
-def assemble_operator(cons: ShiftConstruction, L: int, I: int) -> TruncatedOperator:
-    """The L-level, I-fiber section, held as fiber 1's block."""
-    if L < 1 or L > cons.levels:
-        raise SizeMismatch(f"requested {L} levels, construction has {cons.levels}")
+def assemble_operator(cons: ShiftConstruction, I: int) -> TruncatedOperator:
+    """The record's I-fiber operator: its exact angles and fiber 1's shift weights as the band."""
     if I < 1:
         raise SizeMismatch(f"fiber count {I} must be >= 1")
-    lams = np.array([p.complex_value() for p in cons.lambdas[:L]])
-    if np.any(np.abs(np.abs(lams) - 1.0) > 1e-14):
-        raise PreconditionViolated("diagonal entry drifted off the unit circle")
-    block = np.diag(lams) + np.diag([cons.alpha(1, l) for l in range(1, L)], k=1)
-    block.flags.writeable = False
-    return TruncatedOperator(block, tuple(p.theta for p in cons.lambdas[:L]), I)
+    return TruncatedOperator(tuple(p.theta for p in cons.lambdas), cons.alphas1, I)
 
 
 def matrix_power(M: np.ndarray, n: int) -> np.ndarray:
@@ -707,31 +702,31 @@ class PowerBoundReport:
         return {**asdict(self), "all_ok": self.all_ok}
 
 
-def analytic_power_bound(cons: ShiftConstruction, L: int, n: int) -> float:
+def analytic_power_bound(cons: ShiftConstruction, n: int) -> float:
     """Upper bound on ||T^n - D^n|| from the weighted coefficient tails.
 
     Sums the per-level tail bounds with measured coefficient magnitudes.  The
     fiber decay only shrinks individual entries, and the bound dominates the
     max column sum, the max row sum, and hence also the spectral norm.
     """
-    (Jn,) = _unit_band_powers(cons.lambdas[:L], [n])
-    return _power_tail_bound(cons, L, Jn)
+    (Jn,) = _unit_band_powers(cons.lambdas, [n])
+    return _power_tail_bound(cons, Jn)
 
 
-def _power_tail_bound(cons: ShiftConstruction, L: int, Jn: np.ndarray) -> float:
-    """analytic_power_bound from J^n over the first L eigenvalues."""
-    return sum(_tail_sum(Jn, cons.weights, cons._gap_of, level) for level in range(2, L + 1))
+def _power_tail_bound(cons: ShiftConstruction, Jn: np.ndarray) -> float:
+    """analytic_power_bound from J^n over the record's levels."""
+    return sum(_tail_sum(Jn, cons.weights, cons._gap_of, level) for level in range(2, cons.levels + 1))
 
 
-def verify_partial_power_bound(cons: ShiftConstruction, L: int, I: int, P: int, p) -> PowerBoundReport:
+def verify_partial_power_bound(cons: ShiftConstruction, I: int, P: int, p) -> PowerBoundReport:
     """Measure ||T^{n_k} - D^{n_k}|| and ||T^{n_k}|| for k <= P against the bounds.
 
     T^n comes from the exact-phase kernel, whose diagonal is the exact D^n, so
     the difference is the strictly upper part of T^n: the genuine band
     contribution.  The record's J^n of each row, the divided differences of
-    z^n on the exact eigenvalues cut to L levels, gives T^n = J^n times the
-    operator's band products (TruncatedOperator.products) and the analytic
-    tail bound alike.  Fiber 1's norms are the I-fiber operator's
+    z^n on its exact eigenvalues over all its levels, gives T^n = J^n times
+    the operator's band products (TruncatedOperator.products) and the
+    analytic tail bound alike.  Fiber 1's norms are the I-fiber operator's
     (TruncatedOperator), so only the truncation bound reads I.
     Each row also carries that bound; a certified construction must come out
     with measured <= 1, operator power <= 2, and analytic bound at least the
@@ -741,15 +736,15 @@ def verify_partial_power_bound(cons: ShiftConstruction, L: int, I: int, P: int, 
         raise BudgetsNotCertified("verification requires a construction whose budgets all passed")
     if P < 1 or P > cons.horizon:
         raise HorizonExceedsSequence(f"powers horizon {P} outside 1..{cons.horizon}")
-    products = assemble_operator(cons, L, I).products
+    products = assemble_operator(cons, I).products
     rows = []
     for k in range(1, P + 1):
         n = cons.seq.terms[k - 1]
-        Jn = cons.powers[k - 1][:L, :L]
+        Jn = cons.powers[k - 1]
         Tn = Jn * products
         norm_diff = operator_norm(np.triu(Tn, 1), p)
         norm_T = operator_norm(Tn, p)
-        bound = _power_tail_bound(cons, L, Jn)
+        bound = _power_tail_bound(cons, Jn)
         rows.append(
             PowerBoundRow(
                 k=k,
@@ -767,7 +762,7 @@ def verify_partial_power_bound(cons: ShiftConstruction, L: int, I: int, P: int, 
     trunc *= sum(cons.alphas1)
     return PowerBoundReport(
         p=str(p).lower(),
-        levels=L,
+        levels=cons.levels,
         fibers=I,
         rows=tuple(rows),
         fiber_truncation_bound=trunc,

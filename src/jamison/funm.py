@@ -5,8 +5,8 @@ b, so entry (k, l) of f(T) is the band product b_k ... b_{l-1} times the
 divided difference f[x_k, ..., x_l] (Opitz, ZAMM 44, 1964).  The divided
 differences are the entries of f(J), with J the unit-band block on the same
 nodes, and this module forms only those: ``apply`` reads nothing but the
-exact angles.  T^t, Log T and exp(t Log T) all take this route; the band
-products belong to the operator (construction.TruncatedOperator.products).
+exact angles.  T^t, Log T and exp(t Log T) all take this route; the node set
+and the band products belong to the operator (construction.TruncatedOperator).
 
 Nodes whose exact angle gaps are small on the scale of the function form a
 cluster.  The divided differences over runs of one cluster's nodes are the
@@ -231,4 +231,4 @@ def exact_time(t) -> Fraction:
 
 def operator_power(op, t) -> np.ndarray:
     """T^t = exp(t Log T) on op's fiber block: J^t on its exact angles times its band products."""
-    return apply(NodeSet(op.thetas), Power(exact_time(t))) * op.products
+    return apply(op.nodes, Power(exact_time(t))) * op.products

@@ -9,15 +9,16 @@ exposes the one-parameter family t -> exp(tG), and provides checks that the
 family agrees with integer powers of T on the index sequence, stays bounded
 along real sequences, and has purely imaginary generator spectrum.
 
-T^n, Log T and exp(tG) all come from the exact-phase kernel of the funm
-module as functions of the unit-band block J on T's exact angles; a function
-of T is that times the band products (TruncatedOperator.products), which no
-check divides by.  exp(tG) is formed from T itself, as exp of t times the log
-series; Log J is read by the roundtrip check exp(Log J) = J, and G = Log J
-times the products by the spectrum check.  The module needs numpy alone.
+T is its exact angles and fiber 1's band (TruncatedOperator).  T^n, Log T
+and exp(tG) all come from the exact-phase kernel of the funm module on the
+operator's one node set, as functions of the unit-band block J; a function
+of T is that times the band products, which no check divides by.  exp(tG) is
+formed from T itself, as exp of t times the log series; Log J is read by the
+roundtrip check exp(Log J) = J, and G = Log J times the products by the
+spectrum check, which expects i times the exact angles in radians.  The
+module needs numpy alone.
 """
 
-import cmath
 import functools
 import math
 from dataclasses import asdict, dataclass, field
@@ -34,14 +35,15 @@ from .errors import (
     PreconditionViolated,
     SpectrumOutsideDomain,
 )
-from .funm import ExpLog, Log, NodeSet, Power, apply, clusters, exact_time, exp_shifted
-from .sequences import IndexSequence, TorusPoint
+from .funm import ExpLog, Log, Power, apply, clusters, exact_time, exp_shifted
+from .sequences import IndexSequence, TorusPoint, turns_to_radians
 
 LOG_METHOD = "exact-phase-divided-differences"
 UNIT_GRID_POINTS = 64
 BOUNDED_TOL = 1e-6  # relative slack of the floor-power bound in bounded_along
 SPECTRUM_TOL = 1e-9  # largest real part and deviation a generator eigenvalue may show
 ROUNDTRIP_TOL = 1e-10  # largest roundtrip_error a lift may show
+LATTICE_TOL = 1e-8  # largest lattice rel_err a power n_k may show
 _SIXTH = Fraction(1, 6)  # largest |signed angle| (turns) principal_log accepts: Re lambda >= 1/2
 
 
@@ -51,7 +53,6 @@ class MatrixSemigroup:
 
     base: TruncatedOperator
     unit_log: np.ndarray  # (levels, levels): Log J, the log's divided differences over fiber 1's nodes
-    method: str
     log_clusters: int  # Taylor clusters in the log; 1 means no divided-difference step
     roundtrip_error: float = field(default=math.nan)
 
@@ -61,10 +62,6 @@ class MatrixSemigroup:
         G = self.unit_log * self.base.products
         G.flags.writeable = False
         return G
-
-    @functools.cached_property
-    def nodes(self) -> NodeSet:
-        return NodeSet(self.base.thetas)
 
     @functools.cached_property
     def log_blocks(self) -> dict:
@@ -80,7 +77,7 @@ class MatrixSemigroup:
             "levels": self.base.levels,
             "fibers": self.base.fibers,
             "dim": self.dim,
-            "method": self.method,
+            "method": LOG_METHOD,
             "log_clusters": self.log_clusters,
             "roundtrip_error": self.roundtrip_error,
         }
@@ -111,19 +108,16 @@ def principal_log(op: TruncatedOperator) -> MatrixSemigroup:
     f = Log; a defective block (a repeated diagonal coupled through the band)
     is an ordinary cluster.  roundtrip_error checks the result against J.
     """
-    nodes = NodeSet(op.thetas)
-    worst = max(nodes.thetas, key=abs)
+    worst = max(op.nodes.thetas, key=abs)
     if abs(worst) > _SIXTH:
         raise SpectrumOutsideDomain(
             f"level angle {worst} turns lies more than 1/6 turn from 0 (real part below 1/2); "
             "principal branch unsafe"
         )
-    D = apply(nodes, Log())
+    D = apply(op.nodes, Log())
     D.flags.writeable = False
-    log_clusters = len(set(clusters(nodes, 1)))
-    return MatrixSemigroup(
-        base=op, unit_log=D, method=LOG_METHOD, log_clusters=log_clusters, roundtrip_error=roundtrip_error(op, D)
-    )
+    log_clusters = len(set(clusters(op.nodes, 1)))
+    return MatrixSemigroup(base=op, unit_log=D, log_clusters=log_clusters, roundtrip_error=roundtrip_error(op, D))
 
 
 def _relative_error(got: np.ndarray, want: np.ndarray, products: np.ndarray) -> float:
@@ -152,7 +146,7 @@ def roundtrip_error(op: TruncatedOperator, unit_log: np.ndarray) -> float:
     principal_log requires every signed angle within 1/6 turn of 0, so each
     lies within 1/6 turn of sigma and no clusters are needed.
     """
-    thetas = NodeSet(op.thetas).thetas
+    thetas = op.nodes.thetas
     sigma = (min(thetas) + max(thetas)) / 2
     J = np.diag([TorusPoint(theta).complex_value() for theta in thetas]) + np.eye(len(thetas), k=1)
     Y = unit_log - Log().value(sigma) * np.eye(len(thetas))
@@ -169,7 +163,7 @@ def unit_evolve(sg: MatrixSemigroup, t) -> np.ndarray:
     """
     if not math.isfinite(float(t)) or t < 0:
         raise OutOfDomain(f"time parameter must be finite and >= 0, got {t}")
-    out = apply(sg.nodes, ExpLog(exact_time(t), sg.log_blocks))
+    out = apply(sg.base.nodes, ExpLog(exact_time(t), sg.log_blocks))
     if not np.all(np.isfinite(out)):
         raise OutOfDomain(f"matrix exponential overflowed at t={t}")
     return out
@@ -201,7 +195,7 @@ class LatticeReport:
         return {**asdict(self), "all_ok": self.all_ok}
 
 
-def check_lattice(sg: MatrixSemigroup, seq: IndexSequence, P: int, tol: float = 1e-8) -> LatticeReport:
+def check_lattice(sg: MatrixSemigroup, seq: IndexSequence, P: int) -> LatticeReport:
     """Agreement of the continuous family with integer powers along seq.
 
     The two sides share the exact phases and the kernel's recurrence between
@@ -211,7 +205,7 @@ def check_lattice(sg: MatrixSemigroup, seq: IndexSequence, P: int, tol: float = 
     Y, which came out of the log series.  The recurrence is checked against
     mpmath oracles instead.  Both sides are compared as divided differences;
     rel_err is _relative_error's: the larger of the relative errors with and
-    without the band products.
+    without the band products, and a row passes at most LATTICE_TOL.
     """
     if seq.kind != "integer":
         raise PreconditionViolated("lattice check needs an integer sequence")
@@ -220,9 +214,9 @@ def check_lattice(sg: MatrixSemigroup, seq: IndexSequence, P: int, tol: float = 
     rows = []
     for k in range(1, P + 1):
         n_k = seq.terms[k - 1]
-        err = _relative_error(unit_evolve(sg, n_k), apply(sg.nodes, Power(n_k)), sg.base.products)
-        rows.append(LatticeRow(k, n_k, err, err <= tol))
-    return LatticeReport(tol, tuple(rows))
+        err = _relative_error(unit_evolve(sg, n_k), apply(sg.base.nodes, Power(n_k)), sg.base.products)
+        rows.append(LatticeRow(k, n_k, err, err <= LATTICE_TOL))
+    return LatticeReport(LATTICE_TOL, tuple(rows))
 
 
 def unit_interval_sup(sg: MatrixSemigroup):
@@ -313,14 +307,14 @@ class SpectrumReport:
 
 
 def generator_spectrum_check(sg: MatrixSemigroup) -> SpectrumReport:
-    """Generator eigenvalues against i times the diagonal phase angles.
+    """Generator eigenvalues against i times the exact level angles in radians.
 
-    Each diagonal entry of T contributes its principal argument once per
-    fiber; the generator spectrum must match that multiset and carry no real
-    part beyond roundoff.  Every fiber's block shares fiber 1's diagonal and
-    eigenvalues, so each of fiber 1's rows stands for all I fibers.
+    Each level's signed exact angle contributes 2 pi theta once per fiber; the
+    generator spectrum must match that multiset and carry no real part beyond
+    roundoff.  Every fiber's block shares fiber 1's diagonal and eigenvalues,
+    so each of fiber 1's rows stands for all I fibers.
     """
-    expected = sorted(cmath.phase(z) for z in np.diag(sg.base.block))
+    expected = [turns_to_radians(theta) for theta in sorted(sg.base.nodes.thetas)]
     eigs = sorted(np.linalg.eigvals(sg.generator), key=lambda z: z.imag)
     rows = [
         SpectrumRow(want, float(z.real), float(z.imag), float(abs(z - 1j * want))) for want, z in zip(expected, eigs)

@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 
 DECIMAL_DIGITS = 30
 # Largest fiber truncation I a construction file may carry.  The operator
-# holds fiber 1's L x L block alone and every norm is fiber 1's, so I costs
+# holds fiber 1's band alone and every norm is fiber 1's, so I costs
 # nothing until semigroup writes generator.csv, whose (L I)^2 rows it bounds.
 MAX_FIBERS = 4096
 

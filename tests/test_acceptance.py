@@ -41,6 +41,8 @@ from jamison.sequences import (
 )
 from jamison.starnorm import ExpSpan, base_norm, dj_bound_check, star_norm, verify_translation_bound
 
+from blocks import dense_block
+
 ROOT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 
@@ -60,7 +62,7 @@ def certified(factorial_seq):
 
 @pytest.fixture(scope="session")
 def lifted(certified):
-    op = assemble_operator(certified, 8, 2)
+    op = assemble_operator(certified, 2)
     return op, principal_log(op)
 
 
@@ -109,7 +111,7 @@ def test_criterion_02_construction_certification(factorial_seq):
 
 def test_criterion_03_power_bounds(certified):
     t0 = time.perf_counter()
-    report = verify_partial_power_bound(certified, 8, 2, 8, 2)
+    report = verify_partial_power_bound(certified, 2, 8, 2)
     elapsed = time.perf_counter() - t0
     worst_diff = max(r.norm_diff for r in report.rows)
     worst_T = max(r.norm_T for r in report.rows)
@@ -157,14 +159,14 @@ def test_criterion_05_symmetric_sum_oracles(certified):
 
     # entry (k, l) of T^n is the band product alpha_{i,k} ... alpha_{i,l-1} times h_{n-(l-k)};
     # fiber i's T^n is fiber 1's rescaled, and the float power of fiber i's own block
-    op = assemble_operator(certified, 8, 2)
+    op = assemble_operator(certified, 2)
     lams = [p.complex_value() for p in certified.lambdas]
     worst_coeff = 0.0
     for n in (1, 2, 3, 5, 8, 12):
         Tn = operator_power(op, n)
         for i in (1, 2):
             got = fiber_rescaled(Tn, i)
-            dense = matrix_power(fiber_rescaled(op.block, i), n)
+            dense = matrix_power(fiber_rescaled(dense_block(op), i), n)
             for k, l in itertools.product(range(1, 9), range(1, 9)):
                 h = _brute_symmetric_sum(lams[k - 1:l], n - (l - k)) if k <= l <= k + n else 0.0
                 want = math.prod(certified.alpha(i, q) for q in range(k, l)) * h
@@ -178,7 +180,7 @@ def test_criterion_05_symmetric_sum_oracles(certified):
 def test_criterion_06_semigroup_lift(certified, lifted):
     op, sg = lifted
     t0 = time.perf_counter()
-    lattice = check_lattice(sg, certified.seq, 8, tol=1e-8)
+    lattice = check_lattice(sg, certified.seq, 8)
     spectrum = generator_spectrum_check(sg)
     shift_norm = operator_norm(op.shift_part(), 2)
     elapsed = time.perf_counter() - t0
@@ -196,7 +198,7 @@ def test_criterion_06_semigroup_lift(certified, lifted):
         f"{max(r.rel_err for r in lattice.rows):.1e}, |B| = {shift_norm:.4f}",
     )
     assert sg.roundtrip_error <= 1e-10
-    assert lattice.all_ok
+    assert lattice.tol == 1e-8 and lattice.all_ok
     assert spectrum.max_real_part <= 1e-9
     assert shift_norm < 1.0 / 3.0
     assert elapsed < 30.0

@@ -1158,6 +1158,38 @@ def test_exit_table_names_every_error_type():
     assert not dead, dead
 
 
+# calls that recover an angle from a float; only sequences, the turns/radians boundary, may make one
+_ANGLE_FROM_FLOAT = {("cmath", "phase"), ("numpy", "angle"), ("math", "atan2"), ("math", "asin"), ("math", "acos")}
+
+
+def _angle_from_float_calls(path) -> list:
+    """(line, (module, function)) of each such call in one source file, through import aliases."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    alias = {}  # local name -> module name, or (module, function) for a from-import
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            alias.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            alias.update((a.asname or a.name, (node.module, a.name)) for a in node.names)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name):
+            target = (alias.get(node.func.value.id, node.func.value.id), node.func.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            target = alias.get(node.func.id)
+        else:
+            continue
+        if target in _ANGLE_FROM_FLOAT:
+            found.append((node.lineno, target))
+    return found
+
+
+def test_only_sequences_recovers_an_angle_from_a_float():
+    calls = {path.stem: _angle_from_float_calls(path) for path in Path(jamison.__file__).parent.glob("*.py")}
+    assert calls.pop("sequences"), "the scan finds torus_from_chord's asin"
+    assert not {name: found for name, found in calls.items() if found}
+
+
 @pytest.mark.parametrize("name", sorted(EXIT_TABLE))
 def test_each_error_type_exits_with_its_code_and_label(name, monkeypatch, capsys):
     kind = _error_type(name)

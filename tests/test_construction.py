@@ -40,6 +40,7 @@ from jamison.funm import operator_power
 from jamison.sequences import unit_diff
 from jamison.serialize import construction_to_json_dict
 
+from blocks import dense_block
 from test_exact_phase import _err, _opitz, power_value
 
 # Golden data frozen from the first certified runs; the whole pipeline is
@@ -231,7 +232,7 @@ def test_symmetric_sum_peeling_recursion(thetas, m):
 
 
 def test_power_coefficient_vanishing_and_diagonal(synthetic_cons):
-    op = assemble_operator(synthetic_cons, 5, 2)
+    op = assemble_operator(synthetic_cons, 2)
     for n in (0, 1, 2, 7):
         Tn = operator_power(op, n)
         for k, l in iter_product(range(1, 6), range(1, 6)):
@@ -245,7 +246,7 @@ def test_power_coefficient_vanishing_and_diagonal(synthetic_cons):
 
 def test_power_coefficient_matches_dense_powers(synthetic_cons):
     # every fiber's T^n is fiber 1's rescaled, against the float power of that fiber's own block
-    op = assemble_operator(synthetic_cons, 5, 3)
+    op = assemble_operator(synthetic_cons, 3)
     worst = 0.0
     for i in (1, 2, 3):
         block = np.diag([lam.complex_value() for lam in synthetic_cons.lambdas])
@@ -260,30 +261,34 @@ def test_power_coefficient_matches_dense_powers(synthetic_cons):
 
 
 def test_assemble_two_level_golden(synthetic_cons):
-    op = assemble_operator(synthetic_cons, 2, 1)
+    # the operator has every level of its record; fewer levels take a prefix record
+    cons = synthetic_cons
+    op = assemble_operator(ShiftConstruction(cons.seq, cons.lambdas[:2], cons.weights, cons.horizon), 1)
     lam1 = synthetic_cons.lambdas[0].complex_value()
     lam2 = synthetic_cons.lambdas[1].complex_value()
     expected = np.array([[lam1, synthetic_cons.alpha(1, 1)], [0.0, lam2]])
-    assert op.block.shape == (2, 2)
+    assert op.thetas == tuple(p.theta for p in synthetic_cons.lambdas[:2])
+    assert op.band.tolist() == [synthetic_cons.alpha(1, 1)]
     assert (op.levels, op.fibers) == (2, 1)
-    assert np.allclose(op.block, expected, atol=1e-15)
+    assert np.allclose(dense_block(op), expected, atol=1e-15)
 
 
 def test_assemble_band_pattern(synthetic_cons):
-    op = assemble_operator(synthetic_cons, 5, 2)
-    assert op.block.shape == (5, 5)
+    op = assemble_operator(synthetic_cons, 2)
+    assert op.band.dtype == np.float64 and op.band.shape == (4,)
     assert op.fibers == 2
+    block = dense_block(op)
     for i in (1, 2):
-        B = fiber_rescaled(op.block, i)
+        B = fiber_rescaled(block, i)
         rows, cols = np.nonzero(B - np.diag(np.diag(B)))
         assert list(zip(rows, cols)) == [(l - 2, l - 1) for l in range(2, 6)]
         assert np.diag(B, k=1).tolist() == [synthetic_cons.alpha(i, l) for l in range(1, 5)]
-        assert (np.diag(B) == np.diag(op.block)).all()
-    assert np.max(np.abs(np.abs(np.diag(op.block)) - 1.0)) <= 1e-14
+        assert (np.diag(B) == np.diag(block)).all()
+    assert np.max(np.abs(np.abs(np.diag(block)) - 1.0)) <= 1e-14
 
 
 def test_assemble_shift_norm_vs_svd(synthetic_cons):
-    op = assemble_operator(synthetic_cons, 5, 1)
+    op = assemble_operator(synthetic_cons, 1)
     B = op.shift_part()
     top = float(np.linalg.norm(B, 2))
     assert operator_norm(B, 2) == pytest.approx(top, rel=1e-9)
@@ -292,24 +297,24 @@ def test_assemble_shift_norm_vs_svd(synthetic_cons):
 
 def test_assemble_size_mismatch(synthetic_cons):
     with pytest.raises(SizeMismatch):
-        assemble_operator(synthetic_cons, 6, 1)
-    with pytest.raises(SizeMismatch):
-        assemble_operator(synthetic_cons, 3, 0)
+        assemble_operator(synthetic_cons, 0)
 
 
-def test_operator_refuses_a_block_unlike_its_angles(synthetic_cons):
-    # a block wider than its exact angles would index past them in every kernel call
-    op = assemble_operator(synthetic_cons, 5, 1)
+def test_operator_refuses_a_band_unlike_its_angles(synthetic_cons):
+    # the band holds one weight per pair of neighbouring levels; any other
+    # length would index past the exact angles in every kernel call
+    op = assemble_operator(synthetic_cons, 1)
+    for band in (op.band[:3], np.append(op.band, 0.1), np.diag(op.band, 1)):
+        with pytest.raises(SizeMismatch):
+            TruncatedOperator(op.thetas, band)
     with pytest.raises(SizeMismatch):
-        TruncatedOperator(op.block, op.thetas[:4])
-    with pytest.raises(NonSquare):
-        TruncatedOperator(op.block[:4], op.thetas[:4])
+        TruncatedOperator(op.thetas[:4], op.band)
 
 
 def test_power_band_closure(synthetic_cons):
-    op = assemble_operator(synthetic_cons, 5, 2)
+    op = assemble_operator(synthetic_cons, 2)
     for n in range(0, 7):
-        Tn = matrix_power(op.block, n)
+        Tn = matrix_power(dense_block(op), n)
         width = min(n, 4)
         for k, l in iter_product(range(1, 6), range(1, 6)):
             if l - k > width or l < k:
@@ -326,8 +331,8 @@ def test_diagonal_power_is_isometry(synthetic_cons):
         for p in (1, 2):
             assert np.linalg.norm(Dn @ x, p) == pytest.approx(np.linalg.norm(x, p), rel=1e-14)
     # repeated squaring agrees at small exponents before rounding accumulates
-    op = assemble_operator(synthetic_cons, 5, 2)
-    D = np.diag(np.diag(op.block))  # every fiber's
+    op = assemble_operator(synthetic_cons, 2)
+    D = np.diag(np.diag(dense_block(op)))  # every fiber's
     fibers_x = x.reshape(2, 5, 1)  # x split into its two fiber coordinates
     for n in (1, 7, 31):
         Dn = matrix_power(D, n)
@@ -350,12 +355,12 @@ def test_chain_first_levels(factorial_cons):
 def test_chain_residuals(factorial_cons):
     # the chain _chain_difference feeds into the budgets is an eigenvector of the fiber block
     cons = factorial_cons
-    op = assemble_operator(cons, 8, 1)
+    op = assemble_operator(cons, 1)
     for n in range(1, 9):
         v = np.zeros(8, dtype=complex)
         v[:n] = construction._chain_coeffs(cons.lambdas, cons.alphas1, n)
         lam = cons.lambdas[n - 1].complex_value()
-        resid = np.linalg.norm(op.block @ v - lam * v)
+        resid = np.linalg.norm(dense_block(op) @ v - lam * v)
         assert resid <= 1e-10 * np.linalg.norm(v)
 
 
@@ -683,7 +688,7 @@ def test_operator_norm_errors():
 
 
 def test_verify_power_bounds_golden(factorial_cons):
-    rep = verify_partial_power_bound(factorial_cons, 8, 2, 8, 2)
+    rep = verify_partial_power_bound(factorial_cons, 2, 8, 2)
     assert rep.all_ok
     assert len(rep.rows) == 8
     for row, frozen in zip(rep.rows, VERIFY_ROWS_L8):
@@ -699,25 +704,18 @@ def test_verify_power_bounds_golden(factorial_cons):
 
 def test_verify_other_norms(small_cons):
     for p in (1, "inf"):
-        rep = verify_partial_power_bound(small_cons, 5, 2, 6, p)
+        rep = verify_partial_power_bound(small_cons, 2, 6, p)
         assert rep.all_ok
 
 
 def test_verify_requires_certified(synthetic_cons):
     with pytest.raises(BudgetsNotCertified):
-        verify_partial_power_bound(synthetic_cons, 5, 1, 6, 2)
+        verify_partial_power_bound(synthetic_cons, 1, 6, 2)
 
 
 def test_verify_horizon_gate(small_cons):
     with pytest.raises(HorizonExceedsSequence):
-        verify_partial_power_bound(small_cons, 5, 1, 7, 2)
-
-
-def test_verify_single_level_is_diagonal(small_cons):
-    rep = verify_partial_power_bound(small_cons, 1, 2, 6, 2)
-    for row in rep.rows:
-        assert row.norm_diff == 0.0
-        assert row.norm_T == pytest.approx(1.0, abs=1e-12)
+        verify_partial_power_bound(small_cons, 1, 7, 2)
 
 
 def test_powers_of_constructions_take_the_exact_phase_kernel(monkeypatch):
@@ -727,15 +725,14 @@ def test_powers_of_constructions_take_the_exact_phase_kernel(monkeypatch):
 
     monkeypatch.setattr(construction, "matrix_power", refuse)
     cons = build_construction(IndexSequence.factorials(6), L=5, K=6, w=(1, 2, 3, 4, 5))
-    assert verify_partial_power_bound(cons, 5, 2, 6, 2).all_ok
-    assert analytic_power_bound(cons, 5, 720) > 0
+    assert verify_partial_power_bound(cons, 2, 6, 2).all_ok
+    assert analytic_power_bound(cons, 720) > 0
 
 
 def test_zeroed_band_power_difference_vanishes(small_cons):
-    op = assemble_operator(small_cons, 5, 2)
-    T_no_band = np.array(op.block)
+    T_no_band = dense_block(assemble_operator(small_cons, 2))
     T_no_band[~np.eye(5, dtype=bool)] = 0.0
-    D = np.diag(np.diag(op.block))
+    D = np.diag(np.diag(T_no_band))
     for n in (1, 6, 720):
         diff = matrix_power(T_no_band, n) - matrix_power(D, n)
         assert np.all(diff == 0)

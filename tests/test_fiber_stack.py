@@ -2,8 +2,8 @@
 
 The reference is the LI x LI matrix with slot (i, l) at row (l-1)*I + (i-1),
 built here entry by entry from the construction's weights.  The operator
-holds fiber 1's block; fiber i's block of any function of it is
-construction.fiber_rescaled, and the operator's norms are fiber 1's.
+holds its exact angles and fiber 1's band; fiber i's block of any function
+of it is construction.fiber_rescaled, and the operator's norms are fiber 1's.
 """
 
 import numpy as np
@@ -13,6 +13,8 @@ from scipy.linalg import expm, logm
 from jamison import IndexSequence, assemble_operator, build_construction, matrix_power, operator_norm
 from jamison.construction import FIBER_DECAY, fiber_rescaled
 from jamison.semigroup import evolve, principal_log
+
+from blocks import dense_block
 
 L, I = 8, 3
 
@@ -34,29 +36,30 @@ def setup():
             dense[(l - 1) * I + i - 1, (l - 1) * I + i - 1] = cons.lambdas[l - 1].complex_value()
             if l >= 2:
                 dense[(l - 2) * I + i - 1, (l - 1) * I + i - 1] = cons.alpha(i, l - 1)
-    return cons, assemble_operator(cons, L, I), dense
+    op = assemble_operator(cons, I)
+    return cons, op, dense_block(op), dense
 
 
 def test_stack_is_the_dense_operator(setup):
-    _, op, dense = setup
-    assert op.block.shape == (L, L)
+    _, op, block, dense = setup
+    assert op.band.shape == (L - 1,)
     assert (op.fibers, op.levels) == (I, L)
-    assert np.array_equal(_interleave(op.block), dense)
+    assert np.array_equal(_interleave(block), dense)
 
 
 def test_stack_powers_match_dense(setup):
-    cons, op, dense = setup
+    cons, _, block, dense = setup
     for n in cons.seq.terms:
         got = np.zeros_like(dense)
         for i in range(I):
-            got[i::I, i::I] = matrix_power(fiber_rescaled(op.block, i + 1), n)
+            got[i::I, i::I] = matrix_power(fiber_rescaled(block, i + 1), n)
         np.testing.assert_allclose(got, matrix_power(dense, n), rtol=1e-12, atol=0)
 
 
 def test_stack_norms_match_dense(setup):
-    cons, op, dense = setup
+    _, op, block, dense = setup
     for n in (1, 24, 40320):
-        Tn, Dn = matrix_power(op.block, n), matrix_power(dense, n)
+        Tn, Dn = matrix_power(block, n), matrix_power(dense, n)
         assert operator_norm(Tn, 1) == pytest.approx(np.abs(Dn).sum(axis=0).max(), rel=1e-12)
         assert operator_norm(Tn, "inf") == pytest.approx(np.abs(Dn).sum(axis=1).max(), rel=1e-12)
         assert operator_norm(Tn, 2) == pytest.approx(np.linalg.norm(Dn, 2), rel=1e-12)
@@ -66,7 +69,7 @@ def test_stack_norms_match_dense(setup):
 
 
 def test_stack_log_and_evolution_match_dense(setup):
-    _, op, dense = setup
+    _, op, _, dense = setup
     sg = principal_log(op)
     assert sg.generator.shape == (L, L)
     G = _interleave(sg.generator)
@@ -80,13 +83,13 @@ def test_stack_log_and_evolution_match_dense(setup):
 
 
 def test_fiber_scaling_identity(setup):
-    cons, op, _ = setup
+    _, _, block, _ = setup
     k, l = np.indices((L, L))
     decay = FIBER_DECAY
     for n in (1, 6, 720, 40320):
-        T1 = matrix_power(op.block, n)
+        T1 = matrix_power(block, n)
         for i in range(2, I + 1):
-            Ti = matrix_power(fiber_rescaled(op.block, i), n)
+            Ti = matrix_power(fiber_rescaled(block, i), n)
             np.testing.assert_allclose(Ti, T1 * decay ** ((i - 1) * (l - k)), rtol=1e-12, atol=0)
             assert np.array_equal(fiber_rescaled(T1, i), T1 * decay ** ((i - 1) * np.triu(l - k)))
             for p in (1, 2, "inf"):

@@ -34,12 +34,14 @@ from jamison.semigroup import (
 )
 from jamison.sequences import TorusPoint, turns_to_radians
 
+from blocks import dense_block
+
 
 @pytest.fixture(scope="module")
 def factorial_setup():
     seq = IndexSequence.factorials(8)
     cons = build_construction(seq, L=8, K=8, w=(1, 2, 3, 4, 5, 6, 7, 8))
-    op = assemble_operator(cons, 8, 2)
+    op = assemble_operator(cons, 2)
     return seq, op, principal_log(op)
 
 
@@ -51,23 +53,21 @@ def separated_setup():
         (1.0, 2.0, 3.0, 4.0, 5.0),
         horizon=6,
     )
-    op = assemble_operator(cons, 5, 2)
+    op = assemble_operator(cons, 2)
     return op, principal_log(op)
 
 
 # --- principal log ----------------------------------------------------------
 
 
-def _exact_operator(thetas, band=()):
-    """One fiber block on exact angles (turns), its diagonal rounded from them."""
-    lams = [TorusPoint(t).complex_value() for t in thetas]
-    return TruncatedOperator(np.diag(lams) + np.diag(band, k=1), tuple(thetas))
+def _exact_operator(thetas, band=None):
+    """One fiber block on exact angles (turns), with the given band or a zero one."""
+    return TruncatedOperator(tuple(thetas), np.zeros(len(thetas) - 1) if band is None else band)
 
 
 def test_log_of_identity_is_zero():
     sg = principal_log(_exact_operator((Fraction(0),) * 3))
     assert np.max(np.abs(sg.generator)) == 0.0
-    assert sg.method == LOG_METHOD
     assert sg.log_clusters == 1
 
 
@@ -91,7 +91,7 @@ def test_log_decides_the_domain_on_the_exact_angle(sign):
     # diagonal reads 0.5000000000000001
     theta = sign * (Fraction(1, 6) + Fraction(1, 10**20))
     op = _exact_operator((Fraction(1, 20), theta))
-    assert op.block[1, 1].real > 0.5
+    assert dense_block(op)[1, 1].real > 0.5
     with pytest.raises(SpectrumOutsideDomain):
         principal_log(op)
 
@@ -101,7 +101,7 @@ def test_defective_block_is_one_cluster():
     theta = Fraction(1, 30)
     lam = TorusPoint(theta).complex_value()
     sg = principal_log(_exact_operator((theta, theta), [0.1]))
-    assert sg.method == LOG_METHOD and sg.log_clusters == 1
+    assert sg.log_clusters == 1
     log_lam = 1j * turns_to_radians(theta)
     want = np.array([[log_lam, 0.1 / lam], [0.0, log_lam]])
     assert np.max(np.abs(sg.generator - want)) <= 1e-16
@@ -111,7 +111,6 @@ def test_defective_block_is_one_cluster():
 def test_separated_spectrum_takes_the_divided_difference_step(separated_setup):
     op, sg = separated_setup
     # 2/23 sits 0.27 rad above the other four, which chain within 0.1 rad
-    assert sg.method == LOG_METHOD
     assert sg.log_clusters == 2
     assert sg.roundtrip_error <= 1e-14
 
@@ -129,7 +128,7 @@ def test_clustered_spectrum_is_one_taylor_cluster(factorial_setup):
 def test_evolve_at_zero_one_two(factorial_setup):
     _, op, sg = factorial_setup
     assert np.allclose(evolve(sg, 0.0), np.eye(8), atol=1e-15)
-    T = op.block
+    T = dense_block(op)
     assert operator_norm(evolve(sg, 1) - T, 2) <= 1e-10 * operator_norm(T, 2)
     T2 = T @ T
     assert operator_norm(evolve(sg, 2) - T2, 2) <= 1e-9 * operator_norm(T2, 2)
@@ -167,7 +166,7 @@ def test_strong_continuity_proxy(factorial_setup):
 def test_spectral_mapping_at_one(factorial_setup):
     _, op, sg = factorial_setup
     got = sorted(np.linalg.eigvals(evolve(sg, 1.0)), key=lambda z: z.imag)
-    want = sorted(np.diag(op.block), key=lambda z: z.imag)
+    want = sorted(np.diag(dense_block(op)), key=lambda z: z.imag)
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9
 
 
@@ -320,6 +319,15 @@ def test_generator_spectrum_on_separated(separated_setup):
     assert rep.all_ok
 
 
+def test_spectrum_expects_the_exact_angles_in_radians(factorial_setup):
+    # no angle is read back from a rounded diagonal: each expected value is 2 pi theta
+    # of a signed exact angle, in their sorted order, once per fiber
+    _, op, sg = factorial_setup
+    signed = sorted((theta + Fraction(1, 2)) % 1 - Fraction(1, 2) for theta in op.thetas)
+    rows = generator_spectrum_check(sg).rows
+    assert [r.expected_imag for r in rows] == [turns_to_radians(theta) for theta in signed for _ in range(op.fibers)]
+
+
 def test_zero_phase_level_gives_zero_eigenvalue():
     sg = principal_log(_exact_operator((Fraction(0), Fraction(1, 60))))
     rep = generator_spectrum_check(sg)
@@ -333,6 +341,26 @@ def test_zero_phase_level_gives_zero_eigenvalue():
 def test_shift_part_norm_below_one_third(factorial_setup):
     _, op, _ = factorial_setup
     assert operator_norm(op.shift_part(), 2) < 1.0 / 3.0
+
+
+def test_a_lift_builds_one_node_set(factorial_setup, monkeypatch):
+    # the operator owns its node set: the log, its roundtrip, the lattice, the
+    # spectrum and every evolve read the same one
+    seq, op, _ = factorial_setup
+    built = []
+    honest = funm.NodeSet.__init__
+
+    def counting(self, row):
+        built.append(row)
+        honest(self, row)
+
+    monkeypatch.setattr(funm.NodeSet, "__init__", counting)
+    fresh = TruncatedOperator(op.thetas, op.band, op.fibers)
+    sg = principal_log(fresh)
+    lift_report(sg, seq, 8)
+    half = IndexSequence((1.0,) + tuple(float(n) + 0.5 for n in seq.terms[1:]), "real")
+    bounded_along(sg, half, 8)
+    assert len(built) == 1
 
 
 def test_lift_report_bundle(factorial_setup):
