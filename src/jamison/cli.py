@@ -240,7 +240,7 @@ def _cmd_semigroup(args) -> int:
     cons, fibers = load_construction(args.construction)
     op = assemble_operator(cons, fibers)
     sg = principal_log(op)
-    lift = lift_report(sg, cons.seq, args.powers)
+    lift = lift_report(sg, cons.seq, args.powers, cons.powers)
     out_dir = Path(args.out_dir)
     payload = {
         "config": {

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -173,20 +173,6 @@ class LevelBudget:
 # --- symmetric sums and coefficient rows -----------------------------------------
 
 
-def _unit_band_powers(points, exponents) -> list:
-    """J^n for each n, J = diag(e^(2 pi i theta)) + unit superdiagonal on exact angles.
-
-    Entry (k, l) of J^n is the complete homogeneous sum
-    h_{n-(l-k)}(lambda_k..lambda_l) (Opitz's divided-difference matrix).  J
-    is upper triangular, so every principal block of J^n is the n-th power of
-    the same block of J: one power serves every level and every coefficient
-    row.  The powers come from the exact-phase kernel, one node set shared by
-    all exponents.
-    """
-    nodes = NodeSet(tuple(p.theta for p in points))
-    return [apply(nodes, Power(n)) for n in exponents]
-
-
 def _suffix_weight_products(w: tuple, level: int) -> dict:
     """W(k) = w_k * w_{k+1} * ... * w_{level-1} for k = 1..level-1."""
     out = {}
@@ -312,8 +298,9 @@ class ShiftConstruction:
     table is derived from the choices once, on first use: gaps[l-2] is the
     chord distance from level l to its parent level, for l = 2..L;
     alphas1[l-1] is the fiber-1 shift weight for l = 1..L-1 (fiber i: times
-    FIBER_DECAY**(i-1)); powers[k-1] is J^(n_k) over all L levels for
-    k = 1..horizon, whose column l holds level l's coefficient row;
+    FIBER_DECAY**(i-1)); nodes is the NodeSet of the angles, which the
+    operator shares (assemble_operator); powers[k-1] is J^(n_k) over all L
+    levels for k = 1..horizon, whose column l holds level l's coefficient row;
     budgets[l-2] is level l's LevelBudget, measured from those tables and
     judged.  No search happens here, so a spectrum that fails a predicate
     simply comes out uncertified.  The file format belongs to
@@ -359,8 +346,20 @@ class ShiftConstruction:
         return tuple(_alphas_fiber1(self._gap_of, self.weights, self.levels - 1))
 
     @cached_property
-    def powers(self) -> list:
-        return _unit_band_powers(self.lambdas, self.seq.prefix(self.horizon))
+    def nodes(self) -> NodeSet:
+        return NodeSet(tuple(p.theta for p in self.lambdas))
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """J^n for each n of the horizon, J = diag(e^(2 pi i theta)) + unit superdiagonal, in one kernel call.
+
+        Entry (k, l) of J^n is the complete homogeneous sum
+        h_{n-(l-k)}(lambda_k..lambda_l) (Opitz's divided-difference matrix).
+        J is upper triangular, so every principal block of J^n is the n-th
+        power of the same block of J: one power serves every level and every
+        coefficient row.
+        """
+        return apply(self.nodes, [Power(n) for n in self.seq.prefix(self.horizon)])
 
     def budget(self, level: int) -> LevelBudget:
         """Measure level l's eigenvector-chain difference and coefficient tail, then judge them."""
@@ -376,13 +375,6 @@ class ShiftConstruction:
     @cached_property
     def budgets(self) -> tuple:
         return tuple(self.budget(level) for level in range(2, self.levels + 1))
-
-    def alpha(self, i: int, level: int) -> float:
-        if i < 1:
-            raise IndexOutOfRange(f"fiber index {i} must be >= 1")
-        if level < 1 or level > self.levels - 1:
-            raise IndexOutOfRange(f"shift weight index {level} outside 1..{self.levels - 1}")
-        return self.alphas1[level - 1] * FIBER_DECAY ** (i - 1)
 
     @property
     def nuclear_partial_sum(self) -> float:
@@ -579,6 +571,7 @@ class TruncatedOperator:
     thetas: tuple
     band: np.ndarray
     fibers: int = 1
+    nodes: NodeSet = field(default=None, compare=False, repr=False)  # every function of T reads it (funm.apply)
 
     def __post_init__(self):
         band = np.array(self.band, dtype=np.float64)
@@ -586,15 +579,12 @@ class TruncatedOperator:
             raise SizeMismatch(f"band of shape {band.shape} for {len(self.thetas)} angles")
         band.flags.writeable = False
         object.__setattr__(self, "band", band)
+        if self.nodes is None:
+            object.__setattr__(self, "nodes", NodeSet(self.thetas))
 
     @property
     def levels(self) -> int:
         return len(self.thetas)
-
-    @cached_property
-    def nodes(self) -> NodeSet:
-        """The signed exact angles every function of the operator reads (funm.apply)."""
-        return NodeSet(self.thetas)
 
     @cached_property
     def products(self) -> np.ndarray:
@@ -630,10 +620,10 @@ def fiber_rescaled(M: np.ndarray, fiber: int) -> np.ndarray:
 
 
 def assemble_operator(cons: ShiftConstruction, I: int) -> TruncatedOperator:
-    """The record's I-fiber operator: its exact angles and fiber 1's shift weights as the band."""
+    """The record's I-fiber operator: its exact angles, their node set, and fiber 1's shift weights as the band."""
     if I < 1:
         raise SizeMismatch(f"fiber count {I} must be >= 1")
-    return TruncatedOperator(tuple(p.theta for p in cons.lambdas), cons.alphas1, I)
+    return TruncatedOperator(tuple(p.theta for p in cons.lambdas), cons.alphas1, I, cons.nodes)
 
 
 def matrix_power(M: np.ndarray, n: int) -> np.ndarray:
@@ -709,7 +699,7 @@ def analytic_power_bound(cons: ShiftConstruction, n: int) -> float:
     fiber decay only shrinks individual entries, and the bound dominates the
     max column sum, the max row sum, and hence also the spectral norm.
     """
-    (Jn,) = _unit_band_powers(cons.lambdas, [n])
+    (Jn,) = apply(cons.nodes, [Power(n)])
     return _power_tail_bound(cons, Jn)
 
 

@@ -7,7 +7,8 @@ branch cut of the principal logarithm.  Every check runs on fiber 1's block,
 whose norms are the operator's.  This module computes G = Log T,
 exposes the one-parameter family t -> exp(tG), and provides checks that the
 family agrees with integer powers of T on the index sequence, stays bounded
-along real sequences, and has purely imaginary generator spectrum.
+along real sequences, and has purely imaginary generator spectrum.  Each
+check hands all its times to the kernel at once (evolve takes a vector).
 
 T is its exact angles and fiber 1's band (TruncatedOperator).  T^n, Log T
 and exp(tG) all come from the exact-phase kernel of the funm module on the
@@ -65,7 +66,7 @@ class MatrixSemigroup:
 
     @functools.cached_property
     def log_blocks(self) -> dict:
-        """Each cluster's log block, by its levels, as evolve's times form them (funm.ExpLog)."""
+        """Each cluster's log block and its powers, by its levels, as evolve's times form them (funm.ExpLog)."""
         return {}
 
     @property
@@ -114,7 +115,7 @@ def principal_log(op: TruncatedOperator) -> MatrixSemigroup:
             f"level angle {worst} turns lies more than 1/6 turn from 0 (real part below 1/2); "
             "principal branch unsafe"
         )
-    D = apply(op.nodes, Log())
+    (D,) = apply(op.nodes, [Log()])
     D.flags.writeable = False
     log_clusters = len(set(clusters(op.nodes, 1)))
     return MatrixSemigroup(base=op, unit_log=D, log_clusters=log_clusters, roundtrip_error=roundtrip_error(op, D))
@@ -153,25 +154,28 @@ def roundtrip_error(op: TruncatedOperator, unit_log: np.ndarray) -> float:
     return _relative_error(exp_shifted(Y, sigma, Fraction(1)), J, op.products)
 
 
-def unit_evolve(sg: MatrixSemigroup, t) -> np.ndarray:
-    """exp(t Log J): the divided differences of exp(t Log z) over fiber 1's nodes.
+def unit_evolve(sg: MatrixSemigroup, times) -> np.ndarray:
+    """exp(t Log J) for each t of times, stacked: the divided differences of exp(t Log z) over fiber 1's nodes.
 
     Within each cluster at scale t it is the exp series of t times the
-    cluster's log series, whose block is formed once per node run; across
-    clusters it is the kernel's recurrence on the exact values e^(2 pi i t theta).
-    It does not read unit_log, which roundtrip_error checks.
+    cluster's log series, whose block and powers are formed once per node
+    run; across clusters it is the kernel's recurrence on the exact values
+    e^(2 pi i t theta).  All times go to the kernel in one call.  It does not
+    read unit_log, which roundtrip_error checks.
     """
-    if not math.isfinite(float(t)) or t < 0:
-        raise OutOfDomain(f"time parameter must be finite and >= 0, got {t}")
-    out = apply(sg.base.nodes, ExpLog(exact_time(t), sg.log_blocks))
-    if not np.all(np.isfinite(out)):
-        raise OutOfDomain(f"matrix exponential overflowed at t={t}")
+    for t in times:
+        if not math.isfinite(float(t)) or t < 0:
+            raise OutOfDomain(f"time parameter must be finite and >= 0, got {t}")
+    out = apply(sg.base.nodes, [ExpLog(exact_time(t), sg.log_blocks) for t in times])
+    for t, M in zip(times, out):
+        if not np.all(np.isfinite(M)):
+            raise OutOfDomain(f"matrix exponential overflowed at t={t}")
     return out
 
 
-def evolve(sg: MatrixSemigroup, t) -> np.ndarray:
-    """exp(t Log T) from T itself: unit_evolve times the operator's band products."""
-    return unit_evolve(sg, t) * sg.base.products
+def evolve(sg: MatrixSemigroup, times) -> np.ndarray:
+    """exp(t Log T) for each t of times, from T itself: unit_evolve times the operator's band products."""
+    return unit_evolve(sg, times) * sg.base.products
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,7 @@ class LatticeReport:
         return {**asdict(self), "all_ok": self.all_ok}
 
 
-def check_lattice(sg: MatrixSemigroup, seq: IndexSequence, P: int) -> LatticeReport:
+def check_lattice(sg: MatrixSemigroup, seq: IndexSequence, P: int, powers=()) -> LatticeReport:
     """Agreement of the continuous family with integer powers along seq.
 
     The two sides share the exact phases and the kernel's recurrence between
@@ -206,15 +210,22 @@ def check_lattice(sg: MatrixSemigroup, seq: IndexSequence, P: int) -> LatticeRep
     mpmath oracles instead.  Both sides are compared as divided differences;
     rel_err is _relative_error's: the larger of the relative errors with and
     without the band products, and a row passes at most LATTICE_TOL.
+
+    powers holds J^(n_k) for a prefix of k, as a ShiftConstruction on the
+    same angles and seq holds them (its powers); the kernel forms the rest.
+    Each side is one kernel call at most.
     """
     if seq.kind != "integer":
         raise PreconditionViolated("lattice check needs an integer sequence")
     if not 1 <= P <= len(seq):
         raise HorizonExceedsSequence(f"P={P} outside 1..{len(seq)}")
+    terms = seq.terms[:P]
+    want = powers[:P]
+    if len(want) < P:
+        want = [*want, *apply(sg.base.nodes, [Power(n) for n in terms[len(want):]])]
     rows = []
-    for k in range(1, P + 1):
-        n_k = seq.terms[k - 1]
-        err = _relative_error(unit_evolve(sg, n_k), apply(sg.base.nodes, Power(n_k)), sg.base.products)
+    for k, (n_k, got, Jn) in enumerate(zip(terms, unit_evolve(sg, terms), want), 1):
+        err = _relative_error(got, Jn, sg.base.products)
         rows.append(LatticeRow(k, n_k, err, err <= LATTICE_TOL))
     return LatticeReport(LATTICE_TOL, tuple(rows))
 
@@ -227,8 +238,7 @@ def unit_interval_sup(sg: MatrixSemigroup):
     """
     norm_G = operator_norm(sg.generator, 2)
     grid = np.linspace(0.0, 1.0, UNIT_GRID_POINTS)
-    vals = [operator_norm(evolve(sg, s), 2) for s in grid]
-    grid_max = max(vals)
+    grid_max = operator_norm(evolve(sg, grid), 2)  # a stack's norm is its largest
     half_step = 0.5 * (grid[1] - grid[0])
     slack = norm_G * math.exp(norm_G) * half_step
     return grid_max, grid_max + slack
@@ -265,18 +275,25 @@ def bounded_along(sg: MatrixSemigroup, realseq: IndexSequence, P: int) -> Bounde
 
     Writing t = n + s with n the integer part and s in [0,1), the family
     factorizes as exp(sG) exp(nG), so the norm at t is controlled by the
-    unit-interval supremum times the norm at n.
+    unit-interval supremum times the norm at n.  All 2P times go to one
+    evolve call.
+
+    Rows are judged against grid_sup, which is at most certified_sup.  So a
+    row that passes against the grid passes against the certified supremum
+    as well, while a row that fails is not a proven violation: the true
+    supremum may lie off the grid, up to certified_sup.
     """
     if not 1 <= P <= len(realseq):
         raise HorizonExceedsSequence(f"P={P} outside 1..{len(realseq)}")
     grid_sup, certified_sup = unit_interval_sup(sg)
+    times = [float(t) for t in realseq.terms[:P]]
+    floors = [int(math.floor(t)) for t in times]
+    at = evolve(sg, times + floors)
     rows = []
     sup_along = 0.0
-    for k in range(1, P + 1):
-        t_k = float(realseq.terms[k - 1])
-        n_k = int(math.floor(t_k))
-        norm_t = operator_norm(evolve(sg, t_k), 2)
-        norm_floor = operator_norm(evolve(sg, n_k), 2)
+    for k, (t_k, n_k) in enumerate(zip(times, floors), 1):
+        norm_t = operator_norm(at[k - 1], 2)
+        norm_floor = operator_norm(at[P + k - 1], 2)
         bound = grid_sup * norm_floor * (1.0 + BOUNDED_TOL)
         sup_along = max(sup_along, norm_t)
         rows.append(BoundedRow(k, t_k, n_k, norm_t, norm_floor, bound, norm_t <= bound))
@@ -324,9 +341,9 @@ def generator_spectrum_check(sg: MatrixSemigroup) -> SpectrumReport:
     return SpectrumReport(max_real, max_dev, SPECTRUM_TOL, tuple(r for r in rows for _ in range(sg.base.fibers)))
 
 
-def lift_report(sg: MatrixSemigroup, seq: IndexSequence, P: int) -> dict:
-    """Bundle the standard checks into one JSON-ready summary."""
-    lattice = check_lattice(sg, seq, P)
+def lift_report(sg: MatrixSemigroup, seq: IndexSequence, P: int, powers=()) -> dict:
+    """Bundle the standard checks into one JSON-ready summary; powers as check_lattice takes them."""
+    lattice = check_lattice(sg, seq, P, powers)
     spectrum = generator_spectrum_check(sg)
     shift_norm = operator_norm(sg.base.shift_part(), 2)
     return {

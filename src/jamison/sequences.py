@@ -71,6 +71,19 @@ def torus_from_chord(chord: float) -> float:
     return math.asin(min(1.0, max(chord, 0.0) / 2.0)) / math.pi
 
 
+def unit_point(theta: Fraction, t: Fraction | int = 1) -> complex:
+    """e^(2 pi i t theta), from the integer residue of t * theta mod 1.
+
+    With t = a/b and theta = p/q, t * theta mod 1 is r / (b q) for
+    r = a p mod b q.  Python's int / int is correctly rounded, so the angle
+    is the double that float(Fraction(t * theta) % 1) gives, without the
+    Fraction's gcd normalisation.
+    """
+    d = t.denominator * theta.denominator
+    phi = turns_to_radians(t.numerator * theta.numerator % d / d)
+    return complex(math.cos(phi), math.sin(phi))
+
+
 @dataclass(frozen=True)
 class TorusPoint:
     """A point of the unit circle, stored as an exact angle in [0, 1) turns."""
@@ -86,12 +99,7 @@ class TorusPoint:
         return float(self.theta)
 
     def complex_value(self) -> complex:
-        phi = turns_to_radians(self.theta)
-        return complex(math.cos(phi), math.sin(phi))
-
-    def scaled(self, n: Angle) -> "TorusPoint":
-        """The point at angle n*theta (the n-th power of the circle point)."""
-        return TorusPoint(self.theta * Fraction(n))
+        return unit_point(self.theta)
 
     def signed_angle_to(self, other: "TorusPoint") -> Fraction:
         """Exact representative of (self - other) in (-1/2, 1/2]."""

@@ -23,7 +23,8 @@ import pytest
 import jamison
 import jamison.cli as cli
 import jamison.errors as errors
-from jamison import IndexSequence, build_construction
+import jamison.funm as funm
+from jamison import IndexSequence, ShiftConstruction, build_construction
 from jamison.cli import main
 from jamison.construction import FIBER_DECAY
 from jamison.errors import ArtifactCorrupt, ConfigInvalid, JamisonError
@@ -910,6 +911,74 @@ def test_deep_ladder_constructs_verifies_and_lifts(tmp_path, L):
     rows = read_report(tmp_path / "semigroup")["lift"]["lattice"]["rows"]
     assert len(rows) == L
     assert max(row["rel_err"] for row in rows) <= 1e-13
+
+
+def _counted(monkeypatch, fn) -> list:
+    """Route every binding of fn in the package's modules through a counter: the list of their calls."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "jamison" or name.startswith("jamison."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def _ladder_inputs(d: Path) -> tuple:
+    """The L8 golden ladder's inputs: factorials and their half offsets, as files under d."""
+    fact = IndexSequence.factorials(12)
+    write_json(d / "fact.json", fact.to_json_dict())
+    write_json(d / "half.json", IndexSequence((1.0,) + tuple(n + 0.5 for n in fact.terms[1:]), "real").to_json_dict())
+    return str(d / "fact.json"), str(d / "half.json")
+
+
+def test_each_command_calls_the_kernel_once_per_set_of_times(tmp_path, monkeypatch):
+    # construct: one funm.apply per trial record (its powers); verify: the load's
+    # powers; semigroup: the load, the log, the lattice, the grid and the bounded times
+    fact, half = _ladder_inputs(tmp_path)
+    cons = str(tmp_path / "C.json")
+    calls = _counted(monkeypatch, funm.apply)
+    records = []
+    honest = ShiftConstruction.__post_init__
+
+    def recording(self):
+        records.append(self)
+        honest(self)
+
+    monkeypatch.setattr(ShiftConstruction, "__post_init__", recording)
+    assert main(["construct", "--sequence", fact, "--levels", "8", "--horizon", "8", "--fibers", "2",
+                 "--out", cons, "--out-dir", str(tmp_path / "construct")]) == 0
+    assert 0 < len(calls) <= len(records)
+    golden = str(GOLDEN / "ladder/L8/L8.json")
+    calls.clear()
+    assert main(["verify", "--construction", golden, "--p", "inf", "--powers", "8",
+                 "--out-dir", str(tmp_path / "verify")]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["semigroup", "--construction", golden, "--powers", "8", "--real-sequence", half,
+                 "--out-dir", str(tmp_path / "semigroup")]) == 0
+    assert len(calls) <= 5
+
+
+def test_a_semigroup_command_builds_one_node_set(tmp_path, monkeypatch):
+    # the record's node set serves its powers, and assemble_operator hands it to the operator
+    _, half = _ladder_inputs(tmp_path)
+    built = []
+    honest = funm.NodeSet.__init__
+
+    def counting(self, row):
+        built.append(row)
+        honest(self, row)
+
+    monkeypatch.setattr(funm.NodeSet, "__init__", counting)
+    assert main(["semigroup", "--construction", str(GOLDEN / "ladder/L8/L8.json"), "--powers", "8",
+                 "--real-sequence", half, "--out-dir", str(tmp_path / "semigroup")]) == 0
+    assert len(built) == 1
 
 
 def _csv_blocks(path, I: int) -> list:

@@ -37,10 +37,10 @@ from jamison.errors import (
 )
 from jamison.construction import TruncatedOperator, fiber_rescaled
 from jamison.funm import operator_power
-from jamison.sequences import unit_diff
+from jamison.sequences import unit_diff, unit_point
 from jamison.serialize import construction_to_json_dict
 
-from blocks import dense_block
+from blocks import dense_block, fiber_weights, unit_band_powers
 from test_exact_phase import _err, _opitz, power_value
 
 # Golden data frozen from the first certified runs; the whole pipeline is
@@ -142,9 +142,9 @@ def test_level_weights_validation():
 def test_alpha_fiber_decay(synthetic_cons):
     # alpha_{i,l} = w_l FIBER_DECAY**i g_{l+1} / g_l with w_l = l and g_1 = 1
     g = dict(enumerate(synthetic_cons.gaps, start=2))
-    assert synthetic_cons.alpha(1, 2) * g[2] / g[3] == pytest.approx(1.0)
-    assert synthetic_cons.alpha(2, 2) * g[2] / g[3] == pytest.approx(0.5)
-    assert synthetic_cons.alpha(3, 1) / g[2] == pytest.approx(1.0 / 8.0)
+    assert fiber_weights(synthetic_cons, 1)[1] * g[2] / g[3] == pytest.approx(1.0)
+    assert fiber_weights(synthetic_cons, 2)[1] * g[2] / g[3] == pytest.approx(0.5)
+    assert fiber_weights(synthetic_cons, 3)[0] / g[2] == pytest.approx(1.0 / 8.0)
 
 
 # --- symmetric sums -------------------------------------------------------------
@@ -165,7 +165,7 @@ def brute_homogeneous(xs, m):
 def kernel_homogeneous(thetas, m):
     """h_m over the unimodular variables e^(2 pi i theta), from the exact-phase kernel."""
     points = [TorusPoint(Fraction(theta)) for theta in thetas]
-    (Jn,) = construction._unit_band_powers(points, [m + len(points) - 1])
+    (Jn,) = unit_band_powers(points, [m + len(points) - 1])
     return complex(Jn[0, -1])
 
 
@@ -193,7 +193,7 @@ def test_symmetric_sum_large_degree_closed_form():
     # two variables: h_m = (x^(m+1) - y^(m+1)) / (x - y), every phase from its exact angle
     a, b, m = Fraction(1, 7), Fraction(1, 5), 2000
     x, y = TorusPoint(a), TorusPoint(b)
-    expected = unit_diff(x.scaled(m + 1), y.scaled(m + 1)) / unit_diff(x, y)
+    expected = unit_diff(TorusPoint(a * (m + 1)), TorusPoint(b * (m + 1))) / unit_diff(x, y)
     assert kernel_homogeneous([a, b], m) == pytest.approx(expected, rel=1e-12)
 
 
@@ -240,7 +240,7 @@ def test_power_coefficient_vanishing_and_diagonal(synthetic_cons):
                 assert Tn[k - 1, l - 1] == 0
             elif l - k > n:  # the divided-difference steps leave their rounding there
                 assert abs(Tn[k - 1, l - 1]) <= 1e-13 * np.linalg.norm(Tn)
-        diagonal = [lam.scaled(n).complex_value() for lam in synthetic_cons.lambdas]
+        diagonal = [unit_point(lam.theta, n) for lam in synthetic_cons.lambdas]
         assert (np.diag(Tn) == diagonal).all()
 
 
@@ -250,7 +250,7 @@ def test_power_coefficient_matches_dense_powers(synthetic_cons):
     worst = 0.0
     for i in (1, 2, 3):
         block = np.diag([lam.complex_value() for lam in synthetic_cons.lambdas])
-        block += np.diag([synthetic_cons.alpha(i, l) for l in range(1, 5)], k=1)
+        block += np.diag(fiber_weights(synthetic_cons, i), k=1)
         for n in (0, 1, 2, 3, 5, 8, 12):
             got = fiber_rescaled(operator_power(op, n), i)
             worst = max(worst, float(np.abs(got - matrix_power(block, n)).max()))
@@ -266,9 +266,9 @@ def test_assemble_two_level_golden(synthetic_cons):
     op = assemble_operator(ShiftConstruction(cons.seq, cons.lambdas[:2], cons.weights, cons.horizon), 1)
     lam1 = synthetic_cons.lambdas[0].complex_value()
     lam2 = synthetic_cons.lambdas[1].complex_value()
-    expected = np.array([[lam1, synthetic_cons.alpha(1, 1)], [0.0, lam2]])
+    expected = np.array([[lam1, fiber_weights(synthetic_cons, 1)[0]], [0.0, lam2]])
     assert op.thetas == tuple(p.theta for p in synthetic_cons.lambdas[:2])
-    assert op.band.tolist() == [synthetic_cons.alpha(1, 1)]
+    assert op.band.tolist() == fiber_weights(synthetic_cons, 1)[:1]
     assert (op.levels, op.fibers) == (2, 1)
     assert np.allclose(dense_block(op), expected, atol=1e-15)
 
@@ -282,7 +282,7 @@ def test_assemble_band_pattern(synthetic_cons):
         B = fiber_rescaled(block, i)
         rows, cols = np.nonzero(B - np.diag(np.diag(B)))
         assert list(zip(rows, cols)) == [(l - 2, l - 1) for l in range(2, 6)]
-        assert np.diag(B, k=1).tolist() == [synthetic_cons.alpha(i, l) for l in range(1, 5)]
+        assert np.diag(B, k=1).tolist() == fiber_weights(synthetic_cons, i)
         assert (np.diag(B) == np.diag(block)).all()
     assert np.max(np.abs(np.abs(np.diag(block)) - 1.0)) <= 1e-14
 
@@ -326,7 +326,7 @@ def test_diagonal_power_is_isometry(synthetic_cons):
     x = rng.normal(size=10) + 1j * rng.normal(size=10)
     # exact-angle powers keep the diagonal unimodular at any exponent
     for n in (1, 7, 40320):
-        entries = [lam.scaled(n).complex_value() for lam in synthetic_cons.lambdas]
+        entries = [unit_point(lam.theta, n) for lam in synthetic_cons.lambdas]
         Dn = np.diag(np.repeat(entries, 2))
         for p in (1, 2):
             assert np.linalg.norm(Dn @ x, p) == pytest.approx(np.linalg.norm(x, p), rel=1e-14)
@@ -507,7 +507,7 @@ def _principal_block_budget(cons, level):
     eig = (0.0, 0.0)
     if level >= 3:
         eig = construction._chain_difference(thetas, construction._alphas_fiber1(gaps, w, level - 1), level)
-    powers = construction._unit_band_powers(thetas[:level], cons.seq.prefix(cons.horizon))
+    powers = unit_band_powers(thetas[:level], cons.seq.prefix(cons.horizon))
     tail_max = max(construction._tail_sum(Jn, w, gaps, level) for Jn in powers)
     return eig, tail_max
 

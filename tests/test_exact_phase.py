@@ -31,10 +31,12 @@ import numpy as np
 import pytest
 
 from jamison import IndexSequence, assemble_operator, build_construction
-from jamison.construction import TruncatedOperator, _unit_band_powers, fiber_rescaled
+from jamison.construction import TruncatedOperator, fiber_rescaled
 from jamison.errors import OutOfDomain
 from jamison.funm import operator_power
 from jamison.semigroup import evolve, principal_log
+
+from blocks import unit_band_powers
 
 ORACLE_DPS = 500
 TOL = 1e-14
@@ -126,12 +128,12 @@ def _power_route(route, cons, op):
 
     verify measures fiber 1 and stands it for both fibers; fiber 2 is its rescaling."""
     if route == "construct":
-        return [np.ones(cons.levels - 1)], lambda n: _unit_band_powers(cons.lambdas, [n])
+        return [np.ones(cons.levels - 1)], lambda n: unit_band_powers(cons.lambdas, [n])
     if route == "verify":
         two = assemble_operator(cons, 2)
         bands = [np.diagonal(fiber_rescaled(two.shift_part(), i), offset=1) for i in (1, 2)]
         return bands, lambda n: [
-            fiber_rescaled(_unit_band_powers(cons.lambdas, [n])[0] * two.products, i) for i in (1, 2)
+            fiber_rescaled(unit_band_powers(cons.lambdas, [n])[0] * two.products, i) for i in (1, 2)
         ]
     return [op.band], lambda n: [operator_power(op, n)]
 
@@ -171,7 +173,7 @@ def test_real_times_match_oracle_at_every_rung(ladder):
     for k in range(1, L + 1):
         t = math.factorial(k) + 0.5
         want = oracle(thetas, band, power_value(Fraction(t)))
-        errors.append((t, max(_err(evolve(sg, t), want, band), _err(operator_power(op, t), want, band))))
+        errors.append((t, max(_err(evolve(sg, [t])[0], want, band), _err(operator_power(op, t), want, band))))
     _report(f"T^t = exp(tG), L = {L}", errors)
     _assert_flat(errors)
 
@@ -192,7 +194,7 @@ def test_divided_differences_between_interleaved_clusters():
         n = 10**j
         err = _rel(operator_power(op, n), oracle(thetas, band, power_value(Fraction(n))))
         want = oracle(thetas, band, power_value(Fraction(n) + Fraction(1, 2)))
-        err = max(err, _rel(evolve(sg, n + 0.5), want))
+        err = max(err, _rel(evolve(sg, [n + 0.5])[0], want))
         errors.append((n, err))
     _report("interleaved clusters", errors)
     _assert_flat(errors)
@@ -238,7 +240,7 @@ def test_defective_block_matches_closed_form():
                 want = [[xt, xt * _mpf(t) * band / x], [0, xt]]
                 err = _rel(operator_power(op, t), want)
                 if t.denominator == 2:
-                    err = max(err, _rel(evolve(sg, float(t)), want))
+                    err = max(err, _rel(evolve(sg, [float(t)])[0], want))
                 errors.append((float(t), err))
     _report("defective 2 x 2", errors)
     _assert_flat(errors)

@@ -14,7 +14,7 @@ from jamison import IndexSequence, assemble_operator, build_construction, matrix
 from jamison.construction import FIBER_DECAY, fiber_rescaled
 from jamison.semigroup import evolve, principal_log
 
-from blocks import dense_block
+from blocks import dense_block, fiber_weights
 
 L, I = 8, 3
 
@@ -35,7 +35,7 @@ def setup():
         for i in range(1, I + 1):
             dense[(l - 1) * I + i - 1, (l - 1) * I + i - 1] = cons.lambdas[l - 1].complex_value()
             if l >= 2:
-                dense[(l - 2) * I + i - 1, (l - 1) * I + i - 1] = cons.alpha(i, l - 1)
+                dense[(l - 2) * I + i - 1, (l - 1) * I + i - 1] = fiber_weights(cons, i)[l - 2]
     op = assemble_operator(cons, I)
     return cons, op, dense_block(op), dense
 
@@ -74,9 +74,10 @@ def test_stack_log_and_evolution_match_dense(setup):
     assert sg.generator.shape == (L, L)
     G = _interleave(sg.generator)
     assert np.linalg.norm(G - logm(dense), 2) <= 1e-12 * np.linalg.norm(G, 2)
-    for t in (0.5, 1.0, 7.25, 720.0):
+    times = (0.5, 1.0, 7.25, 720.0)
+    for t, E in zip(times, evolve(sg, times)):
         want = expm(t * G)
-        assert np.linalg.norm(_interleave(evolve(sg, t)) - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+        assert np.linalg.norm(_interleave(E) - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
     rows = list(sg.generator_csv_rows())
     size = L * I
     assert rows == [(r, c, G[r, c].real, G[r, c].imag) for r in range(size) for c in range(size)]

@@ -127,19 +127,21 @@ def test_clustered_spectrum_is_one_taylor_cluster(factorial_setup):
 
 def test_evolve_at_zero_one_two(factorial_setup):
     _, op, sg = factorial_setup
-    assert np.allclose(evolve(sg, 0.0), np.eye(8), atol=1e-15)
+    E0, E1, E2 = evolve(sg, [0.0, 1, 2])
+    assert np.allclose(E0, np.eye(8), atol=1e-15)
     T = dense_block(op)
-    assert operator_norm(evolve(sg, 1) - T, 2) <= 1e-10 * operator_norm(T, 2)
+    assert operator_norm(E1 - T, 2) <= 1e-10 * operator_norm(T, 2)
     T2 = T @ T
-    assert operator_norm(evolve(sg, 2) - T2, 2) <= 1e-9 * operator_norm(T2, 2)
+    assert operator_norm(E2 - T2, 2) <= 1e-9 * operator_norm(T2, 2)
 
 
 def test_evolve_rejects_bad_times(factorial_setup):
     _, _, sg = factorial_setup
+    # one bad time refuses the whole batch
     with pytest.raises(OutOfDomain):
-        evolve(sg, -0.5)
+        evolve(sg, [1.0, -0.5])
     with pytest.raises(OutOfDomain):
-        evolve(sg, math.inf)
+        evolve(sg, [math.inf])
 
 
 def test_semigroup_law(factorial_setup):
@@ -147,8 +149,8 @@ def test_semigroup_law(factorial_setup):
     rng = np.random.default_rng(3)
     for _ in range(8):
         s, t = rng.uniform(0.0, 3.0, 2)
-        lhs = evolve(sg, s + t)
-        rhs = evolve(sg, s) @ evolve(sg, t)
+        lhs, at_s, at_t = evolve(sg, [s + t, s, t])
+        rhs = at_s @ at_t
         assert operator_norm(lhs - rhs, 2) <= 1e-9 * (1.0 + operator_norm(lhs, 2))
 
 
@@ -156,8 +158,9 @@ def test_strong_continuity_proxy(factorial_setup):
     _, _, sg = factorial_setup
     norm_G = operator_norm(sg.generator, 2)
     last = math.inf
-    for h in (1e-1, 1e-2, 1e-3, 1e-4):
-        dist = operator_norm(evolve(sg, h) - np.eye(8), 2)
+    hs = (1e-1, 1e-2, 1e-3, 1e-4)
+    for h, E in zip(hs, evolve(sg, hs)):
+        dist = operator_norm(E - np.eye(8), 2)
         assert dist <= norm_G * h * 1.01
         assert dist < last
         last = dist
@@ -165,7 +168,7 @@ def test_strong_continuity_proxy(factorial_setup):
 
 def test_spectral_mapping_at_one(factorial_setup):
     _, op, sg = factorial_setup
-    got = sorted(np.linalg.eigvals(evolve(sg, 1.0)), key=lambda z: z.imag)
+    got = sorted(np.linalg.eigvals(evolve(sg, [1.0])[0]), key=lambda z: z.imag)
     want = sorted(np.diag(dense_block(op)), key=lambda z: z.imag)
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9
 
@@ -216,12 +219,12 @@ def test_lattice_detects_a_perturbed_log_series_coefficient(factorial_setup, mon
 
 
 def _one_percent_off_in_entry_12(monkeypatch):
-    """Entry (1, 2) of the exp route's divided differences, 1 % too large."""
+    """Entry (1, 2) of the exp route's divided differences, 1 % too large at every time of the batch."""
     honest = semigroup.unit_evolve
 
-    def shallow_error(sg, t):
-        out = np.array(honest(sg, t))
-        out[0, 1] *= 1.01
+    def shallow_error(sg, times):
+        out = np.array(honest(sg, times))
+        out[:, 0, 1] *= 1.01
         return out
 
     monkeypatch.setattr(semigroup, "unit_evolve", shallow_error)
@@ -296,9 +299,8 @@ def test_half_offset_bound_with_certified_sup(factorial_setup):
     seq, _, sg = factorial_setup
     _, certified = unit_interval_sup(sg)
     for n in seq.terms:
-        norm_t = operator_norm(evolve(sg, n + 0.5), 2)
-        norm_n = operator_norm(evolve(sg, float(n)), 2)
-        assert norm_t <= certified * norm_n * (1.0 + 1e-6)
+        at_t, at_n = evolve(sg, [n + 0.5, float(n)])
+        assert operator_norm(at_t, 2) <= certified * operator_norm(at_n, 2) * (1.0 + 1e-6)
 
 
 # --- generator spectrum -------------------------------------------------------
