@@ -87,7 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="adaptive eigenvalue placement with certificates")
     p.add_argument("--sequence", required=True, help="sequence JSON file")
     p.add_argument("--levels", type=int, required=True, help="number of eigenvalue levels L")
-    p.add_argument("--fibers", type=int, default=2, help=f"fiber truncation I stored for assembly (at most {MAX_FIBERS})")
+    p.add_argument(
+        "--fibers", type=int, default=2,
+        help=f"fiber truncation I stored for assembly, at most {MAX_FIBERS} so that verify's tail bound 0.5**I evaluates",
+    )
     p.add_argument("--weights", default="linear", help="'linear' (w_l = l) or a JSON file with a list of at least L - 1 numbers")
     p.add_argument("--horizon", type=int, default=None, help="sequence horizon K (default: full length)")
     p.add_argument("--out", required=True, help="construction JSON output path")

@@ -12,7 +12,7 @@ separation (factorial-like growth), the adaptive search succeeds and the
 resulting matrix keeps all powers T^{n_k} within distance 1 of the diagonal
 part.  Fiber i's weights are fiber 1's times 2^-(i-1), so the operator is
 held as its exact angles and fiber 1's band: every other fiber is an exact
-rescaling of fiber 1, with no larger norm (TruncatedOperator, fiber_rescaled).
+rescaling of fiber 1, with no larger norm (TruncatedOperator).
 
 Everything here is deterministic: the near-return search is a box search
 plus exact rational witnesses, budgets are re-checked with exact-angle
@@ -562,7 +562,8 @@ class TruncatedOperator:
     the L-1 float64 weights alpha_{1,l}, each linking level l+1 to level l.
     Fiber i's block is D T_1 D^-1 with D = diag(FIBER_DECAY**((i-1) k)), so
     f(T_i) is f(T_1) times FIBER_DECAY**((i-1)(l-k)) entrywise, exactly in
-    binary (fiber_rescaled).  No entry grows, which bounds the 1- and
+    binary: fiber 1 and the count stand for every fiber, in every check and
+    every artifact.  No entry grows, which bounds the 1- and
     inf-norms by fiber 1's; for p = 2 the rescaling is a Schur product with
     the positive definite [c^|k-l|], 0 < c < 1, which is no expansion.  So
     the norm of the direct sum is fiber 1's.
@@ -606,17 +607,6 @@ class TruncatedOperator:
 
     def shift_part(self) -> np.ndarray:
         return np.diag(self.band, 1)
-
-
-def fiber_rescaled(M: np.ndarray, fiber: int) -> np.ndarray:
-    """The given fiber's block of a function of the operator, from fiber 1's block M.
-
-    Entry (k, l), k < l, is multiplied by FIBER_DECAY**((fiber-1)(l-k)), a
-    power of two, so it keeps its bits unless it falls below the normal
-    range; the diagonal and the lower part are M's.
-    """
-    k, l = np.indices(M.shape)
-    return M * FIBER_DECAY ** ((fiber - 1) * np.maximum(l - k, 0))
 
 
 def assemble_operator(cons: ShiftConstruction, I: int) -> TruncatedOperator:

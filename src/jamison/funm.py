@@ -279,9 +279,3 @@ def _apply_group(thetas: tuple, label: tuple, fs: list) -> np.ndarray:
 
 def exact_time(t) -> Fraction:
     return Fraction(t) if isinstance(t, numbers.Rational) else Fraction(float(t))
-
-
-def operator_power(op, t) -> np.ndarray:
-    """T^t = exp(t Log T) on op's fiber block: J^t on its exact angles times its band products."""
-    (Jt,) = apply(op.nodes, [Power(exact_time(t))])
-    return Jt * op.products

@@ -4,11 +4,12 @@ A certified operator T from the construction module is a direct sum of
 upper-bidiagonal fiber blocks whose unimodular diagonal entries carry exact
 rational angles on a short arc in the right half plane, well clear of the
 branch cut of the principal logarithm.  Every check runs on fiber 1's block,
-whose norms are the operator's.  This module computes G = Log T,
-exposes the one-parameter family t -> exp(tG), and provides checks that the
-family agrees with integer powers of T on the index sequence, stays bounded
-along real sequences, and has purely imaginary generator spectrum.  Each
-check hands all its times to the kernel at once (evolve takes a vector).
+whose norms are the operator's, and every output lists it alone.  This
+module computes G = Log T, exposes the one-parameter family t -> exp(tG),
+and provides checks that the family agrees with integer powers of T on the
+index sequence, stays bounded along real sequences, and has purely imaginary
+generator spectrum.  Each check hands all its times to the kernel at once
+(evolve takes a vector).
 
 T is its exact angles and fiber 1's band (TruncatedOperator).  T^n, Log T
 and exp(tG) all come from the exact-phase kernel of the funm module on the
@@ -29,7 +30,7 @@ import numpy as np
 
 # matrix_power stays bound here as well: the benchmark tracer patches every
 # binding of it and checks this one.
-from .construction import TruncatedOperator, fiber_rescaled, matrix_power, operator_norm  # noqa: F401
+from .construction import FIBER_DECAY, TruncatedOperator, matrix_power, operator_norm  # noqa: F401
 from .errors import (
     HorizonExceedsSequence,
     OutOfDomain,
@@ -77,6 +78,7 @@ class MatrixSemigroup:
         return {
             "levels": self.base.levels,
             "fibers": self.base.fibers,
+            "fiber_decay": FIBER_DECAY,
             "dim": self.dim,
             "method": LOG_METHOD,
             "log_clusters": self.log_clusters,
@@ -84,18 +86,14 @@ class MatrixSemigroup:
         }
 
     def generator_csv_rows(self):
-        """(row, col, re, im) of the dense generator in the level-major layout, row by row.
+        """(row, col, re, im) of fiber 1's L x L generator, row by row.
 
-        Slot (i, l) is row (l-1)*I + (i-1), so fiber block i, fiber 1's
-        generator rescaled, fills every I-th row and column starting at i-1;
-        entries between fibers are zero.  The rows stream from fiber 1's
-        block, so the dense matrix is never formed.
+        Fiber i's block is these entries times fiber_decay**((i-1)(col-row))
+        above the diagonal, so with fibers and fiber_decay they stand for the
+        whole direct sum.
         """
-        I = self.base.fibers
-        for r in range(self.dim):
-            row = fiber_rescaled(self.generator, r % I + 1)[r // I].tolist()
-            for c in range(self.dim):
-                z = row[c // I] if c % I == r % I else 0j
+        for r, row in enumerate(self.generator.tolist()):
+            for c, z in enumerate(row):
                 yield r, c, z.real, z.imag
 
 
@@ -326,10 +324,9 @@ class SpectrumReport:
 def generator_spectrum_check(sg: MatrixSemigroup) -> SpectrumReport:
     """Generator eigenvalues against i times the exact level angles in radians.
 
-    Each level's signed exact angle contributes 2 pi theta once per fiber; the
+    Each level's signed exact angle contributes 2 pi theta; fiber 1's
     generator spectrum must match that multiset and carry no real part beyond
-    roundoff.  Every fiber's block shares fiber 1's diagonal and eigenvalues,
-    so each of fiber 1's rows stands for all I fibers.
+    roundoff.
     """
     expected = [turns_to_radians(theta) for theta in sorted(sg.base.nodes.thetas)]
     eigs = sorted(np.linalg.eigvals(sg.generator), key=lambda z: z.imag)
@@ -338,7 +335,7 @@ def generator_spectrum_check(sg: MatrixSemigroup) -> SpectrumReport:
     ]
     max_real = max([0.0] + [abs(r.real_part) for r in rows])
     max_dev = max([0.0] + [r.deviation for r in rows])
-    return SpectrumReport(max_real, max_dev, SPECTRUM_TOL, tuple(r for r in rows for _ in range(sg.base.fibers)))
+    return SpectrumReport(max_real, max_dev, SPECTRUM_TOL, tuple(rows))
 
 
 def lift_report(sg: MatrixSemigroup, seq: IndexSequence, P: int, powers=()) -> dict:

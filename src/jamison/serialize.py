@@ -30,9 +30,9 @@ if TYPE_CHECKING:
     from .construction import ShiftConstruction
 
 DECIMAL_DIGITS = 30
-# Largest fiber truncation I a construction file may carry.  The operator
-# holds fiber 1's band alone and every norm is fiber 1's, so I costs
-# nothing until semigroup writes generator.csv, whose (L I)^2 rows it bounds.
+# Largest fiber truncation I a construction file may carry.  Every norm and
+# every output is fiber 1's, so I sizes nothing; the cap keeps I where
+# verify's FIBER_DECAY ** I evaluates (0.5 ** 10**400 raises OverflowError).
 MAX_FIBERS = 4096
 
 

@@ -17,13 +17,11 @@ from scipy.integrate import quad
 from jamison.construction import (
     assemble_operator,
     build_construction,
-    fiber_rescaled,
     matrix_power,
     operator_norm,
     verify_partial_power_bound,
 )
 from jamison.errors import BudgetInfeasible
-from jamison.funm import operator_power
 from jamison.semigroup import (
     check_lattice,
     evolve,
@@ -40,7 +38,7 @@ from jamison.sequences import (
 )
 from jamison.starnorm import ExpSpan, base_norm, dj_bound_check, star_norm, verify_translation_bound
 
-from blocks import dense_block, fiber_weights, unit_band_powers
+from blocks import dense_block, fiber_rescaled, fiber_weights, operator_power, unit_band_powers
 
 ROOT_HALF_PI = math.sqrt(math.pi / 2.0)
 

@@ -7,10 +7,12 @@ certified construction through construct -> verify -> semigroup.
 
 import ast
 import builtins
+import csv
 import hashlib
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import math
 import subprocess
@@ -18,6 +20,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jamison
@@ -38,6 +41,8 @@ from jamison.serialize import (
     save_construction,
     write_json,
 )
+
+from blocks import fiber_rescaled
 
 
 def read_report(out_dir):
@@ -787,7 +792,7 @@ def test_verify_tampered_artifact_exits_two(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "semigroup"])
-@pytest.mark.parametrize("bad", [2.5, "2", 0, -3, True, 10**7])
+@pytest.mark.parametrize("bad", [2.5, "2", 0, -3, True, 10**7, pytest.param(10**400, id="10**400")])
 def test_bad_stored_fibers_exit_one(workdir, tmp_path, capsys, command, bad):
     obj = json.loads((workdir / "C.json").read_text())
     obj["fibers"] = bad
@@ -877,8 +882,8 @@ def test_semigroup_lift_and_bounded(workdir, tmp_path):
     assert report["bounded"]["all_ok"] is True
     lines = (tmp_path / "generator.csv").read_text().splitlines()
     assert lines[0] == "row,col,re,im"
-    dim = report["lift"]["semigroup"]["dim"]
-    assert len(lines) == 1 + dim * dim
+    levels = report["lift"]["semigroup"]["levels"]
+    assert len(lines) == 1 + levels * levels
 
 
 # SHA-256 of each rung's construction file, recorded before the refactors
@@ -981,18 +986,9 @@ def test_a_semigroup_command_builds_one_node_set(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
-def _csv_blocks(path, I: int) -> list:
-    """The I fiber blocks of a level-major generator.csv, and whether every entry between fibers is zero."""
-    rows = [line.split(",") for line in Path(path).read_text().splitlines()[1:]]
-    dim = math.isqrt(len(rows))
-    dense = [[complex(float(re), float(im)) for _, _, re, im in rows[r * dim:(r + 1) * dim]] for r in range(dim)]
-    between = all(dense[r][c] == 0 for r in range(dim) for c in range(dim) if r % I != c % I)
-    return [[row[i::I] for row in dense[i::I]] for i in range(I)], between
-
-
 def test_semigroup_lifts_alike_at_every_fiber_count(tmp_path):
     # fiber 11's band products at L = 13 are subnormal; every fiber block is fiber 1's rescaled,
-    # so the lift and its checks are fiber 1's whatever the count
+    # so the lift, its checks and generator.csv are fiber 1's whatever the count
     seq = IndexSequence.factorials(13)
     cons = build_construction(seq, L=13, K=13, w=tuple(float(l) for l in range(1, 13)))
     half = IndexSequence((1.0,) + tuple(n + 0.5 for n in seq.terms[1:]), "real")
@@ -1006,22 +1002,62 @@ def test_semigroup_lifts_alike_at_every_fiber_count(tmp_path):
         ]) == 0
         report = read_report(tmp_path / f"I{I}")
         spectrum = report["lift"]["spectrum"]
-        assert len(spectrum["rows"]) == 13 * I
-        spectrum["rows"] = spectrum["rows"][::I]
+        assert len(spectrum["rows"]) == 13
         lifts[I] = (report["lift"]["lattice"], report["lift"]["semigroup"]["roundtrip_error"], report["bounded"], spectrum)
     assert lifts[11] == lifts[2] and lifts[12] == lifts[2]
+    generator = (tmp_path / "I2" / "generator.csv").read_bytes()
+    assert (tmp_path / "I11" / "generator.csv").read_bytes() == generator
+    assert (tmp_path / "I12" / "generator.csv").read_bytes() == generator
 
-    blocks, between = _csv_blocks(tmp_path / "I12" / "generator.csv", 12)
-    assert between
-    first = blocks[0]
-    assert first == _csv_blocks(tmp_path / "I2" / "generator.csv", 2)[0][0]
-    for i, block in enumerate(blocks, start=1):
-        for k in range(13):
-            for l in range(13):
-                scale = FIBER_DECAY ** ((i - 1) * max(l - k, 0))
-                want = complex(first[k][l].real * scale, first[k][l].imag * scale)
-                if all(x == 0 or abs(x) >= sys.float_info.min for x in (want.real, want.imag)):
-                    assert block[k][l] == want, (i, k, l)
+
+# SHA-256 of the level-major LI x LI generator.csv that semigroup wrote for the L8 golden ladder at
+# I = 2 and 7, before the file listed fiber 1 alone: slot (i, l) at row (l-1)*I + (i-1), fiber i's
+# block fiber 1's rescaled, zeros between fibers
+LEVEL_MAJOR_GENERATOR_SHA256 = {
+    2: "e4b9e12d92d40ae9608c591657ec5091a847fea6f48a53433b5a0736e58163d2",
+    7: "69d79e0cd847df9ce444917b53f0b9629125357760c29404f8a787097f8854c4",
+}
+
+
+def _level_major_generator(path, I: int) -> str:
+    """The level-major LI x LI generator.csv text, rebuilt from fiber 1's L x L file and the fiber count I."""
+    rows = list(csv.reader(Path(path).read_text().splitlines()))[1:]
+    L = math.isqrt(len(rows))
+    G = np.array([complex(float(re), float(im)) for _, _, re, im in rows]).reshape(L, L)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(("row", "col", "re", "im"))
+    for r in range(L * I):
+        row = fiber_rescaled(G, r % I + 1)[r // I].tolist()
+        for c in range(L * I):
+            z = row[c // I] if c % I == r % I else 0j
+            writer.writerow((r, c, z.real, z.imag))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("I", sorted(LEVEL_MAJOR_GENERATOR_SHA256))
+def test_fiber_one_generator_rebuilds_the_level_major_file(tmp_path, I):
+    # the L x L file, the fiber count and the fiber decay give back every fiber's block, bit for bit
+    _, half = _ladder_inputs(tmp_path)
+    obj = json.loads((GOLDEN / "ladder/L8/L8.json").read_text())
+    obj["fibers"] = I
+    write_json(tmp_path / "C.json", obj)
+    assert main(["semigroup", "--construction", str(tmp_path / "C.json"), "--powers", "8",
+                 "--real-sequence", half, "--out-dir", str(tmp_path / "semigroup")]) == 0
+    lift = read_report(tmp_path / "semigroup")["lift"]["semigroup"]
+    assert (lift["fibers"], lift["fiber_decay"], lift["dim"]) == (I, FIBER_DECAY, 8 * I)
+    text = _level_major_generator(tmp_path / "semigroup" / "generator.csv", lift["fibers"])
+    assert hashlib.sha256(text.encode()).hexdigest() == LEVEL_MAJOR_GENERATOR_SHA256[I]
+
+
+def test_semigroup_at_the_largest_fiber_count_writes_fiber_one(workdir, tmp_path):
+    obj = json.loads((workdir / "C.json").read_text())
+    obj["fibers"] = MAX_FIBERS
+    write_json(tmp_path / "C.json", obj)
+    assert main(["semigroup", "--construction", str(tmp_path / "C.json"), "--powers", "6",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert len((tmp_path / "out" / "generator.csv").read_text().splitlines()) == 1 + 5 * 5
+    assert len(read_report(tmp_path / "out")["lift"]["spectrum"]["rows"]) == 5
 
 
 def test_semigroup_without_real_sequence(workdir, tmp_path):

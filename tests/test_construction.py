@@ -35,12 +35,11 @@ from jamison.errors import (
     SizeMismatch,
     WeightListTooShort,
 )
-from jamison.construction import TruncatedOperator, fiber_rescaled
-from jamison.funm import operator_power
+from jamison.construction import TruncatedOperator
 from jamison.sequences import unit_diff, unit_point
 from jamison.serialize import construction_to_json_dict
 
-from blocks import dense_block, fiber_weights, unit_band_powers
+from blocks import dense_block, fiber_rescaled, fiber_weights, operator_power, unit_band_powers
 from test_exact_phase import _err, _opitz, power_value
 
 # Golden data frozen from the first certified runs; the whole pipeline is

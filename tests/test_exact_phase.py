@@ -31,12 +31,11 @@ import numpy as np
 import pytest
 
 from jamison import IndexSequence, assemble_operator, build_construction
-from jamison.construction import TruncatedOperator, fiber_rescaled
+from jamison.construction import TruncatedOperator
 from jamison.errors import OutOfDomain
-from jamison.funm import operator_power
 from jamison.semigroup import evolve, principal_log
 
-from blocks import unit_band_powers
+from blocks import fiber_rescaled, operator_power, unit_band_powers
 
 ORACLE_DPS = 500
 TOL = 1e-14

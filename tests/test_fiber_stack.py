@@ -3,7 +3,7 @@
 The reference is the LI x LI matrix with slot (i, l) at row (l-1)*I + (i-1),
 built here entry by entry from the construction's weights.  The operator
 holds its exact angles and fiber 1's band; fiber i's block of any function
-of it is construction.fiber_rescaled, and the operator's norms are fiber 1's.
+of it is blocks.fiber_rescaled, and the operator's norms are fiber 1's.
 """
 
 import numpy as np
@@ -11,10 +11,10 @@ import pytest
 from scipy.linalg import expm, logm
 
 from jamison import IndexSequence, assemble_operator, build_construction, matrix_power, operator_norm
-from jamison.construction import FIBER_DECAY, fiber_rescaled
+from jamison.construction import FIBER_DECAY
 from jamison.semigroup import evolve, principal_log
 
-from blocks import dense_block, fiber_weights
+from blocks import dense_block, fiber_rescaled, fiber_weights
 
 L, I = 8, 3
 
@@ -79,8 +79,7 @@ def test_stack_log_and_evolution_match_dense(setup):
         want = expm(t * G)
         assert np.linalg.norm(_interleave(E) - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
     rows = list(sg.generator_csv_rows())
-    size = L * I
-    assert rows == [(r, c, G[r, c].real, G[r, c].imag) for r in range(size) for c in range(size)]
+    assert rows == [(r, c, z.real, z.imag) for (r, c), z in np.ndenumerate(sg.generator)]
 
 
 def test_fiber_scaling_identity(setup):

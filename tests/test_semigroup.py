@@ -312,7 +312,7 @@ def test_generator_spectrum_purely_imaginary(factorial_setup):
     assert rep.all_ok
     assert rep.max_real_part <= 1e-9
     assert rep.max_deviation <= 1e-9
-    assert len(rep.rows) == 16
+    assert len(rep.rows) == 8
 
 
 def test_generator_spectrum_on_separated(separated_setup):
@@ -323,11 +323,11 @@ def test_generator_spectrum_on_separated(separated_setup):
 
 def test_spectrum_expects_the_exact_angles_in_radians(factorial_setup):
     # no angle is read back from a rounded diagonal: each expected value is 2 pi theta
-    # of a signed exact angle, in their sorted order, once per fiber
+    # of a signed exact angle, in their sorted order, once each
     _, op, sg = factorial_setup
     signed = sorted((theta + Fraction(1, 2)) % 1 - Fraction(1, 2) for theta in op.thetas)
     rows = generator_spectrum_check(sg).rows
-    assert [r.expected_imag for r in rows] == [turns_to_radians(theta) for theta in signed for _ in range(op.fibers)]
+    assert [r.expected_imag for r in rows] == [turns_to_radians(theta) for theta in signed]
 
 
 def test_zero_phase_level_gives_zero_eigenvalue():
@@ -374,4 +374,4 @@ def test_lift_report_bundle(factorial_setup):
     assert rep["semigroup"]["method"] == LOG_METHOD
     assert rep["semigroup"]["log_clusters"] == 1
     assert "eig_cond" not in rep["semigroup"]
-    assert len(list(sg.generator_csv_rows())) == 16 * 16
+    assert len(list(sg.generator_csv_rows())) == 8 * 8

@@ -307,7 +307,7 @@ def _rechunked(search: _BoxSearch, chunk: int) -> _BoxSearch:
 @pytest.mark.parametrize("n_terms", [1, 3, 64, 65, 1000])
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([10.0, 1e6, 1e18]))
-def test_f_grid_matches_one_shot_reference(n_terms, n_thetas, seed, scale):
+def test_box_search_evaluate_matches_one_shot_reference(n_terms, n_thetas, seed, scale):
     # f_K at a batch of points, as the box search evaluates it chunk by chunk, equals the
     # same batch in chunks of another size (one chunk up to 97 points) bit for bit, and the
     # exact f to within the search's margin
