@@ -32,10 +32,9 @@ _MODULE_OF = {
     ), "serialize"),
     **dict.fromkeys((
         "INCONCLUSIVE", "SEPARATED", "VANISHING", "ClassificationResult",
-        "IndexSequence", "SeparationReport", "TorusPoint", "box_dimension_estimate",
-        "chord_distance", "chord_torus_bounds_check", "classify_jamison", "d_metric",
-        "near_return_search", "separation_constant", "torus_norm", "turns_to_radians",
-        "unit_diff",
+        "IndexSequence", "SeparationReport", "box_dimension_estimate", "chord_distance",
+        "chord_torus_bounds_check", "classify_jamison", "d_metric", "near_return_search",
+        "separation_constant", "signed_turns", "torus_norm", "turns_to_radians", "unit_diff",
     ), "sequences"),
 }
 

@@ -145,7 +145,7 @@ def _cmd_analyze(args) -> int:
     _write_csv(
         out_dir / "decay.csv",
         ("K", "epsilon_hat_torus", "epsilon_hat_chord", "witness_theta"),
-        [(r.horizon, r.epsilon_hat_torus, r.epsilon_hat, r.witness.as_float()) for r in result.reports],
+        [(r.horizon, r.epsilon_hat_torus, r.epsilon_hat, float(r.witness)) for r in result.reports],
     )
     print(f"verdict: {result.verdict}")
     return 0

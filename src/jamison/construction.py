@@ -10,7 +10,8 @@ powers is too well separated on the circle, no placement works and the build
 reports which budget failed first; when the sequence has fast-vanishing
 separation (factorial-like growth), the adaptive search succeeds and the
 resulting matrix keeps all powers T^{n_k} within distance 1 of the diagonal
-part.  Fiber i's weights are fiber 1's times 2^-(i-1), so the operator is
+part.  Every angle is a Fraction in turns, in [0, 1) once the record holds
+it.  Fiber i's weights are fiber 1's times 2^-(i-1), so the operator is
 held as its exact angles and fiber 1's band: every other fiber is an exact
 rescaling of fiber 1, with no larger norm (TruncatedOperator).
 
@@ -45,7 +46,7 @@ from .errors import (
     WeightListTooShort,
 )
 from .funm import NodeSet, Power, apply
-from .sequences import IndexSequence, TorusPoint, chord_distance, near_return_search, torus_from_chord, unit_diff
+from .sequences import IndexSequence, chord_distance, near_return_search, torus_from_chord, unit_diff
 
 
 # --- fiber (parent) index map -------------------------------------------------
@@ -166,7 +167,7 @@ class LevelBudget:
             eigvec_budget=eigvec_budget,
             tail_max=tail_max,
             tail_budget=tail_budget,
-            delta=thetas[fiber_map(level) - 1].theta - thetas[level - 1].theta,
+            delta=thetas[fiber_map(level) - 1] - thetas[level - 1],
         )
 
 
@@ -203,7 +204,7 @@ def _tail_sum(Jn: np.ndarray, w: tuple, gaps: dict, level: int) -> float:
 # --- stable product differences and eigenvector chains ----------------------------
 
 
-def product_difference(x: TorusPoint, y: TorusPoint, nodes) -> complex:
+def product_difference(x: Fraction, y: Fraction, nodes) -> complex:
     """prod(x - a_q) - prod(y - a_q), evaluated without catastrophic cancellation.
 
     Uses the telescoping identity
@@ -294,7 +295,8 @@ def gaps_table(thetas, upto: int) -> dict:
 class ShiftConstruction:
     """One truncated operator, held as what was chosen: exact level angles, weights w_1..w_{L-1}, horizon.
 
-    Angles may be given as TorusPoints or as rationals (turns).  Every other
+    Angles are rationals in turns, reduced mod 1 on entry to Fractions in
+    [0, 1); the operator shares that tuple (assemble_operator).  Every other
     table is derived from the choices once, on first use: gaps[l-2] is the
     chord distance from level l to its parent level, for l = 2..L;
     alphas1[l-1] is the fiber-1 shift weight for l = 1..L-1 (fiber i: times
@@ -313,14 +315,13 @@ class ShiftConstruction:
     horizon: int
 
     def __post_init__(self):
-        points = tuple(p if isinstance(p, TorusPoint) else TorusPoint(Fraction(p)) for p in self.lambdas)
-        object.__setattr__(self, "lambdas", points)
+        object.__setattr__(self, "lambdas", tuple(Fraction(p) % 1 for p in self.lambdas))
         if self.levels < 2:
             raise ConfigInvalid(f"a construction needs at least two levels, got {self.levels}")
         object.__setattr__(self, "weights", level_weights(self.weights, self.levels))
         if not 1 <= self.horizon <= len(self.seq):
             raise HorizonExceedsSequence(f"horizon {self.horizon} outside 1..{len(self.seq)}")
-        if len(set(p.theta for p in self.lambdas)) != len(self.lambdas):
+        if len(set(self.lambdas)) != len(self.lambdas):
             raise PreconditionViolated("eigenvalue angles must be pairwise distinct")
         if any(g <= 0.0 for g in self.gaps):
             raise PreconditionViolated("all parent gaps must be positive")
@@ -347,7 +348,7 @@ class ShiftConstruction:
 
     @cached_property
     def nodes(self) -> NodeSet:
-        return NodeSet(tuple(p.theta for p in self.lambdas))
+        return NodeSet(self.lambdas)
 
     @cached_property
     def powers(self) -> np.ndarray:
@@ -407,19 +408,22 @@ def _saturating_float(n: int) -> float:
         return math.inf
 
 
-def _level_search_target(seq, thetas, w, K, level) -> float:
-    """Back-solved eta target making all level predicates attainable."""
-    terms = seq.prefix(K)
-    if level == 2:
+def _level_search_target(prefix: ShiftConstruction | None, w) -> float:
+    """Back-solved eta target making all predicates of the level after ``prefix`` attainable.
+
+    prefix is the accepted record of the levels before, whose gaps and
+    fiber-1 weights the bounds read; level 2 (prefix None) needs only w_1.
+    """
+    if prefix is None:
         return _chord_to_eta(min(2.0, 1.0 / (2.0 * w[0])))
-    gaps = gaps_table(thetas, level - 1)
+    thetas, gaps, alphas1 = prefix.lambdas, prefix._gap_of, prefix.alphas1
+    level = prefix.levels + 1
     j = fiber_map(level)
     lam_j = thetas[j - 1]
-    dist = [abs(unit_diff(lam_j, p)) for p in thetas[: level - 1]]  # |lambda_j - lambda_q|
+    dist = [abs(unit_diff(lam_j, p)) for p in thetas]  # |lambda_j - lambda_q|
     # (a) gap recursion
     g_a = gaps[level - 1] / (2 ** level * w[level - 2])
     # (b) eigenvector budgets, linearized in the new gap with a 2x safety factor
-    alphas1 = _alphas_fiber1(gaps, w, level - 2)
     budget = 2.0 ** -(level + 1)
     a_slope_sq = 0.0
     for m in range(2, j + 1):
@@ -451,7 +455,7 @@ def _level_search_target(seq, thetas, w, K, level) -> float:
     # (c) weighted tail with the binomial estimate for the coefficient sums
     wprod = _suffix_weight_products(w, level)
     worst = 0.0
-    for n in terms:
+    for n in prefix.seq.prefix(prefix.horizon):
         kmin = max(1, level - n)
         tot = 0.0
         for k in range(kmin, level):
@@ -489,12 +493,11 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
         raise ConfigInvalid(f"a construction needs at least two levels, got {L}")
     w = level_weights(w, L)
 
-    theta1 = TorusPoint(Fraction(torus_from_chord(1.0 / 3.0)))
-    thetas = (theta1,)
+    theta1 = Fraction(torus_from_chord(1.0 / 3.0))
+    thetas, prefix = (theta1,), None
     for level in range(2, L + 1):
-        j = fiber_map(level)
-        parent = thetas[j - 1]
-        eta = _level_search_target(seq, thetas, w, K, level)
+        parent = thetas[fiber_map(level) - 1]
+        eta = _level_search_target(prefix, w)
         accepted = None
         last_failure = None
         for _ in range(SEARCH_ROUNDS):
@@ -503,20 +506,20 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
                     level, "float_range", f"search target eta = {eta!r} is below the normal double range"
                 )
             candidates = near_return_search(
-                seq, K, eta, max_candidates=4, arc=(Fraction(0), parent.theta)
+                seq, K, eta, max_candidates=4, arc=(Fraction(0), parent)
             )
             gaps = []
-            for point in candidates:
-                new_theta = parent.theta - point.theta
-                if not 0 < new_theta < theta1.theta:
+            for offset in candidates:
+                new_theta = parent - offset
+                if not 0 < new_theta < theta1:
                     continue
-                if any(new_theta == p.theta for p in thetas):
+                if new_theta in thetas:
                     continue
-                gaps.append(chord_distance(TorusPoint(new_theta), parent))
+                gaps.append(chord_distance(new_theta, parent))
                 if not gaps[-1] >= sys.float_info.min:
                     last_failure = "float_range"  # its gap is no normal double
                     continue
-                trial = ShiftConstruction(seq, (*thetas, TorusPoint(new_theta)), w, K)
+                trial = ShiftConstruction(seq, (*thetas, new_theta), w, K)
                 record = trial.budget(level)
                 if record.all_ok:
                     accepted = trial
@@ -538,7 +541,7 @@ def build_construction(seq: IndexSequence, L: int, K: int, w) -> ShiftConstructi
             raise BudgetInfeasible(
                 level, "eta_search", "near-return search found no usable candidates"
             )
-        thetas = accepted.lambdas
+        thetas, prefix = accepted.lambdas, accepted
 
     failing = next((b for b in accepted.budgets if not b.all_ok), None)
     if failing is not None:
@@ -613,7 +616,7 @@ def assemble_operator(cons: ShiftConstruction, I: int) -> TruncatedOperator:
     """The record's I-fiber operator: its exact angles, their node set, and fiber 1's shift weights as the band."""
     if I < 1:
         raise SizeMismatch(f"fiber count {I} must be >= 1")
-    return TruncatedOperator(tuple(p.theta for p in cons.lambdas), cons.alphas1, I, cons.nodes)
+    return TruncatedOperator(cons.lambdas, cons.alphas1, I, cons.nodes)
 
 
 def matrix_power(M: np.ndarray, n: int) -> np.ndarray:

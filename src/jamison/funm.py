@@ -51,17 +51,11 @@ from itertools import accumulate, chain, count
 import numpy as np
 
 from .errors import OutOfDomain
-from .sequences import TorusPoint, turns_to_radians, unit_diff, unit_point, unit_step
+from .sequences import signed_turns, turns_to_radians, unit_diff, unit_point, unit_step
 
 CLUSTER_GAP = 0.1  # radians times max(|t|, 1): closer nodes share a Taylor cluster
 _MAX_TERMS = 400
 _EPS = 2.0 ** -53
-_HALF = Fraction(1, 2)
-
-
-def _signed(theta: Fraction) -> Fraction:
-    """The representative of an angle (turns) in [-1/2, 1/2)."""
-    return (theta + _HALF) % 1 - _HALF
 
 
 def _imag_turns(theta: Fraction) -> complex:
@@ -158,7 +152,7 @@ class NodeSet:
     """Signed exact angles of a fiber block's diagonal, with their sorted gaps."""
 
     def __init__(self, row: tuple):
-        self.thetas = tuple(_signed(theta) for theta in row)
+        self.thetas = tuple(signed_turns(theta) for theta in row)
         self.order = sorted(range(len(row)), key=self.thetas.__getitem__)
         # exact gap to the previous node in that order, as a float
         self.gaps = [float(self.thetas[cur] - self.thetas[prev]) for prev, cur in zip(self.order, self.order[1:])]
@@ -267,7 +261,7 @@ def _apply_group(thetas: tuple, label: tuple, fs: list) -> np.ndarray:
         if b is None:
             return runs[label[a]][:, pos[a], pos[S[-1]]]
         rest = tuple(l for l in S if l != b)
-        return (divided(S[1:]) - divided(rest)) / unit_diff(TorusPoint(thetas[b]), TorusPoint(thetas[a]))
+        return (divided(S[1:]) - divided(rest)) / unit_diff(thetas[b], thetas[a])
 
     F = np.zeros((len(fs), L, L), dtype=complex)
     F[:, range(L), range(L)] = values

@@ -23,7 +23,7 @@ module needs numpy alone.
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +38,7 @@ from .errors import (
     SpectrumOutsideDomain,
 )
 from .funm import ExpLog, Log, Power, apply, clusters, exact_time, exp_shifted
-from .sequences import IndexSequence, TorusPoint, turns_to_radians
+from .sequences import IndexSequence, turns_to_radians, unit_point
 
 LOG_METHOD = "exact-phase-divided-differences"
 UNIT_GRID_POINTS = 64
@@ -56,7 +56,7 @@ class MatrixSemigroup:
     base: TruncatedOperator
     unit_log: np.ndarray  # (levels, levels): Log J, the log's divided differences over fiber 1's nodes
     log_clusters: int  # Taylor clusters in the log; 1 means no divided-difference step
-    roundtrip_error: float = field(default=math.nan)
+    roundtrip_error: float
 
     @functools.cached_property
     def generator(self) -> np.ndarray:
@@ -147,7 +147,7 @@ def roundtrip_error(op: TruncatedOperator, unit_log: np.ndarray) -> float:
     """
     thetas = op.nodes.thetas
     sigma = (min(thetas) + max(thetas)) / 2
-    J = np.diag([TorusPoint(theta).complex_value() for theta in thetas]) + np.eye(len(thetas), k=1)
+    J = np.diag([unit_point(theta) for theta in thetas]) + np.eye(len(thetas), k=1)
     Y = unit_log - Log().value(sigma) * np.eye(len(thetas))
     return _relative_error(exp_shifted(Y, sigma, Fraction(1)), J, op.products)
 

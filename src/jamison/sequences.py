@@ -5,7 +5,10 @@ Angles live in turns (fractions of a full circle) and are carried as exact
 cancellation: the searches in this module certify fractional parts far below
 double-precision resolution.  Floats appear only inside the vectorized box
 search, whose products are exact and whose bounds carry a rounding margin,
-and every reported point is re-checked in exact arithmetic.
+and every reported point is re-checked in exact arithmetic.  An angle is a
+plain Fraction that nothing reduces beforehand: unit_point, unit_diff,
+chord_distance, d_metric and signed_turns give the same bits when a whole
+number of turns is added to any of their angles.
 
 The central quantity is f_K(theta) = max over the first K sequence terms t of
 the distance from t*theta to the nearest integer.  A sequence "separates" when
@@ -36,6 +39,7 @@ from .errors import (
 )
 
 Angle = Union[Fraction, float, int]
+_HALF = Fraction(1, 2)
 
 # Verdict labels for classify_jamison.
 SEPARATED = "SEPARATED"
@@ -84,42 +88,24 @@ def unit_point(theta: Fraction, t: Fraction | int = 1) -> complex:
     return complex(math.cos(phi), math.sin(phi))
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """A point of the unit circle, stored as an exact angle in [0, 1) turns."""
-
-    theta: Fraction
-
-    def __post_init__(self):
-        if not isinstance(self.theta, Fraction):
-            object.__setattr__(self, "theta", Fraction(self.theta))
-        object.__setattr__(self, "theta", self.theta % 1)
-
-    def as_float(self) -> float:
-        return float(self.theta)
-
-    def complex_value(self) -> complex:
-        return unit_point(self.theta)
-
-    def signed_angle_to(self, other: "TorusPoint") -> Fraction:
-        """Exact representative of (self - other) in (-1/2, 1/2]."""
-        d = (self.theta - other.theta + Fraction(1, 2)) % 1
-        return d - Fraction(1, 2)
+def signed_turns(theta: Fraction) -> Fraction:
+    """The representative of an angle (turns) in [-1/2, 1/2)."""
+    return (theta + _HALF) % 1 - _HALF
 
 
-def chord_distance(a: TorusPoint, b: TorusPoint) -> float:
+def chord_distance(a: Fraction, b: Fraction) -> float:
     """|e^{2 pi i a} - e^{2 pi i b}|, in [0, 2]."""
-    return chord_from_torus(a.theta - b.theta)
+    return chord_from_torus(a - b)
 
 
-def unit_diff(a: TorusPoint, b: TorusPoint) -> complex:
+def unit_diff(a: Fraction, b: Fraction) -> complex:
     """e^{2 pi i a} - e^{2 pi i b} without subtractive cancellation.
 
     The difference is written as e^{2 pi i b} * (e^{2 pi i d} - 1) with d the
     exact angle difference, and the bracket expanded in half-angle form, so the
     result keeps full relative accuracy even when d is far below 1e-16 turns.
     """
-    return unit_step(float(a.signed_angle_to(b)), b.complex_value())
+    return unit_step(float(signed_turns(a - b)), unit_point(b))
 
 
 def unit_step(d: float, rot: complex = 1.0) -> complex:
@@ -213,14 +199,15 @@ class IndexSequence:
         return {"kind": self.kind, "terms": list(self.terms)}
 
 
-def d_metric(a: TorusPoint, b: TorusPoint, seq: IndexSequence, K: int) -> float:
+def d_metric(a: Fraction, b: Fraction, seq: IndexSequence, K: int) -> float:
     """sup over the first K terms t of |a^t - b^t| (chordal units).
 
     Symmetric, satisfies the triangle inequality, non-decreasing in K, and
-    dominates chord_distance whenever the sequence starts with 1.
+    dominates chord_distance whenever the sequence starts with 1.  A real
+    term t takes a^t at the angle's representative in [0, 1).
     """
     terms = seq.prefix(K)
-    delta = a.theta - b.theta
+    delta = a % 1 - b % 1
     best = 0.0
     for t in terms:
         best = max(best, chord_from_torus(delta * Fraction(t)))
@@ -408,7 +395,7 @@ class SeparationReport:
     horizon: int
     epsilon_hat: float
     epsilon_hat_torus: float
-    witness: TorusPoint
+    witness: Fraction
     resolution: float
     theta_min: float
     lower_bound_torus: float
@@ -420,8 +407,8 @@ class SeparationReport:
             "horizon": self.horizon,
             "epsilon_hat": self.epsilon_hat,
             "epsilon_hat_torus": self.epsilon_hat_torus,
-            "witness_theta": str(self.witness.theta),
-            "witness_theta_float": self.witness.as_float(),
+            "witness_theta": str(self.witness),
+            "witness_theta_float": float(self.witness),
             "resolution": self.resolution,
             "theta_min": self.theta_min,
             "lower_bound_torus": self.lower_bound_torus,
@@ -504,7 +491,7 @@ def separation_constant(
         horizon=K,
         epsilon_hat=chord_from_torus(eps_torus),
         epsilon_hat_torus=eps_torus,
-        witness=TorusPoint(witness),
+        witness=witness,
         resolution=resolution,
         theta_min=theta_min,
         lower_bound_torus=max(0.0, lower),
@@ -643,7 +630,7 @@ def near_return_search(
     exactly.  Deep in a construction eta falls below 1/(2 n_K), and the
     offsets come from the witnesses alone.
 
-    Returns at most max_candidates TorusPoints, sorted by (exact f value,
+    Returns at most max_candidates exact angles, sorted by (exact f value,
     theta).  An eta that is not finite and positive, or whose reciprocal
     overflows (a subnormal), raises InvalidEta.
     """
@@ -713,7 +700,7 @@ def near_return_search(
                     admit(found, theta, f_exact)
 
     found.sort(key=lambda p: (p[1], p[0]))
-    return [TorusPoint(t) for t, _ in found[:max_candidates]]
+    return [t for t, _ in found[:max_candidates]]
 
 
 # ---------------------------------------------------------------------------
@@ -758,9 +745,9 @@ def chord_torus_bounds_check(samples: Sequence[float]) -> ChordTorusReport:
 # ---------------------------------------------------------------------------
 
 
-def box_dimension_estimate(points: Sequence[TorusPoint], scales: Sequence[float]) -> float:
-    """Least-squares box-counting slope of the point set, clamped to [0, 1]."""
-    angles = sorted({p.theta for p in points})
+def box_dimension_estimate(points: Sequence[Fraction], scales: Sequence[float]) -> float:
+    """Least-squares box-counting slope of the angles' points of the circle, clamped to [0, 1]."""
+    angles = sorted({p % 1 for p in points})
     if len(angles) < 2:
         raise DegenerateInput("need at least 2 distinct points")
     scales = list(scales)

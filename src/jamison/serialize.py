@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ArtifactCorrupt, ConfigInvalid
-from .sequences import IndexSequence, TorusPoint
+from .sequences import IndexSequence
 
 # The construction module loads only when a construction is read back, so
 # commands that handle sequences alone do not pay for importing it.
@@ -107,9 +107,9 @@ def construction_to_json_dict(cons: ShiftConstruction, fibers: int = 2) -> dict:
     return {
         "sequence": cons.seq.to_json_dict(),
         "horizon": cons.horizon,
-        "thetas": [p.theta for p in cons.lambdas],
-        "thetas_float": [p.as_float() for p in cons.lambdas],
-        "thetas_decimal": [decimal_string(p.theta) for p in cons.lambdas],
+        "thetas": list(cons.lambdas),
+        "thetas_float": [float(p) for p in cons.lambdas],
+        "thetas_decimal": [decimal_string(p) for p in cons.lambdas],
         "weights": list(cons.weights),
         "gaps": list(cons.gaps),
         "alphas_fiber1": list(cons.alphas1),
@@ -156,7 +156,7 @@ def construction_from_json_dict(obj: dict) -> tuple:
     try:
         cons = ShiftConstruction(
             seq=IndexSequence.from_json_dict(obj["sequence"]),
-            lambdas=tuple(TorusPoint(fraction_from_string(s)) for s in obj["thetas"]),
+            lambdas=tuple(fraction_from_string(s) for s in obj["thetas"]),
             weights=obj["weights"],
             horizon=int(obj["horizon"]),
         )

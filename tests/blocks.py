@@ -5,12 +5,12 @@ import numpy as np
 
 from jamison.construction import FIBER_DECAY
 from jamison.funm import NodeSet, Power, apply, exact_time
-from jamison.sequences import TorusPoint
+from jamison.sequences import unit_point
 
 
 def dense_block(op) -> np.ndarray:
     """Fiber 1's L x L block: the diagonal rounded from the exact angles, plus the band."""
-    return np.diag([TorusPoint(theta).complex_value() for theta in op.thetas]) + np.diag(op.band, k=1)
+    return np.diag([unit_point(theta) for theta in op.thetas]) + np.diag(op.band, k=1)
 
 
 def fiber_weights(cons, i: int) -> list:
@@ -36,6 +36,6 @@ def operator_power(op, t) -> np.ndarray:
     return apply(op.nodes, [Power(exact_time(t))])[0] * op.products
 
 
-def unit_band_powers(points, exponents) -> np.ndarray:
-    """J^n for each n, stacked, on the points' exact angles: one kernel call on a fresh node set."""
-    return apply(NodeSet(tuple(p.theta for p in points)), [Power(n) for n in exponents])
+def unit_band_powers(thetas, exponents) -> np.ndarray:
+    """J^n for each n, stacked, on these exact angles: one kernel call on a fresh node set."""
+    return apply(NodeSet(tuple(thetas)), [Power(n) for n in exponents])

@@ -31,10 +31,10 @@ from jamison.semigroup import (
 )
 from jamison.sequences import (
     IndexSequence,
-    TorusPoint,
     box_dimension_estimate,
     chord_torus_bounds_check,
     separation_constant,
+    unit_point,
 )
 from jamison.starnorm import ExpSpan, base_norm, dj_bound_check, star_norm, verify_translation_bound
 
@@ -148,16 +148,16 @@ def test_criterion_05_symmetric_sum_oracles(certified):
     for _ in range(100):
         r = int(rng.integers(1, 6))
         m = int(rng.integers(0, 13))
-        points = [TorusPoint(Fraction(float(u))) for u in rng.uniform(0.0, 1.0, size=r)]
+        points = [Fraction(float(u)) for u in rng.uniform(0.0, 1.0, size=r)]
         (Jn,) = unit_band_powers(points, [m + r - 1])
-        want = _brute_symmetric_sum([p.complex_value() for p in points], m)
+        want = _brute_symmetric_sum([unit_point(p) for p in points], m)
         worst_sum = max(worst_sum, abs(Jn[0, r - 1] - want) / max(1.0, abs(want)))
     assert worst_sum <= 1e-10
 
     # entry (k, l) of T^n is the band product alpha_{i,k} ... alpha_{i,l-1} times h_{n-(l-k)};
     # fiber i's T^n is fiber 1's rescaled, and the float power of fiber i's own block
     op = assemble_operator(certified, 2)
-    lams = [p.complex_value() for p in certified.lambdas]
+    lams = [unit_point(p) for p in certified.lambdas]
     worst_coeff = 0.0
     for n in (1, 2, 3, 5, 8, 12):
         Tn = operator_power(op, n)
@@ -296,15 +296,13 @@ def test_criterion_10_chord_torus_sandwich():
 
 
 def test_criterion_11_dimension_probe_sanity():
-    uniform = [TorusPoint(Fraction(i, 1024)) for i in range(1024)]
+    uniform = [Fraction(i, 1024) for i in range(1024)]
     dim_uniform = box_dimension_estimate(uniform, [2.0 ** -e for e in range(3, 9)])
 
     xs = [Fraction(0)]
     for _ in range(9):
         xs = [x / 3 for x in xs] + [x / 3 + Fraction(2, 3) for x in xs]
-    dim_thirds = box_dimension_estimate(
-        [TorusPoint(x) for x in xs], [3.0 ** -e for e in range(2, 8)]
-    )
+    dim_thirds = box_dimension_estimate(xs, [3.0 ** -e for e in range(2, 8)])
     target = math.log(2) / math.log(3)
     ok = abs(dim_uniform - 1.0) <= 0.05 and abs(dim_thirds - target) <= 0.05
     announce(11, ok, f"uniform {dim_uniform:.3f} (want 1), middle-thirds {dim_thirds:.3f} (want {target:.3f})")

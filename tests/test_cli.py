@@ -100,7 +100,7 @@ def test_construction_round_trip_tables_identical(workdir):
     assert fibers == 2
     assert cons.gaps == rebuilt.gaps
     assert cons.alphas1 == rebuilt.alphas1
-    assert [p.theta for p in cons.lambdas] == [p.theta for p in rebuilt.lambdas]
+    assert cons.lambdas == rebuilt.lambdas
     assert cons.certified
 
 
@@ -309,6 +309,17 @@ def test_forged_measurement_with_its_flag_exits_two_naming_level_and_field(workd
     rc, err = _verify_exit(tmp_path / "forged.json", capsys)
     assert rc == 2
     assert f"artifact integrity failure: stored 'budgets' differs at level {level} {field!r}" in err
+
+
+def test_stored_angle_a_whole_turn_off_exits_two(tmp_path, capsys):
+    # the record reduces its angles mod 1 on entry, so one stored a turn away
+    # rebuilds to a record whose angle list differs from the file's
+    obj = json.loads((GOLDEN / "ladder/L8/L8.json").read_text())
+    obj["thetas"][2] = str(Fraction(obj["thetas"][2]) + 1)
+    (tmp_path / "turned.json").write_text(json.dumps(obj))
+    rc, err = _verify_exit(tmp_path / "turned.json", capsys)
+    assert rc == 2
+    assert "stored 'thetas' differs from the record rebuilt from the chosen values" in err
 
 
 @pytest.mark.parametrize("record", ["built", "from_parameters", "weight_file"])

@@ -15,7 +15,6 @@ import jamison.funm as funm
 from jamison import (
     IndexSequence,
     ShiftConstruction,
-    TorusPoint,
     analytic_power_bound,
     assemble_operator,
     build_construction,
@@ -163,7 +162,7 @@ def brute_homogeneous(xs, m):
 
 def kernel_homogeneous(thetas, m):
     """h_m over the unimodular variables e^(2 pi i theta), from the exact-phase kernel."""
-    points = [TorusPoint(Fraction(theta)) for theta in thetas]
+    points = [Fraction(theta) for theta in thetas]
     (Jn,) = unit_band_powers(points, [m + len(points) - 1])
     return complex(Jn[0, -1])
 
@@ -172,7 +171,7 @@ def test_symmetric_sum_basics():
     assert kernel_homogeneous([0, 0, 0], 3) == 10.0  # C(5, 2) monomials, each 1
     theta = Fraction(7, 62)
     assert kernel_homogeneous([theta], 0) == 1.0
-    lam = TorusPoint(theta).complex_value()
+    lam = unit_point(theta)
     assert kernel_homogeneous([theta], 9) == pytest.approx(lam ** 9, abs=1e-12)
 
 
@@ -182,7 +181,7 @@ def test_symmetric_sum_matches_composition_enumeration():
         r = int(rng.integers(1, 6))
         m = int(rng.integers(0, 13))
         thetas = [Fraction(float(u)) for u in rng.uniform(0.0, 1.0, size=r)]
-        expected = brute_homogeneous([TorusPoint(t).complex_value() for t in thetas], m)
+        expected = brute_homogeneous([unit_point(t) for t in thetas], m)
         got = kernel_homogeneous(thetas, m)
         scale = max(abs(expected), 1.0)
         assert abs(got - expected) <= 1e-10 * scale
@@ -191,8 +190,7 @@ def test_symmetric_sum_matches_composition_enumeration():
 def test_symmetric_sum_large_degree_closed_form():
     # two variables: h_m = (x^(m+1) - y^(m+1)) / (x - y), every phase from its exact angle
     a, b, m = Fraction(1, 7), Fraction(1, 5), 2000
-    x, y = TorusPoint(a), TorusPoint(b)
-    expected = unit_diff(TorusPoint(a * (m + 1)), TorusPoint(b * (m + 1))) / unit_diff(x, y)
+    expected = unit_diff(a * (m + 1), b * (m + 1)) / unit_diff(a, b)
     assert kernel_homogeneous([a, b], m) == pytest.approx(expected, rel=1e-12)
 
 
@@ -220,7 +218,7 @@ def test_symmetric_sum_factorial_degree_mpmath_oracle(offsets, m):
 )
 def test_symmetric_sum_peeling_recursion(thetas, m):
     lhs = kernel_homogeneous(thetas, m)
-    x = TorusPoint(thetas[-1]).complex_value()
+    x = unit_point(thetas[-1])
     rhs = kernel_homogeneous(thetas[:-1], m) + x * kernel_homogeneous(thetas, m - 1)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
@@ -239,7 +237,7 @@ def test_power_coefficient_vanishing_and_diagonal(synthetic_cons):
                 assert Tn[k - 1, l - 1] == 0
             elif l - k > n:  # the divided-difference steps leave their rounding there
                 assert abs(Tn[k - 1, l - 1]) <= 1e-13 * np.linalg.norm(Tn)
-        diagonal = [unit_point(lam.theta, n) for lam in synthetic_cons.lambdas]
+        diagonal = [unit_point(theta, n) for theta in synthetic_cons.lambdas]
         assert (np.diag(Tn) == diagonal).all()
 
 
@@ -248,7 +246,7 @@ def test_power_coefficient_matches_dense_powers(synthetic_cons):
     op = assemble_operator(synthetic_cons, 3)
     worst = 0.0
     for i in (1, 2, 3):
-        block = np.diag([lam.complex_value() for lam in synthetic_cons.lambdas])
+        block = np.diag([unit_point(theta) for theta in synthetic_cons.lambdas])
         block += np.diag(fiber_weights(synthetic_cons, i), k=1)
         for n in (0, 1, 2, 3, 5, 8, 12):
             got = fiber_rescaled(operator_power(op, n), i)
@@ -263,10 +261,10 @@ def test_assemble_two_level_golden(synthetic_cons):
     # the operator has every level of its record; fewer levels take a prefix record
     cons = synthetic_cons
     op = assemble_operator(ShiftConstruction(cons.seq, cons.lambdas[:2], cons.weights, cons.horizon), 1)
-    lam1 = synthetic_cons.lambdas[0].complex_value()
-    lam2 = synthetic_cons.lambdas[1].complex_value()
+    lam1 = unit_point(synthetic_cons.lambdas[0])
+    lam2 = unit_point(synthetic_cons.lambdas[1])
     expected = np.array([[lam1, fiber_weights(synthetic_cons, 1)[0]], [0.0, lam2]])
-    assert op.thetas == tuple(p.theta for p in synthetic_cons.lambdas[:2])
+    assert op.thetas == synthetic_cons.lambdas[:2]
     assert op.band.tolist() == fiber_weights(synthetic_cons, 1)[:1]
     assert (op.levels, op.fibers) == (2, 1)
     assert np.allclose(dense_block(op), expected, atol=1e-15)
@@ -325,7 +323,7 @@ def test_diagonal_power_is_isometry(synthetic_cons):
     x = rng.normal(size=10) + 1j * rng.normal(size=10)
     # exact-angle powers keep the diagonal unimodular at any exponent
     for n in (1, 7, 40320):
-        entries = [unit_point(lam.theta, n) for lam in synthetic_cons.lambdas]
+        entries = [unit_point(theta, n) for theta in synthetic_cons.lambdas]
         Dn = np.diag(np.repeat(entries, 2))
         for p in (1, 2):
             assert np.linalg.norm(Dn @ x, p) == pytest.approx(np.linalg.norm(x, p), rel=1e-14)
@@ -358,7 +356,7 @@ def test_chain_residuals(factorial_cons):
     for n in range(1, 9):
         v = np.zeros(8, dtype=complex)
         v[:n] = construction._chain_coeffs(cons.lambdas, cons.alphas1, n)
-        lam = cons.lambdas[n - 1].complex_value()
+        lam = unit_point(cons.lambdas[n - 1])
         resid = np.linalg.norm(dense_block(op) @ v - lam * v)
         assert resid <= 1e-10 * np.linalg.norm(v)
 
@@ -377,7 +375,7 @@ def _chain_difference_oracle(cons, n):
     parts fall below 1e-154, whose squares are not doubles.
     """
     with mpmath.workdps(900):
-        lam = [mpmath.expjpi(2 * mpmath.mpf(p.theta.numerator) / p.theta.denominator) for p in cons.lambdas]
+        lam = [mpmath.expjpi(2 * mpmath.mpf(p.numerator) / p.denominator) for p in cons.lambdas]
 
         def gap(l):
             return mpmath.mpf(1) if l == 1 else abs(lam[l - 1] - lam[fiber_map(l) - 1])
@@ -410,7 +408,7 @@ def _tail_max_oracle(cons) -> dict:
     digits on the exact angles, each J^n checked against a run 60 digits finer; the weight and
     gap coefficients are the construction's own."""
     gaps = construction.gaps_table(cons.lambdas, cons.levels)
-    thetas = [p.theta for p in cons.lambdas]
+    thetas = cons.lambdas
     band = [mpmath.mpf(1)] * (cons.levels - 1)
     tails = dict.fromkeys(range(2, cons.levels + 1), 0.0)
     for n in cons.seq.prefix(cons.horizon):
@@ -484,11 +482,18 @@ ETA_L8 = [
 
 def test_level_search_targets_pinned_on_the_L8_ladder(factorial_cons):
     cons = factorial_cons
-    got = [
-        construction._level_search_target(cons.seq, cons.lambdas[: level - 1], cons.weights, 8, level)
-        for level in range(2, 9)
-    ]
+    prefixes = [None] + [ShiftConstruction(cons.seq, cons.lambdas[:levels], cons.weights, 8) for levels in range(2, 8)]
+    got = [construction._level_search_target(prefix, cons.weights) for prefix in prefixes]
     assert got == ETA_L8
+
+
+def test_record_reduces_its_angles_mod_one_and_shares_them(synthetic_cons):
+    cons = synthetic_cons
+    turned = [theta + k for k, theta in zip((1, -2, 3, 0, -1), cons.lambdas)]
+    again = ShiftConstruction(cons.seq, turned, cons.weights, cons.horizon)
+    assert again.lambdas == cons.lambdas
+    assert all(type(theta) is Fraction and 0 <= theta < 1 for theta in again.lambdas)
+    assert assemble_operator(again, 2).thetas is again.lambdas
 
 
 def test_record_holds_only_its_choices(factorial_cons):
@@ -517,7 +522,7 @@ def _entry_error_bound(points, n: int) -> float:
     A cluster divided difference over d + 1 unimodular nodes is a complete homogeneous sum of
     at most C(n, d) unimodular monomials, which bounds M_kl; s is l - k across clusters."""
     scale = max(n, 1)
-    label = funm.clusters(funm.NodeSet(tuple(p.theta for p in points)), scale)
+    label = funm.clusters(funm.NodeSet(tuple(points)), scale)
     L = len(points)
     worst = 0.0
     for k in range(L):
@@ -556,7 +561,7 @@ def _mp_tail_max(cons, level: int) -> float:
     construction's own weight and gap coefficients."""
     gaps = construction.gaps_table(cons.lambdas, level)
     with mpmath.workdps(50):
-        lam = [mpmath.expjpi(2 * mpmath.mpf(p.theta.numerator) / p.theta.denominator) for p in cons.lambdas]
+        lam = [mpmath.expjpi(2 * mpmath.mpf(p.numerator) / p.denominator) for p in cons.lambdas]
 
         def h(m, zs):  # h_m(zs) as the divided difference of x^(m + r - 1)
             r = len(zs)
@@ -615,14 +620,14 @@ def test_record_budgets_match_per_level_principal_blocks(angles, steps, w):
 
 def test_build_is_deterministic(small_cons):
     again = build_construction(IndexSequence.factorials(6), L=5, K=6, w=(1, 2, 3, 4, 5))
-    assert [p.theta for p in again.lambdas] == [p.theta for p in small_cons.lambdas]
+    assert again.lambdas == small_cons.lambdas
 
 
 def test_build_orders_all_angles_inside_arc(factorial_cons):
-    theta1 = factorial_cons.lambdas[0].theta
+    theta1 = factorial_cons.lambdas[0]
     for p in factorial_cons.lambdas[1:]:
-        assert 0 < p.theta < theta1
-    assert len({p.theta for p in factorial_cons.lambdas}) == 8
+        assert 0 < p < theta1
+    assert len(set(factorial_cons.lambdas)) == 8
 
 
 def test_build_linear_sequence_infeasible():

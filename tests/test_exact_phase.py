@@ -118,7 +118,7 @@ def ladder(request):
     seq = IndexSequence.factorials(L)
     cons = build_construction(seq, L=L, K=L, w=tuple(range(1, L + 1)))
     op = assemble_operator(cons, 1)
-    thetas = [p.theta for p in cons.lambdas]
+    thetas = cons.lambdas
     return L, cons, op, principal_log(op), thetas, op.band
 
 
@@ -206,7 +206,7 @@ def test_powers_on_triangular_exponents_match_oracle_entry_by_entry(L):
     # difference, which cancels more digits than 400 can hold
     seq = IndexSequence(tuple(2 ** (k * (k - 1) // 2) for k in range(1, L + 1)))
     cons = build_construction(seq, L=L, K=L, w=tuple(range(1, L + 1)))
-    thetas = [p.theta for p in cons.lambdas]
+    thetas = cons.lambdas
     errors = []
     for n, Jn in zip(seq.terms, cons.powers):
         want = oracle(thetas, [1.0] * (L - 1), power_value(Fraction(n)), dps=2500)

@@ -13,6 +13,7 @@ from scipy.linalg import expm, logm
 from jamison import IndexSequence, assemble_operator, build_construction, matrix_power, operator_norm
 from jamison.construction import FIBER_DECAY
 from jamison.semigroup import evolve, principal_log
+from jamison.sequences import unit_point
 
 from blocks import dense_block, fiber_rescaled, fiber_weights
 
@@ -33,7 +34,7 @@ def setup():
     dense = np.zeros((L * I, L * I), dtype=complex)
     for l in range(1, L + 1):
         for i in range(1, I + 1):
-            dense[(l - 1) * I + i - 1, (l - 1) * I + i - 1] = cons.lambdas[l - 1].complex_value()
+            dense[(l - 1) * I + i - 1, (l - 1) * I + i - 1] = unit_point(cons.lambdas[l - 1])
             if l >= 2:
                 dense[(l - 2) * I + i - 1, (l - 1) * I + i - 1] = fiber_weights(cons, i)[l - 2]
     op = assemble_operator(cons, I)

@@ -32,7 +32,7 @@ from jamison.semigroup import (
     roundtrip_error,
     unit_interval_sup,
 )
-from jamison.sequences import TorusPoint, turns_to_radians
+from jamison.sequences import turns_to_radians, unit_point
 
 from blocks import dense_block
 
@@ -99,7 +99,7 @@ def test_log_decides_the_domain_on_the_exact_angle(sign):
 def test_defective_block_is_one_cluster():
     # Log(lam (I + N/lam)) = Log(lam) I + N/lam exactly, since N^2 = 0
     theta = Fraction(1, 30)
-    lam = TorusPoint(theta).complex_value()
+    lam = unit_point(theta)
     sg = principal_log(_exact_operator((theta, theta), [0.1]))
     assert sg.log_clusters == 1
     log_lam = 1j * turns_to_radians(theta)

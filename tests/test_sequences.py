@@ -15,7 +15,6 @@ from jamison import (
     SEPARATED,
     VANISHING,
     IndexSequence,
-    TorusPoint,
     box_dimension_estimate,
     chord_distance,
     chord_torus_bounds_check,
@@ -23,6 +22,7 @@ from jamison import (
     d_metric,
     near_return_search,
     separation_constant,
+    signed_turns,
     torus_norm,
     unit_diff,
 )
@@ -44,13 +44,10 @@ from jamison.sequences import (
     _separation_profile,
     chord_from_torus,
     torus_from_chord,
+    unit_point,
 )
 
 FACTORIALS = IndexSequence.factorials(8)
-
-
-def tp(x) -> TorusPoint:
-    return TorusPoint(Fraction(x))
 
 
 # --- torus_norm / chord -------------------------------------------------
@@ -72,32 +69,34 @@ def test_torus_norm_range_and_symmetry(x):
 
 
 def test_chord_distance_values():
-    assert chord_distance(tp(0), tp(Fraction(1, 2))) == pytest.approx(2.0, abs=1e-15)
-    assert chord_distance(tp(Fraction(1, 4)), tp(Fraction(1, 4))) == 0.0
-    assert chord_distance(tp(0), tp(Fraction(1, 6))) == pytest.approx(1.0, abs=1e-15)
+    assert chord_distance(Fraction(0), Fraction(1, 2)) == pytest.approx(2.0, abs=1e-15)
+    assert chord_distance(Fraction(1, 4), Fraction(1, 4)) == 0.0
+    assert chord_distance(Fraction(0), Fraction(1, 6)) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_torus_point_canonical():
-    assert tp(Fraction(5, 4)).theta == Fraction(1, 4)
-    assert tp(Fraction(-1, 4)).theta == Fraction(3, 4)
-    assert tp(Fraction(5, 4)) == tp(Fraction(1, 4))
+def test_signed_turns_is_the_half_open_representative():
+    assert signed_turns(Fraction(5, 4)) == Fraction(1, 4)
+    assert signed_turns(Fraction(3, 4)) == signed_turns(Fraction(-1, 4)) == Fraction(-1, 4)
+    # [-1/2, 1/2): the half turn is -1/2 from either side
+    assert signed_turns(Fraction(1, 2)) == signed_turns(Fraction(-1, 2)) == Fraction(-1, 2)
+    assert signed_turns(Fraction(-7, 3)) == Fraction(-1, 3)
 
 
 def test_unit_diff_matches_naive_subtraction():
-    a, b = tp(Fraction(1, 7)), tp(Fraction(2, 5))
-    naive = a.complex_value() - b.complex_value()
+    a, b = Fraction(1, 7), Fraction(2, 5)
+    naive = unit_point(a) - unit_point(b)
     assert abs(unit_diff(a, b) - naive) < 1e-14
 
 
 def test_unit_diff_keeps_relative_accuracy_for_tiny_gaps():
     delta = Fraction(1, 10 ** 40)
-    a = tp(Fraction(1, 3) + delta)
-    b = tp(Fraction(1, 3))
+    a = Fraction(1, 3) + delta
+    b = Fraction(1, 3)
     d = unit_diff(a, b)
     expected_mod = 2.0 * math.sin(math.pi * float(delta))
     assert abs(d) == pytest.approx(expected_mod, rel=1e-12)
     # small-gap limit: direction approaches i * e^{2 pi i b}
-    direction = d / (1j * b.complex_value())
+    direction = d / (1j * unit_point(b))
     assert direction.real == pytest.approx(abs(d), rel=1e-9)
     assert abs(direction.imag) <= abs(d) * 1e-9
 
@@ -118,7 +117,7 @@ def test_circle_boundary_against_a_50_digit_chord(base, gap, offset, sign):
     # the exact gap d is a double plus a non-dyadic offset; chord_distance,
     # |unit_diff| and the chord inverse keep their relative accuracy at every scale
     d = min(Fraction(gap) + offset, Fraction(1, 2))
-    a, b = tp(base + sign * d), tp(base)
+    a, b = base + sign * d, base
     with mp.workdps(50):
         want = 2 * mp.sin(mp.pi * mp.mpf(d.numerator) / d.denominator)
         assert abs(chord_distance(a, b) - want) <= _ULPS * want
@@ -126,6 +125,31 @@ def test_circle_boundary_against_a_50_digit_chord(base, gap, offset, sign):
     theta = float(d)
     if theta <= 0.25:  # asin is well conditioned there
         assert abs(torus_from_chord(chord_from_torus(theta)) - theta) <= _ULPS * theta
+
+
+_DIGITS80 = st.integers(1, 10 ** 80)
+_REAL = IndexSequence((1.0, 1.5, 2.25, 3.7), "real")  # a^t at a real power reads the angle in [0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.builds(Fraction, st.integers(-(10 ** 81), 10 ** 81), _DIGITS80),
+    b=st.builds(Fraction, st.integers(-(10 ** 81), 10 ** 81), _DIGITS80),
+    m=st.integers(-(10 ** 6), 10 ** 6),
+    n=st.integers(-(10 ** 6), 10 ** 6),
+)
+@example(a=Fraction(1, 2), b=Fraction(0), m=-1, n=0)
+@example(a=Fraction(-1, 3), b=Fraction(7, 3), m=0, n=-3)
+def test_angle_functions_are_periodic_to_the_bit(a, b, m, n):
+    # nothing reduces an angle mod 1 before these functions, so a whole turn
+    # added to either argument must leave every bit of their values alone
+    a2, b2 = a + m, b + n
+    assert signed_turns(a2 - b2) == signed_turns(a - b + (m - n)) == signed_turns(a - b)
+    assert repr(unit_point(a2)) == repr(unit_point(a))
+    assert repr(unit_diff(a2, b2)) == repr(unit_diff(a, b))
+    assert repr(chord_distance(a2, b2)) == repr(chord_distance(a, b))
+    for seq in (FACTORIALS, _REAL):
+        assert repr(d_metric(a2, b2, seq, len(seq))) == repr(d_metric(a, b, seq, len(seq)))
 
 
 def test_torus_from_chord_clamps_to_the_circle():
@@ -138,22 +162,22 @@ def test_torus_from_chord_clamps_to_the_circle():
 
 def test_d_metric_identity_and_base_case():
     seq1 = IndexSequence((1,), "integer")
-    assert d_metric(tp(Fraction(1, 3)), tp(Fraction(1, 3)), seq1, 1) == 0.0
-    assert d_metric(tp(0), tp(Fraction(1, 2)), seq1, 1) == pytest.approx(2.0, abs=1e-15)
+    assert d_metric(Fraction(1, 3), Fraction(1, 3), seq1, 1) == 0.0
+    assert d_metric(Fraction(0), Fraction(1, 2), seq1, 1) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_d_metric_factorial_oracle():
     seq = IndexSequence((1, 2, 6, 24, 120), "integer")
-    got = d_metric(tp(0), tp(Fraction(1, 120)), seq, 5)
+    got = d_metric(Fraction(0), Fraction(1, 120), seq, 5)
     assert got == pytest.approx(2.0 * math.sin(math.pi / 5.0), abs=1e-14)
 
 
 def test_d_metric_horizon_errors():
     seq = IndexSequence((1, 2, 6), "integer")
     with pytest.raises(HorizonExceedsSequence):
-        d_metric(tp(0), tp(Fraction(1, 3)), seq, 4)
+        d_metric(Fraction(0), Fraction(1, 3), seq, 4)
     with pytest.raises(HorizonExceedsSequence):
-        d_metric(tp(0), tp(Fraction(1, 3)), seq, 0)
+        d_metric(Fraction(0), Fraction(1, 3), seq, 0)
 
 
 fractions_01 = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6)
@@ -163,23 +187,21 @@ fractions_01 = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6)
 @given(fractions_01, fractions_01, fractions_01)
 def test_d_metric_pseudometric(a, b, c):
     seq = FACTORIALS
-    pa, pb, pc = tp(a), tp(b), tp(c)
-    dab = d_metric(pa, pb, seq, 6)
-    dba = d_metric(pb, pa, seq, 6)
+    dab = d_metric(a, b, seq, 6)
+    dba = d_metric(b, a, seq, 6)
     assert dab == dba
-    assert dab <= d_metric(pa, pc, seq, 6) + d_metric(pc, pb, seq, 6) + 1e-12
+    assert dab <= d_metric(a, c, seq, 6) + d_metric(c, b, seq, 6) + 1e-12
 
 
 @settings(max_examples=80, deadline=None)
 @given(fractions_01, fractions_01)
 def test_d_metric_monotone_in_horizon_and_dominates_chord(a, b):
-    pa, pb = tp(a), tp(b)
     prev = 0.0
     for K in range(1, len(FACTORIALS) + 1):
-        cur = d_metric(pa, pb, FACTORIALS, K)
+        cur = d_metric(a, b, FACTORIALS, K)
         assert cur >= prev
         prev = cur
-    assert d_metric(pa, pb, FACTORIALS, 3) >= chord_distance(pa, pb) - 1e-15
+    assert d_metric(a, b, FACTORIALS, 3) >= chord_distance(a, b) - 1e-15
 
 
 # --- separation constant --------------------------------------------------
@@ -263,7 +285,7 @@ def test_separation_terms_past_two_to_the_53_stay_exact():
     # so the certified interval is [0, upper] with upper itself within the resolution
     rep = separation_constant(seq, 3, resolution=1e-5)
     assert rep.lower_bound_torus == 0.0 and rep.epsilon_hat_torus <= 1e-5
-    assert rep.epsilon_hat_torus == float(_f_exact(seq.terms, rep.witness.theta))
+    assert rep.epsilon_hat_torus == float(_f_exact(seq.terms, rep.witness))
     # away from it, max(theta, ||3 theta||) >= 3/100 is certified with the huge term in play
     rep = separation_constant(seq, 3, resolution=3e-6, theta_min=0.01)
     assert 0.0299 <= rep.lower_bound_torus <= 0.03 <= rep.epsilon_hat_torus <= rep.lower_bound_torus + 3e-6
@@ -275,7 +297,7 @@ def test_separation_odd_points_see_past_the_last_bit_of_a_double():
     rep = separation_constant(IndexSequence.powers_of_two(60), 60, resolution=1e-2, theta_min=0.25)
     assert not rep.truncated
     assert rep.lower_bound_torus <= 1.0 / 3.0 == rep.epsilon_hat_torus
-    assert rep.witness.theta == Fraction(1, 3)
+    assert rep.witness == Fraction(1, 3)
 
 
 @pytest.mark.parametrize("L", range(5, 15))
@@ -348,8 +370,8 @@ def test_block_bound_keeps_separation_report(terms, resolution, theta_min, probe
     # box budget ran out first, which the report says
     seq = IndexSequence(terms, "integer" if isinstance(terms[0], int) else "real")
     rep = separation_constant(seq, len(terms), resolution, theta_min)
-    assert rep.epsilon_hat_torus == float(_f_exact(terms, rep.witness.theta))
-    assert rep.theta_min <= rep.witness.theta <= Fraction(1, 2)
+    assert rep.epsilon_hat_torus == float(_f_exact(terms, rep.witness))
+    assert rep.theta_min <= rep.witness <= Fraction(1, 2)
     assert rep.truncated or rep.epsilon_hat_torus - rep.lower_bound_torus <= resolution
     lo = Fraction(rep.theta_min)
     for u in probes:
@@ -520,7 +542,7 @@ def test_near_return_factorials_small_eta():
     pts = near_return_search(FACTORIALS, 8, eta=1e-3, max_candidates=4)
     assert pts
     for p in pts:
-        assert _f_exact(FACTORIALS.terms, p.theta) <= Fraction(1, 1000)
+        assert _f_exact(FACTORIALS.terms, p) <= Fraction(1, 1000)
 
 
 def test_near_return_separated_sequence_comes_up_empty():
@@ -544,15 +566,15 @@ def test_near_return_resolved_domain_hit():
     pts = near_return_search(FACTORIALS, 8, eta=0.12, max_candidates=2)
     assert pts
     for p in pts:
-        assert float(p.theta) >= 1.0 / (2.0 * 40320.0)
-        assert _f_exact(FACTORIALS.terms, p.theta) <= Fraction(12, 100)
+        assert float(p) >= 1.0 / (2.0 * 40320.0)
+        assert _f_exact(FACTORIALS.terms, p) <= Fraction(12, 100)
 
 
 def test_near_return_respects_exclude_and_arc():
     arc = (Fraction(1, 100), Fraction(1, 10))
     pts = near_return_search(FACTORIALS, 8, eta=0.45, max_candidates=3, arc=arc)
     for p in pts:
-        assert Fraction(1, 100) < p.theta <= Fraction(1, 10)
+        assert Fraction(1, 100) < p <= Fraction(1, 10)
 
 
 @settings(max_examples=100, deadline=None)
@@ -632,13 +654,13 @@ def test_chord_torus_domain():
 
 
 def test_box_dimension_uniform():
-    pts = [tp(Fraction(i, 1024)) for i in range(1024)]
+    pts = [Fraction(i, 1024) for i in range(1024)]
     dim = box_dimension_estimate(pts, [2.0 ** -e for e in range(3, 9)])
     assert dim == pytest.approx(1.0, abs=0.05)
 
 
 def test_box_dimension_two_points():
-    pts = [tp(0), tp(Fraction(1, 2))]
+    pts = [Fraction(0), Fraction(1, 2)]
     dim = box_dimension_estimate(pts, [2.0 ** -e for e in range(3, 8)])
     assert dim == 0.0
 
@@ -647,15 +669,15 @@ def test_box_dimension_cantor():
     xs = [Fraction(0)]
     for _ in range(9):
         xs = [x / 3 for x in xs] + [x / 3 + Fraction(2, 3) for x in xs]
-    dim = box_dimension_estimate([tp(x) for x in xs], [3.0 ** -e for e in range(2, 8)])
+    dim = box_dimension_estimate(xs, [3.0 ** -e for e in range(2, 8)])
     assert dim == pytest.approx(math.log(2) / math.log(3), abs=0.05)
 
 
 def test_box_dimension_validation():
     with pytest.raises(DegenerateInput):
-        box_dimension_estimate([tp(0)], [0.1])
+        box_dimension_estimate([Fraction(0)], [0.1])
     with pytest.raises(DegenerateInput):
-        box_dimension_estimate([tp(0), tp(Fraction(1, 2))], [0.1, 0.2])
+        box_dimension_estimate([Fraction(0), Fraction(1, 2)], [0.1, 0.2])
 
 
 # --- IndexSequence validation -------------------------------------------------
