@@ -99,6 +99,17 @@ def level_weights(w, levels: int) -> tuple:
 # --- budget certificates ---------------------------------------------------------
 
 
+def _thresholds(level: int, gaps: dict, w: tuple) -> tuple:
+    """Level l's (gap_bound, eigvec_budget, tail_budget): g_{l-1}/(2^l w_{l-1}), 2^-(l+1), 2^(1-l).
+
+    Level 2 has no gap or eigenvector predicate, so its first two read inf.
+    """
+    tail_budget = 2.0 ** (1 - level)
+    if level < 3:
+        return math.inf, math.inf, tail_budget
+    return gaps[level - 1] / (2 ** level * w[level - 2]), 2.0 ** -(level + 1), tail_budget
+
+
 @dataclass(frozen=True)
 class LevelBudget:
     """Measured values and pass flags for the three placement predicates.
@@ -111,7 +122,7 @@ class LevelBudget:
     Level 2 has no gap or eigenvector predicate; those flags are vacuously
     true there and the measured fields are zero.  eigvec_a, eigvec_b and
     tail_max are measured by ``ShiftConstruction.budget``; ``judge`` derives
-    every other field.
+    every other field, the thresholds from ``_thresholds`` as the search does.
     """
 
     level: int
@@ -149,12 +160,7 @@ class LevelBudget:
         gaps is the gaps_table of the angles through at least this level;
         delta is the parent angle minus the level angle, exactly.
         """
-        if level >= 3:
-            gap_bound = gaps[level - 1] / (2 ** level * w[level - 2])
-            eigvec_budget = 2.0 ** -(level + 1)
-        else:
-            gap_bound = eigvec_budget = math.inf
-        tail_budget = 2.0 ** (1 - level)
+        gap_bound, eigvec_budget, tail_budget = _thresholds(level, gaps, w)
         return cls(
             level=level,
             gap_ratio_ok=gaps[level] <= gap_bound,
@@ -184,24 +190,36 @@ def _suffix_weight_products(w: tuple, level: int) -> dict:
     return out
 
 
-def _tail_sum(Jn: np.ndarray, w: tuple, gaps: dict, level: int) -> float:
-    """Weighted coefficient tail for one power n at one level, fiber-summed bound.
+def _tail_table(powers: np.ndarray, w: tuple, gaps: dict) -> np.ndarray:
+    """Weighted coefficient tails, fiber-summed bound: entry (k-1, l-2) is level l's at the k-th power.
 
-    Jn is J^n over at least the first ``level`` eigenvalues.  Its column
-    ``level`` holds the coefficient row |h_{n-(level-k)}(lambda_k..lambda_level)|
-    for k = 1..level-1, with zeros where level - k > n.
+    powers is a stack of J^n over L levels; column l of each holds the
+    coefficient row |h_{n-(l-k)}(lambda_k..lambda_l)| for k = 1..l-1, with
+    zeros where l - k > n.  Each entry sums (W_k (g_l / g_k)) |h| from 0.0,
+    k = l-1 down to 1, with W_k = w_k ... w_{l-1}.
     """
-    row = np.abs(Jn[: level - 1, level - 1]).tolist()
-    wprod = _suffix_weight_products(w, level)
-    g_level = gaps[level]
-    total = 0.0
-    for k in range(level - 1, 0, -1):
-        gk = 1.0 if k == 1 else gaps[k]
-        total += wprod[k] * (g_level / gk) * row[k - 1]
-    return total
+    moduli = np.abs(powers)
+    table = np.zeros((len(powers), powers.shape[-1] - 1))
+    for level in range(2, powers.shape[-1] + 1):
+        wprod = _suffix_weight_products(w, level)
+        for k in range(level - 1, 0, -1):
+            table[:, level - 2] += wprod[k] * (gaps[level] / gaps[k]) * moduli[:, k - 1, level - 1]
+    return table
 
 
 # --- stable product differences and eigenvector chains ----------------------------
+
+
+def _telescoped(d: complex, fx: list, fy: list) -> complex:
+    """d * sum_r prod_{q<r} fx[q] prod_{q>r} fy[q]: prod(fx) - prod(fy) when fx - fy is d in every slot."""
+    prefix, suffix = [1 + 0j], [1 + 0j]  # prod fx[:q] for q = 0..r; prod fy[q:] for q = r down to 0
+    for f, g in zip(fx, reversed(fy)):
+        prefix.append(prefix[-1] * f)
+        suffix.append(suffix[-1] * g)
+    total = 0j
+    for p, s in zip(prefix, reversed(suffix[:-1])):
+        total += p * s
+    return d * total
 
 
 def product_difference(x: Fraction, y: Fraction, nodes) -> complex:
@@ -214,41 +232,21 @@ def product_difference(x: Fraction, y: Fraction, nodes) -> complex:
     are within 1e-80 of each other on the circle.
     """
     nodes = list(nodes)
-    r = len(nodes)
-    if r == 0:
+    if not nodes:
         return 0j
-    fx = [unit_diff(x, a) for a in nodes]
-    fy = [unit_diff(y, a) for a in nodes]
-    prefix = [1 + 0j] * (r + 1)
-    for q in range(r):
-        prefix[q + 1] = prefix[q] * fx[q]
-    suffix = [1 + 0j] * (r + 1)
-    for q in range(r - 1, -1, -1):
-        suffix[q] = suffix[q + 1] * fy[q]
-    total = 0j
-    for q in range(r):
-        total += prefix[q] * suffix[q + 1]
-    return unit_diff(x, y) * total
+    return _telescoped(unit_diff(x, y), [unit_diff(x, a) for a in nodes], [unit_diff(y, a) for a in nodes])
 
 
 def _alphas_fiber1(gaps: dict, w: tuple, upto: int) -> list:
-    """Fiber-1 shift weights alpha_{1,l} for l = 1..upto."""
-    out = []
-    for l in range(1, upto + 1):
-        fw = w[l - 1] * FIBER_DECAY
-        if l == 1:
-            out.append(fw * gaps[2])
-        else:
-            out.append(fw * gaps[l + 1] / gaps[l])
-    return out
+    """Fiber-1 shift weights alpha_{1,l} = w_l FIBER_DECAY g_{l+1} / g_l for l = 1..upto (g_1 = 1)."""
+    return [w[l - 1] * FIBER_DECAY * gaps[l + 1] / gaps[l] for l in range(1, upto + 1)]
 
 
-def _chain_coeffs(thetas, alphas1, n: int) -> list:
-    """Fiber-1 eigenvector coefficients c_1..c_n for the level-n eigenvalue."""
+def _chain_coeffs(diffs, alphas1) -> list:
+    """Fiber-1 eigenvector coefficients c_1..c_n, from diffs[q-1] = lambda_n - lambda_q for q = 1..n-1."""
     coeffs = [1 + 0j]
-    lam_n = thetas[n - 1]
-    for m in range(1, n):
-        coeffs.append(coeffs[-1] * unit_diff(lam_n, thetas[m - 1]) / alphas1[m - 1])
+    for d, alpha in zip(diffs, alphas1):
+        coeffs.append(coeffs[-1] * d / alpha)
     return coeffs
 
 
@@ -269,14 +267,19 @@ def _norm2(values) -> float:
 
 
 def _chain_difference(thetas, alphas1, n: int) -> tuple:
-    """(head, tail) 2-norm parts of the fiber-1 chain difference u^(n) - u^(j(n))."""
+    """(head, tail) 2-norm parts of the fiber-1 chain difference u^(n) - u^(j(n)).
+
+    Each node difference is taken once: lambda_n - lambda_q (q < n, so
+    lambda_n - lambda_j too) and lambda_j - lambda_q (q < j).
+    """
     j = fiber_map(n)
-    lam_n, lam_j = thetas[n - 1], thetas[j - 1]
+    from_n = [unit_diff(thetas[n - 1], theta) for theta in thetas[: n - 1]]
+    from_j = [unit_diff(thetas[j - 1], theta) for theta in thetas[: j - 1]]
     head = [
-        abs(product_difference(lam_n, lam_j, thetas[: m - 1]) / math.prod(alphas1[: m - 1], start=1 + 0j))
+        abs(_telescoped(from_n[j - 1], from_n[: m - 1], from_j[: m - 1]) / math.prod(alphas1[: m - 1]))
         for m in range(2, j + 1)
     ]
-    tail = [abs(c) for c in _chain_coeffs(thetas, alphas1, n)[j:]]
+    tail = [abs(c) for c in _chain_coeffs(from_n, alphas1)[j:]]
     return _norm2(head), _norm2(tail)
 
 
@@ -284,11 +287,8 @@ def _chain_difference(thetas, alphas1, n: int) -> tuple:
 
 
 def gaps_table(thetas, upto: int) -> dict:
-    """Chord distance g_l from level l to its parent level, for l = 2..upto."""
-    return {
-        l: chord_distance(thetas[l - 1], thetas[fiber_map(l) - 1])
-        for l in range(2, upto + 1)
-    }
+    """g_l for l = 1..upto: g_1 = 1, and from l = 2 the chord distance from level l to its parent level."""
+    return {1: 1.0, **{l: chord_distance(thetas[l - 1], thetas[fiber_map(l) - 1]) for l in range(2, upto + 1)}}
 
 
 @dataclass(frozen=True)
@@ -298,15 +298,15 @@ class ShiftConstruction:
     Angles are rationals in turns, reduced mod 1 on entry to Fractions in
     [0, 1); the operator shares that tuple (assemble_operator).  Every other
     table is derived from the choices once, on first use: gaps[l-2] is the
-    chord distance from level l to its parent level, for l = 2..L;
-    alphas1[l-1] is the fiber-1 shift weight for l = 1..L-1 (fiber i: times
-    FIBER_DECAY**(i-1)); nodes is the NodeSet of the angles, which the
-    operator shares (assemble_operator); powers[k-1] is J^(n_k) over all L
-    levels for k = 1..horizon, whose column l holds level l's coefficient row;
-    budgets[l-2] is level l's LevelBudget, measured from those tables and
-    judged.  No search happens here, so a spectrum that fails a predicate
-    simply comes out uncertified.  The file format belongs to
-    ``jamison.serialize``.
+    chord distance from level l to its parent level, for l = 2..L (its
+    table also holds g_1 = 1); alphas1[l-1] is the fiber-1 shift weight for
+    l = 1..L-1 (fiber i: times FIBER_DECAY**(i-1)); nodes is the NodeSet of
+    the angles, which the operator shares (assemble_operator); powers[k-1]
+    is J^(n_k) over all L levels for k = 1..horizon; tails[k-1, l-2] is
+    level l's coefficient tail at n_k, which budgets and verify both read;
+    budgets[l-2] is level l's LevelBudget, measured from those and judged.
+    No search happens here, so a spectrum that fails a predicate simply
+    comes out uncertified.  The file format belongs to ``jamison.serialize``.
     """
 
     seq: IndexSequence
@@ -340,7 +340,7 @@ class ShiftConstruction:
 
     @cached_property
     def gaps(self) -> tuple:
-        return tuple(self._gap_of.values())
+        return tuple(self._gap_of.values())[1:]
 
     @cached_property
     def alphas1(self) -> tuple:
@@ -362,15 +362,16 @@ class ShiftConstruction:
         """
         return apply(self.nodes, [Power(n) for n in self.seq.prefix(self.horizon)])
 
+    @cached_property
+    def tails(self) -> np.ndarray:
+        return _tail_table(self.powers, self.weights, self._gap_of)
+
     def budget(self, level: int) -> LevelBudget:
-        """Measure level l's eigenvector-chain difference and coefficient tail, then judge them."""
+        """Measure level l's eigenvector-chain difference, read its largest tail from ``tails``, and judge them."""
         if not 2 <= level <= self.levels:
             raise IndexOutOfRange(f"budget level {level} outside 2..{self.levels}")
-        if level >= 3:
-            eig_a, eig_b = _chain_difference(self.lambdas, self.alphas1, level)
-        else:
-            eig_a = eig_b = 0.0
-        tail_max = max(_tail_sum(Jn, self.weights, self._gap_of, level) for Jn in self.powers)
+        eig_a, eig_b = _chain_difference(self.lambdas, self.alphas1, level) if level >= 3 else (0.0, 0.0)
+        tail_max = max(self.tails[:, level - 2].tolist())
         return LevelBudget.judge(level, self.lambdas, self._gap_of, self.weights, eig_a, eig_b, tail_max)
 
     @cached_property
@@ -421,13 +422,11 @@ def _level_search_target(prefix: ShiftConstruction | None, w) -> float:
     j = fiber_map(level)
     lam_j = thetas[j - 1]
     dist = [abs(unit_diff(lam_j, p)) for p in thetas]  # |lambda_j - lambda_q|
-    # (a) gap recursion
-    g_a = gaps[level - 1] / (2 ** level * w[level - 2])
-    # (b) eigenvector budgets, linearized in the new gap with a 2x safety factor
-    budget = 2.0 ** -(level + 1)
+    # (a) gap recursion; (b) eigenvector budgets, linearized in the new gap with a 2x safety factor
+    g_a, budget, tail_budget = _thresholds(level, gaps, w)
     a_slope_sq = 0.0
     for m in range(2, j + 1):
-        denom = abs(math.prod(alphas1[: m - 1], start=1 + 0j))
+        denom = math.prod(alphas1[: m - 1])
         s = 0.0
         for r in range(m - 1):
             s += math.prod(dist[q] for q in range(m - 1) if q != r)
@@ -443,7 +442,7 @@ def _level_search_target(prefix: ShiftConstruction | None, w) -> float:
         )
     b_slope_sq = 0.0
     for m in range(j + 1, level):
-        denom = abs(math.prod(alphas1[: m - 1], start=1 + 0j))
+        denom = math.prod(alphas1[: m - 1])
         part = math.prod(dist[q] for q in range(m - 1) if q != j - 1)
         b_slope_sq += (part / denom) ** 2
     g_b = math.inf
@@ -459,10 +458,9 @@ def _level_search_target(prefix: ShiftConstruction | None, w) -> float:
         kmin = max(1, level - n)
         tot = 0.0
         for k in range(kmin, level):
-            gk = 1.0 if k == 1 else gaps[k]
-            tot += wprod[k] * _saturating_float(math.comb(n, level - k)) / gk
+            tot += wprod[k] * _saturating_float(math.comb(n, level - k)) / gaps[k]
         worst = max(worst, tot)
-    g_c = (2.0 ** (1 - level)) / worst if worst > 0.0 else math.inf
+    g_c = tail_budget / worst if worst > 0.0 else math.inf
     return _chord_to_eta(min(g_a, g_b, g_c))
 
 
@@ -688,17 +686,12 @@ class PowerBoundReport:
 def analytic_power_bound(cons: ShiftConstruction, n: int) -> float:
     """Upper bound on ||T^n - D^n|| from the weighted coefficient tails.
 
-    Sums the per-level tail bounds with measured coefficient magnitudes.  The
+    Sums the per-level tail bounds with measured coefficient magnitudes: J^n's
+    row of _tail_table, as verify reads n_k's from the record's tails.  The
     fiber decay only shrinks individual entries, and the bound dominates the
     max column sum, the max row sum, and hence also the spectral norm.
     """
-    (Jn,) = apply(cons.nodes, [Power(n)])
-    return _power_tail_bound(cons, Jn)
-
-
-def _power_tail_bound(cons: ShiftConstruction, Jn: np.ndarray) -> float:
-    """analytic_power_bound from J^n over the record's levels."""
-    return sum(_tail_sum(Jn, cons.weights, cons._gap_of, level) for level in range(2, cons.levels + 1))
+    return sum(_tail_table(apply(cons.nodes, [Power(n)]), cons.weights, cons._gap_of)[0].tolist())
 
 
 def verify_partial_power_bound(cons: ShiftConstruction, I: int, P: int, p) -> PowerBoundReport:
@@ -708,8 +701,9 @@ def verify_partial_power_bound(cons: ShiftConstruction, I: int, P: int, p) -> Po
     the difference is the strictly upper part of T^n: the genuine band
     contribution.  The record's J^n of each row, the divided differences of
     z^n on its exact eigenvalues over all its levels, gives T^n = J^n times
-    the operator's band products (TruncatedOperator.products) and the
-    analytic tail bound alike.  Fiber 1's norms are the I-fiber operator's
+    the operator's band products (TruncatedOperator.products); the analytic
+    bound sums that row of the record's tails, which its budgets read, so no
+    tail is formed here.  Fiber 1's norms are the I-fiber operator's
     (TruncatedOperator), so only the truncation bound reads I.
     Each row also carries that bound; a certified construction must come out
     with measured <= 1, operator power <= 2, and analytic bound at least the
@@ -723,11 +717,10 @@ def verify_partial_power_bound(cons: ShiftConstruction, I: int, P: int, p) -> Po
     rows = []
     for k in range(1, P + 1):
         n = cons.seq.terms[k - 1]
-        Jn = cons.powers[k - 1]
-        Tn = Jn * products
+        Tn = cons.powers[k - 1] * products
         norm_diff = operator_norm(np.triu(Tn, 1), p)
         norm_T = operator_norm(Tn, p)
-        bound = _power_tail_bound(cons, Jn)
+        bound = sum(cons.tails[k - 1].tolist())
         rows.append(
             PowerBoundRow(
                 k=k,

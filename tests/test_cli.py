@@ -587,12 +587,15 @@ def test_construct_names_the_predicate_its_candidates_fail(tmp_path, monkeypatch
 def test_construct_never_writes_an_uncertified_record(tmp_path, capsys, monkeypatch):
     # a measurement under which the full record reads level 2's tail far above what its
     # 2-level trial read: the build stops instead of returning that record
-    honest = jamison.construction._tail_sum
+    honest = jamison.construction._tail_table
 
-    def deeper_reads_worse(Jn, w, gaps, level):
-        return honest(Jn, w, gaps, level) + (1e6 if Jn.shape[0] > level else 0.0)
+    def deeper_reads_worse(powers, w, gaps):
+        table = honest(powers, w, gaps)
+        if table.shape[1] > 1:  # a record deeper than 2 levels
+            table[:, 0] += 1e6
+        return table
 
-    monkeypatch.setattr(jamison.construction, "_tail_sum", deeper_reads_worse)
+    monkeypatch.setattr(jamison.construction, "_tail_table", deeper_reads_worse)
     write_json(tmp_path / "seq.json", IndexSequence.factorials(5).to_json_dict())
     rc = main([
         "construct", "--sequence", str(tmp_path / "seq.json"), "--levels", "5", "--horizon", "5",
@@ -603,6 +606,13 @@ def test_construct_never_writes_an_uncertified_record(tmp_path, capsys, monkeypa
     assert "invariant failure: the built record fails level 2 'tail_sum_ok'" in err
     assert json.loads(err[err.index("{"):])["tail_sum_ok"] is False
     assert not (tmp_path / "X.json").exists()
+
+
+# SHA-256 of the 2^(k(k-1)/2) construction files, recorded before the budgets read one tail table
+TRIANGULAR_SHA256 = {
+    9: "f0992c153b66252f0011dab93d59b62905ffb9d6c9a6e8a9f6b00b37d62971ec",
+    10: "2ab9691f9ef0727b69f2ebd935db1dec0d4cd4ed7f2ce4a1654fe2a2e6433570",
+}
 
 
 def test_triangular_exponents_construct_verify_and_lift(tmp_path):
@@ -622,6 +632,7 @@ def test_triangular_exponents_construct_verify_and_lift(tmp_path):
             assert not Path(cons).exists()
             continue
         assert rc == 0
+        assert hashlib.sha256(Path(cons).read_bytes()).hexdigest() == TRIANGULAR_SHA256[L]
         assert main(["verify", "--construction", cons, "--p", "2", "--powers", str(L),
                      "--out-dir", str(out / "verify")]) == 0
         assert main(["semigroup", "--construction", cons, "--powers", str(L),
@@ -905,6 +916,14 @@ DEEP_LADDER_SHA256 = {
     12: "f828a25c4f16c6060f05b348022dc5a7c9337bffaf697e227dc3bdce845cd795",
     13: "706dce751d56dbdd38ee49510ba05565533468ab758c7566d61c1e85dd5a1eef",
 }
+# SHA-256 of each rung's verify --p 2 powers.csv, recorded before the budgets and verify read one
+# tail table
+DEEP_LADDER_POWERS_SHA256 = {
+    10: "26b31506fce451629ce68786cf6dd5d05182ed0a1d565193688d7f82f87d1413",
+    11: "4e9cd5e26eaea837d02347dcfd7b4cfb4c78f3333813f7e243b016577ecc2ae9",
+    12: "31aac30fcf079848c0c427249d4e7a09e62e06686178169281d898e4945b4922",
+    13: "3357b56ba4d0bddd3ab1fb06db2e2d1adfe78b896216f19573a99f6bb01ab4c4",
+}
 
 
 @pytest.mark.parametrize("L", sorted(DEEP_LADDER_SHA256))
@@ -920,6 +939,8 @@ def test_deep_ladder_constructs_verifies_and_lifts(tmp_path, L):
         "verify", "--construction", cons, "--p", "2", "--powers", str(L),
         "--out-dir", str(tmp_path / "verify"),
     ]) == 0
+    powers = (tmp_path / "verify" / "powers.csv").read_bytes()
+    assert hashlib.sha256(powers).hexdigest() == DEEP_LADDER_POWERS_SHA256[L]
     assert main([
         "semigroup", "--construction", cons, "--powers", str(L),
         "--out-dir", str(tmp_path / "semigroup"),
@@ -955,10 +976,12 @@ def _ladder_inputs(d: Path) -> tuple:
 
 def test_each_command_calls_the_kernel_once_per_set_of_times(tmp_path, monkeypatch):
     # construct: one funm.apply per trial record (its powers); verify: the load's
-    # powers; semigroup: the load, the log, the lattice, the grid and the bounded times
+    # powers; semigroup: the load, the log, the lattice, the grid and the bounded times.
+    # Each record forms one tail table, which its budgets and verify's bounds read.
     fact, half = _ladder_inputs(tmp_path)
     cons = str(tmp_path / "C.json")
     calls = _counted(monkeypatch, funm.apply)
+    tables = _counted(monkeypatch, jamison.construction._tail_table)
     records = []
     honest = ShiftConstruction.__post_init__
 
@@ -970,11 +993,13 @@ def test_each_command_calls_the_kernel_once_per_set_of_times(tmp_path, monkeypat
     assert main(["construct", "--sequence", fact, "--levels", "8", "--horizon", "8", "--fibers", "2",
                  "--out", cons, "--out-dir", str(tmp_path / "construct")]) == 0
     assert 0 < len(calls) <= len(records)
+    assert len(tables) == len(records)
     golden = str(GOLDEN / "ladder/L8/L8.json")
     calls.clear()
+    tables.clear()
     assert main(["verify", "--construction", golden, "--p", "inf", "--powers", "8",
                  "--out-dir", str(tmp_path / "verify")]) == 0
-    assert len(calls) == 1
+    assert len(calls) == len(tables) == 1
     calls.clear()
     assert main(["semigroup", "--construction", golden, "--powers", "8", "--real-sequence", half,
                  "--out-dir", str(tmp_path / "semigroup")]) == 0

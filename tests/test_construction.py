@@ -341,10 +341,16 @@ def test_diagonal_power_is_isometry(synthetic_cons):
 # --- eigenvector chains ---------------------------------------------------------------
 
 
+def _chain(cons, n: int) -> list:
+    """The level-n eigenvector chain c_1..c_n, from its differences lambda_n - lambda_q, q < n."""
+    diffs = [unit_diff(cons.lambdas[n - 1], p) for p in cons.lambdas[: n - 1]]
+    return construction._chain_coeffs(diffs, cons.alphas1)
+
+
 def test_chain_first_levels(factorial_cons):
     cons = factorial_cons
-    assert construction._chain_coeffs(cons.lambdas, cons.alphas1, 1) == [1 + 0j]
-    c2 = construction._chain_coeffs(cons.lambdas, cons.alphas1, 2)[1]
+    assert _chain(cons, 1) == [1 + 0j]
+    c2 = _chain(cons, 2)[1]
     # modulus collapses to 1 / w_{1,1} = 2 / w_1 after the gap cancels
     assert abs(c2) == pytest.approx(2.0, rel=1e-12)
 
@@ -355,10 +361,23 @@ def test_chain_residuals(factorial_cons):
     op = assemble_operator(cons, 1)
     for n in range(1, 9):
         v = np.zeros(8, dtype=complex)
-        v[:n] = construction._chain_coeffs(cons.lambdas, cons.alphas1, n)
+        v[:n] = _chain(cons, n)
         lam = unit_point(cons.lambdas[n - 1])
         resid = np.linalg.norm(dense_block(op) @ v - lam * v)
         assert resid <= 1e-10 * np.linalg.norm(v)
+
+
+def test_a_budget_takes_each_node_difference_once(factorial_cons, monkeypatch):
+    # lambda_n - lambda_q for q < n (lambda_n - lambda_j among them) and lambda_j - lambda_q for q < j
+    cons = factorial_cons
+    calls = []
+    honest = construction.unit_diff
+    monkeypatch.setattr(construction, "unit_diff", lambda a, b: calls.append((a, b)) or honest(a, b))
+    for n in range(2, 9):
+        calls.clear()
+        cons.budget(n)
+        assert len(calls) == (n - 1 + fiber_map(n) - 1 if n >= 3 else 0), n
+        assert len(set(calls)) == len(calls)
 
 
 def test_chain_cauchy_estimate(factorial_cons):
@@ -403,6 +422,25 @@ def test_scaled_norm_keeps_the_bits_of_the_plain_sum_of_squares(values):
     assert construction._norm2(values) == math.sqrt(sum(v * v for v in values))
 
 
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(2, 9), K=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_tail_table_keeps_the_bits_of_the_per_level_loop(L, K, seed):
+    # each entry summed k = l-1 down to 1 from 0.0, each term (W_k (g_l / g_k)) |h| in Python floats
+    rng = np.random.default_rng(seed)
+    re, im = rng.standard_normal((2, K, L, L)) * 10.0 ** rng.integers(-40, 40, (2, K, L, L))
+    powers = re + 1j * im
+    w = tuple(rng.uniform(0.25, 8.0, L - 1).tolist())
+    gaps = {1: 1.0, **{l: 10.0 ** -rng.uniform(0, 80) for l in range(2, L + 1)}}
+    table = construction._tail_table(powers, w, gaps)
+    for k, Jn in enumerate(powers):
+        for level in range(2, L + 1):
+            row = np.abs(Jn[: level - 1, level - 1]).tolist()
+            total = 0.0
+            for q in range(level - 1, 0, -1):
+                total += math.prod(reversed(w[q - 1: level - 1])) * (gaps[level] / gaps[q]) * row[q - 1]
+            assert table[k, level - 2] == total
+
+
 def _tail_max_oracle(cons) -> dict:
     """Every level's tail_max from the |h| of Opitz's formula for the unit-band J^n, at 900
     digits on the exact angles, each J^n checked against a run 60 digits finer; the weight and
@@ -410,14 +448,13 @@ def _tail_max_oracle(cons) -> dict:
     gaps = construction.gaps_table(cons.lambdas, cons.levels)
     thetas = cons.lambdas
     band = [mpmath.mpf(1)] * (cons.levels - 1)
-    tails = dict.fromkeys(range(2, cons.levels + 1), 0.0)
+    powers = []
     for n in cons.seq.prefix(cons.horizon):
         coarse, fine = (_opitz(thetas, band, power_value(Fraction(n)), dps) for dps in (900, 960))
         assert _err(coarse, fine, band) <= 1e-60
-        Jn = np.array([[float(abs(x)) for x in row] for row in fine])
-        for level in tails:
-            tails[level] = max(tails[level], construction._tail_sum(Jn, cons.weights, gaps, level))
-    return tails
+        powers.append([[float(abs(x)) for x in row] for row in fine])
+    table = construction._tail_table(np.array(powers), cons.weights, gaps)
+    return dict(enumerate(table.max(axis=0).tolist(), start=2))
 
 
 @pytest.mark.parametrize("L", [11, 12, 13])
@@ -512,7 +549,7 @@ def _principal_block_budget(cons, level):
     if level >= 3:
         eig = construction._chain_difference(thetas, construction._alphas_fiber1(gaps, w, level - 1), level)
     powers = unit_band_powers(thetas[:level], cons.seq.prefix(cons.horizon))
-    tail_max = max(construction._tail_sum(Jn, w, gaps, level) for Jn in powers)
+    tail_max = max(construction._tail_table(powers, w, gaps)[:, -1].tolist())
     return eig, tail_max
 
 
@@ -536,16 +573,12 @@ def _entry_error_bound(points, n: int) -> float:
 
 def _tail_slack(cons, level: int, routes) -> float:
     """How far level l's tail_max may stray on the given routes, each the nodes its powers
-    were taken over, by the kernel's entry bound: _tail_sum is linear in the moduli of the
+    were taken over, by the kernel's entry bound: a tail is linear in the moduli of the
     entries it reads."""
     gaps = construction.gaps_table(cons.lambdas, level)
-    return max(
-        construction._tail_sum(
-            np.full((level, level), sum(_entry_error_bound(points, n) for points in routes)),
-            cons.weights, gaps, level,
-        )
-        for n in cons.seq.prefix(cons.horizon)
-    )
+    bounds = [np.full((level, level), sum(_entry_error_bound(points, n) for points in routes))
+              for n in cons.seq.prefix(cons.horizon)]
+    return max(construction._tail_table(np.array(bounds), cons.weights, gaps)[:, -1].tolist())
 
 
 # drawn by the property test below; at level 3 their node clusters interleave, so the
@@ -568,19 +601,20 @@ def _mp_tail_max(cons, level: int) -> float:
             return mpmath.fsum(zs[i] ** (m + r - 1) / mpmath.fprod(zs[i] - zs[j] for j in range(r) if j != i)
                                for i in range(r))
 
-        def tail(n):
+        def column(n):
             row = [abs(h(n - (level - k), lam[k - 1:level])) if n >= level - k else 0 for k in range(1, level)]
             Jn = np.zeros((level, level))
             Jn[: level - 1, level - 1] = [float(x) for x in row]
-            return construction._tail_sum(Jn, cons.weights, gaps, level)
+            return Jn
 
-        return max(tail(n) for n in cons.seq.prefix(cons.horizon))
+        powers = np.array([column(n) for n in cons.seq.prefix(cons.horizon)])
+        return max(construction._tail_table(powers, cons.weights, gaps)[:, -1].tolist())
 
 
 @pytest.mark.parametrize("angles, terms", _INTERLEAVED_SPECTRA.values(), ids=_INTERLEAVED_SPECTRA.keys())
 def test_tail_max_routes_match_the_mpmath_oracle(angles, terms):
     # each route, the record's full block and the level's principal block, within its own
-    # kernel bound of the 50-digit value (plus a few u for _tail_sum's own sum)
+    # kernel bound of the 50-digit value (plus a few u for the tail's own sum)
     cons = ShiftConstruction(IndexSequence(terms), angles, (1.0,) * 5, horizon=len(terms))
     for budget in cons.budgets:
         level = budget.level
@@ -729,8 +763,10 @@ def test_powers_of_constructions_take_the_exact_phase_kernel(monkeypatch):
 
     monkeypatch.setattr(construction, "matrix_power", refuse)
     cons = build_construction(IndexSequence.factorials(6), L=5, K=6, w=(1, 2, 3, 4, 5))
-    assert verify_partial_power_bound(cons, 2, 6, 2).all_ok
-    assert analytic_power_bound(cons, 720) > 0
+    report = verify_partial_power_bound(cons, 2, 6, 2)
+    assert report.all_ok
+    # verify sums the record's tails; analytic_power_bound forms one power's: the same bits
+    assert [analytic_power_bound(cons, row.n_k) for row in report.rows] == [row.analytic_bound for row in report.rows]
 
 
 def test_zeroed_band_power_difference_vanishes(small_cons):
