@@ -15,7 +15,7 @@ _MODULE_OF = {
         "LevelBudget", "PowerBoundReport", "PowerBoundRow", "ShiftConstruction",
         "TruncatedOperator", "analytic_power_bound", "assemble_operator",
         "build_construction", "fiber_map", "matrix_power", "operator_norm",
-        "product_difference", "verify_partial_power_bound",
+        "verify_partial_power_bound",
     ), "construction"),
     **dict.fromkeys((
         "BoundedReport", "LatticeReport", "MatrixSemigroup", "SpectrumReport",

@@ -82,7 +82,7 @@ FIBER_DECAY = 0.5  # weight ratio between consecutive fibers
 
 
 def level_weights(w, levels: int) -> tuple:
-    """w_1..w_{levels-1} as floats, from a list of at least that many, all positive and finite.
+    """w_1..w_{levels-1} as floats, from a list of at least that many, all normal positive doubles.
 
     w_l sets the band between levels l and l+1; fiber i carries w_l * FIBER_DECAY**i.
     """
@@ -91,6 +91,8 @@ def level_weights(w, levels: int) -> tuple:
         raise ConfigInvalid("weight list is empty")
     if any(not math.isfinite(x) or x <= 0.0 for x in w):
         raise ConfigInvalid("all level weights must be positive and finite")
+    if min(w) < sys.float_info.min:  # a subnormal's fiber-1 shift weight can round to 0
+        raise ConfigInvalid(f"level weight {min(w)!r} is below the normal double range")
     if len(w) < levels - 1:
         raise WeightListTooShort(f"{len(w)} weights for {levels} levels; need {levels - 1}")
     return w[: levels - 1]
@@ -220,21 +222,6 @@ def _telescoped(d: complex, fx: list, fy: list) -> complex:
     for p, s in zip(prefix, reversed(suffix[:-1])):
         total += p * s
     return d * total
-
-
-def product_difference(x: Fraction, y: Fraction, nodes) -> complex:
-    """prod(x - a_q) - prod(y - a_q), evaluated without catastrophic cancellation.
-
-    Uses the telescoping identity
-        prod(x-a) - prod(y-a) = (x-y) * sum_r prod_{q<r}(x-a_q) prod_{q>r}(y-a_q)
-    where every factor, including x - y itself, comes from exact angle
-    differences, so the result keeps full relative accuracy even when x and y
-    are within 1e-80 of each other on the circle.
-    """
-    nodes = list(nodes)
-    if not nodes:
-        return 0j
-    return _telescoped(unit_diff(x, y), [unit_diff(x, a) for a in nodes], [unit_diff(y, a) for a in nodes])
 
 
 def _alphas_fiber1(gaps: dict, w: tuple, upto: int) -> list:
@@ -421,7 +408,8 @@ def _level_search_target(prefix: ShiftConstruction | None, w) -> float:
     level = prefix.levels + 1
     j = fiber_map(level)
     lam_j = thetas[j - 1]
-    dist = [abs(unit_diff(lam_j, p)) for p in thetas]  # |lambda_j - lambda_q|
+    # |lambda_j - lambda_q|; no product reads q = j - 1, which holds 0.0
+    dist = [0.0 if q == j - 1 else abs(unit_diff(lam_j, p)) for q, p in enumerate(thetas)]
     # (a) gap recursion; (b) eigenvector budgets, linearized in the new gap with a 2x safety factor
     g_a, budget, tail_budget = _thresholds(level, gaps, w)
     a_slope_sq = 0.0

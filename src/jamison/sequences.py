@@ -272,12 +272,11 @@ class _BoxSearch:
     a caller re-checks a point with _f_exact before it keeps it.
 
     Term parts x boxes go through three scratch buffers of at most _SCRATCH
-    doubles, so boxes are taken _SCRATCH // (number of parts) at a time.  A
-    caller stops when a round would hold more than _SCRATCH boxes, or once
-    the search has evaluated _MAX_WORK term parts x boxes (see exhausted).
+    doubles, so boxes are taken _SCRATCH // (number of parts) at a time.
     """
 
     def __init__(self, terms: Sequence, lo: float, hi: float):
+        self.lo, self.hi = lo, hi
         parts, starts = [], []
         for t in terms:
             n, d = t.as_integer_ratio()
@@ -356,14 +355,26 @@ class _BoxSearch:
 
         return bounds, values, point
 
-    def exhausted(self, cut: np.ndarray) -> bool:
-        """Whether cutting these boxes would outgrow the scratch cap, or the work is spent."""
-        return 3 * np.count_nonzero(cut) > _SCRATCH or self.work >= _MAX_WORK
+    def descend(self, width: float, keep) -> tuple:
+        """(lower, truncated) of breadth-first rounds of boxes from the domain, each kept box cut in three.
 
-
-def _uncuttable(lo: np.ndarray, hi: np.ndarray, width: float) -> np.ndarray:
-    """Boxes at most ``width`` wide, or within a few doubles of it, which cutting could not resolve."""
-    return hi - lo <= np.maximum(width, 2.0 ** -50 * hi)
+        Each round evaluates its boxes; a box that keep(lo, hi, bounds, values,
+        point) marks, wider than ``width`` and than 2^-50 hi (below that a cut
+        is lost in the doubles), is cut into thirds, and every other is dropped:
+        lower is the least bound of a dropped box.  When the next round would
+        hold more than _SCRATCH boxes, or _MAX_WORK term parts x boxes have been
+        evaluated, every box left is dropped and the walk ends truncated.
+        """
+        lo, hi = np.array([self.lo]), np.array([self.hi])
+        lower, truncated = math.inf, False
+        while lo.size:
+            bounds, values, point = self.evaluate(lo, hi)
+            cut = keep(lo, hi, bounds, values, point) & (hi - lo > np.maximum(width, 2.0 ** -50 * hi))
+            if cut.any() and (3 * np.count_nonzero(cut) > _SCRATCH or self.work >= _MAX_WORK):
+                cut[:], truncated = False, True
+            lower = min(lower, float(bounds[~cut].min(initial=math.inf)))
+            lo, hi = _split(lo[cut], hi[cut])
+        return lower, truncated
 
 
 def _split(lo: np.ndarray, hi: np.ndarray) -> tuple:
@@ -431,20 +442,17 @@ def separation_constant(
     multiplier has wrapped at least half a turn.  Pass theta_min explicitly to
     pin the domain (for example when comparing horizons on a common domain).
 
-    Branch and bound on boxes of thetas (see _BoxSearch), starting from the
-    whole domain.  Each round evaluates the boxes and keeps the point of least
-    value as the witness; its exact f, from _f_exact at the end, is the upper
-    end, and its value is that to within the search's rounding margin.  A box
-    whose bound is within ``resolution`` of the value plus twice the margin
-    is discarded, and the least bound of any discarded box is the lower end;
-    every other box is cut in three.  So the run ends with upper - lower <=
-    resolution, with two exceptions.  A box with t_K (hi - lo) <= resolution,
-    or within a few doubles of its ends, is discarded whatever its bound,
-    since cutting it could only close the interval past the bound's rounding
-    margin; that happens only where doubles cannot resolve the interval.  And
-    when the box budget runs out (_BoxSearch.exhausted), every box left is
-    discarded with its bound and the report is marked truncated: the
-    interval is still certified, only wider.
+    Branch and bound on boxes of thetas (_BoxSearch.descend) over the whole
+    domain.  Each round keeps the point of least value as the witness; its
+    exact f, from _f_exact at the end, is the upper end, and its value is
+    that to within the search's rounding margin.  A box whose bound is within
+    ``resolution`` of the value plus twice the margin is dropped, and the
+    least bound of any dropped box is the lower end; every other box is cut
+    in three.  So the run ends with upper - lower <= resolution, unless a box
+    with t_K (hi - lo) <= resolution, which cutting could only close past the
+    bound's margin, is dropped whatever its bound (only where doubles cannot
+    resolve the interval), or the box budget runs out, when the report is
+    marked truncated: the interval is still certified, only wider.
 
     A resolution outside (0, 1/2), or below the double spacing at 1/2, raises
     InvalidResolution.
@@ -471,21 +479,17 @@ def separation_constant(
             raise OutOfDomain(f"theta_min {theta_min!r} outside (0, 1/2)")
 
     search = _BoxSearch(terms_exact, theta_min, 0.5)
-    lo, hi = np.array([theta_min]), np.array([0.5])
-    upper, witness, lower, truncated = math.inf, None, math.inf, False
-    while lo.size:
-        bounds, values, point = search.evaluate(lo, hi)
+    upper, witness = math.inf, None
+
+    def keep(lo, hi, bounds, values, point):
+        nonlocal upper, witness
         i = int(np.argmin(values))
         if values[i] < upper:
             upper, witness = float(values[i]), point(i)
         # the witness's exact f is within one margin of its value; the second margin covers these sums
-        cut = (bounds < upper + 2.0 * search.margin - resolution) & ~_uncuttable(lo, hi, resolution / n_K)
-        truncated = cut.any() and search.exhausted(cut)
-        if truncated:
-            cut[:] = False
-        lower = min(lower, float(bounds[~cut].min(initial=math.inf)))
-        lo, hi = _split(lo[cut], hi[cut])
+        return bounds < upper + 2.0 * search.margin - resolution
 
+    lower, truncated = search.descend(resolution / n_K, keep)
     eps_torus = float(_f_exact(terms_exact, witness))
     return SeparationReport(
         horizon=K,
@@ -663,27 +667,23 @@ def near_return_search(
     found: list = []
 
     # Pass 1: boxes of the resolved domain whose bound is at most eta.
+    def keep(lo, hi, bounds, values, point):
+        for i in np.argsort(values, kind="stable"):
+            if values[i] > eta_t or len(found) >= max_candidates:
+                break
+            theta = point(int(i))
+            half = (hi[i % lo.size] - lo[i % lo.size]) / 2.0
+            if any(abs(theta - t) <= half for t, _ in found):
+                continue  # a point of a box that already yielded one, seen again from a third of it
+            f_exact = _f_exact(terms_exact, theta)
+            if f_exact <= eta_exact:
+                admit(found, theta, f_exact)
+        return (bounds <= eta_t) & (len(found) < max_candidates)
+
     dlo = max(float(arc_lo), floor)
     dhi = min(float(arc_hi), 0.5)
     if dlo < dhi:
-        search = _BoxSearch(terms_exact, dlo, dhi)
-        lo, hi = np.array([dlo]), np.array([dhi])
-        while lo.size and len(found) < max_candidates:
-            bounds, values, point = search.evaluate(lo, hi)
-            for i in np.argsort(values, kind="stable"):
-                if values[i] > eta_t or len(found) >= max_candidates:
-                    break
-                theta = point(int(i))
-                half = (hi[i % lo.size] - lo[i % lo.size]) / 2.0
-                if any(abs(theta - t) <= half for t, _ in found):
-                    continue  # a point of a box that already yielded one, seen again from a third of it
-                f_exact = _f_exact(terms_exact, theta)
-                if f_exact <= eta_exact:
-                    admit(found, theta, f_exact)
-            cut = (bounds <= eta_t) & ~_uncuttable(lo, hi, eta_t / (4.0 * n_K))
-            if search.exhausted(cut):
-                break
-            lo, hi = _split(lo[cut], hi[cut])
+        _BoxSearch(terms_exact, dlo, dhi).descend(eta_t / (4.0 * n_K), keep)
 
     # Pass 2: constructed witnesses below the resolved floor, profile-gated.
     if len(found) < max_candidates:

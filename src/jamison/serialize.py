@@ -161,7 +161,7 @@ def construction_from_json_dict(obj: dict) -> tuple:
             horizon=int(obj["horizon"]),
         )
         cons.budgets  # measured inside the try: a malformed file is a config error, not a traceback
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigInvalid(f"bad construction payload: {exc!r}") from exc
     fibers = obj.get("fibers", 2)
     if isinstance(fibers, bool) or not isinstance(fibers, int) or not 1 <= fibers <= MAX_FIBERS:

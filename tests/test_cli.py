@@ -767,6 +767,44 @@ def test_construct_weight_past_the_double_range_is_config_error(workdir, tmp_pat
     assert not (tmp_path / "C.json").exists()
 
 
+_SUBNORMAL = "config error: level weight {} is below the normal double range"
+# (command, weight index, weight) -> (exit code, start of stderr): a weight whose fiber-1 shift
+# weight underflows.  A subnormal is refused up front, and a normal weight whose band still
+# underflows through its gap ratio fails the load as a payload error; a band that stays a double
+# rebuilds to other alphas_fiber1 than the file stores
+UNDERFLOWING_WEIGHTS = {
+    ("verify", 0, 1e-320): (1, _SUBNORMAL.format(1e-320)),
+    ("semigroup", 0, 1e-320): (1, _SUBNORMAL.format(1e-320)),
+    ("verify", 2, 5e-324): (1, _SUBNORMAL.format(5e-324)),
+    ("semigroup", 6, 5e-324): (1, _SUBNORMAL.format(5e-324)),
+    ("verify", 6, 1e-300): (1, "config error: bad construction payload: ZeroDivisionError("),
+    ("semigroup", 6, 1e-300): (1, "config error: bad construction payload: ZeroDivisionError("),
+    ("construct", 0, 1e-320): (1, _SUBNORMAL.format(1e-320)),
+    ("construct", 2, 5e-324): (1, _SUBNORMAL.format(5e-324)),
+    ("construct", 6, 5e-324): (1, _SUBNORMAL.format(5e-324)),
+    ("verify", 2, 1e-200): (2, "artifact integrity failure: stored 'alphas_fiber1' differs"),
+}
+
+
+@pytest.mark.parametrize("command, index, weight", sorted(UNDERFLOWING_WEIGHTS))
+def test_a_weight_whose_band_underflows_exits_with_its_code(tmp_path, capsys, command, index, weight):
+    if command == "construct":
+        weights = [float(l) for l in range(1, 8)]
+        weights[index] = weight
+        (tmp_path / "w.json").write_text(json.dumps(weights))
+        write_json(tmp_path / "fact.json", IndexSequence.factorials(12).to_json_dict())
+        argv = ["construct", "--sequence", str(tmp_path / "fact.json"), "--levels", "8", "--horizon", "8",
+                "--weights", str(tmp_path / "w.json"), "--out", str(tmp_path / "C.json")]
+    else:
+        obj = json.loads((GOLDEN / "ladder/L8/L8.json").read_text())
+        obj["weights"][index] = weight
+        (tmp_path / "C.json").write_text(json.dumps(obj))
+        argv = [command, "--construction", str(tmp_path / "C.json"), "--powers", "8"]
+    code, label = UNDERFLOWING_WEIGHTS[command, index, weight]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.startswith(label)
+
+
 def test_construct_bad_weight_file_is_config_error(workdir, tmp_path):
     (tmp_path / "w.json").write_text("{\"w\": 1}")
     rc = main([
@@ -1329,6 +1367,29 @@ def test_only_sequences_recovers_an_angle_from_a_float():
     calls = {path.stem: _angle_from_float_calls(path) for path in Path(jamison.__file__).parent.glob("*.py")}
     assert calls.pop("sequences"), "the scan finds torus_from_chord's asin"
     assert not {name: found for name, found in calls.items() if found}
+
+
+def _evaluate_callers(path) -> set:
+    """Qualified names of the functions and methods in one source file that call an ``.evaluate(`` method."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "evaluate":
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    return found
+
+
+def test_only_the_box_search_driver_evaluates_boxes():
+    # the separation floor and the near-return search walk their boxes through one driver
+    callers = set().union(*(_evaluate_callers(path) for path in Path(jamison.__file__).parent.glob("*.py")))
+    assert callers == {"sequences._BoxSearch.descend"}
 
 
 @pytest.mark.parametrize("name", sorted(EXIT_TABLE))

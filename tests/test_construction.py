@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -378,6 +379,31 @@ def test_a_budget_takes_each_node_difference_once(factorial_cons, monkeypatch):
         cons.budget(n)
         assert len(calls) == (n - 1 + fiber_map(n) - 1 if n >= 3 else 0), n
         assert len(set(calls)) == len(calls)
+    # level n's search target takes lambda_j - lambda_q for the n - 2 levels q != j before it
+    for n in range(3, 9):
+        calls.clear()
+        prefix = ShiftConstruction(cons.seq, cons.lambdas[: n - 1], cons.weights, cons.horizon)
+        construction._level_search_target(prefix, cons.weights)
+        assert len(calls) == n - 2 and all(a != b for a, b in calls), n
+        assert len(set(calls)) == len(calls)
+
+
+# SHA-256 of the angles each near_return_search call returned in the L = 10 factorial build
+# (linear weights), one comma-joined line per call, recorded before the separation floor and the
+# near-return search shared one box-search driver
+NEAR_RETURNS_L10_SHA256 = "f7dab5dedc54d12bd46ee3d76e351d6473b96e99bb8f623b08463af9816572be"
+
+
+def test_near_returns_of_the_l10_build_keep_their_angles(monkeypatch):
+    returned = []
+    search = construction.near_return_search
+    monkeypatch.setattr(
+        construction, "near_return_search", lambda *args, **kwargs: returned.append(search(*args, **kwargs)) or returned[-1]
+    )
+    build_construction(IndexSequence.factorials(12), L=10, K=10, w=[float(l) for l in range(1, 10)])
+    text = "\n".join(",".join(str(theta) for theta in angles) for angles in returned)
+    assert len(returned) == 9
+    assert hashlib.sha256(text.encode()).hexdigest() == NEAR_RETURNS_L10_SHA256
 
 
 def test_chain_cauchy_estimate(factorial_cons):

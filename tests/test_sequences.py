@@ -453,6 +453,42 @@ def test_block_bound_leaves_few_points_to_scan(monkeypatch):
     assert sum(evaluated) < n_points / 10
 
 
+# The box search's traversal on the benchmark's analyze inputs at --resolution 1e-7, recorded before
+# the separation floor and the near-return search shared one driver: per horizon K, the evaluate
+# calls, the boxes evaluated, the witness, the lower end (as float.hex) and truncated
+ANALYZE_TRAVERSAL = {
+    "integers": (IndexSequence.integers_up_to(1000), [
+        (10, 17, 97, "1501199852250395/4503599627370496", "0x1.5555555555535p-2", False),
+        (100, 17, 313, "375299968359047/1125899906842624", "0x1.555554e993a83p-2", False),
+        (1000, 19, 2272, "375299968849459/1125899906842624", "0x1.55555548c2ff6p-2", False),
+    ]),
+    "factorials": (IndexSequence.factorials(12), [
+        (6, 19, 133, "1372525928867663/1152921504606846976", "0x1.249243592699bp-3", False),
+        (8, 23, 286, "813348487708425/36893488147419103232", "0x1.c71c6665cdb6ap-4", False),
+        (10, 27, 853, "2366105590129967/9444732965739290427392", "0x1.745d1677aa132p-4", False),
+    ]),
+    "powers2": (IndexSequence.powers_of_two(12), [
+        (4, 16, 145, "187649999186127/2251799813685248", "0x1.555551d35cc20p-2", False),
+        (8, 19, 382, "3002399753623713/9007199254740992", "0x1.555551c846ba0p-2", False),
+        (12, 21, 721, "1501199894559015/1152921504606846976", "0x1.55554fdb8ffc2p-2", False),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_TRAVERSAL))
+def test_separation_search_walks_the_recorded_boxes(monkeypatch, name):
+    seq, want = ANALYZE_TRAVERSAL[name]
+    evaluated = []
+    evaluate = _BoxSearch.evaluate
+    monkeypatch.setattr(_BoxSearch, "evaluate", lambda self, lo, hi: evaluated.append(lo.size) or evaluate(self, lo, hi))
+    got = []
+    for K, *_ in want:
+        evaluated.clear()
+        rep = separation_constant(seq, K, resolution=1e-7)
+        got.append((K, len(evaluated), sum(evaluated), str(rep.witness), rep.lower_bound_torus.hex(), rep.truncated))
+    assert got == want
+
+
 def test_separation_scan_memory_bounded_by_tile():
     seq = IndexSequence.integers_up_to(1000)
     tracemalloc.start()
